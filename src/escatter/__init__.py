@@ -38,7 +38,6 @@ from .errors import NumericalError
 from .geometry import (
     AngularGrid,
     GridKind,
-    cell_probability,
     channel_domain,
     equator_grid,
     range_grid_below,
@@ -83,7 +82,6 @@ __all__ = [
     "__version__",
     "amplitude_pair",
     "build_meridian_matrix",
-    "cell_probability",
     "channel_domain",
     "detection_entropy_bits",
     "differential_probability",

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from . import __version__
 from .amplitudes import SpinChannel
 from .density_matrix import build_meridian_matrix, eigen_spectrum, von_neumann_entropy
-from .entropy import shannon_ring_discrete, sweep_energies
+from .entropy import detection_entropy_bits, shannon_ring_discrete, sweep_energies
 from .errors import NumericalError
-from .geometry import GridKind
+from .geometry import GridKind, equator_grid
 from .kinematics import make_context
 from .spin import entropy_antiparallel, entropy_parallel, equator_entropies, postselect_range_sweep
 
@@ -35,7 +35,7 @@ COMMANDS = ("spinless-sweep", "sphere-sweep", "vn-compare", "spin-sweep",
 _GEOMETRIES = {
     "rings": GridKind.RINGS,
     "sphere": GridKind.SPHERE_PIXELS,
-    "meridian": GridKind.MERIDIAN,
+    "meridian": GridKind.RINGS,  # same 1-D distribution as rings
     "equator": GridKind.EQUATOR_RING,
 }
 
@@ -182,9 +182,33 @@ def _parse_int_list(text: str, what: str) -> list:
     return [_parse_int(part, what) for part in str(text).split(",") if part.strip()]
 
 
+def _parse_str(text: str, what: str) -> str:
+    return text
+
+
+#: (RunConfig field, flag / config-file key, parser) for every option but
+#: the energies; the flag spelling in error messages derives from the key.
+_OPTIONS = (
+    ("l_nm", "packet_nm", _parse_float),
+    ("k_scale", "k_scale", _parse_float),
+    ("grid_cap", "grid_cap", _parse_int),
+    ("n_grid", "n_grid", _parse_int),
+    ("n_cells", "n_cells", _parse_int_list),
+    ("channel", "channel", _parse_str),
+    ("geometry", "geometry", _parse_str),
+    ("theta_r", "theta_r", _parse_float_list),
+    ("out", "out", _parse_str),
+    ("format", "format", _parse_str),
+    ("threads", "threads", _parse_int),
+)
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command-line flags > config file > defaults."""
+    """Merge precedence: command-line flags > config file > defaults
+    (ESCATTER_THREADS ranks between the config file and the default)."""
     filevals = parse_config_file(args.config) if args.config else {}
+    if "ESCATTER_THREADS" in os.environ:
+        filevals.setdefault("threads", os.environ["ESCATTER_THREADS"])
 
     def pick(flag_value, file_key: str):
         if flag_value is not None:
@@ -202,42 +226,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     elif energy_ev is not None:
         cfg.e_list = [_parse_float(str(energy_ev), "--energy-ev")]
 
-    raw = pick(args.packet_nm, "packet_nm")
-    if raw is not None:
-        cfg.l_nm = _parse_float(str(raw), "--packet-nm")
-    raw = pick(args.k_scale, "k_scale")
-    if raw is not None:
-        cfg.k_scale = _parse_float(str(raw), "--k-scale")
-    raw = pick(args.grid_cap, "grid_cap")
-    if raw is not None:
-        cfg.grid_cap = _parse_int(str(raw), "--grid-cap")
-    raw = pick(args.n_grid, "n_grid")
-    if raw is not None:
-        cfg.n_grid = _parse_int(str(raw), "--n-grid")
-    raw = pick(args.n_cells, "n_cells")
-    if raw is not None:
-        cfg.n_cells = _parse_int_list(str(raw), "--n-cells")
-    raw = pick(args.channel, "channel")
-    if raw is not None:
-        cfg.channel = str(raw)
-    raw = pick(args.geometry, "geometry")
-    if raw is not None:
-        cfg.geometry = str(raw)
-    raw = pick(args.theta_r, "theta_r")
-    if raw is not None:
-        cfg.theta_r = _parse_float_list(str(raw), "--theta-r")
-    raw = pick(args.out, "out")
-    if raw is not None:
-        cfg.out = str(raw)
-    raw = pick(args.format, "format")
-    if raw is not None:
-        cfg.format = str(raw)
-
-    raw = pick(args.threads, "threads")
-    if raw is None:
-        raw = os.environ.get("ESCATTER_THREADS")
-    if raw is not None:
-        cfg.threads = _parse_int(str(raw), "--threads")
+    for attr, key, parse in _OPTIONS:
+        raw = pick(getattr(args, key), key)
+        if raw is not None:
+            setattr(cfg, attr, parse(str(raw), "--" + key.replace("_", "-")))
 
     cfg.validate()
     return cfg
@@ -264,7 +256,7 @@ def _rows_ring_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     channel = _CHANNELS[cfg.channel]
     if geometry is GridKind.EQUATOR_RING:
         n = cfg.n_cells[0]
-        bits = math.log2(2 * n) if channel is SpinChannel.ANTIPARALLEL else math.log2(n)
+        bits = detection_entropy_bits(equator_grid(n), 1.0, channel)
         rows = [{"E_ev": float(e), "n_cells": n, "S_bits": bits, "status": "ok"}
                 for e in cfg.e_list]
         return ["E_ev", "n_cells", "S_bits", "status"], rows

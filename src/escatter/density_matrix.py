@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import i0e
 
 from .errors import NumericalError
-from .geometry import _gl_nodes
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -44,6 +44,7 @@ _WINDOW_SIGMAS = 40.0
 _GL_START = 64
 _GL_MAX = 4096
 _GL_RTOL = 1e-9
+_gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +54,6 @@ class DensityMatrix:
     theta_grid: np.ndarray
     q_grid: np.ndarray
     rho: np.ndarray
-    trace_normalized: bool = True
     measure: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -61,7 +61,7 @@ class DensityMatrix:
         scale = float(np.max(np.abs(rho))) if rho.size else 0.0
         if scale > 0.0 and float(np.max(np.abs(rho - rho.T))) > 1e-12 * scale:
             raise ValueError("density matrix is not symmetric")
-        if self.trace_normalized and abs(float(np.trace(rho)) - 1.0) > 1e-9:
+        if abs(float(np.trace(rho)) - 1.0) > 1e-9:
             raise ValueError(
                 f"trace = {float(np.trace(rho))!r}, expected 1 after normalization")
 
@@ -154,8 +154,7 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericalError(f"matrix trace is {trace!r}, cannot normalize")
     rho /= trace
-    return DensityMatrix(theta_grid=theta, q_grid=q, rho=rho,
-                         trace_normalized=True, measure=measure)
+    return DensityMatrix(theta_grid=theta, q_grid=q, rho=rho, measure=measure)
 
 
 def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:
@@ -188,13 +187,3 @@ def von_neumann_entropy(spectrum) -> float:
     pos = lam[lam > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
-
-def dump_matrix_csv(dm: DensityMatrix, path: str) -> None:
-    """Write theta, q, the diagonal and the spectrum to a CSV for inspection."""
-    lam = eigen_spectrum(dm)
-    diag = np.diag(dm.rho)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,theta,q,rho_diag,eigenvalue\n")
-        for i in range(dm.rho.shape[0]):
-            fh.write(f"{i},{dm.theta_grid[i]:.12g},{dm.q_grid[i]:.12g},"
-                     f"{diag[i]:.12g},{lam[i]:.12g}\n")

@@ -11,10 +11,11 @@ Two evaluation styles coexist:
   and are accurate once the cell width is small compared to the cutoff
   angle; outside that regime only the discrete sums are trustworthy.
 
-For the per-pixel sphere entropy the discrete sum never enumerates
-pixels: a ring at polar angle theta holds m = 2 pi sin(theta)/dtheta
-equally probable pixels, so the sum runs over rings with a multiplicity
-factor and remains O(#rings) even for 10^9+ pixels.
+All discrete sums go through one streamed reducer.  For the per-pixel
+sphere entropy it never enumerates pixels: a ring at polar angle theta
+holds m = 2 pi sin(theta)/dtheta equally probable pixels, so the sum
+runs over rings with a multiplicity factor and remains O(#rings) even
+for 10^9+ pixels.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .geometry import (
     channel_domain,
     direct_exchange_cell_integrals,
     ring_grid,
+    ring_weight,
     sphere_pixel_count,
     uniform_grid,
 )
@@ -64,16 +66,9 @@ def shannon_discrete(p) -> float:
 
     Accepts a :class:`ProbabilityVector` or a plain normalized array.
     """
-    if isinstance(p, ProbabilityVector):
-        vec = p.p
-    else:
-        vec = np.asarray(p, dtype=float)
-        if np.any(vec < -1e-12):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(vec.sum()) - 1.0) > 1e-9:
-            raise ValueError(
-                f"probability vector not normalized: sum = {float(vec.sum())!r}")
-    pos = vec[vec > 0.0]
+    if not isinstance(p, ProbabilityVector):
+        p = ProbabilityVector(p=p)
+    pos = p.p[p.p > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
 
@@ -87,22 +82,28 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
 
     For ANTIPARALLEL the detection outcomes split per cell into a direct
     and an exchange branch (the two distinguishable spin patterns), so the
-    distribution has two entries per cell.
+    distribution has two entries per cell.  On a SPHERE_PIXELS grid each
+    ring cell splits into m = ring_weight(center) equally probable pixels,
+    so a ring of weight w contributes w ln(w / m) instead of w ln w.
 
     Uses H(w/Z) = ln(Z)/ln2 - (sum w ln w) / (Z ln2), accumulated in fixed
     chunk order for bit-reproducibility.
     """
+    sphere = grid.kind is GridKind.SPHERE_PIXELS
     z = 0.0
-    t = 0.0  # sum of w * ln(w)
+    t = 0.0  # sum of w * ln(w), or of w * ln(w / m) on the sphere
     for edges in grid.iter_edge_chunks():
+        if sphere:
+            m = ring_weight(0.5 * (edges[:-1] + edges[1:]), grid.delta_theta)
         if channel is SpinChannel.ANTIPARALLEL:
             branches = direct_exchange_cell_integrals(edges, K)
         else:
             branches = (channel_cell_integrals(edges, K, channel),)
         for w in branches:
-            w = w[w > 0.0]
-            z += float(w.sum())
-            t += float((w * np.log(w)).sum())
+            keep = w > 0.0
+            wk = w[keep]
+            z += float(wk.sum())
+            t += float((wk * np.log(wk / m[keep] if sphere else wk)).sum())
     if z <= 0.0:
         return 0.0, 0.0
     # the sum is >= 0 mathematically; rounding can leave -1e-16
@@ -167,23 +168,7 @@ def shannon_sphere_discrete(ctx: ScatterContext,
     pixels.  Exact for the discretized sphere at any energy.
     """
     grid = _resolve_grid(ctx, channel, n_cells, kind=GridKind.SPHERE_PIXELS)
-    z = 0.0
-    t = 0.0  # sum of w * ln(w / m)
-    for edges in grid.iter_edge_chunks():
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        m = 2.0 * math.pi * np.sin(centers) / grid.delta_theta
-        if channel is SpinChannel.ANTIPARALLEL:
-            branches = direct_exchange_cell_integrals(edges, ctx.K)
-        else:
-            branches = (channel_cell_integrals(edges, ctx.K, channel),)
-        for w in branches:
-            keep = w > 0.0
-            wk = w[keep]
-            z += float(wk.sum())
-            t += float((wk * np.log(wk / m[keep])).sum())
-    if z <= 0.0:
-        return 0.0
-    return max(0.0, (math.log(z) - t / z) / _LN2)
+    return _stream_weight_entropy(grid, ctx.K, channel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +219,11 @@ def _quad(fn, lo: float, hi: float, pts: list[float]) -> float:
     return val
 
 
-def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
-                        n_cells: int | None = None) -> float:
-    """Continuous-limit ring entropy: S = -int P log2(Lambda P) + log2 N.
-
-    P(theta) is the normalized 1-D detection density over the channel
-    domain and Lambda the domain length; N defaults to the native ring
-    count.  Valid when the cell width is well below the cutoff angle.
-    """
+def _jaynes_integral(ctx: ScatterContext, channel: SpinChannel,
+                     log_arg) -> float:
+    """-sum over branches of int P log2(log_arg(theta, P)) dtheta over the
+    channel domain, with P the normalized 1-D detection density."""
     lo, hi = channel_domain(ctx, channel)
-    grid = _resolve_grid(ctx, channel, n_cells)
-    n = grid.n_cells
-    lam = hi - lo
     pts = _quad_breakpoints(lo, hi)
     branches = _branch_densities(ctx, channel)
 
@@ -259,9 +237,24 @@ def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
             p = _rho(theta) / z
             if p <= 0.0:
                 return 0.0
-            return p * math.log2(lam * p)
+            return p * math.log2(log_arg(theta, p))
         total += _quad(integrand, lo, hi, pts)
-    return -total + math.log2(n)
+    return -total
+
+
+def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
+                        n_cells: int | None = None) -> float:
+    """Continuous-limit ring entropy: S = -int P log2(Lambda P) + log2 N.
+
+    P(theta) is the normalized 1-D detection density over the channel
+    domain and Lambda the domain length; N defaults to the native ring
+    count.  Valid when the cell width is well below the cutoff angle.
+    """
+    lo, hi = channel_domain(ctx, channel)
+    n = _resolve_grid(ctx, channel, n_cells).n_cells
+    lam = hi - lo
+    return _jaynes_integral(ctx, channel, lambda theta, p: lam * p) \
+        + math.log2(n)
 
 
 def shannon_sphere_jaynes(ctx: ScatterContext,
@@ -277,24 +270,12 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
     lo, hi = channel_domain(ctx, channel)
     omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
     m_pixels = int(math.floor(omega0 / ctx.delta_theta ** 2 + 1e-9))
-    pts = _quad_breakpoints(lo, hi)
-    branches = _branch_densities(ctx, channel)
 
-    z = sum(_quad(rho, lo, hi, pts) for rho in branches)
-    if z <= 0.0:
-        raise NumericalError("detection density integrated to zero")
+    def log_arg(theta, pbar):
+        # Omega_0 times the solid-angle density p = pbar / (2 pi sin theta)
+        return omega0 * (pbar / (2.0 * math.pi * math.sin(theta)))
 
-    total = 0.0
-    for rho in branches:
-        def integrand(theta, _rho=rho):
-            rb = _rho(theta) / z                  # normalized 1-D density
-            if rb <= 0.0:
-                return 0.0
-            sin_t = math.sin(theta)
-            p = rb / (2.0 * math.pi * sin_t)      # solid-angle density
-            return rb * math.log2(omega0 * p)
-        total += _quad(integrand, lo, hi, pts)
-    return -total + math.log2(m_pixels)
+    return _jaynes_integral(ctx, channel, log_arg) + math.log2(m_pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +305,7 @@ def sweep_energies(e_list_ev, l_nm: float,
                 row["n_rings"] = grid.n_cells
                 row["pixel_count"] = sphere_pixel_count(ctx)
                 row["S_bits"] = shannon_sphere_discrete(ctx, channel)
-            else:  # RINGS and MERIDIAN share the same 1-D distribution
+            else:
                 grid = ring_grid(ctx, channel)
                 row["n_cells"] = grid.n_cells
                 row["S_bits"] = shannon_ring_discrete(ctx, channel)

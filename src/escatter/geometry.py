@@ -1,15 +1,11 @@
 """Detector discretizations and per-cell probability integrals.
 
-Two integration routes exist for the ring-cell probabilities and they are
-checked against each other in the test suite:
-
-* :func:`cell_probability` integrates the channel density with
-  Gauss-Legendre quadrature of doubling order (the generic, contract
-  route);
-* :func:`direct_exchange_cell_integrals` / :func:`parallel_cell_integrals`
-  evaluate closed-form antiderivatives of the Coulomb densities
-  (the fast route, exact to rounding, usable for tens of millions of
-  cells).
+The per-cell probabilities have one route here: closed-form
+antiderivatives of the Coulomb densities
+(:func:`direct_exchange_cell_integrals`, :func:`parallel_cell_integrals`),
+exact to rounding and usable for tens of millions of cells.  The test
+suite referees them cell by cell against an independent Gauss-Legendre
+quadrature of the channel density in ``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
 d(s)/d(theta) = sin(theta)/2 and the densities become rational in s:
@@ -31,13 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel, differential_probability
-from .errors import NumericalError
+from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
 from .kinematics import ScatterContext
 
 #: Default number of cells per chunk when streaming very large grids.
@@ -51,7 +45,6 @@ _DIVISION_SLACK = 1e-9
 class GridKind(Enum):
     RINGS = "rings"
     SPHERE_PIXELS = "sphere"
-    MERIDIAN = "meridian"
     EQUATOR_RING = "equator"
 
 
@@ -59,7 +52,7 @@ class GridKind(Enum):
 class AngularGrid:
     """A detector discretization over an angular domain.
 
-    For RINGS / SPHERE_PIXELS / MERIDIAN kinds, ``theta_lo``/``theta_hi``
+    For RINGS / SPHERE_PIXELS kinds, ``theta_lo``/``theta_hi``
     bound the polar domain and cells are congruent intervals of width
     ``delta_theta`` anchored at ``theta_lo``; a trailing partial cell is
     dropped, so the covered span may end below ``theta_hi``.  For
@@ -85,13 +78,6 @@ class AngularGrid:
             i1 = self.n_cells
         idx = np.arange(i0, i1 + 1, dtype=float)
         return self.theta_lo + idx * self.delta_theta
-
-    def cell_edges(self, i: int) -> tuple[float, float]:
-        """Lower and upper edge of cell ``i``."""
-        if not 0 <= i < self.n_cells:
-            raise IndexError(f"cell index {i} out of range [0, {self.n_cells})")
-        return (self.theta_lo + i * self.delta_theta,
-                self.theta_lo + (i + 1) * self.delta_theta)
 
     def iter_edge_chunks(self, chunk_cells: int = CHUNK_CELLS) -> Iterator[np.ndarray]:
         """Yield edge arrays covering consecutive runs of cells.
@@ -181,13 +167,14 @@ def sphere_pixel_count(ctx: ScatterContext) -> int:
     return int(math.floor(omega0 / (ctx.delta_theta ** 2) + _DIVISION_SLACK))
 
 
-def ring_weight(theta_i: float, delta_theta: float) -> float:
-    """Pixels per ring at polar angle theta_i: m_i = 2 pi sin(theta_i) / dtheta."""
-    return 2.0 * math.pi * math.sin(theta_i) / delta_theta
+def ring_weight(theta_i: float | np.ndarray,
+                delta_theta: float) -> float | np.ndarray:
+    """Pixels per ring at polar angle(s) theta_i: m_i = 2 pi sin(theta_i) / dtheta."""
+    return 2.0 * math.pi * np.sin(theta_i) / delta_theta
 
 
 # ---------------------------------------------------------------------------
-# closed-form cell integrals (fast route)
+# closed-form cell integrals
 # ---------------------------------------------------------------------------
 
 def _half_angle_s(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,14 +203,6 @@ def direct_exchange_cell_integrals(edges: np.ndarray, K: float
     F = c * ds / (s[:-1] * s[1:])
     G = c * ds / (cs[:-1] * cs[1:])
     return F, G
-
-
-def interference_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
-    """Per-cell 2 pi * integral f g sin dtheta (the exchange cross term)."""
-    s, cs = _half_angle_s(edges)
-    at = 0.5 * np.log(cs / s)          # atanh(cos theta), stable via s, 1-s
-    c = math.pi / (4.0 * K ** 4)
-    return 2.0 * c * (at[:-1] - at[1:])
 
 
 #: series switch point for A(u); below this |u| the closed form cancels.
@@ -277,58 +256,3 @@ def channel_cell_integrals(edges: np.ndarray, K: float,
         F, G = direct_exchange_cell_integrals(edges, K)
         return F + G
     raise ValueError(f"unknown spin channel: {channel!r}")
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre cell quadrature (contract route)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-def integrate_cell_gl(fn: Callable[[np.ndarray], np.ndarray],
-                      lo: float, hi: float,
-                      rel_tol: float = 1e-10,
-                      start_order: int = 8,
-                      max_order: int = 1024) -> float:
-    """Integrate a smooth density over one cell, doubling the
-    Gauss-Legendre order until two consecutive estimates agree to
-    ``rel_tol`` (relative)."""
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    prev = None
-    order = start_order
-    while order <= max_order:
-        x, w = _gl_nodes(order)
-        val = hw * float(np.dot(w, fn(mid + hw * x)))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            if not math.isfinite(val):
-                raise NumericalError(f"non-finite cell integral on [{lo}, {hi}]")
-            return val
-        prev = val
-        order *= 2
-    raise NumericalError(
-        f"cell quadrature did not converge to {rel_tol:g} on [{lo}, {hi}]")
-
-
-def cell_probability(grid: AngularGrid, i: int, ctx: ScatterContext,
-                     channel: SpinChannel) -> float:
-    """Unnormalized probability of cell ``i``: 2 pi * integral over the cell
-    of p(theta, channel) sin(theta) dtheta.
-
-    Equator-ring cells are azimuthal and exactly uniform, so they carry
-    equal weight by construction.
-    """
-    if grid.kind is GridKind.EQUATOR_RING:
-        if not 0 <= i < grid.n_cells:
-            raise IndexError(f"cell index {i} out of range [0, {grid.n_cells})")
-        return 1.0 / grid.n_cells
-    lo, hi = grid.cell_edges(i)
-
-    def density(theta: np.ndarray) -> np.ndarray:
-        return 2.0 * math.pi * differential_probability(theta, ctx.K, channel) \
-            * np.sin(theta)
-
-    return integrate_cell_gl(density, lo, hi)

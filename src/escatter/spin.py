@@ -24,15 +24,9 @@ import math
 from dataclasses import dataclass
 
 from .amplitudes import SpinChannel
-from .entropy import _stream_weight_entropy, detection_entropy_bits
+from .entropy import _resolve_grid, _stream_weight_entropy
 from .errors import NumericalError
-from .geometry import (
-    AngularGrid,
-    GridKind,
-    range_grid_below,
-    ring_grid,
-    uniform_grid,
-)
+from .geometry import AngularGrid, range_grid_below
 from .kinematics import ScatterContext
 
 
@@ -46,15 +40,17 @@ class SpinEntropyResult:
     S_modified: float
 
 
-def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
-                  grid: AngularGrid | None, n_cells: int | None) -> AngularGrid:
-    if grid is not None:
-        return grid
-    if n_cells is None:
-        return ring_grid(ctx, channel)
-    if channel is SpinChannel.DISTINGUISHABLE:
-        return uniform_grid(ctx.epsilon, math.pi - ctx.epsilon, n_cells)
-    return uniform_grid(ctx.epsilon, math.pi / 2.0, n_cells)
+def _channel_entropy(ctx: ScatterContext, channel: SpinChannel,
+                     grid: AngularGrid | None,
+                     n_cells: int | None) -> SpinEntropyResult:
+    """S = 1 + H_detection for an indistinguishable spin channel."""
+    if grid is None:
+        grid = _resolve_grid(ctx, channel, n_cells)
+    h, z = _stream_weight_entropy(grid, ctx.K, channel)
+    if z <= 0.0:
+        raise ValueError(f"all {channel.value}-channel cell weights are zero")
+    return SpinEntropyResult(channel=channel, grid=grid, S=1.0 + h,
+                             S_modified=h)
 
 
 def entropy_parallel(ctx: ScatterContext, grid: AngularGrid | None = None,
@@ -65,12 +61,7 @@ def entropy_parallel(ctx: ScatterContext, grid: AngularGrid | None = None,
     -sum 2|c_i|^2 log2 |c_i|^2 = 1 + H(w) with w the normalized cell
     weights; the identity is used directly.
     """
-    grid = _resolve_grid(ctx, SpinChannel.PARALLEL, grid, n_cells)
-    h, z = _stream_weight_entropy(grid, ctx.K, SpinChannel.PARALLEL)
-    if z <= 0.0:
-        raise ValueError("all parallel-channel cell weights are zero")
-    return SpinEntropyResult(channel=SpinChannel.PARALLEL, grid=grid,
-                             S=1.0 + h, S_modified=h)
+    return _channel_entropy(ctx, SpinChannel.PARALLEL, grid, n_cells)
 
 
 def entropy_antiparallel(ctx: ScatterContext, grid: AngularGrid | None = None,
@@ -81,12 +72,7 @@ def entropy_antiparallel(ctx: ScatterContext, grid: AngularGrid | None = None,
     patterns) with weights |f|^2 and |g|^2, jointly normalized, so
     H_detection runs over 2 N weights and S = 1 + H_detection.
     """
-    grid = _resolve_grid(ctx, SpinChannel.ANTIPARALLEL, grid, n_cells)
-    h, z = _stream_weight_entropy(grid, ctx.K, SpinChannel.ANTIPARALLEL)
-    if z <= 0.0:
-        raise ValueError("all antiparallel-channel cell weights are zero")
-    return SpinEntropyResult(channel=SpinChannel.ANTIPARALLEL, grid=grid,
-                             S=1.0 + h, S_modified=h)
+    return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL, grid, n_cells)
 
 
 def entropy_distinguishable(ctx: ScatterContext,
@@ -98,9 +84,9 @@ def entropy_distinguishable(ctx: ScatterContext,
     the direct |f|^2, and there is no exchange bit; numerically this is
     the spinless ring entropy.
     """
-    grid = _resolve_grid(ctx, SpinChannel.DISTINGUISHABLE, grid, n_cells)
-    h, _z = _stream_weight_entropy(grid, ctx.K, SpinChannel.DISTINGUISHABLE)
-    return h
+    if grid is None:
+        grid = _resolve_grid(ctx, SpinChannel.DISTINGUISHABLE, n_cells)
+    return _stream_weight_entropy(grid, ctx.K, SpinChannel.DISTINGUISHABLE)[0]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,13 @@
 Each oracle recomputes a quantity through a route that shares no code
 (and, where possible, no algorithm) with the implementation under test:
 
+* ``cell_probability`` integrates a channel density over one detector
+  cell with Gauss-Legendre quadrature of doubling order
+  (``integrate_cell_gl``); it referees the closed-form cell integrals of
+  ``escatter.geometry``.
+* ``interference_cell_integrals`` is the closed-form cross term
+  2 pi int f g sin dtheta, which ``escatter.geometry`` does not need; it
+  closes the cell-by-cell identity (f-g)^2 = f^2 + g^2 - 2 f g.
 * ``kernel_element_oracle`` evaluates the meridian density-matrix kernel
   by brute-force 2-D quadrature in polar momentum coordinates, with the
   azimuthal integral done directly -- no Bessel function anywhere.
@@ -20,12 +27,73 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from escatter.amplitudes import differential_probability
+from escatter.errors import NumericalError
+from escatter.geometry import GridKind
+
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
 
 
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+def integrate_cell_gl(fn, lo: float, hi: float, rel_tol: float = 1e-10,
+                      start_order: int = 8, max_order: int = 1024) -> float:
+    """Integrate a smooth density over one cell, doubling the
+    Gauss-Legendre order until two consecutive estimates agree to
+    ``rel_tol`` (relative)."""
+    mid = 0.5 * (lo + hi)
+    hw = 0.5 * (hi - lo)
+    prev = None
+    order = start_order
+    while order <= max_order:
+        x, w = _gl(order)
+        val = hw * float(np.dot(w, fn(mid + hw * x)))
+        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+            if not math.isfinite(val):
+                raise NumericalError(f"non-finite cell integral on [{lo}, {hi}]")
+            return val
+        prev = val
+        order *= 2
+    raise NumericalError(
+        f"cell quadrature did not converge to {rel_tol:g} on [{lo}, {hi}]")
+
+
+def cell_probability(grid, i: int, ctx, channel) -> float:
+    """Unnormalized probability of cell ``i``: 2 pi * integral over the cell
+    of p(theta, channel) sin(theta) dtheta.
+
+    Equator-ring cells are azimuthal and exactly uniform, so they carry
+    equal weight by construction.
+    """
+    if not 0 <= i < grid.n_cells:
+        raise IndexError(f"cell index {i} out of range [0, {grid.n_cells})")
+    if grid.kind is GridKind.EQUATOR_RING:
+        return 1.0 / grid.n_cells
+    lo = grid.theta_lo + i * grid.delta_theta
+    hi = grid.theta_lo + (i + 1) * grid.delta_theta
+
+    def density(theta: np.ndarray) -> np.ndarray:
+        return 2.0 * math.pi * differential_probability(theta, ctx.K, channel) \
+            * np.sin(theta)
+
+    return integrate_cell_gl(density, lo, hi)
+
+
+def interference_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
+    """Per-cell 2 pi * integral f g sin dtheta (the exchange cross term).
+
+    The antiderivative is ln(s / (1 - s)) / (8 K^4) with s = sin^2(theta/2);
+    s and 1 - s = cos^2(theta/2) are each formed directly so both stay
+    relatively accurate near their zeros.
+    """
+    s = np.sin(0.5 * edges) ** 2
+    cs = np.cos(0.5 * edges) ** 2
+    at = 0.5 * np.log(cs / s)          # atanh(cos theta), stable via s, 1-s
+    c = math.pi / (4.0 * K ** 4)
+    return 2.0 * c * (at[:-1] - at[1:])
 
 
 def kernel_element_oracle(q: float, q_prime: float, ctx,

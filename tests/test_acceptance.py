@@ -163,7 +163,7 @@ def test_a08_density_matrix_suite():
     rotated = q_mat @ dm.rho @ q_mat.T
     dm_rot = DensityMatrix(theta_grid=dm.theta_grid, q_grid=dm.q_grid,
                            rho=0.5 * (rotated + rotated.T),
-                           trace_normalized=True, measure=dm.measure)
+                           measure=dm.measure)
     assert float(np.max(np.abs(eigen_spectrum(dm_rot) - lam))) <= 1e-9
 
     # diagonal kernel against the independent smoothing quadrature
@@ -195,7 +195,7 @@ def test_a09_spectra_match_characteristic_polynomial():
         rho = 0.5 * (rho + rho.T)
         dm = DensityMatrix(theta_grid=np.arange(dim, dtype=float),
                            q_grid=np.arange(dim, dtype=float) + 1.0,
-                           rho=rho, trace_normalized=True)
+                           rho=rho)
         lam = eigen_spectrum(dm)
         ref = charpoly_spectrum(rho)
         assert float(np.max(np.abs(lam - ref))) <= 1e-8

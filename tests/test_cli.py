@@ -2,7 +2,11 @@ import csv
 import json
 import math
 import os
+import pathlib
+import re
+import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -18,8 +22,6 @@ from escatter.cli import (
     run,
     write_atomic,
 )
-
-from oracles import CALIBRATED_KSCALE
 
 SQRT2 = repr(math.sqrt(2.0))
 
@@ -189,6 +191,18 @@ def test_sphere_geometry_needs_sphere_command(capsys):
     assert "sphere-sweep" in capsys.readouterr().err
 
 
+def test_meridian_geometry_matches_rings(capsys):
+    # meridian is an alias of rings: the config hash in the first line
+    # covers the geometry name, every line after it must match
+    argv = ["spinless-sweep", "--energy-list", "1,5", "--packet-nm", "50",
+            "--k-scale", SQRT2, "--geometry"]
+    tables = []
+    for geometry in ("rings", "meridian"):
+        assert main(argv + [geometry]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    assert tables[1][1:] == tables[0][1:]
+
+
 def test_row_failure_exit_3_partial_table(tmp_path, capsys):
     target = tmp_path / "post.csv"
     code = main(["postselect-range", "--energy-ev", "5",
@@ -255,8 +269,28 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _console_script(name: str) -> tuple[list[str], dict | None]:
+    """Command and environment that run the console script ``name``.
+
+    Without an installed entry point on PATH, the ``[project.scripts]``
+    target is read from pyproject.toml and run with src/ importable.
+    """
+    if shutil.which(name):
+        return [name], None
+    root = pathlib.Path(__file__).resolve().parents[1]
+    toml = (root / "pyproject.toml").read_text()
+    scripts = toml.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, func = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"',
+                             scripts, re.M).groups()
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code], dict(os.environ, PYTHONPATH=pythonpath)
+
+
 def test_console_script():
-    proc = subprocess.run(["escatter-entropy", "equator", "--n-cells", "4"],
+    command, env = _console_script("escatter-entropy")
+    proc = subprocess.run(command + ["equator", "--n-cells", "4"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()

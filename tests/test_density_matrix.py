@@ -153,8 +153,7 @@ def test_spectrum_orthogonal_invariance(dm256):
     rotated = q_mat @ dm256.rho @ q_mat.T
     rotated = 0.5 * (rotated + rotated.T)  # scrub rounding asymmetry
     dm_rot = DensityMatrix(theta_grid=dm256.theta_grid, q_grid=dm256.q_grid,
-                           rho=rotated, trace_normalized=True,
-                           measure=dm256.measure)
+                           rho=rotated, measure=dm256.measure)
     lam0 = eigen_spectrum(dm256)
     lam1 = eigen_spectrum(dm_rot)
     assert float(np.max(np.abs(lam0 - lam1))) <= 1e-9
@@ -183,7 +182,7 @@ def _dm_from(rho):
     n = rho.shape[0]
     return DensityMatrix(theta_grid=np.arange(n, dtype=float),
                          q_grid=np.arange(n, dtype=float) + 1.0,
-                         rho=rho, trace_normalized=True)
+                         rho=rho)
 
 
 def test_eigen_spectrum_simple_cases():

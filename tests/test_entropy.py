@@ -20,9 +20,8 @@ from escatter import (
     shannon_sphere_discrete,
     shannon_sphere_jaynes,
     sweep_energies,
-    uniform_grid,
 )
-from escatter.geometry import channel_domain, direct_exchange_cell_integrals
+from escatter.geometry import direct_exchange_cell_integrals
 
 from oracles import CALIBRATED_KSCALE
 
@@ -102,23 +101,29 @@ def test_streamed_antiparallel_two_branches():
 
 
 def test_streaming_chunk_size_irrelevant():
-    # identical result whether the grid streams in one chunk or many
+    # identical result whether the grid streams in one chunk or many, on
+    # ring cells and on sphere pixels (the per-ring multiplicity term)
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    grid = ring_grid(ctx, SpinChannel.SPINLESS)
     from escatter.entropy import _stream_weight_entropy
 
     class _Tiny:
+        def __init__(self, grid):
+            self._grid = grid
+
         def __getattr__(self, name):
-            return getattr(grid, name)
+            return getattr(self._grid, name)
 
         def iter_edge_chunks(self, chunk_cells=0):
-            return grid.iter_edge_chunks(chunk_cells=97)
+            return self._grid.iter_edge_chunks(chunk_cells=97)
 
-    h_one, z_one = _stream_weight_entropy(grid, ctx.K, SpinChannel.SPINLESS)
-    h_many, z_many = _stream_weight_entropy(_Tiny(), ctx.K,
-                                            SpinChannel.SPINLESS)
-    assert h_many == pytest.approx(h_one, abs=1e-12)
-    assert z_many == pytest.approx(z_one, rel=1e-13)
+    for kind, channel in ((GridKind.RINGS, SpinChannel.SPINLESS),
+                          (GridKind.SPHERE_PIXELS, SpinChannel.SPINLESS),
+                          (GridKind.SPHERE_PIXELS, SpinChannel.ANTIPARALLEL)):
+        grid = ring_grid(ctx, channel, kind=kind)
+        h_one, z_one = _stream_weight_entropy(grid, ctx.K, channel)
+        h_many, z_many = _stream_weight_entropy(_Tiny(grid), ctx.K, channel)
+        assert h_many == pytest.approx(h_one, abs=1e-12), (kind, channel)
+        assert z_many == pytest.approx(z_one, rel=1e-13), (kind, channel)
 
 
 def test_entropy_bounds():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from escatter import (
     GridKind,
     SpinChannel,
-    cell_probability,
     channel_domain,
     equator_grid,
     make_context,
@@ -20,12 +19,15 @@ from escatter import (
 from escatter.geometry import (
     channel_cell_integrals,
     direct_exchange_cell_integrals,
-    integrate_cell_gl,
-    interference_cell_integrals,
     parallel_cell_integrals,
 )
 
-from oracles import CALIBRATED_KSCALE
+from oracles import (
+    CALIBRATED_KSCALE,
+    cell_probability,
+    integrate_cell_gl,
+    interference_cell_integrals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def test_uniform_density_normalizes():
 
     total = 0.0
     for i in range(grid.n_cells):
-        a, b = grid.cell_edges(i)
+        a, b = grid.edges(i, i + 1)
         total += integrate_cell_gl(
             lambda th: 2.0 * math.pi * const * np.sin(th), a, b)
     assert total == pytest.approx(1.0, abs=1e-12)
