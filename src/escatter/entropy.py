@@ -101,13 +101,22 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
             branches = (channel_cell_integrals(edges, K, channel),)
         for w in branches:
             keep = w > 0.0
+            # w > 0 also drops NaN and -inf: look at what it dropped (an
+            # inf weight is kept and makes the entropy below non-finite)
+            if not keep.all() and not np.isfinite(w[~keep]).all():
+                raise NumericalError(
+                    f"non-finite cell weight in the {channel.value} chunk "
+                    f"starting at theta = {float(edges[0])!r}")
             wk = w[keep]
             z += float(wk.sum())
             t += float((wk * np.log(wk / m[keep] if sphere else wk)).sum())
     if z <= 0.0:
         return 0.0, 0.0
+    h = (math.log(z) - t / z) / _LN2
+    if not math.isfinite(h):
+        raise NumericalError(f"detection entropy is {h!r} (Z = {z!r})")
     # the sum is >= 0 mathematically; rounding can leave -1e-16
-    return max(0.0, (math.log(z) - t / z) / _LN2), z
+    return max(0.0, h), z
 
 
 def detection_entropy_bits(grid: AngularGrid, K: float,

@@ -96,7 +96,16 @@ class AngularGrid:
 def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, float]:
     """Angular domain accessible to a channel: full shell for SPINLESS and
     DISTINGUISHABLE, half shell (up to the equator) for the
-    indistinguishable spin channels."""
+    indistinguishable spin channels.
+
+    Both are empty when the cutoff angle epsilon is not below pi/2, which
+    happens once 2 E b_bar < 1.
+    """
+    if not ctx.epsilon < 0.5 * math.pi:
+        raise ValueError(
+            f"cutoff angle epsilon = {ctx.epsilon:.6g} rad is not below "
+            f"pi/2 = {0.5 * math.pi:.6g} rad: no scattering angle is "
+            "accessible (2 E b_bar < 1)")
     if channel in HALF_SHELL_CHANNELS:
         return (ctx.epsilon, 0.5 * math.pi)
     return (ctx.epsilon, math.pi - ctx.epsilon)

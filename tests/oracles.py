@@ -13,6 +13,11 @@ Each oracle recomputes a quantity through a route that shares no code
 * ``kernel_element_oracle`` evaluates the meridian density-matrix kernel
   by brute-force 2-D quadrature in polar momentum coordinates, with the
   azimuthal integral done directly -- no Bessel function anywhere.
+* ``meridian_matrix_oracle`` assembles the meridian density matrix one
+  element at a time from ``kernel_element`` (direct J per element, as the
+  package did before its J(mu) table); it referees the table and the
+  broadcast band assembly, while ``kernel_element_oracle`` referees the
+  element itself.
 * ``charpoly_spectrum`` finds eigenvalues from characteristic-polynomial
   coefficients (Faddeev-LeVerrier recursion) and mpmath's
   Durand-Kerner polynomial root finder, which shares nothing with the
@@ -33,6 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from escatter.amplitudes import differential_probability
+from escatter.density_matrix import kernel_element
 from escatter.errors import NumericalError
 from escatter.geometry import GridKind
 
@@ -143,6 +149,35 @@ def diagonal_convolution_oracle(q: float, ctx, n_radial: int = 4000,
     |f|^2 = q''^-4 over the shell, with the azimuthal factor evaluated by
     direct phi quadrature (special case of the 2-D oracle)."""
     return kernel_element_oracle(q, q, ctx, n_radial=n_radial, n_phi=n_phi)
+
+
+def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
+    """Trace-normalized meridian density matrix, element by element.
+
+    Same theta grid, measure and 45 sigma_k band as
+    ``escatter.density_matrix.build_meridian_matrix``, but every band
+    element is its own ``kernel_element`` call in a per-pair scan that
+    stops at the first element past the band.
+    """
+    lo, hi = ctx.epsilon, math.pi - ctx.epsilon
+    h = (hi - lo) / n_grid
+    theta = lo + (np.arange(n_grid) + 0.5) * h
+    q = 2.0 * ctx.K * np.sin(0.5 * theta)
+    measure = ctx.K ** 2 * np.sin(theta) * h
+    sqrt_mu = np.sqrt(measure)
+
+    band = 45.0 * ctx.sigma_k
+    rho = np.zeros((n_grid, n_grid))
+    for i in range(n_grid):
+        rho[i, i] = measure[i] * kernel_element(float(q[i]), float(q[i]), ctx)
+        for j in range(i + 1, n_grid):
+            if q[j] - q[i] > band:
+                break  # q is increasing in j; everything further is zero
+            val = sqrt_mu[i] * sqrt_mu[j] * kernel_element(
+                float(q[i]), float(q[j]), ctx)
+            rho[i, j] = val
+            rho[j, i] = val
+    return rho / float(np.trace(rho))
 
 
 def charpoly_spectrum(matrix: np.ndarray) -> np.ndarray:

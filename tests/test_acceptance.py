@@ -233,3 +233,15 @@ def test_a10_thread_count_keeps_bytes(tmp_path):
         assert main(argv + ["--threads", "8", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), argv[0]
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_a11_meridian_matrix_runtime():
+    # assembly from the J(mu) table plus the eigenvalues-only solve; the
+    # per-element assembly with eigenvectors took about 14 s on a 2-CPU host
+    t0 = time.perf_counter()
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    dm = build_meridian_matrix(ctx, 2048)
+    lam = eigen_spectrum(dm)
+    assert time.perf_counter() - t0 < 5.0
+    assert lam.size == 2048
+    assert float(lam.sum()) == pytest.approx(1.0, abs=1e-9)

@@ -296,3 +296,33 @@ def test_console_script():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("# escatter-entropy v")
     assert lines[2] == "4,3,4,2,3,1,ok"
+
+
+@pytest.mark.parametrize("command", ["spinless-sweep", "vn-compare"])
+def test_empty_domain_row_fails_without_warning(command):
+    # 2 E b_bar < 1: the cutoff angle is above pi/2 and no angle is
+    # accessible; the row fails with a message naming both, and nothing
+    # else (no numpy warning) reaches stderr
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "escatter.cli", command, "--energy-ev", "0.0001",
+         "--packet-nm", "0.01", "--threads", "1"],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"[{command}] row 0 failed: error: cutoff angle epsilon = 3.14159 rad "
+        "is not below pi/2 = 1.5708 rad: no scattering angle is accessible "
+        "(2 E b_bar < 1)"]
+
+
+def test_meridian_grid_below_cutoff_exit_3(capsys):
+    # epsilon = 0.402: the first midpoint of a 512-point theta grid maps
+    # to q = 2K sin(theta_0/2), below the kernel's cutoff K epsilon
+    assert main(["vn-compare", "--energy-ev", "0.5", "--packet-nm", "10",
+                 "--n-grid", "512", "--k-scale", SQRT2]) == 3
+    err = capsys.readouterr().err
+    assert "first meridian grid point q = " in err
+    assert "K*epsilon = " in err and "epsilon = 0.4017" in err

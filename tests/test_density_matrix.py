@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import mpmath
 import numpy as np
@@ -15,6 +17,7 @@ from escatter import (
     shannon_discrete,
     von_neumann_entropy,
 )
+from escatter import density_matrix
 
 from oracles import (
     CALIBRATED_KSCALE,
@@ -22,6 +25,7 @@ from oracles import (
     diagonal_convolution_oracle,
     i0e_phi_quadrature,
     kernel_element_oracle,
+    meridian_matrix_oracle,
 )
 
 
@@ -172,6 +176,68 @@ def test_two_point_grid_decoheres(ctx):
     assert dm.rho[0, 1] == 0.0  # q separation far beyond the band
     lam = eigen_spectrum(dm)
     assert lam == pytest.approx(sorted(np.diag(dm.rho), reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# J(mu) table and broadcast assembly vs the per-element route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
+                                       (1.0, 20.0)])
+def test_assembly_matches_per_element_oracle(e_ev, l_nm):
+    # 1 eV / 20 nm has sigma_k / q_min ~ 0.1: J varies fastest there
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    for n in (48, 256, 512):
+        dm = build_meridian_matrix(ctx, n)
+        ref = meridian_matrix_oracle(ctx, n)
+        nonzero = ref != 0.0
+        assert np.array_equal(dm.rho != 0.0, nonzero), n
+        rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
+        assert float(rel.max()) <= 1e-9, n
+        s_ref = von_neumann_entropy(eigen_spectrum(DensityMatrix(
+            theta_grid=dm.theta_grid, q_grid=dm.q_grid, rho=ref)))
+        assert abs(von_neumann_entropy(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
+
+
+def test_table_rejects_unfittable_j(ctx, monkeypatch):
+    # a J that is noise at every scale defeats every panel with two
+    # distinct nodes: bisection stops at the panel limit, so the direct
+    # evaluations stay bounded
+    mus = []
+
+    def noisy_j(mu, _ctx):
+        mus.append(mu)
+        return 1.0 + 1e-3 * random.Random(mu).random()
+
+    monkeypatch.setattr(density_matrix, "_kernel_j", noisy_j)
+    with pytest.raises(NumericalError, match="panel fits"):
+        build_meridian_matrix(ctx, 64)
+    per_fit = 2 * density_matrix._TABLE_NODES + 1  # nodes and check points
+    assert len(mus) == density_matrix._TABLE_MAX_PANELS * per_fit
+
+
+def test_table_tolerance_checked_on_every_build(ctx, monkeypatch):
+    # no panel meets a zero tolerance against the real J; the build gives
+    # up within the panel limit instead of returning an unchecked table
+    monkeypatch.setattr(density_matrix, "_TABLE_RTOL", 0.0)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalError, match="missed 0 relative"):
+        build_meridian_matrix(ctx, 64)
+    assert time.perf_counter() - t0 < 30.0
+
+
+def test_grid_below_forward_cutoff_fails_before_j(monkeypatch):
+    # E = 0.5 eV, L = 10 nm: epsilon = 0.402, and the first midpoint of a
+    # 512-point theta grid maps to q = 2K sin(theta_0/2) < K epsilon
+    ctx = make_context(0.5, 10.0, CALIBRATED_KSCALE)
+
+    def no_j(mu, _ctx):
+        raise AssertionError("J evaluated before the cutoff check")
+
+    monkeypatch.setattr(density_matrix, "_kernel_j", no_j)
+    with pytest.raises(ValueError, match=r"q = 2K sin\(theta_0/2\) = 0\.07.*"
+                       r"K\*epsilon = 0\.077.*epsilon = 0\.4017"):
+        build_meridian_matrix(ctx, 512)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ from escatter import (
     shannon_sphere_jaynes,
     sweep_energies,
 )
-from escatter.geometry import direct_exchange_cell_integrals
+from escatter import entropy
+from escatter.cli import main
+from escatter.errors import NumericalError
+from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integrals
 
 from oracles import CALIBRATED_KSCALE
 
@@ -225,6 +228,41 @@ def test_sweep_error_rows_do_not_abort():
     assert [r["status"] == "ok" for r in rows] == [True, False, True]
     assert rows[1]["status"].startswith("error:")
     assert math.isnan(rows[1]["S_bits"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
+    # the reducer's w > 0 filter would drop a NaN or -inf weight, and the
+    # final clamp would turn the NaN entropy an inf weight gives into 0
+    def spoiled(edges, K, channel):
+        w = channel_cell_integrals(edges, K, channel)
+        w[len(w) // 2] = bad
+        return w
+
+    monkeypatch.setattr(entropy, "channel_cell_integrals", spoiled)
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    message = ("detection entropy is nan" if bad == math.inf
+               else "non-finite cell weight")
+    with pytest.raises(NumericalError, match=message):
+        shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
+    assert main(["spinless-sweep", "--energy-ev", "5",
+                 "--k-scale", repr(CALIBRATED_KSCALE)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+def test_non_finite_entropy_fails(monkeypatch):
+    # every weight finite, but w ln w overflows: the entropy is -inf,
+    # which the clamp at 0 used to hide
+    def huge(edges, K, channel):
+        w = np.ones(len(edges) - 1)
+        w[0] = 1e308
+        return w
+
+    monkeypatch.setattr(entropy, "channel_cell_integrals", huge)
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    with pytest.raises(NumericalError, match="detection entropy is -inf"):
+        shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
 
 
 def test_sweep_sphere_rows_report_pixel_count():

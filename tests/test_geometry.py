@@ -60,11 +60,24 @@ def test_ring_grid_domains():
 
 
 def test_fewer_than_one_detector():
-    # huge cell width: packet so small that delta_theta exceeds the domain
-    ctx = make_context(0.001, 0.06)
-    assert ctx.delta_theta > math.pi
+    # 2 E b_bar just above 1: the domain [eps, pi - eps] is narrow but not
+    # empty, and the packet is small enough that delta_theta exceeds it
+    ctx = make_context(0.27, 4.1)
+    assert ctx.epsilon < 0.5 * math.pi
+    assert ctx.delta_theta > math.pi - 2.0 * ctx.epsilon
     with pytest.raises(ValueError, match="fewer than one"):
         ring_grid(ctx, SpinChannel.SPINLESS)
+
+
+def test_empty_domain_names_cutoff():
+    # 2 E b_bar < 1 puts the cutoff angle above pi/2: every domain is empty
+    ctx = make_context(0.001, 0.06)
+    assert ctx.epsilon > 0.5 * math.pi
+    for ch in SpinChannel:
+        with pytest.raises(ValueError, match=r"epsilon = 3\.14.*pi/2 = 1\.5708"):
+            channel_domain(ctx, ch)
+        with pytest.raises(ValueError, match="not below pi/2"):
+            ring_grid(ctx, ch)
 
 
 def test_range_grid_below_abuts_top():
