@@ -8,9 +8,7 @@ one-electron density matrix built from Gaussian wave packets.
 __version__ = "0.1.0"
 
 from .amplitudes import (
-    AmplitudePair,
     SpinChannel,
-    amplitude_pair,
     differential_probability,
     direct_amplitude,
     exchange_amplitude,
@@ -25,21 +23,18 @@ from .density_matrix import (
 )
 from .entropy import (
     ProbabilityVector,
-    detection_entropy_bits,
     ring_probabilities,
     shannon_discrete,
     shannon_ring_discrete,
     shannon_ring_jaynes,
     shannon_sphere_discrete,
     shannon_sphere_jaynes,
-    sweep_energies,
 )
 from .errors import NumericalError
 from .geometry import (
     AngularGrid,
     GridKind,
     channel_domain,
-    equator_grid,
     range_grid_below,
     ring_grid,
     ring_weight,
@@ -63,11 +58,9 @@ from .spin import (
     entropy_parallel,
     equator_entropies,
     postselect_entropies,
-    postselect_range_sweep,
 )
 
 __all__ = [
-    "AmplitudePair",
     "AngularGrid",
     "BOHR_RADIUS_NM",
     "DensityMatrix",
@@ -80,10 +73,8 @@ __all__ = [
     "SpinChannel",
     "SpinEntropyResult",
     "__version__",
-    "amplitude_pair",
     "build_meridian_matrix",
     "channel_domain",
-    "detection_entropy_bits",
     "differential_probability",
     "direct_amplitude",
     "eigen_spectrum",
@@ -91,7 +82,6 @@ __all__ = [
     "entropy_distinguishable",
     "entropy_parallel",
     "equator_entropies",
-    "equator_grid",
     "ev_to_hartree",
     "exchange_amplitude",
     "hartree_to_ev",
@@ -100,7 +90,6 @@ __all__ = [
     "min_scattering_angle",
     "nm_to_bohr",
     "postselect_entropies",
-    "postselect_range_sweep",
     "range_grid_below",
     "ring_grid",
     "ring_probabilities",
@@ -111,7 +100,6 @@ __all__ = [
     "shannon_sphere_discrete",
     "shannon_sphere_jaynes",
     "sphere_pixel_count",
-    "sweep_energies",
     "uniform_grid",
     "von_neumann_entropy",
     "wave_number",

@@ -7,7 +7,6 @@ its own normalization convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,15 +31,6 @@ class SpinChannel(Enum):
 
 #: Channels whose angular domain is the half shell [epsilon, pi/2].
 HALF_SHELL_CHANNELS = (SpinChannel.PARALLEL, SpinChannel.ANTIPARALLEL)
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Direct and exchange amplitude evaluated at one angle."""
-
-    theta: float
-    f: float
-    g: float
 
 
 def direct_amplitude(theta, K):
@@ -70,13 +60,6 @@ def exchange_amplitude(theta, K):
     c = np.cos(0.5 * theta)
     out = 1.0 / (4.0 * K * K * c * c)
     return float(out) if out.ndim == 0 else out
-
-
-def amplitude_pair(theta: float, K: float) -> AmplitudePair:
-    """Both amplitudes at one angle (theta strictly inside (0, pi))."""
-    return AmplitudePair(theta=float(theta),
-                         f=direct_amplitude(theta, K),
-                         g=exchange_amplitude(theta, K))
 
 
 def differential_probability(theta, K, channel: SpinChannel):

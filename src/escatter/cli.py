@@ -17,27 +17,27 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
 from .amplitudes import SpinChannel
 from .density_matrix import build_meridian_matrix, eigen_spectrum, von_neumann_entropy
-from .entropy import detection_entropy_bits, shannon_ring_discrete, sweep_energies
+from .entropy import shannon_ring_discrete, shannon_sphere_discrete
 from .errors import NumericalError
-from .geometry import GridKind, equator_grid
+from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
-from .spin import entropy_antiparallel, entropy_parallel, equator_entropies, postselect_range_sweep
+from .spin import (
+    entropy_antiparallel,
+    entropy_parallel,
+    equator_entropies,
+    postselect_entropies,
+)
 
-COMMANDS = ("spinless-sweep", "sphere-sweep", "vn-compare", "spin-sweep",
-            "postselect-range", "equator")
-
-_GEOMETRIES = {
-    "rings": GridKind.RINGS,
-    "sphere": GridKind.SPHERE_PIXELS,
-    "meridian": GridKind.RINGS,  # same 1-D distribution as rings
-    "equator": GridKind.EQUATOR_RING,
-}
+#: "meridian" has the same 1-D distribution as "rings"; "equator" reads
+#: the closed forms for equal azimuthal cells; "sphere" is sphere-sweep's.
+_GEOMETRIES = ("rings", "sphere", "meridian", "equator")
 
 _CHANNELS = {
     "spinless": SpinChannel.SPINLESS,
@@ -100,6 +100,15 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        if self.command == "spinless-sweep" and self.geometry == "sphere":
+            raise ConfigError("use the sphere-sweep command for sphere geometry")
+        if (self.command == "spinless-sweep" and self.geometry == "equator"
+                and len(self.n_cells) > 1):
+            raise ConfigError("spinless-sweep --geometry equator takes one "
+                              f"--n-cells value, got {self.n_cells!r}")
+        if self.command == "postselect-range" and len(self.e_list) > 1:
+            raise ConfigError("postselect-range takes one energy, got "
+                              f"--energy-list {self.e_list!r}")
 
     def config_hash(self) -> str:
         """12-hex digest over the physics-relevant parameters only.
@@ -236,7 +245,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-command row computation
+# per-command tables
 # ---------------------------------------------------------------------------
 
 def _map_ordered(fn, items, threads: int) -> list:
@@ -249,116 +258,123 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _rows_ring_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    geometry = _GEOMETRIES[cfg.geometry]
-    if geometry is GridKind.SPHERE_PIXELS:
-        raise ConfigError("use the sphere-sweep command for sphere geometry")
+def _ring_row(cfg: RunConfig, e_ev: float) -> tuple:
     channel = _CHANNELS[cfg.channel]
-    if geometry is GridKind.EQUATOR_RING:
-        n = cfg.n_cells[0]
-        bits = detection_entropy_bits(equator_grid(n), 1.0, channel)
-        rows = [{"E_ev": float(e), "n_cells": n, "S_bits": bits, "status": "ok"}
-                for e in cfg.e_list]
-        return ["E_ev", "n_cells", "S_bits", "status"], rows
-
-    def one(e_ev: float) -> dict:
-        return sweep_energies([e_ev], cfg.l_nm, channel, geometry, cfg.k_scale)[0]
-
-    rows = _map_ordered(one, cfg.e_list, cfg.threads)
-    return ["E_ev", "n_cells", "S_bits", "status"], rows
-
-
-def _rows_sphere_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    channel = _CHANNELS[cfg.channel]
-
-    def one(e_ev: float) -> dict:
-        return sweep_energies([e_ev], cfg.l_nm, channel,
-                              GridKind.SPHERE_PIXELS, cfg.k_scale)[0]
-
-    rows = _map_ordered(one, cfg.e_list, cfg.threads)
-    return ["E_ev", "n_rings", "pixel_count", "S_bits", "status"], rows
-
-
-def _rows_vn_compare(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    def one(e_ev: float) -> dict:
-        row = {"E_ev": float(e_ev), "n_grid": cfg.n_grid}
-        try:
-            ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-            dm = build_meridian_matrix(ctx, cfg.n_grid, grid_cap=cfg.grid_cap)
-            s_vn = von_neumann_entropy(eigen_spectrum(dm))
-            # exact discrete sum: the continuous-limit form is not valid
-            # when the cell width is comparable to the cutoff angle, which
-            # is the case on coarse matrix-sized grids
-            s_ring = shannon_ring_discrete(ctx, SpinChannel.SPINLESS,
-                                           n_cells=cfg.n_grid)
-            row.update(S_shannon_ring=s_ring, S_vn=s_vn,
-                       abs_diff=abs(s_vn - s_ring), status="ok")
-        except (ValueError, NumericalError, FloatingPointError) as exc:
-            row.update(S_shannon_ring=math.nan, S_vn=math.nan,
-                       abs_diff=math.nan, status=f"error: {exc}")
-        return row
-
-    rows = _map_ordered(one, cfg.e_list, cfg.threads)
-    return ["E_ev", "n_grid", "S_shannon_ring", "S_vn", "abs_diff", "status"], rows
-
-
-def _rows_spin_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    def one(e_ev: float) -> dict:
-        row = {"E_ev": float(e_ev)}
-        try:
-            ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-            par = entropy_parallel(ctx)
-            ap = entropy_antiparallel(ctx)
-            row.update(n_cells=par.grid.n_cells,
-                       S_par=par.S, S_ap=ap.S,
-                       S_par_modified=par.S_modified,
-                       S_ap_modified=ap.S_modified, status="ok")
-        except (ValueError, NumericalError, FloatingPointError) as exc:
-            row.update(n_cells=0, S_par=math.nan, S_ap=math.nan,
-                       S_par_modified=math.nan, S_ap_modified=math.nan,
-                       status=f"error: {exc}")
-        return row
-
-    rows = _map_ordered(one, cfg.e_list, cfg.threads)
-    return ["E_ev", "n_cells", "S_par", "S_ap", "S_par_modified",
-            "S_ap_modified", "status"], rows
-
-
-def _rows_postselect(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    e_ev = cfg.e_list[0]
+    if cfg.geometry == "equator":
+        # azimuthal cells on the equator are equally likely: closed forms
+        eq = equator_entropies(cfg.n_cells[0])
+        if channel is SpinChannel.ANTIPARALLEL:
+            return eq.n_cells, eq.S_antiparallel_modified
+        return eq.n_cells, eq.S_parallel_modified
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
+    return ring_grid(ctx, channel).n_cells, shannon_ring_discrete(ctx, channel)
 
-    def one(theta_r: float) -> dict:
-        row = postselect_range_sweep(ctx, [theta_r])[0]
-        row["E_ev"] = float(e_ev)
+
+def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
+    channel = _CHANNELS[cfg.channel]
+    ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
+    return (ring_grid(ctx, channel).n_cells, sphere_pixel_count(ctx),
+            shannon_sphere_discrete(ctx, channel))
+
+
+def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
+    ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
+    dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
+    s_vn = von_neumann_entropy(eigen_spectrum(dm))
+    # exact discrete sum: the continuous-limit form is not valid when the
+    # cell width is comparable to the cutoff angle, which is the case on
+    # coarse matrix-sized grids
+    s_ring = shannon_ring_discrete(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
+    return s_ring, s_vn, abs(s_vn - s_ring)
+
+
+def _spin_row(cfg: RunConfig, e_ev: float) -> tuple:
+    ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
+    par = entropy_parallel(ctx)
+    ap = entropy_antiparallel(ctx)
+    return par.grid.n_cells, par.S, ap.S, par.S_modified, ap.S_modified
+
+
+def _postselect_row(cfg: RunConfig, e_ev: float, theta_r: float) -> tuple:
+    res = postselect_entropies(make_context(e_ev, cfg.l_nm, cfg.k_scale),
+                               theta_r)
+    return (res["n_cells"], res["S_spinless"], res["S_par"], res["S_ap"],
+            res["delta_S"], res["zero_weight"])
+
+
+def _equator_row(cfg: RunConfig, n_cells: int) -> tuple:
+    res = equator_entropies(n_cells)
+    return (res.S_parallel, res.S_antiparallel, res.S_parallel_modified,
+            res.S_antiparallel_modified, res.delta_S)
+
+
+def _per_energy(cfg: RunConfig) -> list[tuple]:
+    return [(e,) for e in cfg.e_list]
+
+
+@dataclass(frozen=True)
+class _Table:
+    """How one command builds its table: ``row_inputs(cfg)`` gives one
+    tuple of ``inputs`` values per row, and ``row(cfg, *inputs)`` returns
+    that row's ``computed`` values in column order."""
+
+    inputs: tuple[str, ...]
+    computed: tuple[str, ...]
+    row_inputs: Callable[[RunConfig], list[tuple]]
+    row: Callable[..., tuple]
+
+    @property
+    def columns(self) -> list[str]:
+        return [*self.inputs, *self.computed, "status"]
+
+
+_TABLES = {
+    "spinless-sweep": _Table(("E_ev",), ("n_cells", "S_bits"),
+                             _per_energy, _ring_row),
+    "sphere-sweep": _Table(("E_ev",), ("n_rings", "pixel_count", "S_bits"),
+                           _per_energy, _sphere_row),
+    "vn-compare": _Table(("E_ev", "n_grid"),
+                         ("S_shannon_ring", "S_vn", "abs_diff"),
+                         lambda cfg: [(e, cfg.n_grid) for e in cfg.e_list],
+                         _vn_row),
+    "spin-sweep": _Table(("E_ev",), ("n_cells", "S_par", "S_ap",
+                                     "S_par_modified", "S_ap_modified"),
+                         _per_energy, _spin_row),
+    "postselect-range": _Table(("E_ev", "theta_r"),
+                               ("n_cells", "S_spinless", "S_par", "S_ap",
+                                "delta_S", "zero_weight"),
+                               lambda cfg: [(cfg.e_list[0], t)
+                                            for t in cfg.theta_r],
+                               _postselect_row),
+    "equator": _Table(("n_cells",), ("S_par", "S_ap", "S_par_modified",
+                                     "S_ap_modified", "delta_S"),
+                      lambda cfg: [(n,) for n in cfg.n_cells], _equator_row),
+}
+
+COMMANDS = tuple(_TABLES)
+
+#: What every table does with a row whose computation fails.
+_FAILED_ROW_RULE = ("A failed row keeps its input columns, has nan (JSON "
+                    "null) in every computed column and 'error: <message>' "
+                    "as its status; the other rows still run.")
+
+
+def _table(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    """The command's columns and rows, in input order (see _FAILED_ROW_RULE)."""
+    table = _TABLES[cfg.command]
+
+    def one(inputs: tuple) -> dict:
+        row = dict(zip(table.inputs, inputs))
+        try:
+            values = table.row(cfg, *inputs)
+            status = "ok"
+        except (ValueError, NumericalError, FloatingPointError) as exc:
+            values = (math.nan,) * len(table.computed)
+            status = f"error: {exc}"
+        row.update(zip(table.computed, values, strict=True), status=status)
         return row
 
-    rows = _map_ordered(one, cfg.theta_r, cfg.threads)
-    return ["E_ev", "theta_r", "n_cells", "S_spinless", "S_par", "S_ap",
-            "delta_S", "zero_weight", "status"], rows
-
-
-def _rows_equator(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    rows = []
-    for n in cfg.n_cells:
-        res = equator_entropies(n)
-        rows.append({"n_cells": n,
-                     "S_par": res.S_parallel, "S_ap": res.S_antiparallel,
-                     "S_par_modified": res.S_parallel_modified,
-                     "S_ap_modified": res.S_antiparallel_modified,
-                     "delta_S": res.delta_S, "status": "ok"})
-    return ["n_cells", "S_par", "S_ap", "S_par_modified", "S_ap_modified",
-            "delta_S", "status"], rows
-
-
-_COMMAND_ROWS = {
-    "spinless-sweep": _rows_ring_sweep,
-    "sphere-sweep": _rows_sphere_sweep,
-    "vn-compare": _rows_vn_compare,
-    "spin-sweep": _rows_spin_sweep,
-    "postselect-range": _rows_postselect,
-    "equator": _rows_equator,
-}
+    return table.columns, _map_ordered(one, table.row_inputs(cfg), cfg.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,7 @@ def write_atomic(path: str, text: str) -> None:
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     cfg.validate()
-    columns, rows = _COMMAND_ROWS[cfg.command](cfg)
+    columns, rows = _table(cfg)
     text = (render_csv if cfg.format == "csv" else render_json)(cfg, columns, rows)
 
     if cfg.out is not None:
@@ -451,13 +467,12 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Entropy tables for electron-electron Coulomb scattering: "
                     "discrete/continuous Shannon sweeps, spin channels, "
                     "post-selection and von Neumann comparisons.",
-        epilog="Columns per command: spinless-sweep/sphere-sweep -> entropy per "
-               "energy; vn-compare -> (E_ev, S_shannon_ring, S_vn, abs_diff); "
-               "spin-sweep -> parallel/antiparallel entropies; postselect-range "
-               "-> entropies vs acceptance half-angle; equator -> closed forms "
-               "per cell count. Exit codes: 0 ok, 2 bad configuration, "
-               "3 numerical failure (partial table still written, see the "
-               "status column).")
+        epilog="Columns per command: " + "; ".join(
+            f"{name} -> {', '.join(table.columns)}"
+            for name, table in _TABLES.items())
+        + ". " + _FAILED_ROW_RULE + " Exit codes: 0 ok, 2 bad configuration, "
+          "3 numerical failure (partial table still written, see the "
+          "status column).")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat 'key = value' config file; "
                                          "command-line flags win")

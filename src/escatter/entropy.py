@@ -36,7 +36,6 @@ from .geometry import (
     direct_exchange_cell_integrals,
     ring_grid,
     ring_weight,
-    sphere_pixel_count,
     uniform_grid,
 )
 from .kinematics import ScatterContext
@@ -46,13 +45,15 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Normalized detection probabilities attached to a grid."""
+    """Normalized, finite detection probabilities."""
 
     p: np.ndarray
-    grid: AngularGrid | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
+        # NaN passes both comparisons below, so it is rejected here
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-9:
@@ -119,24 +120,6 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     return max(0.0, h), z
 
 
-def detection_entropy_bits(grid: AngularGrid, K: float,
-                           channel: SpinChannel) -> float:
-    """Shannon entropy (bits) of the detection distribution over a grid.
-
-    This is the entropy of *which detector fires* (and, for ANTIPARALLEL,
-    which spin pattern it sees); the extra exchange bit of the
-    indistinguishable spin channels is added by the spin module where the
-    full spin-state entropy is wanted.
-    """
-    if grid.kind is GridKind.EQUATOR_RING:
-        # Azimuthal cells are exactly uniform: closed forms, no quadrature.
-        if channel is SpinChannel.ANTIPARALLEL:
-            return math.log2(2 * grid.n_cells)
-        return math.log2(grid.n_cells)
-    h, _ = _stream_weight_entropy(grid, K, channel)
-    return h
-
-
 def ring_probabilities(ctx: ScatterContext, channel: SpinChannel,
                        n_cells: int | None = None) -> ProbabilityVector:
     """Normalized per-ring probabilities on the channel's native grid
@@ -147,7 +130,7 @@ def ring_probabilities(ctx: ScatterContext, channel: SpinChannel,
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError("all cell weights vanished")
-    return ProbabilityVector(p=w / total, grid=grid)
+    return ProbabilityVector(p=w / total)
 
 
 def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
@@ -161,9 +144,16 @@ def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
 
 def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
                           n_cells: int | None = None) -> float:
-    """Discrete detection entropy over ring cells (streamed, exact sums)."""
+    """Discrete detection entropy (bits) over ring cells (streamed, exact
+    sums).
+
+    This is the entropy of *which detector fires* (and, for ANTIPARALLEL,
+    which spin pattern it sees); the extra exchange bit of the
+    indistinguishable spin channels is added by the spin module where the
+    full spin-state entropy is wanted.
+    """
     grid = _resolve_grid(ctx, channel, n_cells)
-    return detection_entropy_bits(grid, ctx.K, channel)
+    return _stream_weight_entropy(grid, ctx.K, channel)[0]
 
 
 def shannon_sphere_discrete(ctx: ScatterContext,
@@ -286,41 +276,3 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
 
     return _jaynes_integral(ctx, channel, log_arg) + math.log2(m_pixels)
 
-
-# ---------------------------------------------------------------------------
-# sweep harness
-# ---------------------------------------------------------------------------
-
-def sweep_energies(e_list_ev, l_nm: float,
-                   channel: SpinChannel = SpinChannel.SPINLESS,
-                   geometry: GridKind = GridKind.RINGS,
-                   k_scale: float = 1.0) -> list[dict]:
-    """One discrete entropy per energy; per-row failures are reported in
-    the row's ``status`` field and the sweep continues.
-
-    Over the usual energy range the entropies decrease monotonically with
-    E (the forward peak sharpens); that is a property of the physics, not
-    an enforced constraint, so no error is raised if a row breaks it.
-    """
-    from .kinematics import make_context  # local import keeps module load light
-
-    rows: list[dict] = []
-    for e_ev in e_list_ev:
-        row: dict = {"E_ev": float(e_ev)}
-        try:
-            ctx = make_context(float(e_ev), l_nm, k_scale)
-            if geometry is GridKind.SPHERE_PIXELS:
-                grid = ring_grid(ctx, channel, kind=GridKind.SPHERE_PIXELS)
-                row["n_rings"] = grid.n_cells
-                row["pixel_count"] = sphere_pixel_count(ctx)
-                row["S_bits"] = shannon_sphere_discrete(ctx, channel)
-            else:
-                grid = ring_grid(ctx, channel)
-                row["n_cells"] = grid.n_cells
-                row["S_bits"] = shannon_ring_discrete(ctx, channel)
-            row["status"] = "ok"
-        except (ValueError, NumericalError, FloatingPointError) as exc:
-            row["S_bits"] = math.nan
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    return rows

@@ -45,19 +45,16 @@ _DIVISION_SLACK = 1e-9
 class GridKind(Enum):
     RINGS = "rings"
     SPHERE_PIXELS = "sphere"
-    EQUATOR_RING = "equator"
 
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """A detector discretization over an angular domain.
+    """A detector discretization over a polar angular domain.
 
-    For RINGS / SPHERE_PIXELS kinds, ``theta_lo``/``theta_hi``
-    bound the polar domain and cells are congruent intervals of width
-    ``delta_theta`` anchored at ``theta_lo``; a trailing partial cell is
-    dropped, so the covered span may end below ``theta_hi``.  For
-    EQUATOR_RING the angles are azimuthal (phi in [0, pi)) and the cells
-    are exactly uniform.
+    ``theta_lo``/``theta_hi`` bound the domain and cells are congruent
+    intervals of width ``delta_theta`` anchored at ``theta_lo``; a
+    trailing partial cell is dropped, so the covered span may end below
+    ``theta_hi``.  SPHERE_PIXELS grids split each ring cell into pixels.
     """
 
     kind: GridKind
@@ -158,15 +155,6 @@ def range_grid_below(theta_top: float, theta_r: float,
     lo = theta_top - n * delta_theta
     return AngularGrid(kind=GridKind.RINGS, theta_lo=lo, theta_hi=theta_top,
                        n_cells=n, delta_theta=delta_theta)
-
-
-def equator_grid(n_cells: int) -> AngularGrid:
-    """Half-ring of detectors on the equator, azimuth phi in [0, pi)."""
-    if n_cells < 1:
-        raise ValueError(f"need at least one cell, got {n_cells}")
-    return AngularGrid(kind=GridKind.EQUATOR_RING, theta_lo=0.0,
-                       theta_hi=math.pi, n_cells=n_cells,
-                       delta_theta=math.pi / n_cells)
 
 
 def sphere_pixel_count(ctx: ScatterContext) -> int:

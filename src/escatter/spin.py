@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .amplitudes import SpinChannel
 from .entropy import _resolve_grid, _stream_weight_entropy
-from .errors import NumericalError
 from .geometry import AngularGrid, range_grid_below
 from .kinematics import ScatterContext
 
@@ -167,19 +166,3 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
         "zero_weight": (z_sp <= 0.0) or (z_par <= 0.0) or (z_ap <= 0.0),
     }
 
-
-def postselect_range_sweep(ctx: ScatterContext, theta_r_values) -> list[dict]:
-    """Postselection sweep over acceptance half-angles; per-row failures
-    are recorded in ``status`` and the sweep continues."""
-    rows: list[dict] = []
-    for theta_r in theta_r_values:
-        try:
-            row = postselect_entropies(ctx, float(theta_r))
-            row["status"] = "ok"
-        except (ValueError, NumericalError, FloatingPointError) as exc:
-            row = {"theta_r": float(theta_r), "n_cells": 0,
-                   "S_spinless": math.nan, "S_par": math.nan,
-                   "S_ap": math.nan, "delta_S": math.nan,
-                   "zero_weight": False, "status": f"error: {exc}"}
-        rows.append(row)
-    return rows

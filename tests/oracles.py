@@ -40,7 +40,6 @@ from scipy.integrate import quad
 from escatter.amplitudes import differential_probability
 from escatter.density_matrix import kernel_element
 from escatter.errors import NumericalError
-from escatter.geometry import GridKind
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
@@ -75,14 +74,9 @@ def integrate_cell_gl(fn, lo: float, hi: float, rel_tol: float = 1e-10,
 def cell_probability(grid, i: int, ctx, channel) -> float:
     """Unnormalized probability of cell ``i``: 2 pi * integral over the cell
     of p(theta, channel) sin(theta) dtheta.
-
-    Equator-ring cells are azimuthal and exactly uniform, so they carry
-    equal weight by construction.
     """
     if not 0 <= i < grid.n_cells:
         raise IndexError(f"cell index {i} out of range [0, {grid.n_cells})")
-    if grid.kind is GridKind.EQUATOR_RING:
-        return 1.0 / grid.n_cells
     lo = grid.theta_lo + i * grid.delta_theta
     hi = grid.theta_lo + (i + 1) * grid.delta_theta
 

@@ -6,6 +6,7 @@ All benchmark working points use the calibrated wave-number scale
 (sqrt(2)); see the README for how the calibration is pinned.
 """
 
+import csv
 import math
 import time
 
@@ -24,7 +25,6 @@ from escatter import (
     shannon_ring_discrete,
     shannon_ring_jaynes,
     shannon_sphere_discrete,
-    sweep_energies,
     von_neumann_entropy,
 )
 from escatter.cli import main
@@ -118,12 +118,17 @@ def test_a04_channel_convergence_large_packet():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_a05_energy_sweep_values_and_monotonicity():
+def test_a05_energy_sweep_values_and_monotonicity(capsys):
     t0 = time.perf_counter()
     energies = list(np.logspace(0.0, math.log10(5e4), 20))
-    rows = sweep_energies(energies, 50.0, k_scale=CALIBRATED_KSCALE)
+    assert main(["spinless-sweep", "--packet-nm", "50", "--k-scale", SQRT2,
+                 "--threads", "1",
+                 "--energy-list", ",".join(repr(float(e)) for e in energies)]
+                ) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert [float(r["E_ev"]) for r in rows] == pytest.approx(energies, rel=1e-11)
     assert all(r["status"] == "ok" for r in rows)
-    s = [r["S_bits"] for r in rows]
+    s = [float(r["S_bits"]) for r in rows]
     assert all(a > b for a, b in zip(s, s[1:])), "sweep must fall strictly"
     assert s[0] == pytest.approx(3.5, abs=0.3)          # 1 eV
     assert 0.5 * 7e-3 <= s[-1] <= 2.0 * 7e-3            # 50 keV, factor 2

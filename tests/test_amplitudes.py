@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from escatter import (
     SpinChannel,
-    amplitude_pair,
     differential_probability,
     direct_amplitude,
     exchange_amplitude,
@@ -58,9 +57,8 @@ def test_exchange_symmetry(theta, K):
 
 @given(st.floats(min_value=1e-6, max_value=math.pi - 1e-6))
 def test_positivity(theta):
-    pair = amplitude_pair(theta, 1.3)
-    assert pair.f > 0.0
-    assert pair.g > 0.0
+    assert direct_amplitude(theta, 1.3) > 0.0
+    assert exchange_amplitude(theta, 1.3) > 0.0
 
 
 def test_channel_combinations():

@@ -326,3 +326,73 @@ def test_meridian_grid_below_cutoff_exit_3(capsys):
     err = capsys.readouterr().err
     assert "first meridian grid point q = " in err
     assert "K*epsilon = " in err and "epsilon = 0.4017" in err
+
+
+# ---------------------------------------------------------------------------
+# one failure rule for every table
+# ---------------------------------------------------------------------------
+
+#: Per command: flags giving three rows of which the middle one fails, and
+#: the input columns that row must echo (0.001 eV at 100 nm has no
+#: accessible angle; 1.5707 rad is wider than pi/2 - cutoff).
+_FAILING_MIDDLE_ROW = {
+    "spinless-sweep": (["--energy-list", "5,0.001,10"], {"E_ev": 0.001}),
+    "sphere-sweep": (["--energy-list", "5,0.001,10"], {"E_ev": 0.001}),
+    "spin-sweep": (["--energy-list", "5,0.001,10"], {"E_ev": 0.001}),
+    "vn-compare": (["--energy-list", "5,0.001,10", "--n-grid", "64"],
+                   {"E_ev": 0.001, "n_grid": 64}),
+    "postselect-range": (["--energy-ev", "5", "--theta-r", "0.1,1.5707,0.5"],
+                         {"E_ev": 5.0, "theta_r": 1.5707}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_FAILING_MIDDLE_ROW))
+def test_failed_row_rule(command, fmt, capsys):
+    flags, echoed = _FAILING_MIDDLE_ROW[command]
+    assert main([command, "--packet-nm", "100", "--k-scale", SQRT2,
+                 "--threads", "1", "--format", fmt, *flags]) == 3
+    captured = capsys.readouterr()
+    assert "None" not in captured.out + captured.err
+    assert captured.err.startswith(f"[{command}] row 1 failed: error: ")
+    if fmt == "json":
+        rows = json.loads(captured.out)
+        missing = None
+    else:
+        rows = list(csv.DictReader(captured.out.splitlines()[1:]))
+        missing = "nan"
+        echoed = {col: format(v, ".12g") if isinstance(v, float) else str(v)
+                  for col, v in echoed.items()}
+    assert [row["status"] == "ok" for row in rows] == [True, False, True]
+    bad = rows[1]
+    assert bad["status"].startswith("error: ")
+    assert {col: bad[col] for col in echoed} == echoed
+    computed = set(bad) - set(echoed) - {"status"}
+    assert computed and all(bad[col] == missing for col in computed)
+    assert all(rows[i][col] != missing for i in (0, 2) for col in computed)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["postselect-range", "--energy-list", "5,20"], "--energy-list"),
+    (["spinless-sweep", "--geometry", "equator", "--n-cells", "4,10"],
+     "--n-cells"),
+], ids=["postselect-energy-list", "equator-n-cells"])
+def test_unused_extra_values_exit_2(argv, flag, capsys):
+    # both commands read a single value of the flag; extra values used to
+    # be dropped without a word
+    with pytest.raises(ConfigError, match=flag):
+        _cfg_from(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_help_lists_every_table():
+    # argparse wraps the epilog, also inside hyphenated command names
+    text = "".join(_make_parser().format_help().split())
+    assert "sphere-sweep->E_ev,n_rings,pixel_count,S_bits,status" in text
+    assert "vn-compare->E_ev,n_grid,S_shannon_ring,S_vn,abs_diff,status" in text
+    assert ("postselect-range->E_ev,theta_r,n_cells,S_spinless,S_par,S_ap,"
+            "delta_S,zero_weight,status") in text
+    assert "nan(JSONnull)ineverycomputedcolumn" in text

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,6 @@ from escatter import (
     GridKind,
     ProbabilityVector,
     SpinChannel,
-    detection_entropy_bits,
-    equator_grid,
     make_context,
     ring_grid,
     ring_probabilities,
@@ -19,7 +18,6 @@ from escatter import (
     shannon_ring_jaynes,
     shannon_sphere_discrete,
     shannon_sphere_jaynes,
-    sweep_energies,
 )
 from escatter import entropy
 from escatter.cli import main
@@ -27,6 +25,14 @@ from escatter.errors import NumericalError
 from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integrals
 
 from oracles import CALIBRATED_KSCALE
+
+K_FLAGS = ["--k-scale", repr(CALIBRATED_KSCALE), "--threads", "1"]
+
+
+def _json_rows(capsys, argv: list[str], code: int = 0) -> list[dict]:
+    """Run the CLI in process with JSON output; return its rows."""
+    assert main(argv + ["--format", "json"]) == code
+    return json.loads(capsys.readouterr().out)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +52,9 @@ def test_shannon_discrete_rejects_bad_vectors():
         shannon_discrete([0.5, 0.4])
     with pytest.raises(ValueError, match="nonnegative"):
         shannon_discrete([1.5, -0.5])
+    # NaN fails neither comparison above, so [nan, nan] used to give -0.0
+    with pytest.raises(ValueError, match="finite"):
+        shannon_discrete([math.nan, math.nan])
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,17 +76,38 @@ def test_probability_vector_validation():
         ProbabilityVector(p=[0.3, 0.3])
     with pytest.raises(ValueError):
         ProbabilityVector(p=[1.5, -0.5])
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector(p=[1.0, bad])
+
+
+def test_ring_probabilities_rejects_nan_weight(monkeypatch):
+    # np.maximum(w, 0) passes NaN through and the total turns NaN
+    def spoiled(edges, K, channel):
+        w = channel_cell_integrals(edges, K, channel)
+        w[len(w) // 2] = math.nan
+        return w
+
+    monkeypatch.setattr(entropy, "channel_cell_integrals", spoiled)
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    with pytest.raises(ValueError, match="finite"):
+        ring_probabilities(ctx, SpinChannel.SPINLESS)
 
 
 # ---------------------------------------------------------------------------
 # detection entropies on ring grids
 # ---------------------------------------------------------------------------
 
-def test_equator_closed_forms():
-    g = equator_grid(1024)
-    assert detection_entropy_bits(g, 1.0, SpinChannel.PARALLEL) == 10.0
-    assert detection_entropy_bits(g, 1.0, SpinChannel.ANTIPARALLEL) == 11.0
-    assert detection_entropy_bits(g, 7.3, SpinChannel.SPINLESS) == 10.0
+def test_equator_closed_forms(capsys):
+    # the equator geometry ignores the energy and the wave number
+    argv = ["spinless-sweep", "--geometry", "equator", "--n-cells", "1024"]
+    for channel, k_scale, bits in (("parallel", "1", 10.0),
+                                   ("antiparallel", "1", 11.0),
+                                   ("spinless", "7.3", 10.0)):
+        rows = _json_rows(capsys, argv + ["--channel", channel,
+                                          "--k-scale", k_scale])
+        assert rows == [{"E_ev": 5.0, "n_cells": 1024, "S_bits": bits,
+                         "status": "ok"}]
 
 
 def test_streamed_matches_materialized():
@@ -209,11 +239,12 @@ def test_sphere_jaynes_matches_discrete_when_valid():
 
 
 # ---------------------------------------------------------------------------
-# sweep harness
+# energy sweeps through the CLI
 # ---------------------------------------------------------------------------
 
-def test_sweep_single_energy_matches_direct_call():
-    rows = sweep_energies([5.0], 100.0, k_scale=CALIBRATED_KSCALE)
+def test_sweep_single_energy_matches_direct_call(capsys):
+    rows = _json_rows(capsys, ["spinless-sweep", "--energy-ev", "5",
+                               "--packet-nm", "100", *K_FLAGS])
     assert len(rows) == 1
     row = rows[0]
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
@@ -222,12 +253,13 @@ def test_sweep_single_energy_matches_direct_call():
     assert row["n_cells"] == ring_grid(ctx, SpinChannel.SPINLESS).n_cells
 
 
-def test_sweep_error_rows_do_not_abort():
-    rows = sweep_energies([5.0, -1.0, 10.0], 100.0,
-                          k_scale=CALIBRATED_KSCALE)
+def test_sweep_error_rows_do_not_abort(capsys):
+    # 0.001 eV at 100 nm has no accessible angle: that row fails alone
+    rows = _json_rows(capsys, ["spinless-sweep", "--energy-list", "5,0.001,10",
+                               "--packet-nm", "100", *K_FLAGS], code=3)
     assert [r["status"] == "ok" for r in rows] == [True, False, True]
     assert rows[1]["status"].startswith("error:")
-    assert math.isnan(rows[1]["S_bits"])
+    assert rows[1]["S_bits"] is None
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -265,9 +297,9 @@ def test_non_finite_entropy_fails(monkeypatch):
         shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
 
 
-def test_sweep_sphere_rows_report_pixel_count():
-    rows = sweep_energies([5.0], 100.0, geometry=GridKind.SPHERE_PIXELS,
-                          k_scale=CALIBRATED_KSCALE)
+def test_sweep_sphere_rows_report_pixel_count(capsys):
+    rows = _json_rows(capsys, ["sphere-sweep", "--energy-ev", "5",
+                               "--packet-nm", "100", *K_FLAGS])
     row = rows[0]
     assert row["status"] == "ok"
     assert row["pixel_count"] > row["n_rings"] > 0
@@ -275,9 +307,10 @@ def test_sweep_sphere_rows_report_pixel_count():
     assert row["S_bits"] == shannon_sphere_discrete(ctx)
 
 
-def test_sweep_monotone_decreasing():
-    energies = [1.0, 10.0, 100.0, 1000.0, 10_000.0]
-    rows = sweep_energies(energies, 50.0, k_scale=CALIBRATED_KSCALE)
+def test_sweep_monotone_decreasing(capsys):
+    rows = _json_rows(capsys, ["spinless-sweep", "--energy-list",
+                               "1,10,100,1000,10000", "--packet-nm", "50",
+                               *K_FLAGS])
     s = [r["S_bits"] for r in rows]
     assert all(r["status"] == "ok" for r in rows)
     assert all(a > b for a, b in zip(s, s[1:]))

@@ -8,7 +8,6 @@ from escatter import (
     GridKind,
     SpinChannel,
     channel_domain,
-    equator_grid,
     make_context,
     range_grid_below,
     ring_grid,
@@ -143,15 +142,6 @@ def test_rings_times_weight_matches_sphere_pixels():
     centers = 0.5 * (grid.edges()[:-1] + grid.edges()[1:])
     total = sum(ring_weight(t, grid.delta_theta) for t in centers)
     assert total == pytest.approx(sphere_pixel_count(ctx), rel=1e-3)
-
-
-def test_equator_grid_uniform_cells():
-    g = equator_grid(10)
-    assert g.kind is GridKind.EQUATOR_RING
-    assert g.delta_theta == pytest.approx(math.pi / 10)
-    assert cell_probability(g, 3, None, SpinChannel.PARALLEL) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        equator_grid(0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,12 @@ import pytest
 
 from escatter import (
     SpinChannel,
-    detection_entropy_bits,
     entropy_antiparallel,
     entropy_distinguishable,
     entropy_parallel,
     equator_entropies,
-    equator_grid,
     make_context,
     postselect_entropies,
-    postselect_range_sweep,
     shannon_ring_discrete,
     uniform_grid,
 )
@@ -85,15 +82,6 @@ def test_equator_closed_forms():
         equator_entropies(0)
 
 
-def test_equator_matches_detection_route():
-    g = equator_grid(3140)
-    eq = equator_entropies(3140)
-    assert detection_entropy_bits(g, 1.0, SpinChannel.PARALLEL) == \
-        eq.S_parallel_modified
-    assert detection_entropy_bits(g, 1.0, SpinChannel.ANTIPARALLEL) == \
-        eq.S_antiparallel_modified
-
-
 # ---------------------------------------------------------------------------
 # equator post-selection
 # ---------------------------------------------------------------------------
@@ -147,12 +135,3 @@ def test_postselect_validation():
         postselect_entropies(ctx, math.pi / 2.0)  # exceeds pi/2 - cutoff
     with pytest.raises(ValueError, match="no complete cell"):
         postselect_entropies(ctx, 0.5 * ctx.delta_theta)
-
-
-def test_postselect_sweep_error_rows():
-    ctx = _ctx()
-    rows = postselect_range_sweep(ctx, [0.1, math.pi / 2.0, 0.5])
-    assert [r["status"] == "ok" for r in rows] == [True, False, True]
-    assert rows[1]["status"].startswith("error:")
-    assert math.isnan(rows[1]["delta_S"])
-    assert rows[0]["delta_S"] == pytest.approx(1.61609, abs=1e-3)
