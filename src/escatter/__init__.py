@@ -19,11 +19,8 @@ from .density_matrix import (
     build_meridian_matrix,
     eigen_spectrum,
     kernel_element,
-    von_neumann_entropy,
 )
 from .entropy import (
-    ProbabilityVector,
-    ring_probabilities,
     shannon_discrete,
     shannon_ring_discrete,
     shannon_ring_jaynes,
@@ -44,7 +41,6 @@ from .geometry import (
 from .kinematics import (
     ScatterContext,
     ev_to_hartree,
-    hartree_to_ev,
     make_context,
     min_scattering_angle,
     nm_to_bohr,
@@ -54,7 +50,6 @@ from .spin import (
     EquatorEntropies,
     SpinEntropyResult,
     entropy_antiparallel,
-    entropy_distinguishable,
     entropy_parallel,
     equator_entropies,
     postselect_entropies,
@@ -68,7 +63,6 @@ __all__ = [
     "GridKind",
     "HARTREE_EV",
     "NumericalError",
-    "ProbabilityVector",
     "ScatterContext",
     "SpinChannel",
     "SpinEntropyResult",
@@ -79,12 +73,10 @@ __all__ = [
     "direct_amplitude",
     "eigen_spectrum",
     "entropy_antiparallel",
-    "entropy_distinguishable",
     "entropy_parallel",
     "equator_entropies",
     "ev_to_hartree",
     "exchange_amplitude",
-    "hartree_to_ev",
     "kernel_element",
     "make_context",
     "min_scattering_angle",
@@ -92,7 +84,6 @@ __all__ = [
     "postselect_entropies",
     "range_grid_below",
     "ring_grid",
-    "ring_probabilities",
     "ring_weight",
     "shannon_discrete",
     "shannon_ring_discrete",
@@ -101,6 +92,5 @@ __all__ = [
     "shannon_sphere_jaynes",
     "sphere_pixel_count",
     "uniform_grid",
-    "von_neumann_entropy",
     "wave_number",
 ]

@@ -15,18 +15,16 @@ import numpy as np
 class SpinChannel(Enum):
     """Which amplitude combination (and angular domain) applies.
 
-    SPINLESS         : single-particle detection of either electron, |f|^2
+    SPINLESS         : single-particle detection of either electron, |f|^2;
+                       also a pair told apart by a spin filter
     PARALLEL         : both spins aligned, antisymmetric spatial part, |f-g|^2
     ANTIPARALLEL     : opposite spins, both direct and exchange contribute,
                        |f|^2 + |g|^2
-    DISTINGUISHABLE  : electrons told apart by a spin filter, |f|^2 over the
-                       full shell
     """
 
     SPINLESS = "spinless"
     PARALLEL = "parallel"
     ANTIPARALLEL = "antiparallel"
-    DISTINGUISHABLE = "distinguishable"
 
 
 #: Channels whose angular domain is the half shell [epsilon, pi/2].
@@ -65,14 +63,14 @@ def exchange_amplitude(theta, K):
 def differential_probability(theta, K, channel: SpinChannel):
     """Unnormalized angular detection density p(theta) for one channel.
 
-    SPINLESS / DISTINGUISHABLE -> |f|^2 (valid on (0, pi])
-    PARALLEL                   -> |f - g|^2 (valid on (0, pi))
-    ANTIPARALLEL               -> |f|^2 + |g|^2 (valid on (0, pi))
+    SPINLESS     -> |f|^2 (valid on (0, pi])
+    PARALLEL     -> |f - g|^2 (valid on (0, pi))
+    ANTIPARALLEL -> |f|^2 + |g|^2 (valid on (0, pi))
 
     The per-momentum degeneracy weights of the spin channels are handled
     by the entropy routines' normalizations, not here.
     """
-    if channel in (SpinChannel.SPINLESS, SpinChannel.DISTINGUISHABLE):
+    if channel is SpinChannel.SPINLESS:
         f = direct_amplitude(theta, K)
         return f * f
     if channel is SpinChannel.PARALLEL:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .amplitudes import SpinChannel
-from .density_matrix import build_meridian_matrix, eigen_spectrum, von_neumann_entropy
-from .entropy import shannon_ring_discrete, shannon_sphere_discrete
+from .density_matrix import build_meridian_matrix, eigen_spectrum
+from .entropy import shannon_discrete, shannon_ring_discrete, shannon_sphere_discrete
 from .errors import NumericalError
 from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
@@ -39,11 +39,12 @@ from .spin import (
 #: the closed forms for equal azimuthal cells; "sphere" is sphere-sweep's.
 _GEOMETRIES = ("rings", "sphere", "meridian", "equator")
 
+#: "distinguishable" (a spin-filtered pair) is an alias of "spinless".
 _CHANNELS = {
     "spinless": SpinChannel.SPINLESS,
     "parallel": SpinChannel.PARALLEL,
     "antiparallel": SpinChannel.ANTIPARALLEL,
-    "distinguishable": SpinChannel.DISTINGUISHABLE,
+    "distinguishable": SpinChannel.SPINLESS,
 }
 
 # default acceptance half-angles for postselect-range (radians)
@@ -273,14 +274,14 @@ def _ring_row(cfg: RunConfig, e_ev: float) -> tuple:
 def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
     channel = _CHANNELS[cfg.channel]
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-    return (ring_grid(ctx, channel).n_cells, sphere_pixel_count(ctx),
+    return (ring_grid(ctx, channel).n_cells, sphere_pixel_count(ctx, channel),
             shannon_sphere_discrete(ctx, channel))
 
 
 def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
-    s_vn = von_neumann_entropy(eigen_spectrum(dm))
+    s_vn = shannon_discrete(eigen_spectrum(dm))
     # exact discrete sum: the continuous-limit form is not valid when the
     # cell width is comparable to the cutoff angle, which is the case on
     # coarse matrix-sized grids
@@ -489,7 +490,9 @@ def _make_parser() -> argparse.ArgumentParser:
                                          "(default 512)")
     parser.add_argument("--n-cells", help="equator cell count(s), "
                                           "comma-separated (default 3140)")
-    parser.add_argument("--channel", choices=sorted(_CHANNELS))
+    parser.add_argument("--channel", choices=sorted(_CHANNELS),
+                        help="default spinless; distinguishable is an alias "
+                             "of spinless")
     parser.add_argument("--geometry", choices=sorted(_GEOMETRIES))
     parser.add_argument("--theta-r", help="comma-separated acceptance "
                                           "half-angles in radians")

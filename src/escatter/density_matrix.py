@@ -40,7 +40,7 @@ the operator spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,10 +77,11 @@ class DensityMatrix:
     theta_grid: np.ndarray
     q_grid: np.ndarray
     rho: np.ndarray
-    measure: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
+        if not np.isfinite(rho).all():  # NaN fails every comparison below
+            raise ValueError("density matrix has non-finite entries")
         scale = float(np.max(np.abs(rho))) if rho.size else 0.0
         if scale > 0.0 and float(np.max(np.abs(rho - rho.T))) > 1e-12 * scale:
             raise ValueError("density matrix is not symmetric")
@@ -234,7 +235,7 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericalError(f"matrix trace is {trace!r}, cannot normalize")
     rho /= trace
-    return DensityMatrix(theta_grid=theta, q_grid=q, rho=rho, measure=measure)
+    return DensityMatrix(theta_grid=theta, q_grid=q, rho=rho)
 
 
 def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:
@@ -254,15 +255,3 @@ def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:
         raise NumericalError(
             f"eigenvalue sum {total!r} deviates from unit trace")
     return lam
-
-
-def von_neumann_entropy(spectrum) -> float:
-    """S = -sum lambda log2 lambda in bits, with 0 log 0 := 0."""
-    lam = np.asarray(spectrum, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError("negative eigenvalue: spectrum is not a valid state")
-    if abs(float(lam.sum()) - 1.0) > 1e-9:
-        raise ValueError(
-            f"eigenvalues sum to {float(lam.sum())!r}, expected 1")
-    pos = lam[lam > 0.0]
-    return float(-(pos * np.log2(pos)).sum())

@@ -21,8 +21,6 @@ for 10^9+ pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -36,6 +34,7 @@ from .geometry import (
     direct_exchange_cell_integrals,
     ring_grid,
     ring_weight,
+    sphere_pixel_count,
     uniform_grid,
 )
 from .kinematics import ScatterContext
@@ -43,33 +42,20 @@ from .kinematics import ScatterContext
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Normalized, finite detection probabilities."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        # NaN passes both comparisons below, so it is rejected here
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        if np.any(p < -1e-12):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(
-                f"probability vector not normalized: sum = {float(p.sum())!r}")
-        object.__setattr__(self, "p", p)
-
-
 def shannon_discrete(p) -> float:
-    """Shannon entropy -sum p_i log2 p_i in bits, with 0 log 0 := 0.
-
-    Accepts a :class:`ProbabilityVector` or a plain normalized array.
-    """
-    if not isinstance(p, ProbabilityVector):
-        p = ProbabilityVector(p=p)
-    pos = p.p[p.p > 0.0]
+    """Shannon entropy -sum p log2 p in bits (0 log 0 := 0) of a detection
+    distribution, or of a density matrix's spectrum: its von Neumann entropy.
+    Raises ValueError unless p is finite, nonnegative and sums to 1 +- 1e-9."""
+    p = np.asarray(p, dtype=float)
+    # NaN passes both comparisons below, so it is rejected here
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if np.any(p < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(
+            f"probability vector not normalized: sum = {float(p.sum())!r}")
+    pos = p[p > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
 
@@ -118,19 +104,6 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
         raise NumericalError(f"detection entropy is {h!r} (Z = {z!r})")
     # the sum is >= 0 mathematically; rounding can leave -1e-16
     return max(0.0, h), z
-
-
-def ring_probabilities(ctx: ScatterContext, channel: SpinChannel,
-                       n_cells: int | None = None) -> ProbabilityVector:
-    """Normalized per-ring probabilities on the channel's native grid
-    (or on ``n_cells`` equal cells spanning the channel domain)."""
-    grid = _resolve_grid(ctx, channel, n_cells)
-    w = channel_cell_integrals(grid.edges(), ctx.K, channel)
-    w = np.maximum(w, 0.0)
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("all cell weights vanished")
-    return ProbabilityVector(p=w / total)
 
 
 def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
@@ -191,7 +164,7 @@ def _branch_densities(ctx: ScatterContext, channel: SpinChannel):
         return 2.0 * math.pi * differential_probability(
             theta, K, SpinChannel.PARALLEL) * math.sin(theta)
 
-    if channel in (SpinChannel.SPINLESS, SpinChannel.DISTINGUISHABLE):
+    if channel is SpinChannel.SPINLESS:
         return (rho_direct,)
     if channel is SpinChannel.PARALLEL:
         return (rho_parallel,)
@@ -263,16 +236,16 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
 
     with p the solid-angle detection density normalized over the
     accessible domain, pbar = p sin(theta), Omega_0 the accessible solid
-    angle and M the pixel count.  Valid when the pixel side is well below
-    the cutoff angle.
+    angle and M the channel's pixel count.  Valid when the pixel side is
+    well below the cutoff angle.
     """
     lo, hi = channel_domain(ctx, channel)
     omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
-    m_pixels = int(math.floor(omega0 / ctx.delta_theta ** 2 + 1e-9))
 
     def log_arg(theta, pbar):
         # Omega_0 times the solid-angle density p = pbar / (2 pi sin theta)
         return omega0 * (pbar / (2.0 * math.pi * math.sin(theta)))
 
-    return _jaynes_integral(ctx, channel, log_arg) + math.log2(m_pixels)
+    return _jaynes_integral(ctx, channel, log_arg) \
+        + math.log2(sphere_pixel_count(ctx, channel))
 

@@ -37,8 +37,9 @@ from .kinematics import ScatterContext
 #: Default number of cells per chunk when streaming very large grids.
 CHUNK_CELLS = 1 << 20
 
-#: Relative tolerance dividing "exactly divisible" from "one cell fewer"
-#: when a domain length is a near-integer multiple of the cell width.
+#: Absolute slack, 1e-9 of one cell, added to a cell count before flooring
+#: so that a whole number of cells up to rounding keeps its last cell.
+#: Above about 2**24 cells it is below half an ulp and has no effect.
 _DIVISION_SLACK = 1e-9
 
 
@@ -91,9 +92,9 @@ class AngularGrid:
 
 
 def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, float]:
-    """Angular domain accessible to a channel: full shell for SPINLESS and
-    DISTINGUISHABLE, half shell (up to the equator) for the
-    indistinguishable spin channels.
+    """Angular domain accessible to a channel: full shell for SPINLESS,
+    half shell (up to the equator) for the indistinguishable spin
+    channels.
 
     Both are empty when the cutoff angle epsilon is not below pi/2, which
     happens once 2 E b_bar < 1.
@@ -157,11 +158,13 @@ def range_grid_below(theta_top: float, theta_r: float,
                        n_cells=n, delta_theta=delta_theta)
 
 
-def sphere_pixel_count(ctx: ScatterContext) -> int:
-    """Number of square pixels of side delta_theta covering the accessible
-    sphere: M = floor(Omega_0 / delta_theta^2) with Omega_0 = 4 pi cos(eps)."""
-    omega0 = 4.0 * math.pi * math.cos(ctx.epsilon)
-    return int(math.floor(omega0 / (ctx.delta_theta ** 2) + _DIVISION_SLACK))
+def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
+    """Number of square pixels of side delta_theta covering the channel's
+    part of the sphere: M = floor(Omega_0 / delta_theta^2), with
+    Omega_0 = 2 pi (cos lo - cos hi) over ``channel_domain`` [lo, hi]."""
+    lo, hi = channel_domain(ctx, channel)
+    omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+    return int(math.floor(omega0 / ctx.delta_theta ** 2 + _DIVISION_SLACK))
 
 
 def ring_weight(theta_i: float | np.ndarray,
@@ -245,7 +248,7 @@ def parallel_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
 def channel_cell_integrals(edges: np.ndarray, K: float,
                            channel: SpinChannel) -> np.ndarray:
     """Per-cell 2 pi * integral p(theta) sin(theta) dtheta for one channel."""
-    if channel in (SpinChannel.SPINLESS, SpinChannel.DISTINGUISHABLE):
+    if channel is SpinChannel.SPINLESS:
         return direct_exchange_cell_integrals(edges, K)[0]
     if channel is SpinChannel.PARALLEL:
         return parallel_cell_integrals(edges, K)

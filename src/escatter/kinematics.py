@@ -32,13 +32,6 @@ def ev_to_hartree(e_ev: float) -> float:
     return e_ev / HARTREE_EV
 
 
-def hartree_to_ev(e_ha: float) -> float:
-    """Convert an energy from Hartree to eV (inverse of :func:`ev_to_hartree`)."""
-    if not e_ha > 0.0:
-        raise ValueError(f"energy must be positive, got {e_ha} Ha")
-    return e_ha * HARTREE_EV
-
-
 def nm_to_bohr(l_nm: float) -> float:
     """Convert a length from nm to Bohr radii."""
     if not l_nm > 0.0:
@@ -124,8 +117,6 @@ class ScatterContext:
         Minimum scattering angle, radians.
     delta_theta : float
         Detector pixel width, delta_theta = 2/(K L), radians.
-    k_scale : float
-        Calibration factor that was applied to K.
     """
 
     E_total_cm: float
@@ -136,7 +127,6 @@ class ScatterContext:
     b_bar: float
     epsilon: float
     delta_theta: float
-    k_scale: float = 1.0
 
 
 def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterContext:
@@ -172,5 +162,4 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
         b_bar=b_bar,
         epsilon=eps,
         delta_theta=dtheta,
-        k_scale=k_scale,
     )

@@ -13,9 +13,9 @@ spin/exchange structure.  Conventions used here:
 
 Parallel spins scatter on the half shell [cutoff, pi/2] with the
 antisymmetric combination |f - g|^2; antiparallel spins produce two
-distinguishable branches per cell with weights |f|^2 and |g|^2; a
-spin-filtered (distinguishable) pair uses |f|^2 on the full shell with
-no exchange bit.
+distinguishable branches per cell with weights |f|^2 and |g|^2.  A
+spin-filtered (distinguishable) pair carries no exchange bit: it is the
+SPINLESS channel, |f|^2 on the full shell, and needs nothing here.
 """
 
 from __future__ import annotations
@@ -72,20 +72,6 @@ def entropy_antiparallel(ctx: ScatterContext, grid: AngularGrid | None = None,
     H_detection runs over 2 N weights and S = 1 + H_detection.
     """
     return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL, grid, n_cells)
-
-
-def entropy_distinguishable(ctx: ScatterContext,
-                            grid: AngularGrid | None = None,
-                            *, n_cells: int | None = None) -> float:
-    """Detection entropy (bits) for a spin-filtered, distinguishable pair.
-
-    The full shell [cutoff, pi - cutoff] is available, the weights are
-    the direct |f|^2, and there is no exchange bit; numerically this is
-    the spinless ring entropy.
-    """
-    if grid is None:
-        grid = _resolve_grid(ctx, SpinChannel.DISTINGUISHABLE, n_cells)
-    return _stream_weight_entropy(grid, ctx.K, SpinChannel.DISTINGUISHABLE)[0]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from escatter import (
     shannon_ring_discrete,
     shannon_ring_jaynes,
     shannon_sphere_discrete,
-    von_neumann_entropy,
 )
 from escatter.cli import main
 from escatter.density_matrix import DensityMatrix
@@ -184,8 +183,7 @@ def test_a08_density_matrix_suite():
     q_mat, _ = np.linalg.qr(rng.normal(size=dm.rho.shape))
     rotated = q_mat @ dm.rho @ q_mat.T
     dm_rot = DensityMatrix(theta_grid=dm.theta_grid, q_grid=dm.q_grid,
-                           rho=0.5 * (rotated + rotated.T),
-                           measure=dm.measure)
+                           rho=0.5 * (rotated + rotated.T))
     assert float(np.max(np.abs(eigen_spectrum(dm_rot) - lam))) <= 1e-9
 
     # diagonal kernel against the independent smoothing quadrature
@@ -196,7 +194,7 @@ def test_a08_density_matrix_suite():
         assert val == pytest.approx(ref, rel=1e-6), i
 
     # eigenbasis entropy cannot exceed the position-basis entropy
-    s_vn = von_neumann_entropy(lam)
+    s_vn = shannon_discrete(lam)
     assert s_vn <= shannon_discrete(np.diag(dm.rho)) + 1e-9
 
     # and it tracks the ring entropy on the matching 512-cell grid

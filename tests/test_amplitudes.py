@@ -70,9 +70,6 @@ def test_channel_combinations():
         math.pi / 2, 1.0, SpinChannel.ANTIPARALLEL) == pytest.approx(0.5, rel=1e-15)
     assert differential_probability(
         math.pi, 1.0, SpinChannel.SPINLESS) == pytest.approx(1.0 / 16.0, rel=1e-15)
-    assert differential_probability(
-        math.pi, 1.0, SpinChannel.DISTINGUISHABLE) == pytest.approx(
-        1.0 / 16.0, rel=1e-15)
 
 
 def test_parallel_vanishes_quadratically():

@@ -203,6 +203,20 @@ def test_meridian_geometry_matches_rings(capsys):
     assert tables[1][1:] == tables[0][1:]
 
 
+@pytest.mark.parametrize("command", ["spinless-sweep", "sphere-sweep"])
+def test_distinguishable_alias_matches_spinless(command, capsys):
+    # a spin-filtered pair is the spinless channel: only the config hash
+    # in the first line, which covers the channel name, may differ
+    argv = [command, "--energy-list", "1,5", "--packet-nm", "50",
+            "--k-scale", SQRT2, "--channel"]
+    tables = []
+    for channel in ("spinless", "distinguishable"):
+        assert main(argv + [channel]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    assert tables[1][1:] == tables[0][1:]
+    assert tables[1][0] != tables[0][0]
+
+
 def test_row_failure_exit_3_partial_table(tmp_path, capsys):
     target = tmp_path / "post.csv"
     code = main(["postselect-range", "--energy-ev", "5",
@@ -396,3 +410,4 @@ def test_help_lists_every_table():
     assert ("postselect-range->E_ev,theta_r,n_cells,S_spinless,S_par,S_ap,"
             "delta_S,zero_weight,status") in text
     assert "nan(JSONnull)ineverycomputedcolumn" in text
+    assert "distinguishableisanaliasofspinless" in text

@@ -15,7 +15,6 @@ from escatter import (
     kernel_element,
     make_context,
     shannon_discrete,
-    von_neumann_entropy,
 )
 from escatter import density_matrix
 
@@ -157,7 +156,7 @@ def test_spectrum_orthogonal_invariance(dm256):
     rotated = q_mat @ dm256.rho @ q_mat.T
     rotated = 0.5 * (rotated + rotated.T)  # scrub rounding asymmetry
     dm_rot = DensityMatrix(theta_grid=dm256.theta_grid, q_grid=dm256.q_grid,
-                           rho=rotated, measure=dm256.measure)
+                           rho=rotated)
     lam0 = eigen_spectrum(dm256)
     lam1 = eigen_spectrum(dm_rot)
     assert float(np.max(np.abs(lam0 - lam1))) <= 1e-9
@@ -166,7 +165,7 @@ def test_spectrum_orthogonal_invariance(dm256):
 def test_von_neumann_below_diagonal_shannon(dm256):
     # the diagonal is majorized by the spectrum, so measuring in the
     # position basis can only look more random than the eigenbasis
-    s_vn = von_neumann_entropy(eigen_spectrum(dm256))
+    s_vn = shannon_discrete(eigen_spectrum(dm256))
     h_diag = shannon_discrete(np.diag(dm256.rho))
     assert s_vn <= h_diag + 1e-9
 
@@ -194,9 +193,9 @@ def test_assembly_matches_per_element_oracle(e_ev, l_nm):
         assert np.array_equal(dm.rho != 0.0, nonzero), n
         rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
         assert float(rel.max()) <= 1e-9, n
-        s_ref = von_neumann_entropy(eigen_spectrum(DensityMatrix(
+        s_ref = shannon_discrete(eigen_spectrum(DensityMatrix(
             theta_grid=dm.theta_grid, q_grid=dm.q_grid, rho=ref)))
-        assert abs(von_neumann_entropy(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
+        assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
 
 
 def test_table_rejects_unfittable_j(ctx, monkeypatch):
@@ -260,6 +259,16 @@ def test_eigen_spectrum_simple_cases():
     assert lam == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
+def test_density_matrix_rejects_non_finite():
+    # NaN fails the symmetry and trace comparisons, so such a matrix was
+    # accepted and its spectrum came out [nan, nan]
+    for i, j, bad in ((0, 1, math.nan), (0, 0, math.nan), (1, 0, math.inf)):
+        rho = 0.5 * np.eye(2)
+        rho[i, j] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _dm_from(rho)
+
+
 def test_eigen_spectrum_rejects_nonpsd():
     with pytest.raises(NumericalError, match="not positive semidefinite"):
         eigen_spectrum(_dm_from(np.diag([1.5, -0.5])))
@@ -277,16 +286,3 @@ def test_eigen_spectrum_vs_characteristic_polynomial():
         lam = eigen_spectrum(_dm_from(rho))
         ref = charpoly_spectrum(rho)
         assert float(np.max(np.abs(lam - ref))) <= 1e-8
-
-
-def test_von_neumann_values():
-    assert von_neumann_entropy([1.0]) == 0.0
-    assert von_neumann_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
-    assert von_neumann_entropy([1.0 / 16.0] * 16) == pytest.approx(4.0,
-                                                                   abs=1e-12)
-    assert von_neumann_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0,
-                                                                 abs=1e-15)
-    with pytest.raises(ValueError, match="negative"):
-        von_neumann_entropy([1.5, -0.5])
-    with pytest.raises(ValueError, match="sum"):
-        von_neumann_entropy([0.3, 0.3])

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from escatter import (
     GridKind,
-    ProbabilityVector,
     SpinChannel,
     make_context,
     ring_grid,
-    ring_probabilities,
     ring_weight,
     shannon_discrete,
     shannon_ring_discrete,
@@ -45,16 +43,24 @@ def test_shannon_discrete_basics():
     assert shannon_discrete([0.0, 1.0, 0.0]) == 0.0
     assert shannon_discrete([0.125] * 8) == pytest.approx(3.0, abs=1e-14)
     assert shannon_discrete([0.25] * 4) == pytest.approx(2.0, abs=1e-14)
+    assert shannon_discrete([1.0 / 16.0] * 16) == pytest.approx(4.0, abs=1e-12)
+    assert shannon_discrete([0.5, 0.5, 0.0]) == pytest.approx(1.0, abs=1e-15)
+    assert shannon_discrete([0.25, 0.75]) == pytest.approx(
+        2.0 - 0.75 * math.log2(3.0), abs=1e-15)
 
 
 def test_shannon_discrete_rejects_bad_vectors():
-    with pytest.raises(ValueError, match="not normalized"):
-        shannon_discrete([0.5, 0.4])
-    with pytest.raises(ValueError, match="nonnegative"):
-        shannon_discrete([1.5, -0.5])
+    for short in ([0.5, 0.4], [0.3, 0.3]):
+        with pytest.raises(ValueError, match="not normalized"):
+            shannon_discrete(short)
+    # any negative entry raises, however small: nothing is dropped silently
+    for negative in ([1.5, -0.5], [1.0 + 1e-13, -1e-13]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            shannon_discrete(negative)
     # NaN fails neither comparison above, so [nan, nan] used to give -0.0
-    with pytest.raises(ValueError, match="finite"):
-        shannon_discrete([math.nan, math.nan])
+    for bad in ([math.nan, math.nan], [1.0, math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            shannon_discrete(bad)
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,31 +73,6 @@ def test_shannon_permutation_invariant(weights):
     h2 = shannon_discrete(rng.permutation(p))
     assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-12)
     assert 0.0 <= h1 <= math.log2(len(p)) + 1e-12
-
-
-def test_probability_vector_validation():
-    v = ProbabilityVector(p=[0.25, 0.75])
-    assert isinstance(v.p, np.ndarray)
-    with pytest.raises(ValueError):
-        ProbabilityVector(p=[0.3, 0.3])
-    with pytest.raises(ValueError):
-        ProbabilityVector(p=[1.5, -0.5])
-    for bad in (math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ProbabilityVector(p=[1.0, bad])
-
-
-def test_ring_probabilities_rejects_nan_weight(monkeypatch):
-    # np.maximum(w, 0) passes NaN through and the total turns NaN
-    def spoiled(edges, K, channel):
-        w = channel_cell_integrals(edges, K, channel)
-        w[len(w) // 2] = math.nan
-        return w
-
-    monkeypatch.setattr(entropy, "channel_cell_integrals", spoiled)
-    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    with pytest.raises(ValueError, match="finite"):
-        ring_probabilities(ctx, SpinChannel.SPINLESS)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +95,10 @@ def test_streamed_matches_materialized():
     # the chunked streaming sum must agree with materializing the full
     # probability vector and feeding it to the plain Shannon sum
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL,
-               SpinChannel.DISTINGUISHABLE):
-        streamed = shannon_ring_discrete(ctx, ch)
-        vec = ring_probabilities(ctx, ch)
-        assert streamed == pytest.approx(shannon_discrete(vec), abs=1e-10)
+    for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
+        w = channel_cell_integrals(ring_grid(ctx, ch).edges(), ctx.K, ch)
+        assert shannon_ring_discrete(ctx, ch) == \
+            pytest.approx(shannon_discrete(w / w.sum()), abs=1e-10)
 
 
 def test_streamed_antiparallel_two_branches():
@@ -196,11 +176,12 @@ def test_sphere_ring_multiplicity_identity():
     # computed here through an independent materialized path
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
-    vec = ring_probabilities(ctx, SpinChannel.SPINLESS)
     edges = grid.edges()
+    w = channel_cell_integrals(edges, ctx.K, SpinChannel.SPINLESS)
+    p = w / w.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])
     m = np.array([ring_weight(t, grid.delta_theta) for t in centers])
-    expected = shannon_discrete(vec) + float((vec.p * np.log2(m)).sum())
+    expected = shannon_discrete(p) + float((p * np.log2(m)).sum())
     assert shannon_sphere_discrete(ctx) == pytest.approx(expected, abs=1e-9)
 
 

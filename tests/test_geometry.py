@@ -49,10 +49,9 @@ def test_exact_division_cell_count():
 
 def test_ring_grid_domains():
     ctx = make_context(5.0, 100.0)
-    for ch in (SpinChannel.SPINLESS, SpinChannel.DISTINGUISHABLE):
-        g = ring_grid(ctx, ch)
-        assert g.theta_lo == ctx.epsilon
-        assert g.theta_hi == pytest.approx(math.pi - ctx.epsilon)
+    g = ring_grid(ctx, SpinChannel.SPINLESS)
+    assert g.theta_lo == ctx.epsilon
+    assert g.theta_hi == pytest.approx(math.pi - ctx.epsilon)
     for ch in (SpinChannel.PARALLEL, SpinChannel.ANTIPARALLEL):
         g = ring_grid(ctx, ch)
         assert g.theta_hi == pytest.approx(math.pi / 2)
@@ -113,11 +112,11 @@ def test_sphere_pixel_count_examples():
     fake = _Fake()
     fake.epsilon = 0.0
     fake.delta_theta = math.sqrt(4.0 * math.pi)
-    assert sphere_pixel_count(fake) == 1
+    assert sphere_pixel_count(fake, SpinChannel.SPINLESS) == 1
 
     fake.epsilon = math.pi / 3
     fake.delta_theta = 0.1
-    assert sphere_pixel_count(fake) == 628
+    assert sphere_pixel_count(fake, SpinChannel.SPINLESS) == 628
 
     # 100 eV with the packet size chosen so the pixel side is 0.039 mrad
     target = 0.039e-3
@@ -125,7 +124,8 @@ def test_sphere_pixel_count_examples():
     l_bohr = 2.0 / (k * target)
     ctx = make_context(100.0, l_bohr * 0.052917721, CALIBRATED_KSCALE)
     assert ctx.delta_theta == pytest.approx(target, rel=1e-9)
-    assert sphere_pixel_count(ctx) == pytest.approx(8.3e9, rel=0.01)
+    assert sphere_pixel_count(ctx, SpinChannel.SPINLESS) == \
+        pytest.approx(8.3e9, rel=0.01)
 
 
 def test_ring_weight_examples():
@@ -137,11 +137,15 @@ def test_ring_weight_examples():
 
 
 def test_rings_times_weight_matches_sphere_pixels():
+    # the pixel count covers the channel's own domain: the half shell for
+    # the indistinguishable spin channels
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
-    centers = 0.5 * (grid.edges()[:-1] + grid.edges()[1:])
-    total = sum(ring_weight(t, grid.delta_theta) for t in centers)
-    assert total == pytest.approx(sphere_pixel_count(ctx), rel=1e-3)
+    for ch in SpinChannel:
+        grid = ring_grid(ctx, ch, kind=GridKind.SPHERE_PIXELS)
+        centers = 0.5 * (grid.edges()[:-1] + grid.edges()[1:])
+        total = sum(ring_weight(t, grid.delta_theta) for t in centers)
+        assert total == pytest.approx(sphere_pixel_count(ctx, ch),
+                                      rel=1e-3), ch
 
 
 # ---------------------------------------------------------------------------

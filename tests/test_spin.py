@@ -5,12 +5,10 @@ import pytest
 from escatter import (
     SpinChannel,
     entropy_antiparallel,
-    entropy_distinguishable,
     entropy_parallel,
     equator_entropies,
     make_context,
     postselect_entropies,
-    shannon_ring_discrete,
     uniform_grid,
 )
 
@@ -43,14 +41,6 @@ def test_antiparallel_exceeds_parallel():
     for e_ev in (1.0, 5.0, 100.0):
         ctx = _ctx(e_ev)
         assert entropy_antiparallel(ctx).S > entropy_parallel(ctx).S
-
-
-def test_distinguishable_is_bare_spinless_detection():
-    # spin-filtered pairs carry no exchange bit and see the direct weights
-    # on the full shell: numerically identical to the spinless sum
-    ctx = _ctx()
-    assert entropy_distinguishable(ctx) == \
-        shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
 
 
 def test_explicit_grid_override():
