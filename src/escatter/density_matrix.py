@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -49,18 +48,13 @@ from scipy.special import i0e
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import channel_domain
+from .geometry import _gl_doubling, channel_domain
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
 _BAND_SIGMAS = 45.0
 # Gaussian window half-width for the q'' quadrature; exp(-40^2/2) ~ 1e-348.
 _WINDOW_SIGMAS = 40.0
-
-_GL_START = 64
-_GL_MAX = 4096
-_GL_RTOL = 1e-9
-_gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 # J(mu) table: Chebyshev nodes per panel, the relative error every panel
 # must meet against direct J, and the most panel fits one build may make.
@@ -101,27 +95,16 @@ def _kernel_j(mu: float, ctx: ScatterContext) -> float:
     shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
     bessel_scale = mu / sig2
 
-    prev = None
-    n = _GL_START
-    while n <= _GL_MAX:
-        x, w = _gl_nodes(n)
+    def rule(x, w):
         # q'' - mu from the node offsets, not as a difference of nearby
         # floats: with mu >> sigma_k, rounding q'' to ulp(mu) would put
         # noise of ulp(mu)/sigma_k into every exponent
         t = shift + half * x
         qq = mu + t
-        expo = -(t * t) / (2.0 * sig2)
-        vals = qq ** (-3.0) * i0e(bessel_scale * qq) * np.exp(expo)
-        est = half * float(np.dot(w, vals))
-        if not math.isfinite(est):
-            raise NumericalError(
-                f"kernel integral overflowed at mu={mu!r} "
-                f"(max exponent {float(np.max(expo))!r})")
-        if prev is not None and abs(est - prev) <= _GL_RTOL * max(abs(est), 1e-300):
-            return est
-        prev = est
-        n *= 2
-    raise NumericalError(f"kernel integral did not converge at mu={mu!r}")
+        vals = qq ** (-3.0) * i0e(bessel_scale * qq) * np.exp(-(t * t) / (2.0 * sig2))
+        return half * float(np.dot(w, vals))
+
+    return _gl_doubling(rule, f"kernel integral J(mu={mu!r})")
 
 
 def kernel_element(q: float, q_prime: float, ctx: ScatterContext) -> float:

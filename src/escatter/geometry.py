@@ -1,4 +1,5 @@
-"""Detector discretizations and per-cell probability integrals.
+"""Detector discretizations, per-cell probability integrals and the
+package's one quadrature rule.
 
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
@@ -20,6 +21,9 @@ Near the equator A(u) suffers catastrophic cancellation, so it is
 evaluated there by its odd series A(u) = -sum_k (8k/(2k+1)) u^(2k+1).
 Differences of s across a cell are formed with the product identity
 sin^2(b) - sin^2(a) = sin(a+b) sin(b-a), never by direct subtraction.
+
+:func:`_gl_doubling` is the one quadrature rule of the package: the
+meridian kernel J(mu) and the continuous-limit entropies both use it.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
+from .errors import NumericalError
 from .kinematics import ScatterContext
 
 #: Default number of cells per chunk when streaming very large grids.
@@ -41,6 +47,33 @@ CHUNK_CELLS = 1 << 20
 #: so that a whole number of cells up to rounding keeps its last cell.
 #: Above about 2**24 cells it is below half an ulp and has no effect.
 _DIVISION_SLACK = 1e-9
+
+
+_GL_START = 64
+_GL_MAX = 4096
+_GL_RTOL = 1e-9
+_gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
+
+
+def _gl_doubling(rule: Callable[[np.ndarray, np.ndarray], float],
+                 what: str) -> float:
+    """Gauss-Legendre doubling: ``rule(x, w)`` is the integral's estimate
+    from the n-point nodes x and weights w on [-1, 1].  n starts at 64 and
+    doubles until two successive estimates agree to 1e-9 relative; a
+    non-finite estimate, or no agreement by 4096 nodes, raises
+    :class:`NumericalError` naming ``what``."""
+    prev = None
+    n = _GL_START
+    while n <= _GL_MAX:
+        est = rule(*_gl_nodes(n))
+        if not math.isfinite(est):
+            raise NumericalError(f"{what} is {est!r} with {n} GL nodes")
+        if prev is not None and abs(est - prev) <= _GL_RTOL * max(abs(est), 1e-300):
+            return est
+        prev = est
+        n *= 2
+    raise NumericalError(
+        f"{what} did not converge to {_GL_RTOL:g} relative with {_GL_MAX} GL nodes")
 
 
 class GridKind(Enum):

@@ -105,12 +105,9 @@ class ScatterContext:
         Total CM kinetic energy of the pair, Hartree.
     K : float
         Wave number, inverse Bohr radii.
-    L : float
-        Wave-packet extension (L = 2 sigma), Bohr radii.
-    sigma : float
-        Real-space packet standard deviation, Bohr radii.
     sigma_k : float
-        Momentum-space standard deviation, sigma_k = 1/(2 sigma) = 1/L.
+        Momentum-space standard deviation, sigma_k = 1/L for a packet of
+        extension L (twice its real-space standard deviation).
     b_bar : float
         Limiting impact parameter, b_bar = L / sqrt(2), Bohr radii.
     epsilon : float
@@ -121,8 +118,6 @@ class ScatterContext:
 
     E_total_cm: float
     K: float
-    L: float
-    sigma: float
     sigma_k: float
     b_bar: float
     epsilon: float
@@ -148,7 +143,6 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     e_ha = ev_to_hartree(e_ev)
     length = nm_to_bohr(l_nm)
     k = wave_number(e_ha, k_scale)
-    sigma = 0.5 * length
     sigma_k = 1.0 / length
     b_bar = length / math.sqrt(2.0)
     eps = min_scattering_angle(e_ha, b_bar)
@@ -156,8 +150,6 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     return ScatterContext(
         E_total_cm=e_ha,
         K=k,
-        L=length,
-        sigma=sigma,
         sigma_k=sigma_k,
         b_bar=b_bar,
         epsilon=eps,

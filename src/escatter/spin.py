@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .amplitudes import SpinChannel
-from .entropy import _resolve_grid, _stream_weight_entropy
-from .geometry import AngularGrid, range_grid_below
+from .entropy import _stream_weight_entropy
+from .geometry import AngularGrid, range_grid_below, ring_grid
 from .kinematics import ScatterContext
 
 
@@ -39,12 +39,11 @@ class SpinEntropyResult:
     S_modified: float
 
 
-def _channel_entropy(ctx: ScatterContext, channel: SpinChannel,
-                     grid: AngularGrid | None,
-                     n_cells: int | None) -> SpinEntropyResult:
-    """S = 1 + H_detection for an indistinguishable spin channel."""
-    if grid is None:
-        grid = _resolve_grid(ctx, channel, n_cells)
+def _channel_entropy(ctx: ScatterContext,
+                     channel: SpinChannel) -> SpinEntropyResult:
+    """S = 1 + H_detection for an indistinguishable spin channel on its
+    native ring grid."""
+    grid = ring_grid(ctx, channel)
     h, z = _stream_weight_entropy(grid, ctx.K, channel)
     if z <= 0.0:
         raise ValueError(f"all {channel.value}-channel cell weights are zero")
@@ -52,26 +51,24 @@ def _channel_entropy(ctx: ScatterContext, channel: SpinChannel,
                              S_modified=h)
 
 
-def entropy_parallel(ctx: ScatterContext, grid: AngularGrid | None = None,
-                     *, n_cells: int | None = None) -> SpinEntropyResult:
+def entropy_parallel(ctx: ScatterContext) -> SpinEntropyResult:
     """Full spin-state entropy for parallel spins: S = 1 + H_detection.
 
     The normalized per-cell amplitudes c_i satisfy sum 2|c_i|^2 = 1, so
     -sum 2|c_i|^2 log2 |c_i|^2 = 1 + H(w) with w the normalized cell
     weights; the identity is used directly.
     """
-    return _channel_entropy(ctx, SpinChannel.PARALLEL, grid, n_cells)
+    return _channel_entropy(ctx, SpinChannel.PARALLEL)
 
 
-def entropy_antiparallel(ctx: ScatterContext, grid: AngularGrid | None = None,
-                         *, n_cells: int | None = None) -> SpinEntropyResult:
+def entropy_antiparallel(ctx: ScatterContext) -> SpinEntropyResult:
     """Full spin-state entropy for antiparallel spins.
 
     Each cell contributes two outcomes (direct and exchange spin
     patterns) with weights |f|^2 and |g|^2, jointly normalized, so
     H_detection runs over 2 N weights and S = 1 + H_detection.
     """
-    return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL, grid, n_cells)
+    return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL)
 
 
 @dataclass(frozen=True)

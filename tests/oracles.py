@@ -26,6 +26,12 @@ Each oracle recomputes a quantity through a route that shares no code
   antiparallel-parallel detection-entropy gap on a band below the
   equator, from adaptive quadrature of the closed-form channel densities
   instead of per-cell sums.
+* ``continuous_limit_oracle`` is the continuous-limit (n -> infinity)
+  ring or sphere entropy of a channel, from adaptive quadrature in
+  u = ln(theta) with a breakpoint at every octave of theta and the
+  channel densities written out in closed form.  It referees
+  ``escatter.entropy``'s Gauss-Legendre panels, which share neither the
+  variable, the rule nor the density code.
 """
 
 from __future__ import annotations
@@ -272,3 +278,68 @@ def postselect_gap_oracle(T: float) -> float:
         return math.sin(theta) / math.cos(0.5 * theta) ** 4
 
     return entropy_bits((direct, exchange)) - entropy_bits((parallel,))
+
+
+def continuous_limit_oracle(ctx, channel: str, form: str,
+                            n_cells: int | None = None) -> float:
+    """Continuous-limit entropy (bits) of one channel's detection density.
+
+    ``channel`` is "spinless", "parallel" or "antiparallel"; ``form`` is
+    "ring" (S = -int P log2(Lambda P) dtheta + log2 n_cells, Lambda the
+    domain length) or "sphere" (S = -int P log2(Omega_0 P / (2 pi sin
+    theta)) dtheta + log2 M, Omega_0 the domain's solid angle and
+    M = floor(Omega_0 / dtheta^2) its pixel count).  P is the normalized
+    1-D density: f^2 sin(theta) for spinless, 16 cos^2(theta) / sin^3(theta)
+    for parallel, and the two branches f^2 sin(theta), g^2 sin(theta)
+    normalized jointly for antiparallel, with f = 1/sin^2(theta/2) and
+    g = 1/cos^2(theta/2) (common factors cancel on normalization).
+    Each integral is taken in u = ln(theta), theta = e^u, one adaptive
+    quad per octave [lo 2^k, lo 2^(k+1)] of the domain [lo, hi].
+    """
+    lo = ctx.epsilon
+    hi = math.pi - lo if channel == "spinless" else 0.5 * math.pi
+
+    def direct(theta: float) -> float:
+        return math.sin(theta) / math.sin(0.5 * theta) ** 4
+
+    def exchange(theta: float) -> float:
+        return math.sin(theta) / math.cos(0.5 * theta) ** 4
+
+    def parallel(theta: float) -> float:
+        return 16.0 * math.cos(theta) ** 2 / math.sin(theta) ** 3
+
+    densities = {"spinless": (direct,), "parallel": (parallel,),
+                 "antiparallel": (direct, exchange)}[channel]
+    if form == "ring":
+        def scale(theta: float) -> float:
+            return hi - lo
+        log2_count = math.log2(n_cells)
+    else:
+        omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+
+        def scale(theta: float) -> float:
+            return omega0 / (2.0 * math.pi * math.sin(theta))
+        log2_count = math.log2(math.floor(omega0 / ctx.delta_theta ** 2))
+
+    octaves = [math.log(lo) + k * math.log(2.0)
+               for k in range(int(math.log2(hi / lo)) + 1)]
+    octaves = [u for u in octaves if u < math.log(hi)] + [math.log(hi)]
+
+    def integral(fn) -> float:
+        # int fn(theta) dtheta = int fn(e^u) e^u du, octave by octave
+        return math.fsum(
+            quad(lambda u: fn(math.exp(u)) * math.exp(u), a, b,
+                 epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for a, b in zip(octaves[:-1], octaves[1:]))
+
+    z = integral(lambda theta: sum(d(theta) for d in densities))
+
+    def p_log2_scaled_p(theta: float) -> float:
+        total = 0.0
+        for d in densities:
+            p = d(theta) / z
+            if p > 0.0:
+                total += p * math.log2(scale(theta) * p)
+        return total
+
+    return -integral(p_log2_scaled_p) + log2_count

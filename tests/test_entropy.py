@@ -22,7 +22,7 @@ from escatter.cli import main
 from escatter.errors import NumericalError
 from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integrals
 
-from oracles import CALIBRATED_KSCALE
+from oracles import CALIBRATED_KSCALE, continuous_limit_oracle
 
 K_FLAGS = ["--k-scale", repr(CALIBRATED_KSCALE), "--threads", "1"]
 
@@ -217,6 +217,32 @@ def test_sphere_jaynes_matches_discrete_when_valid():
     d = shannon_sphere_discrete(ctx)
     j = shannon_sphere_jaynes(ctx)
     assert j == pytest.approx(d, abs=0.05)
+
+
+# 1 keV and 10 keV with a 50 um packet put the cutoff at epsilon ~ 4e-8 and
+# 4e-9 rad, nine octaves below any fixed breakpoint list scaled by 1000;
+# 1 eV / 50 nm is the validity regime of the tests above
+@pytest.mark.parametrize("e_ev, l_nm", [(1e3, 5e4), (1e4, 5e4), (1.0, 50.0)])
+@pytest.mark.parametrize("channel", list(SpinChannel), ids=lambda c: c.value)
+def test_continuous_limit_matches_oracle(e_ev, l_nm, channel):
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    ring = continuous_limit_oracle(ctx, channel.value, "ring", n_cells=10_000)
+    sphere = continuous_limit_oracle(ctx, channel.value, "sphere")
+    assert abs(shannon_ring_jaynes(ctx, channel, n_cells=10_000) - ring) <= 1e-9
+    assert abs(shannon_sphere_jaynes(ctx, channel) - sphere) <= 1e-9
+
+
+@pytest.mark.parametrize("e_ev, channel, form, reference", [
+    (1e3, "spinless", "ring", -11.749132620018038),
+    (1e4, "spinless", "ring", -15.07106074857157),
+    (1e3, "parallel", "ring", -10.749132620019102),
+    (1e3, "parallel", "sphere", -0.662759523986506),
+])
+def test_continuous_limit_oracle_matches_mpmath(e_ev, channel, form, reference):
+    # references from mpmath at 30 digits, 50 um packet, k-scale sqrt 2
+    ctx = make_context(e_ev, 5e4, CALIBRATED_KSCALE)
+    assert continuous_limit_oracle(ctx, channel, form, n_cells=10_000) == \
+        pytest.approx(reference, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,12 @@ def test_min_angle_monotone_in_energy(log_e):
 
 def test_context_invariants():
     ctx = make_context(1.0, 100.0)
-    assert ctx.K > 0 and ctx.L > 0
+    length = nm_to_bohr(100.0)
+    assert ctx.K > 0
     assert 0 < ctx.epsilon < math.pi / 2
-    assert ctx.sigma_k == pytest.approx(1.0 / (2.0 * ctx.sigma), rel=1e-15)
-    assert ctx.sigma_k == pytest.approx(1.0 / ctx.L, rel=1e-15)
-    assert ctx.b_bar == pytest.approx(ctx.L / math.sqrt(2.0), rel=1e-15)
-    assert ctx.delta_theta == pytest.approx(2.0 / (ctx.K * ctx.L), rel=1e-15)
+    assert ctx.sigma_k == pytest.approx(1.0 / length, rel=1e-15)
+    assert ctx.b_bar == pytest.approx(length / math.sqrt(2.0), rel=1e-15)
+    assert ctx.delta_theta == pytest.approx(2.0 / (ctx.K * length), rel=1e-15)
     # each field recomputed independently
     assert ctx.E_total_cm == pytest.approx(1.0 / HARTREE_EV, rel=1e-14)
     assert ctx.K == pytest.approx(math.sqrt(ctx.E_total_cm), rel=1e-14)

@@ -9,7 +9,6 @@ from escatter import (
     equator_entropies,
     make_context,
     postselect_entropies,
-    uniform_grid,
 )
 
 from oracles import CALIBRATED_KSCALE
@@ -41,15 +40,6 @@ def test_antiparallel_exceeds_parallel():
     for e_ev in (1.0, 5.0, 100.0):
         ctx = _ctx(e_ev)
         assert entropy_antiparallel(ctx).S > entropy_parallel(ctx).S
-
-
-def test_explicit_grid_override():
-    ctx = _ctx()
-    grid = uniform_grid(ctx.epsilon, math.pi / 2.0, 500)
-    by_grid = entropy_parallel(ctx, grid)
-    by_count = entropy_parallel(ctx, n_cells=500)
-    assert by_grid.grid is grid
-    assert by_grid.S == by_count.S
 
 
 # ---------------------------------------------------------------------------
