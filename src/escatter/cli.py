@@ -466,7 +466,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="escatter-entropy",
         description="Entropy tables for electron-electron Coulomb scattering: "
-                    "discrete/continuous Shannon sweeps, spin channels, "
+                    "discrete Shannon sweeps, spin channels, "
                     "post-selection and von Neumann comparisons.",
         epilog="Columns per command: " + "; ".join(
             f"{name} -> {', '.join(table.columns)}"

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import i0e
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
@@ -91,6 +90,10 @@ def _kernel_j(mu: float, ctx: ScatterContext) -> float:
     hi = min(2.0 * ctx.K, mu + _WINDOW_SIGMAS * ctx.sigma_k)
     if hi <= lo:
         return 0.0
+    # imported here: only vn-compare needs it, and it doubles the CLI's
+    # import time
+    from scipy.special import i0e
+
     half = 0.5 * (hi - lo)
     shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
     bessel_scale = mu / sig2

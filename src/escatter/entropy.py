@@ -3,9 +3,11 @@ continuous-limit evaluation for astronomically many pixels.
 
 Two evaluation styles coexist:
 
-* the *discrete* sums walk every ring cell (streamed in chunks, so grids
-  with 10^7+ cells stay cheap) and are exact for the given detector
-  layout;
+* the *discrete* sums are the entropies of the given detector layout.
+  They sum the first and last 4096 cells exactly and the cells between
+  them by the midpoint Euler-Maclaurin formula, which agrees with the
+  sum over every cell to 1e-13 bits; the cost is the same few thousand
+  cell evaluations for 10^4 cells or 10^10;
 * the *continuous-limit* forms split the entropy into an integral plus
   ``log2(n_detectors)``.  They are the n -> infinity limit of the sums
   and are accurate once the cell width is small compared to the cutoff
@@ -16,11 +18,11 @@ Two evaluation styles coexist:
   distance from the forward peak and grids with epsilon ~ 1e-9 rad need
   only about thirty panels.
 
-All discrete sums go through one streamed reducer.  For the per-pixel
-sphere entropy it never enumerates pixels: a ring at polar angle theta
-holds m = 2 pi sin(theta)/dtheta equally probable pixels, so the sum
-runs over rings with a multiplicity factor and remains O(#rings) even
-for 10^9+ pixels.
+All discrete sums go through one reducer.  For the per-pixel sphere
+entropy it never enumerates pixels: a ring at polar angle theta holds
+m = 2 pi sin(theta)/dtheta equally probable pixels, so the sum runs over
+rings with a multiplicity factor, and w ln(w / m) is as smooth in the
+ring index as w ln w.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .geometry import (
     AngularGrid,
     GridKind,
     _gl_doubling,
+    _gl_nodes,
     channel_cell_integrals,
     channel_domain,
     direct_exchange_cell_integrals,
@@ -71,12 +74,92 @@ def shannon_discrete(p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# streamed discrete sums
+# discrete sums in O(1): exact ends, Euler-Maclaurin middle
 # ---------------------------------------------------------------------------
+
+#: cells summed exactly at each end of a grid; a grid of at most twice as
+#: many cells is summed exactly throughout
+_EXACT_END_CELLS = 4096
+#: width ratio of neighbouring Gauss-Legendre panels, which grow
+#: geometrically from both ends of the Euler-Maclaurin middle
+_PANEL_RATIO = 1.25
+#: Gauss-Legendre nodes per panel
+_PANEL_NODES = 32
+
+
+def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
+                x: np.ndarray) -> np.ndarray:
+    """Rows (w, w ln w) for the cells at (possibly fractional) indices x,
+    each summed over the channel's branches.  On a SPHERE_PIXELS grid the
+    second row is w ln(w / m), m = ring_weight(centre).  Both rows are
+    smooth in x, which is what lets the middle of a grid be summed by
+    Euler-Maclaurin."""
+    mid = grid.centres(x)
+    hw = 0.5 * grid.delta_theta
+    if channel is SpinChannel.ANTIPARALLEL:
+        branches = direct_exchange_cell_integrals(mid, hw, K)
+    else:
+        branches = (channel_cell_integrals(mid, hw, K, channel),)
+    m = (ring_weight(mid, grid.delta_theta)
+         if grid.kind is GridKind.SPHERE_PIXELS else 1.0)
+    terms = np.zeros((2, len(mid)))
+    for w in branches:
+        keep = w > 0.0
+        # w > 0 also drops NaN and -inf: look at what it dropped (an inf
+        # weight is kept and makes the entropy below non-finite)
+        bad = ~keep & ~np.isfinite(w)
+        if bad.any():
+            raise NumericalError(
+                f"non-finite cell weight in the {channel.value} channel "
+                f"at theta = {float(mid[bad][0])!r}")
+        wk = np.where(keep, w, 1.0)
+        terms[0] += np.where(keep, w, 0.0)
+        terms[1] += np.where(keep, wk * np.log(wk / m), 0.0)
+    return terms
+
+
+def _euler_maclaurin_sum(f, a: float, b: float) -> np.ndarray:
+    """Sum of f over the integers in (a, b), for half-integers a < b and
+    an f whose singularities lie at least _EXACT_END_CELLS from [a, b]:
+
+        int_a^b f dx - [f']_a^b / 24 + 7 [f''']_a^b / 5760
+
+    (midpoint Euler-Maclaurin, Abramowitz & Stegun 23.1.30; the first
+    term left out, 31 [f^(5)] / 967680, is of relative order
+    _EXACT_END_CELLS^-6).  The integral runs on Gauss-Legendre panels
+    that grow from both ends by _PANEL_RATIO, the first one a quarter of
+    _EXACT_END_CELLS wide; the endpoint derivatives are five-point
+    central differences one cell apart.  ``f`` maps an array of points to
+    rows of values, and is called once."""
+    half = 0.5 * (b - a)
+    steps = math.ceil(math.log1p(half / _EXACT_END_CELLS)
+                      / math.log(_PANEL_RATIO))
+    offsets = _EXACT_END_CELLS * (_PANEL_RATIO ** np.arange(steps + 1) - 1.0)
+    offsets = np.append(offsets[offsets < half], half)
+    edges = np.concatenate([a + offsets, (b - offsets)[-2::-1]])
+    centre = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    width = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes, weights = _gl_nodes(_PANEL_NODES)
+    stencil = np.array([-2.0, -1.0, 1.0, 2.0])
+    values = f(np.concatenate([(centre + width * nodes).ravel(),
+                               a + stencil, b + stencil]))
+    n_gl = centre.size * _PANEL_NODES
+    integral = values[:, :n_gl] @ (width * weights).ravel()
+
+    def d1_d3(v):
+        # f' and f''' from f at x - 2, x - 1, x + 1, x + 2
+        m2, m1, p1, p2 = v.T
+        return ((m2 - 8.0 * m1 + 8.0 * p1 - p2) / 12.0,
+                (-m2 + 2.0 * m1 - 2.0 * p1 + p2) / 2.0)
+
+    d1a, d3a = d1_d3(values[:, n_gl:n_gl + 4])
+    d1b, d3b = d1_d3(values[:, n_gl + 4:])
+    return integral - (d1b - d1a) / 24.0 + 7.0 * (d3b - d3a) / 5760.0
+
 
 def _stream_weight_entropy(grid: AngularGrid, K: float,
                            channel: SpinChannel) -> tuple[float, float]:
-    """Accumulate (H_bits, Z) of the normalized detection distribution.
+    """(H_bits, Z) of the normalized detection distribution on a grid.
 
     For ANTIPARALLEL the detection outcomes split per cell into a direct
     and an exchange branch (the two distinguishable spin patterns), so the
@@ -84,30 +167,23 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     ring cell splits into m = ring_weight(center) equally probable pixels,
     so a ring of weight w contributes w ln(w / m) instead of w ln w.
 
-    Uses H(w/Z) = ln(Z)/ln2 - (sum w ln w) / (Z ln2), accumulated in fixed
-    chunk order for bit-reproducibility.
+    Uses H(w/Z) = ln(Z)/ln2 - T / (Z ln2), Z = sum w and T = sum w ln w.
+    The first and last _EXACT_END_CELLS cells are summed exactly, the
+    cells between them by :func:`_euler_maclaurin_sum`, so the cost does
+    not grow with the number of cells.
     """
-    sphere = grid.kind is GridKind.SPHERE_PIXELS
-    z = 0.0
-    t = 0.0  # sum of w * ln(w), or of w * ln(w / m) on the sphere
-    for edges in grid.iter_edge_chunks():
-        if sphere:
-            m = ring_weight(0.5 * (edges[:-1] + edges[1:]), grid.delta_theta)
-        if channel is SpinChannel.ANTIPARALLEL:
-            branches = direct_exchange_cell_integrals(edges, K)
-        else:
-            branches = (channel_cell_integrals(edges, K, channel),)
-        for w in branches:
-            keep = w > 0.0
-            # w > 0 also drops NaN and -inf: look at what it dropped (an
-            # inf weight is kept and makes the entropy below non-finite)
-            if not keep.all() and not np.isfinite(w[~keep]).all():
-                raise NumericalError(
-                    f"non-finite cell weight in the {channel.value} chunk "
-                    f"starting at theta = {float(edges[0])!r}")
-            wk = w[keep]
-            z += float(wk.sum())
-            t += float((wk * np.log(wk / m[keep] if sphere else wk)).sum())
+    def terms(x):
+        return _cell_terms(grid, K, channel, x)
+
+    n = grid.n_cells
+    if n <= 2 * _EXACT_END_CELLS:
+        z, t = terms(np.arange(n)).sum(axis=1)
+    else:
+        ends = np.concatenate([np.arange(_EXACT_END_CELLS),
+                               np.arange(n - _EXACT_END_CELLS, n)])
+        z, t = terms(ends).sum(axis=1) + _euler_maclaurin_sum(
+            terms, _EXACT_END_CELLS - 0.5, n - _EXACT_END_CELLS - 0.5)
+    z, t = float(z), float(t)
     if z <= 0.0:
         return 0.0, 0.0
     h = (math.log(z) - t / z) / _LN2
@@ -128,8 +204,7 @@ def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
 
 def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
                           n_cells: int | None = None) -> float:
-    """Discrete detection entropy (bits) over ring cells (streamed, exact
-    sums).
+    """Discrete detection entropy (bits) over ring cells.
 
     This is the entropy of *which detector fires* (and, for ANTIPARALLEL,
     which spin pattern it sees); the extra exchange bit of the
@@ -148,7 +223,7 @@ def shannon_sphere_discrete(ctx: ScatterContext,
     A polar ring of width dtheta at angle theta splits into
     m(theta) = 2 pi sin(theta)/dtheta equal pixels, so
     S = -sum_rings P_ring log2(P_ring / m) without ever enumerating
-    pixels.  Exact for the discretized sphere at any energy.
+    pixels.  The entropy of the discretized sphere at any energy.
     """
     grid = _resolve_grid(ctx, channel, n_cells, kind=GridKind.SPHERE_PIXELS)
     return _stream_weight_entropy(grid, ctx.K, channel)[0]

@@ -4,26 +4,34 @@ package's one quadrature rule.
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
 (:func:`direct_exchange_cell_integrals`, :func:`parallel_cell_integrals`),
-exact to rounding and usable for tens of millions of cells.  The test
-suite referees them cell by cell against an independent Gauss-Legendre
-quadrature of the channel density in ``tests/oracles.py``.
+exact to rounding and usable at any (even fractional) cell index.  Each
+cell is given by its centre and half-width, never by two rounded edges:
+b - a formed from edges near theta carries an error of ulp(theta), which
+is 1e-9 of a 2.5e-7 rad cell, and it would make a cell's weight a noisy
+function of its index.  The test suite referees the closed forms against
+Gauss-Legendre quadrature and mpmath in ``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
 d(s)/d(theta) = sin(theta)/2 and the densities become rational in s:
 
     integral f^2 sin dtheta            = (1/(8 K^4)) * [-1/s]
     integral g^2 sin dtheta            = (1/(8 K^4)) * [ 1/(1-s)]
-    integral f g sin dtheta            = (1/(8 K^4)) * [ln(s/(1-s))]
     integral (f-g)^2 sin dtheta        = (1/(8 K^4)) * [A(u)],  u = cos(theta)
         with A(u) = 4*(atanh(u) - u/(1-u^2))
 
-Near the equator A(u) suffers catastrophic cancellation, so it is
-evaluated there by its odd series A(u) = -sum_k (8k/(2k+1)) u^(2k+1).
-Differences of s across a cell are formed with the product identity
-sin^2(b) - sin^2(a) = sin(a+b) sin(b-a), never by direct subtraction.
+No difference of two antiderivative values is ever formed.  For a cell
+[a, b] = [mid - hw, mid + hw], s_b - s_a = sin(mid) sin(hw), and with
+d = u_b - u_a = -2 sin(mid) sin(hw) and y = d / (1 - u_a u_b), where
+1 - u_a u_b = sin^2(hw) + sin^2(mid),
+
+    (A(u_b) - A(u_a)) / 4 = [atanh(y) - y] - y (cot^2 a + cot^2 b),
+
+whose bracket is taken from its series for small |y|.  Every piece keeps
+its relative accuracy at the equator, where A itself cancels.
 
 :func:`_gl_doubling` is the one quadrature rule of the package: the
-meridian kernel J(mu) and the continuous-limit entropies both use it.
+meridian kernel J(mu), the continuous-limit entropies and the
+Euler-Maclaurin ring sums of ``escatter.entropy`` use its nodes.
 """
 
 from __future__ import annotations
@@ -32,16 +40,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
 from .errors import NumericalError
 from .kinematics import ScatterContext
-
-#: Default number of cells per chunk when streaming very large grids.
-CHUNK_CELLS = 1 << 20
 
 #: Absolute slack, 1e-9 of one cell, added to a cell count before flooring
 #: so that a whole number of cells up to rounding keeps its last cell.
@@ -103,25 +108,11 @@ class AngularGrid:
         if not self.theta_lo < self.theta_hi:
             raise ValueError("grid domain is empty (theta_lo >= theta_hi)")
 
-    def edges(self, i0: int = 0, i1: int | None = None) -> np.ndarray:
-        """Cell edges from cell ``i0`` up to cell ``i1`` (exclusive)."""
-        if i1 is None:
-            i1 = self.n_cells
-        idx = np.arange(i0, i1 + 1, dtype=float)
-        return self.theta_lo + idx * self.delta_theta
-
-    def iter_edge_chunks(self, chunk_cells: int = CHUNK_CELLS) -> Iterator[np.ndarray]:
-        """Yield edge arrays covering consecutive runs of cells.
-
-        Each yielded array holds ``m + 1`` edges for ``m`` cells; the runs
-        tile the grid in order, so streaming consumers stay O(chunk) in
-        memory even for grids with tens of millions of cells.
-        """
-        i0 = 0
-        while i0 < self.n_cells:
-            i1 = min(i0 + chunk_cells, self.n_cells)
-            yield self.edges(i0, i1)
-            i0 = i1
+    def centres(self, x) -> np.ndarray:
+        """Centres theta_lo + (x + 1/2) delta_theta of the cells at
+        indices ``x``; a fractional index is a point between cell centres,
+        where the cell integrals are smooth functions of x."""
+        return self.theta_lo + (np.asarray(x, dtype=float) + 0.5) * self.delta_theta
 
 
 def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, float]:
@@ -210,82 +201,65 @@ def ring_weight(theta_i: float | np.ndarray,
 # closed-form cell integrals
 # ---------------------------------------------------------------------------
 
-def _half_angle_s(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sin^2(theta/2), cos^2(theta/2)) per edge, each computed
-    directly so both stay relatively accurate near their zeros."""
-    half = 0.5 * edges
+def _half_angle_s(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (sin^2(theta/2), cos^2(theta/2)), each computed directly so
+    both stay relatively accurate near their zeros."""
+    half = 0.5 * theta
     sh = np.sin(half)
     ch = np.cos(half)
     return sh * sh, ch * ch
 
 
-def _ds(edges: np.ndarray) -> np.ndarray:
-    """s(theta_hi) - s(theta_lo) per cell via the product identity
-    sin^2(b) - sin^2(a) = sin(a+b) sin(b-a) (no cancellation)."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    return np.sin(mid) * np.sin(hw)
-
-
-def direct_exchange_cell_integrals(edges: np.ndarray, K: float
+def direct_exchange_cell_integrals(mid, hw, K: float
                                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (2 pi * integral f^2 sin, 2 pi * integral g^2 sin)."""
-    s, cs = _half_angle_s(edges)
-    ds = _ds(edges)
+    """Per-cell (2 pi * integral f^2 sin, 2 pi * integral g^2 sin) over the
+    cells [mid - hw, mid + hw]."""
+    s_a, c_a = _half_angle_s(mid - hw)
+    s_b, c_b = _half_angle_s(mid + hw)
+    ds = np.sin(mid) * np.sin(hw)  # s_b - s_a, without cancellation
     c = math.pi / (4.0 * K ** 4)
-    F = c * ds / (s[:-1] * s[1:])
-    G = c * ds / (cs[:-1] * cs[1:])
-    return F, G
+    return c * ds / (s_a * s_b), c * ds / (c_a * c_b)
 
 
-#: series switch point for A(u); below this |u| the closed form cancels.
-_A_SERIES_CUT = 0.1
+#: below this |y| atanh(y) - y is summed from its series, which reaches
+#: full precision in fourteen terms; above it atanh(y) - y loses at most
+#: a factor 3 / y^2 = 48 of its relative accuracy
+_ATANH_SERIES_CUT = 0.25
 
 
-def _a_antideriv(edges: np.ndarray) -> np.ndarray:
-    """A(u(theta)) per edge, where A is the antiderivative (in s) of
-    (f-g)^2 sin(theta) stripped of the 1/(8 K^4) prefactor."""
-    s, cs = _half_angle_s(edges)
-    u = np.cos(edges)
-    out = np.empty_like(u)
-
-    small = np.abs(u) < _A_SERIES_CUT
-    if np.any(small):
-        us = u[small]
-        u2 = us * us
-        acc = np.zeros_like(us)
-        # A(u) = -sum_{k>=1} (8k / (2k+1)) u^(2k+1); |u| < 0.1 converges
-        # to full precision within ten terms.
-        upow = us * u2
-        for k in range(1, 11):
-            acc -= (8.0 * k / (2.0 * k + 1.0)) * upow
-            upow = upow * u2
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        # 4*atanh(u) - u/(s*(1-s)); atanh via the half-angle pieces so the
-        # edges near the forward/backward singularities keep relative
-        # accuracy (1 -/+ u would lose it).
-        at = 0.5 * np.log(cs[big] / s[big])
-        out[big] = 4.0 * at - u[big] / (s[big] * cs[big])
-    return out
+def _atanh_minus_identity(y: np.ndarray) -> np.ndarray:
+    """atanh(y) - y = sum_{k>=1} y^(2k+1) / (2k+1), without cancellation."""
+    y2 = y * y
+    series = np.zeros_like(y2)
+    for k in range(14, 0, -1):  # Horner in y^2
+        series = y2 * (1.0 / (2 * k + 1) + series)
+    return np.where(np.abs(y) < _ATANH_SERIES_CUT, y * series, np.arctanh(y) - y)
 
 
-def parallel_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
-    """Per-cell 2 pi * integral (f-g)^2 sin dtheta, stable at the equator."""
-    a = _a_antideriv(edges)
+def parallel_cell_integrals(mid, hw, K: float) -> np.ndarray:
+    """Per-cell 2 pi * integral (f-g)^2 sin dtheta over the cells
+    [mid - hw, mid + hw], to rounding everywhere, the equator included."""
+    sm, cm = np.sin(mid), np.cos(mid)
+    sh, ch = np.sin(hw), np.cos(hw)
+    # cos and sin of a = mid - hw and b = mid + hw by the addition
+    # theorems, so cos stays relatively accurate at pi/2
+    u_a, u_b = cm * ch + sm * sh, cm * ch - sm * sh
+    sin_a, sin_b = sm * ch - cm * sh, sm * ch + cm * sh
+    y = -2.0 * sm * sh / (sh * sh + sm * sm)
+    cot2 = (u_a / sin_a) ** 2 + (u_b / sin_b) ** 2
     c = math.pi / (4.0 * K ** 4)
-    return c * (a[1:] - a[:-1])
+    return 4.0 * c * (_atanh_minus_identity(y) - y * cot2)
 
 
-def channel_cell_integrals(edges: np.ndarray, K: float,
+def channel_cell_integrals(mid, hw, K: float,
                            channel: SpinChannel) -> np.ndarray:
-    """Per-cell 2 pi * integral p(theta) sin(theta) dtheta for one channel."""
+    """Per-cell 2 pi * integral p(theta) sin(theta) dtheta for one channel
+    over the cells [mid - hw, mid + hw]."""
     if channel is SpinChannel.SPINLESS:
-        return direct_exchange_cell_integrals(edges, K)[0]
+        return direct_exchange_cell_integrals(mid, hw, K)[0]
     if channel is SpinChannel.PARALLEL:
-        return parallel_cell_integrals(edges, K)
+        return parallel_cell_integrals(mid, hw, K)
     if channel is SpinChannel.ANTIPARALLEL:
-        F, G = direct_exchange_cell_integrals(edges, K)
+        F, G = direct_exchange_cell_integrals(mid, hw, K)
         return F + G
     raise ValueError(f"unknown spin channel: {channel!r}")

@@ -26,6 +26,18 @@ Each oracle recomputes a quantity through a route that shares no code
   antiparallel-parallel detection-entropy gap on a band below the
   equator, from adaptive quadrature of the closed-form channel densities
   instead of per-cell sums.
+* ``streamed_weight_entropy`` is the exact discrete detection entropy of
+  a grid: every cell's weight, in chunks of ``CHUNK_CELLS`` (the
+  package's reducer before it summed the middle of a grid by
+  Euler-Maclaurin).  It referees ``escatter.entropy``'s O(1) reducer on
+  the same cell weights.
+* ``parallel_cell_integral_mp`` and ``direct_exchange_cell_integrals_mp``
+  are the closed-form cell integrals at 50 digits in mpmath, as
+  differences of the antiderivatives on the exact cell [mid - hw,
+  mid + hw]; they referee the cancellation-free float forms.
+  ``telescoped_weight_mp`` is a grid's total weight the same way, from
+  its first and last edge: the cells tile that span, so their sum
+  telescopes.
 * ``continuous_limit_oracle`` is the continuous-limit (n -> infinity)
   ring or sphere entropy of a channel, from adaptive quadrature in
   u = ln(theta) with a breakpoint at every octave of theta and the
@@ -43,9 +55,15 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from escatter.amplitudes import differential_probability
+from escatter.amplitudes import SpinChannel, differential_probability
 from escatter.density_matrix import kernel_element
 from escatter.errors import NumericalError
+from escatter.geometry import (
+    GridKind,
+    channel_cell_integrals,
+    direct_exchange_cell_integrals,
+    ring_weight,
+)
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
@@ -91,6 +109,110 @@ def cell_probability(grid, i: int, ctx, channel) -> float:
             * np.sin(theta)
 
     return integrate_cell_gl(density, lo, hi)
+
+
+def grid_edges(grid, i0: int = 0, i1: int | None = None) -> np.ndarray:
+    """Edges theta_lo + i delta_theta of a grid's cells ``i0`` to ``i1``
+    (exclusive), for oracles that integrate between edges."""
+    if i1 is None:
+        i1 = grid.n_cells
+    return grid.theta_lo + np.arange(i0, i1 + 1, dtype=float) * grid.delta_theta
+
+
+def grid_cells(grid, i0: int = 0, i1: int | None = None):
+    """(centres, half-width) of a grid's cells ``i0`` to ``i1`` (exclusive),
+    the arguments of the ``escatter.geometry`` cell integrals."""
+    if i1 is None:
+        i1 = grid.n_cells
+    return grid.centres(np.arange(i0, i1)), 0.5 * grid.delta_theta
+
+
+#: cells per chunk of the streamed exact sum
+CHUNK_CELLS = 1 << 20
+
+
+def iter_cell_chunks(grid, chunk_cells: int = CHUNK_CELLS):
+    """Index arrays of consecutive runs of cells tiling the grid in order,
+    so a sum over tens of millions of cells stays O(chunk) in memory."""
+    for i0 in range(0, grid.n_cells, chunk_cells):
+        yield np.arange(i0, min(i0 + chunk_cells, grid.n_cells), dtype=float)
+
+
+def streamed_weight_entropy(grid, K: float, channel,
+                            chunk_cells: int = CHUNK_CELLS) -> tuple[float, float]:
+    """(H_bits, Z) of a grid's detection distribution from every cell's
+    weight, chunk by chunk: Z = sum w, T = sum w ln w (w ln(w / m) on a
+    SPHERE_PIXELS grid, m the pixels of the ring) and H = (ln Z - T / Z) /
+    ln 2.  Two outcomes per cell (direct, exchange) for ANTIPARALLEL."""
+    hw = 0.5 * grid.delta_theta
+    z = 0.0
+    t = 0.0
+    for x in iter_cell_chunks(grid, chunk_cells):
+        mid = grid.centres(x)
+        if channel is SpinChannel.ANTIPARALLEL:
+            branches = direct_exchange_cell_integrals(mid, hw, K)
+        else:
+            branches = (channel_cell_integrals(mid, hw, K, channel),)
+        m = (ring_weight(mid, grid.delta_theta)
+             if grid.kind is GridKind.SPHERE_PIXELS else np.ones_like(mid))
+        for w in branches:
+            keep = w > 0.0
+            z += float(w[keep].sum())
+            t += float((w[keep] * np.log(w[keep] / m[keep])).sum())
+    return (math.log(z) - t / z) / math.log(2.0), z
+
+
+def _mp_cell(mid: float, hw: float, K: float):
+    """Exact bounds a, b of the cell [mid - hw, mid + hw] and the prefactor
+    pi / (4 K^4), at the working precision."""
+    a = mpmath.mpf(mid) - mpmath.mpf(hw)
+    b = mpmath.mpf(mid) + mpmath.mpf(hw)
+    return a, b, mpmath.pi / (4 * mpmath.mpf(K) ** 4)
+
+
+def _antiderivatives_mp(a, b, K):
+    """pi / (4 K^4) times the differences over [a, b] of -1/s, 1/(1-s) and
+    A(u) = 4 (atanh u - u / (1 - u^2)), s = sin^2(theta/2), u = cos theta:
+    the direct, exchange and parallel weights of that span."""
+    c = mpmath.pi / (4 * mpmath.mpf(K) ** 4)
+    s_a, s_b = mpmath.sin(a / 2) ** 2, mpmath.sin(b / 2) ** 2
+
+    def A(u):
+        return 4 * (mpmath.atanh(u) - u / (1 - u * u))
+
+    return (c * (1 / s_a - 1 / s_b), c * (1 / (1 - s_b) - 1 / (1 - s_a)),
+            c * (A(mpmath.cos(b)) - A(mpmath.cos(a))))
+
+
+def parallel_cell_integral_mp(mid: float, hw: float, K: float) -> float:
+    """2 pi int (f-g)^2 sin dtheta over [mid - hw, mid + hw], at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(mid) - mpmath.mpf(hw)
+        b = mpmath.mpf(mid) + mpmath.mpf(hw)
+        return float(_antiderivatives_mp(a, b, K)[2])
+
+
+def direct_exchange_cell_integrals_mp(mid: float, hw: float,
+                                      K: float) -> tuple[float, float]:
+    """2 pi int f^2 sin and 2 pi int g^2 sin over [mid - hw, mid + hw], at
+    50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(mid) - mpmath.mpf(hw)
+        b = mpmath.mpf(mid) + mpmath.mpf(hw)
+        direct, exchange, _ = _antiderivatives_mp(a, b, K)
+        return float(direct), float(exchange)
+
+
+def telescoped_weight_mp(grid, K: float, channel) -> float:
+    """Total weight of a grid's cells, theta_lo to theta_lo + n delta_theta,
+    at 50 digits (both branches for ANTIPARALLEL)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(grid.theta_lo)
+        b = a + grid.n_cells * mpmath.mpf(grid.delta_theta)
+        direct, exchange, parallel = _antiderivatives_mp(a, b, K)
+        return float({SpinChannel.SPINLESS: direct,
+                      SpinChannel.PARALLEL: parallel,
+                      SpinChannel.ANTIPARALLEL: direct + exchange}[channel])
 
 
 def interference_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:

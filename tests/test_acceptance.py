@@ -248,3 +248,27 @@ def test_a11_meridian_matrix_runtime():
     assert time.perf_counter() - t0 < 5.0
     assert lam.size == 2048
     assert float(lam.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["spinless-sweep", "sphere-sweep",
+                                     "spin-sweep"])
+def test_a12_teraelectronvolt_micron_rows_runtime(command, capsys):
+    # 1e12 eV at 1 um: 8.05e9 ring cells (8.2e19 sphere pixels), which
+    # the cell-by-cell sums took about ten minutes per row to walk
+    t0 = time.perf_counter()
+    assert main([command, "--energy-ev", "1e12", "--packet-nm", "1000",
+                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert row["status"] == "ok"
+    n = int(row.get("n_cells") or row["n_rings"])
+    # the spin channels' half shell holds half the cells
+    assert n == pytest.approx(4.02e9 if command == "spin-sweep" else 8.05e9,
+                              rel=1e-3)
+    # upper bounds: log2 of the outcome count, the exchange bit included
+    bounds = {"spinless-sweep": {"S_bits": n},
+              "sphere-sweep": {"S_bits": int(row.get("pixel_count", 0))},
+              "spin-sweep": {"S_par": 2 * n, "S_ap": 4 * n,
+                             "S_par_modified": n, "S_ap_modified": 2 * n}}
+    for column, outcomes in bounds[command].items():
+        assert 0.0 <= float(row[column]) <= math.log2(outcomes), column

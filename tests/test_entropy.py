@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from escatter import (
     GridKind,
     SpinChannel,
+    channel_domain,
     make_context,
+    range_grid_below,
     ring_grid,
     ring_weight,
     shannon_discrete,
@@ -16,13 +18,20 @@ from escatter import (
     shannon_ring_jaynes,
     shannon_sphere_discrete,
     shannon_sphere_jaynes,
+    uniform_grid,
 )
 from escatter import entropy
 from escatter.cli import main
 from escatter.errors import NumericalError
 from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integrals
 
-from oracles import CALIBRATED_KSCALE, continuous_limit_oracle
+from oracles import (
+    CALIBRATED_KSCALE,
+    continuous_limit_oracle,
+    grid_cells,
+    streamed_weight_entropy,
+    telescoped_weight_mp,
+)
 
 K_FLAGS = ["--k-scale", repr(CALIBRATED_KSCALE), "--threads", "1"]
 
@@ -92,11 +101,11 @@ def test_equator_closed_forms(capsys):
 
 
 def test_streamed_matches_materialized():
-    # the chunked streaming sum must agree with materializing the full
-    # probability vector and feeding it to the plain Shannon sum
+    # the reducer must agree with materializing the full probability
+    # vector and feeding it to the plain Shannon sum
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
-        w = channel_cell_integrals(ring_grid(ctx, ch).edges(), ctx.K, ch)
+        w = channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)), ctx.K, ch)
         assert shannon_ring_discrete(ctx, ch) == \
             pytest.approx(shannon_discrete(w / w.sum()), abs=1e-10)
 
@@ -106,7 +115,7 @@ def test_streamed_antiparallel_two_branches():
     # branch weight vectors explicitly and compare
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.ANTIPARALLEL)
-    F, G = direct_exchange_cell_integrals(grid.edges(), ctx.K)
+    F, G = direct_exchange_cell_integrals(*grid_cells(grid), ctx.K)
     w = np.concatenate([F, G])
     h = shannon_discrete(w / w.sum())
     assert shannon_ring_discrete(ctx, SpinChannel.ANTIPARALLEL) == \
@@ -114,29 +123,24 @@ def test_streamed_antiparallel_two_branches():
 
 
 def test_streaming_chunk_size_irrelevant():
-    # identical result whether the grid streams in one chunk or many, on
-    # ring cells and on sphere pixels (the per-ring multiplicity term)
+    # the exact streamed oracle gives the same sums in one chunk or in
+    # many, on ring cells and on sphere pixels (the per-ring multiplicity
+    # term), and so does the reducer: it has no chunks
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     from escatter.entropy import _stream_weight_entropy
-
-    class _Tiny:
-        def __init__(self, grid):
-            self._grid = grid
-
-        def __getattr__(self, name):
-            return getattr(self._grid, name)
-
-        def iter_edge_chunks(self, chunk_cells=0):
-            return self._grid.iter_edge_chunks(chunk_cells=97)
 
     for kind, channel in ((GridKind.RINGS, SpinChannel.SPINLESS),
                           (GridKind.SPHERE_PIXELS, SpinChannel.SPINLESS),
                           (GridKind.SPHERE_PIXELS, SpinChannel.ANTIPARALLEL)):
         grid = ring_grid(ctx, channel, kind=kind)
-        h_one, z_one = _stream_weight_entropy(grid, ctx.K, channel)
-        h_many, z_many = _stream_weight_entropy(_Tiny(grid), ctx.K, channel)
+        h_one, z_one = streamed_weight_entropy(grid, ctx.K, channel)
+        h_many, z_many = streamed_weight_entropy(grid, ctx.K, channel,
+                                                 chunk_cells=97)
+        h, z = _stream_weight_entropy(grid, ctx.K, channel)
         assert h_many == pytest.approx(h_one, abs=1e-12), (kind, channel)
         assert z_many == pytest.approx(z_one, rel=1e-13), (kind, channel)
+        assert h == pytest.approx(h_one, abs=1e-12), (kind, channel)
+        assert z == pytest.approx(z_one, rel=1e-13), (kind, channel)
 
 
 def test_entropy_bounds():
@@ -168,6 +172,87 @@ def test_single_cell_entropy_zero():
 
 
 # ---------------------------------------------------------------------------
+# the O(1) reducer against the exact streamed sum
+# ---------------------------------------------------------------------------
+
+_H = entropy._EXACT_END_CELLS
+
+
+def _reducer_grids():
+    """(id, grid, K, channel): native ring and sphere grids, post-selection
+    bands below pi/2 (the parallel channel's double zero at their top)
+    and uniform grids of 2H cells and just above."""
+    ring = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
+    band = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
+    coarse = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    for ch in SpinChannel:
+        for kind in GridKind:
+            yield (f"ring-{ch.value}-{kind.value}",
+                   ring_grid(ring, ch, kind=kind), ring.K, ch)
+        for theta_r in (0.01, 0.1, 1.5):
+            yield (f"band-{theta_r}-{ch.value}",
+                   range_grid_below(0.5 * math.pi, theta_r, band.delta_theta),
+                   band.K, ch)
+        lo, hi = channel_domain(coarse, ch)
+        for n in (2 * _H, 2 * _H + 1, 2 * _H + 2, 2 * _H + 7, 3 * _H):
+            for kind in GridKind:
+                yield (f"uniform-{n}-{ch.value}-{kind.value}",
+                       uniform_grid(lo, hi, n, kind=kind), coarse.K, ch)
+
+
+_REDUCER_GRIDS = list(_reducer_grids())
+
+
+@pytest.mark.parametrize("grid,K,channel", [g[1:] for g in _REDUCER_GRIDS],
+                         ids=[g[0] for g in _REDUCER_GRIDS])
+def test_reducer_matches_streamed_oracle(grid, K, channel):
+    # exact ends plus Euler-Maclaurin middle against every cell summed
+    h, z = entropy._stream_weight_entropy(grid, K, channel)
+    h_exact, z_exact = streamed_weight_entropy(grid, K, channel)
+    assert abs(h - h_exact) <= 1e-13
+    assert z == pytest.approx(z_exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("e_ev", [100.0, 10_000.0])
+def test_reducer_z_matches_telescoped_total(e_ev):
+    # the cells tile [theta_lo, theta_lo + n delta_theta], so their weights
+    # sum to the closed form over that span
+    ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)
+    grids = [ring_grid(ctx, ch) for ch in SpinChannel]
+    grids += [range_grid_below(0.5 * math.pi, t, ctx.delta_theta)
+              for t in (0.1, 1.5)]
+    for grid in grids:
+        for ch in SpinChannel:
+            if grid.theta_hi > 0.5 * math.pi and ch is not SpinChannel.SPINLESS:
+                continue
+            z = entropy._stream_weight_entropy(grid, ctx.K, ch)[1]
+            assert z == pytest.approx(telescoped_weight_mp(grid, ctx.K, ch),
+                                      rel=1e-14, abs=0.0), (grid.n_cells, ch)
+
+
+def test_reducer_cost_does_not_grow_with_cells():
+    # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 cells, each summed from two
+    # calls of the cell integrals (the ends, then the Euler-Maclaurin
+    # nodes) of under 3 H points, where the cell walk took minutes
+    calls = []
+
+    def counting(mid, hw, K, channel):
+        calls.append(len(mid))
+        return channel_cell_integrals(mid, hw, K, channel)
+
+    for e_ev in (1e4, 1e12):
+        ctx = make_context(e_ev, 1000.0, CALIBRATED_KSCALE)
+        grid = ring_grid(ctx, SpinChannel.PARALLEL)
+        assert grid.n_cells > 2 * _H
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "channel_cell_integrals", counting)
+            h, _ = entropy._stream_weight_entropy(grid, ctx.K,
+                                                  SpinChannel.PARALLEL)
+        assert 0.0 <= h <= math.log2(grid.n_cells)
+    assert len(calls) == 4 and max(calls) < 3 * _H
+
+
+# ---------------------------------------------------------------------------
 # sphere (per-pixel) entropies
 # ---------------------------------------------------------------------------
 
@@ -176,10 +261,9 @@ def test_sphere_ring_multiplicity_identity():
     # computed here through an independent materialized path
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
-    edges = grid.edges()
-    w = channel_cell_integrals(edges, ctx.K, SpinChannel.SPINLESS)
+    centers, hw = grid_cells(grid)
+    w = channel_cell_integrals(centers, hw, ctx.K, SpinChannel.SPINLESS)
     p = w / w.sum()
-    centers = 0.5 * (edges[:-1] + edges[1:])
     m = np.array([ring_weight(t, grid.delta_theta) for t in centers])
     expected = shannon_discrete(p) + float((p * np.log2(m)).sum())
     assert shannon_sphere_discrete(ctx) == pytest.approx(expected, abs=1e-9)
@@ -273,8 +357,8 @@ def test_sweep_error_rows_do_not_abort(capsys):
 def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
     # the reducer's w > 0 filter would drop a NaN or -inf weight, and the
     # final clamp would turn the NaN entropy an inf weight gives into 0
-    def spoiled(edges, K, channel):
-        w = channel_cell_integrals(edges, K, channel)
+    def spoiled(mid, hw, K, channel):
+        w = channel_cell_integrals(mid, hw, K, channel)
         w[len(w) // 2] = bad
         return w
 
@@ -293,8 +377,8 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
 def test_non_finite_entropy_fails(monkeypatch):
     # every weight finite, but w ln w overflows: the entropy is -inf,
     # which the clamp at 0 used to hide
-    def huge(edges, K, channel):
-        w = np.ones(len(edges) - 1)
+    def huge(mid, hw, K, channel):
+        w = np.ones(len(mid))
         w[0] = 1e308
         return w
 

@@ -24,8 +24,13 @@ from escatter.geometry import (
 from oracles import (
     CALIBRATED_KSCALE,
     cell_probability,
+    direct_exchange_cell_integrals_mp,
+    grid_cells,
+    grid_edges,
     integrate_cell_gl,
     interference_cell_integrals,
+    iter_cell_chunks,
+    parallel_cell_integral_mp,
 )
 
 
@@ -91,18 +96,18 @@ def test_range_grid_below_abuts_top():
 
 def test_grid_edges_and_chunks():
     g = uniform_grid(0.0, 1.0, 1000)
-    edges = g.edges()
+    edges = grid_edges(g)
     assert len(edges) == 1001
     assert edges[0] == 0.0
     assert edges[-1] == pytest.approx(1.0)
-    # chunked edges tile the full grid without gaps or overlaps
-    seen = []
-    for chunk in g.iter_edge_chunks(chunk_cells=137):
-        if seen:
-            assert chunk[0] == pytest.approx(seen[-1])
-        seen.extend(chunk[1:] if seen else chunk)
-    assert len(seen) == 1001
-    assert seen[-1] == pytest.approx(1.0)
+    # cell centres sit halfway between the edges, at fractional indices too
+    centres = g.centres(np.arange(1000))
+    assert np.allclose(centres, 0.5 * (edges[:-1] + edges[1:]), rtol=0, atol=1e-15)
+    assert g.centres(-0.5) == 0.0
+    assert g.centres(999.5) == pytest.approx(1.0)
+    # chunks of cell indices tile the full grid without gaps or overlaps
+    seen = np.concatenate(list(iter_cell_chunks(g, chunk_cells=137)))
+    assert np.array_equal(seen, np.arange(1000))
 
 
 def test_sphere_pixel_count_examples():
@@ -142,7 +147,7 @@ def test_rings_times_weight_matches_sphere_pixels():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in SpinChannel:
         grid = ring_grid(ctx, ch, kind=GridKind.SPHERE_PIXELS)
-        centers = 0.5 * (grid.edges()[:-1] + grid.edges()[1:])
+        centers = grid.centres(np.arange(grid.n_cells))
         total = sum(ring_weight(t, grid.delta_theta) for t in centers)
         assert total == pytest.approx(sphere_pixel_count(ctx, ch),
                                       rel=1e-3), ch
@@ -153,8 +158,7 @@ def test_rings_times_weight_matches_sphere_pixels():
 # ---------------------------------------------------------------------------
 
 def _dual_route_check(ctx, channel, grid, indices, rel=1e-9):
-    edges = grid.edges()
-    fast = channel_cell_integrals(edges, ctx.K, channel)
+    fast = channel_cell_integrals(*grid_cells(grid), ctx.K, channel)
     for i in indices:
         gl = cell_probability(grid, i, ctx, channel)
         assert gl == pytest.approx(fast[i], rel=rel), (
@@ -170,8 +174,8 @@ def test_dual_route_all_channels():
 
 
 def test_dual_route_near_equator_parallel():
-    # the closed form switches to a series near the equator; the quadrature
-    # route must agree across the switch
+    # the closed form is cancellation-free at the equator; the quadrature
+    # route must agree on the cells next to it
     ctx = make_context(1.0, 50.0, CALIBRATED_KSCALE)
     grid = range_grid_below(math.pi / 2, 0.3, ctx.delta_theta)
     _dual_route_check(ctx, SpinChannel.PARALLEL, grid,
@@ -185,7 +189,8 @@ def test_first_cell_dominates_spinless():
     p1 = cell_probability(grid, 1, ctx, SpinChannel.SPINLESS)
     assert p0 > p1
     # ratio agrees with the closed-form antiderivative route
-    fast = channel_cell_integrals(grid.edges(0, 2), ctx.K, SpinChannel.SPINLESS)
+    fast = channel_cell_integrals(*grid_cells(grid, 0, 2), ctx.K,
+                                  SpinChannel.SPINLESS)
     assert p0 / p1 == pytest.approx(float(fast[0] / fast[1]), rel=1e-8)
 
 
@@ -208,7 +213,7 @@ def test_uniform_density_normalizes():
 
     total = 0.0
     for i in range(grid.n_cells):
-        a, b = grid.edges(i, i + 1)
+        a, b = grid_edges(grid, i, i + 1)
         total += integrate_cell_gl(
             lambda th: 2.0 * math.pi * const * np.sin(th), a, b)
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -218,7 +223,7 @@ def test_normalized_probabilities_sum_to_one():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
-        w = channel_cell_integrals(grid.edges(), ctx.K, channel)
+        w = channel_cell_integrals(*grid_cells(grid), ctx.K, channel)
         p = w / w.sum()
         assert abs(float(p.sum()) - 1.0) <= 1e-12
 
@@ -235,9 +240,10 @@ def test_interference_consistency():
     # against the unsubtracted magnitudes.
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     edges = np.linspace(0.3, math.pi / 2, 200)
-    F, G = direct_exchange_cell_integrals(edges, ctx.K)
+    mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
     X = interference_cell_integrals(edges, ctx.K)
-    W = parallel_cell_integrals(edges, ctx.K)
+    W = parallel_cell_integrals(mid, hw, ctx.K)
     assert np.all(np.abs(W - (F + G - 2.0 * X)) <= 1e-12 * (F + G))
 
 
@@ -245,11 +251,11 @@ def test_interference_consistency():
 @given(st.floats(min_value=0.02, max_value=math.pi - 0.02),
        st.floats(min_value=1e-5, max_value=0.02))
 def test_cell_integrals_positive(lo, width):
-    edges = np.array([lo, lo + width])
-    if edges[1] >= math.pi:
+    if lo + width >= math.pi:
         return
-    F, G = direct_exchange_cell_integrals(edges, 1.0)
-    W = parallel_cell_integrals(edges, 1.0)
+    mid, hw = np.array([lo + 0.5 * width]), 0.5 * width
+    F, G = direct_exchange_cell_integrals(mid, hw, 1.0)
+    W = parallel_cell_integrals(mid, hw, 1.0)
     assert F[0] > 0.0
     assert G[0] > 0.0
     # non-negative up to rounding relative to the channel magnitudes
@@ -257,13 +263,14 @@ def test_cell_integrals_positive(lo, width):
 
 
 def test_series_closed_form_crossover():
-    # the parallel antiderivative switches branch at |cos theta| = 0.1;
-    # integrals over cells that span the switch must be smooth
+    # the parallel antiderivative used to switch to a series at
+    # |cos theta| = 0.1; cells around that angle still match quadrature
     K = 1.0
     u_cut = 0.1
     theta_cut = math.acos(u_cut)
     edges = np.linspace(theta_cut - 0.05, theta_cut + 0.05, 101)
-    W = parallel_cell_integrals(edges, K)
+    W = parallel_cell_integrals(0.5 * (edges[1:] + edges[:-1]),
+                                0.5 * (edges[1:] - edges[:-1]), K)
     # compare against high-order quadrature per cell
     for i in (0, 49, 50, 51, 99):
         lo, hi = float(edges[i]), float(edges[i + 1])
@@ -277,3 +284,34 @@ def test_series_closed_form_crossover():
 
         ref = integrate_cell_gl(density, lo, hi)
         assert W[i] == pytest.approx(ref, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# cancellation-free closed forms against mpmath, on identical cell bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 1.4, 0.5 * math.pi, 3.0])
+def test_cell_integrals_match_mpmath_at_native_width(theta):
+    # 1 keV / 50 um cells (2.47e-7 rad): A(b) - A(a) formed as a
+    # difference was off by up to 1.1e-8 of such a cell at theta = 1.4
+    ctx = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
+    hw = 0.5 * ctx.delta_theta
+    mid = theta + ctx.delta_theta * (np.arange(-4, 4) + 0.5)
+    W = parallel_cell_integrals(mid, hw, ctx.K)
+    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    for i, m in enumerate(mid):
+        assert W[i] == pytest.approx(parallel_cell_integral_mp(m, hw, ctx.K),
+                                     rel=1e-12, abs=0.0), (theta, i)
+        f_mp, g_mp = direct_exchange_cell_integrals_mp(m, hw, ctx.K)
+        assert F[i] == pytest.approx(f_mp, rel=1e-12, abs=0.0), (theta, i)
+        assert G[i] == pytest.approx(g_mp, rel=1e-12, abs=0.0), (theta, i)
+
+
+def test_parallel_cell_integral_across_series_cut():
+    # atanh(y) - y switches from its series to arctanh at |y| = 0.25;
+    # these cells at theta = 1 have |y| from about 0.19 to 0.31
+    hws = np.linspace(0.08, 0.13, 11)
+    W = parallel_cell_integrals(1.0, hws, 1.0)
+    for hw, w in zip(hws, W):
+        assert w == pytest.approx(parallel_cell_integral_mp(1.0, hw, 1.0),
+                                  rel=1e-13, abs=0.0), hw
