@@ -7,12 +7,7 @@ one-electron density matrix built from Gaussian wave packets.
 
 __version__ = "0.1.0"
 
-from .amplitudes import (
-    SpinChannel,
-    differential_probability,
-    direct_amplitude,
-    exchange_amplitude,
-)
+from .amplitudes import SpinChannel
 from .constants import BOHR_RADIUS_NM, HARTREE_EV
 from .density_matrix import (
     DensityMatrix,
@@ -69,14 +64,11 @@ __all__ = [
     "__version__",
     "build_meridian_matrix",
     "channel_domain",
-    "differential_probability",
-    "direct_amplitude",
     "eigen_spectrum",
     "entropy_antiparallel",
     "entropy_parallel",
     "equator_entropies",
     "ev_to_hartree",
-    "exchange_amplitude",
     "kernel_element",
     "make_context",
     "min_scattering_angle",

@@ -369,7 +369,7 @@ def _table(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         try:
             values = table.row(cfg, *inputs)
             status = "ok"
-        except (ValueError, NumericalError, FloatingPointError) as exc:
+        except (ValueError, NumericalError, ArithmeticError) as exc:
             values = (math.nan,) * len(table.computed)
             status = f"error: {exc}"
         row.update(zip(table.computed, values, strict=True), status=status)

@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import _gl_doubling, channel_domain
+from .geometry import _gl_nodes, channel_domain
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -61,6 +62,10 @@ _TABLE_NODES = 16
 _TABLE_RTOL = 1e-10
 _TABLE_MAX_PANELS = 256
 _CHECK_X = chebyshev.chebpts2(_TABLE_NODES + 1)  # extrema of T_16
+
+_GL_START = 64
+_GL_MAX = 4096
+_GL_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +86,27 @@ class DensityMatrix:
         if abs(float(np.trace(rho)) - 1.0) > 1e-9:
             raise ValueError(
                 f"trace = {float(np.trace(rho))!r}, expected 1 after normalization")
+
+
+def _gl_doubling(rule: Callable[[np.ndarray, np.ndarray], float],
+                 what: str) -> float:
+    """Gauss-Legendre doubling: ``rule(x, w)`` is the integral's estimate
+    from the n-point nodes x and weights w on [-1, 1].  n starts at 64 and
+    doubles until two successive estimates agree to 1e-9 relative; a
+    non-finite estimate, or no agreement by 4096 nodes, raises
+    :class:`NumericalError` naming ``what``."""
+    prev = None
+    n = _GL_START
+    while n <= _GL_MAX:
+        est = rule(*_gl_nodes(n))
+        if not math.isfinite(est):
+            raise NumericalError(f"{what} is {est!r} with {n} GL nodes")
+        if prev is not None and abs(est - prev) <= _GL_RTOL * max(abs(est), 1e-300):
+            return est
+        prev = est
+        n *= 2
+    raise NumericalError(
+        f"{what} did not converge to {_GL_RTOL:g} relative with {_GL_MAX} GL nodes")
 
 
 def _kernel_j(mu: float, ctx: ScatterContext) -> float:

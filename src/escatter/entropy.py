@@ -1,22 +1,20 @@
 """Discrete Shannon entropies of detector distributions, and their
-continuous-limit evaluation for astronomically many pixels.
+continuous limit for astronomically many pixels.
 
-Two evaluation styles coexist:
+Every entropy here is a discrete sum over a detector layout.  The sums
+take the first and last 4096 cells exactly and the cells between them by
+the midpoint Euler-Maclaurin formula, which agrees with the sum over
+every cell to 1e-13 bits; the cost is the same few thousand cell
+evaluations for 10^4 cells or 10^15.
 
-* the *discrete* sums are the entropies of the given detector layout.
-  They sum the first and last 4096 cells exactly and the cells between
-  them by the midpoint Euler-Maclaurin formula, which agrees with the
-  sum over every cell to 1e-13 bits; the cost is the same few thousand
-  cell evaluations for 10^4 cells or 10^10;
-* the *continuous-limit* forms split the entropy into an integral plus
-  ``log2(n_detectors)``.  They are the n -> infinity limit of the sums
-  and are accurate once the cell width is small compared to the cutoff
-  angle; outside that regime only the discrete sums are trustworthy.
-  Their integrals use the package's one Gauss-Legendre doubling rule
-  (shared with the meridian kernel) on panels graded from the cutoff
-  angle epsilon: edges at epsilon * 2^k, so each panel is as wide as its
-  distance from the forward peak and grids with epsilon ~ 1e-9 rad need
-  only about thirty panels.
+The *continuous-limit* forms split the entropy into an integral plus
+``log2(n_detectors)``: the n -> infinity limit of the sums (Jaynes'
+limiting density of discrete points), accurate once the cell width is
+small compared to the cutoff angle epsilon.  Their integral is the same
+discrete sum on 2^50 equal cells, less the log of its cell count, which
+is off by about 0.3-0.5 (delta / epsilon)^2 bits for a fine cell of
+width delta; they refuse an epsilon below 10^5 fine cells, where only
+the detector's own grid gives the entropy.
 
 All discrete sums go through one reducer.  For the per-pixel sphere
 entropy it never enumerates pixels: a ring at polar angle theta holds
@@ -31,17 +29,11 @@ import math
 
 import numpy as np
 
-from .amplitudes import (
-    SpinChannel,
-    differential_probability,
-    direct_amplitude,
-    exchange_amplitude,
-)
+from .amplitudes import SpinChannel
 from .errors import NumericalError
 from .geometry import (
     AngularGrid,
     GridKind,
-    _gl_doubling,
     _gl_nodes,
     channel_cell_integrals,
     channel_domain,
@@ -230,51 +222,34 @@ def shannon_sphere_discrete(ctx: ScatterContext,
 
 
 # ---------------------------------------------------------------------------
-# continuous-limit (integral + log N) forms
+# continuous-limit forms: the discrete sum on 2^50 cells plus a log term
 # ---------------------------------------------------------------------------
 
-def _jaynes_integral(ctx: ScatterContext, channel: SpinChannel,
-                     log_arg) -> float:
-    """-sum over branches of int P log2(log_arg(theta, P)) dtheta over the
-    channel domain, with P the normalized 1-D detection density
-    2 pi p(theta) sin(theta) of each branch (two for ANTIPARALLEL).
+#: cells of the fine grid whose entropy, shifted by a log term, is the
+#: continuous limit; a fine cell of width delta moves it by about
+#: 0.3-0.5 (delta / epsilon)^2 bits
+_LIMIT_CELLS = 2 ** 50
+#: largest delta / epsilon accepted, which keeps that error below 1e-10 bits
+_LIMIT_MAX_CELL_RATIO = 1e-5
 
-    The domain [lo, hi] is cut at lo * 2^k, so panels double in width
-    away from the forward peak, and every panel gets the same GL rule in
-    one vectorised evaluation."""
+
+def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
+                   kind: GridKind) -> tuple[float, float]:
+    """(H, delta): the discrete entropy of _LIMIT_CELLS equal cells of
+    width delta over the channel domain.  Raises NumericalError when
+    delta is not small against the cutoff angle epsilon, where only the
+    detector's own grid gives the entropy."""
     lo, hi = channel_domain(ctx, channel)
-    edges = lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo)) + 1)
-    edges = np.append(edges[edges < hi], hi)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-
-    def integral(term, what: str) -> float:
-        """int sum over branches of term(theta, rho) dtheta."""
-        def estimate(x, w):
-            theta = mid + half * x
-            if channel is SpinChannel.ANTIPARALLEL:
-                f = direct_amplitude(theta, ctx.K)
-                g = exchange_amplitude(theta, ctx.K)
-                densities = (f * f, g * g)
-            else:
-                densities = (differential_probability(theta, ctx.K, channel),)
-            ring = 2.0 * math.pi * np.sin(theta)
-            return float(np.sum(half * w * sum(term(theta, ring * d)
-                                               for d in densities)))
-        return _gl_doubling(estimate, what)
-
-    z = integral(lambda theta, rho: rho, "detection density integral")
-    if z <= 0.0:
-        raise NumericalError("detection density integrated to zero")
-
-    def p_log2(theta, rho):
-        p = rho / z
-        out = np.zeros_like(p)
-        pos = p > 0.0
-        out[pos] = p[pos] * np.log2(log_arg(theta[pos], p[pos]))
-        return out
-
-    return -integral(p_log2, "continuous-limit entropy integral")
+    grid = uniform_grid(lo, hi, _LIMIT_CELLS, kind=kind)
+    if grid.delta_theta > _LIMIT_MAX_CELL_RATIO * ctx.epsilon:
+        raise NumericalError(
+            f"cutoff angle epsilon = {ctx.epsilon:.3g} rad is less than "
+            f"{1.0 / _LIMIT_MAX_CELL_RATIO:g} continuous-limit cells of "
+            f"{grid.delta_theta:.3g} rad, so the limit would be off by more "
+            "than 1e-10 bits; the discrete sums "
+            "shannon_ring_discrete(n_cells=...) and "
+            "shannon_sphere_discrete(n_cells=...) are exact there")
+    return _stream_weight_entropy(grid, ctx.K, channel)[0], grid.delta_theta
 
 
 def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
@@ -284,12 +259,11 @@ def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
     P(theta) is the normalized 1-D detection density over the channel
     domain and Lambda the domain length; N defaults to the native ring
     count.  Valid when the cell width is well below the cutoff angle.
+    The integral is the discrete entropy of 2^50 equal cells minus 50.
     """
-    lo, hi = channel_domain(ctx, channel)
     n = _resolve_grid(ctx, channel, n_cells).n_cells
-    lam = hi - lo
-    return _jaynes_integral(ctx, channel, lambda theta, p: lam * p) \
-        + math.log2(n)
+    h, _ = _limit_entropy(ctx, channel, GridKind.RINGS)
+    return h - math.log2(_LIMIT_CELLS) + math.log2(n)
 
 
 def shannon_sphere_jaynes(ctx: ScatterContext,
@@ -300,15 +274,11 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
     with p the solid-angle detection density normalized over the
     accessible domain, pbar = p sin(theta), Omega_0 the accessible solid
     angle and M the channel's pixel count.  Valid when the pixel side is
-    well below the cutoff angle.
+    well below the cutoff angle.  The integral is the per-pixel entropy
+    of 2^50 rings of width delta minus log2(Omega_0 / delta^2).
     """
     lo, hi = channel_domain(ctx, channel)
     omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
-
-    def log_arg(theta, pbar):
-        # Omega_0 times the solid-angle density p = pbar / (2 pi sin theta)
-        return omega0 * (pbar / (2.0 * math.pi * np.sin(theta)))
-
-    return _jaynes_integral(ctx, channel, log_arg) \
+    h, delta = _limit_entropy(ctx, channel, GridKind.SPHERE_PIXELS)
+    return h - math.log2(omega0 / delta ** 2) \
         + math.log2(sphere_pixel_count(ctx, channel))
-

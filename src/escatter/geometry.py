@@ -1,5 +1,5 @@
 """Detector discretizations, per-cell probability integrals and the
-package's one quadrature rule.
+package's Gauss-Legendre nodes.
 
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
@@ -29,9 +29,9 @@ d = u_b - u_a = -2 sin(mid) sin(hw) and y = d / (1 - u_a u_b), where
 whose bracket is taken from its series for small |y|.  Every piece keeps
 its relative accuracy at the equator, where A itself cancels.
 
-:func:`_gl_doubling` is the one quadrature rule of the package: the
-meridian kernel J(mu), the continuous-limit entropies and the
-Euler-Maclaurin ring sums of ``escatter.entropy`` use its nodes.
+:func:`_gl_nodes` caches the Gauss-Legendre nodes of the package: the
+Euler-Maclaurin sums of ``escatter.entropy`` and the meridian kernel
+J(mu) of ``escatter.density_matrix`` use them.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
-from .errors import NumericalError
 from .kinematics import ScatterContext
 
 #: Absolute slack, 1e-9 of one cell, added to a cell count before flooring
@@ -54,31 +52,8 @@ from .kinematics import ScatterContext
 _DIVISION_SLACK = 1e-9
 
 
-_GL_START = 64
-_GL_MAX = 4096
-_GL_RTOL = 1e-9
+#: Gauss-Legendre nodes and weights on [-1, 1], cached by order
 _gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
-
-
-def _gl_doubling(rule: Callable[[np.ndarray, np.ndarray], float],
-                 what: str) -> float:
-    """Gauss-Legendre doubling: ``rule(x, w)`` is the integral's estimate
-    from the n-point nodes x and weights w on [-1, 1].  n starts at 64 and
-    doubles until two successive estimates agree to 1e-9 relative; a
-    non-finite estimate, or no agreement by 4096 nodes, raises
-    :class:`NumericalError` naming ``what``."""
-    prev = None
-    n = _GL_START
-    while n <= _GL_MAX:
-        est = rule(*_gl_nodes(n))
-        if not math.isfinite(est):
-            raise NumericalError(f"{what} is {est!r} with {n} GL nodes")
-        if prev is not None and abs(est - prev) <= _GL_RTOL * max(abs(est), 1e-300):
-            return est
-        prev = est
-        n *= 2
-    raise NumericalError(
-        f"{what} did not converge to {_GL_RTOL:g} relative with {_GL_MAX} GL nodes")
 
 
 class GridKind(Enum):
@@ -154,13 +129,10 @@ def ring_grid(ctx: ScatterContext, channel: SpinChannel,
 def uniform_grid(theta_lo: float, theta_hi: float, n_cells: int,
                  kind: GridKind = GridKind.RINGS) -> AngularGrid:
     """A grid with exactly ``n_cells`` equal cells spanning the domain."""
-    if n_cells < 1:
-        raise ValueError(f"need at least one cell, got {n_cells}")
-    if not theta_lo < theta_hi:
-        raise ValueError("empty domain")
+    # AngularGrid rejects n_cells < 1; max() lets it do so for 0 as well
     return AngularGrid(kind=kind, theta_lo=theta_lo, theta_hi=theta_hi,
                        n_cells=n_cells,
-                       delta_theta=(theta_hi - theta_lo) / n_cells)
+                       delta_theta=(theta_hi - theta_lo) / max(n_cells, 1))
 
 
 def range_grid_below(theta_top: float, theta_r: float,

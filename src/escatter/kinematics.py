@@ -101,25 +101,20 @@ class ScatterContext:
 
     Attributes
     ----------
-    E_total_cm : float
-        Total CM kinetic energy of the pair, Hartree.
     K : float
         Wave number, inverse Bohr radii.
     sigma_k : float
         Momentum-space standard deviation, sigma_k = 1/L for a packet of
         extension L (twice its real-space standard deviation).
-    b_bar : float
-        Limiting impact parameter, b_bar = L / sqrt(2), Bohr radii.
     epsilon : float
-        Minimum scattering angle, radians.
+        Minimum scattering angle for the limiting impact parameter
+        b_bar = L / sqrt(2), radians.
     delta_theta : float
         Detector pixel width, delta_theta = 2/(K L), radians.
     """
 
-    E_total_cm: float
     K: float
     sigma_k: float
-    b_bar: float
     epsilon: float
     delta_theta: float
 
@@ -143,15 +138,9 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     e_ha = ev_to_hartree(e_ev)
     length = nm_to_bohr(l_nm)
     k = wave_number(e_ha, k_scale)
-    sigma_k = 1.0 / length
-    b_bar = length / math.sqrt(2.0)
-    eps = min_scattering_angle(e_ha, b_bar)
-    dtheta = 2.0 / (k * length)
     return ScatterContext(
-        E_total_cm=e_ha,
         K=k,
-        sigma_k=sigma_k,
-        b_bar=b_bar,
-        epsilon=eps,
-        delta_theta=dtheta,
+        sigma_k=1.0 / length,
+        epsilon=min_scattering_angle(e_ha, length / math.sqrt(2.0)),
+        delta_theta=2.0 / (k * length),
     )

@@ -3,6 +3,10 @@
 Each oracle recomputes a quantity through a route that shares no code
 (and, where possible, no algorithm) with the implementation under test:
 
+* ``direct_amplitude``, ``exchange_amplitude`` and
+  ``differential_probability`` are the Coulomb amplitudes f, g and the
+  channel densities |f|^2, |f-g|^2, |f|^2 + |g|^2 pointwise; the package
+  only needs their closed-form cell integrals.
 * ``cell_probability`` integrates a channel density over one detector
   cell with Gauss-Legendre quadrature of doubling order
   (``integrate_cell_gl``); it referees the closed-form cell integrals of
@@ -42,7 +46,8 @@ Each oracle recomputes a quantity through a route that shares no code
   ring or sphere entropy of a channel, from adaptive quadrature in
   u = ln(theta) with a breakpoint at every octave of theta and the
   channel densities written out in closed form.  It referees
-  ``escatter.entropy``'s Gauss-Legendre panels, which share neither the
+  ``escatter.entropy``'s continuous-limit forms, a discrete sum of
+  closed-form cell integrals on 2^50 cells, which share neither the
   variable, the rule nor the density code.
 """
 
@@ -55,7 +60,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from escatter.amplitudes import SpinChannel, differential_probability
+from escatter.amplitudes import SpinChannel
 from escatter.density_matrix import kernel_element
 from escatter.errors import NumericalError
 from escatter.geometry import (
@@ -67,6 +72,60 @@ from escatter.geometry import (
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
+
+
+def direct_amplitude(theta, K):
+    """Direct Coulomb amplitude f(theta) = 1 / (4 K^2 sin^2(theta/2)).
+
+    Singular at theta = 0; callers must stay above the kinematic cutoff
+    angle.  Accepts scalars or arrays in (0, pi].
+    """
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta <= 0.0) or np.any(theta > np.pi):
+        raise ValueError("direct amplitude requires 0 < theta <= pi "
+                         "(singular in the forward direction)")
+    s = np.sin(0.5 * theta)
+    out = 1.0 / (4.0 * K * K * s * s)
+    return float(out) if out.ndim == 0 else out
+
+
+def exchange_amplitude(theta, K):
+    """Exchange amplitude g(theta) = f(pi - theta) = 1 / (4 K^2 cos^2(theta/2)).
+
+    Singular at theta = pi.  Accepts scalars or arrays in [0, pi).
+    """
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0.0) or np.any(theta >= np.pi):
+        raise ValueError("exchange amplitude requires 0 <= theta < pi "
+                         "(singular in the backward direction)")
+    c = np.cos(0.5 * theta)
+    out = 1.0 / (4.0 * K * K * c * c)
+    return float(out) if out.ndim == 0 else out
+
+
+def differential_probability(theta, K, channel: SpinChannel):
+    """Unnormalized angular detection density p(theta) for one channel.
+
+    SPINLESS     -> |f|^2 (valid on (0, pi])
+    PARALLEL     -> |f - g|^2 (valid on (0, pi))
+    ANTIPARALLEL -> |f|^2 + |g|^2 (valid on (0, pi))
+
+    The per-momentum degeneracy weights of the spin channels are handled
+    by the entropy routines' normalizations, not here.
+    """
+    if channel is SpinChannel.SPINLESS:
+        f = direct_amplitude(theta, K)
+        return f * f
+    if channel is SpinChannel.PARALLEL:
+        f = direct_amplitude(theta, K)
+        g = exchange_amplitude(theta, K)
+        d = f - g
+        return d * d
+    if channel is SpinChannel.ANTIPARALLEL:
+        f = direct_amplitude(theta, K)
+        g = exchange_amplitude(theta, K)
+        return f * f + g * g
+    raise ValueError(f"unknown spin channel: {channel!r}")
 
 
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from escatter import (
-    SpinChannel,
+from escatter import SpinChannel
+from oracles import (
     differential_probability,
     direct_amplitude,
     exchange_amplitude,

@@ -386,6 +386,25 @@ def test_failed_row_rule(command, fmt, capsys):
     assert all(rows[i][col] != missing for i in (0, 2) for col in computed)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spinless-sweep", "--energy-ev", "1e160"],
+    ["sphere-sweep", "--energy-ev", "1e160"],
+    ["spin-sweep", "--energy-ev", "1e160"],
+    ["postselect-range", "--energy-ev", "1e160", "--theta-r", "0.1"],
+    ["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e300"],
+], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
+        "postselect-overflow", "sphere-zero-division"])
+def test_arithmetic_error_fails_the_row(argv, capsys):
+    # K^4 overflows in the cell integrals at 1e160 eV, and a 1e300 nm
+    # packet's pixel side squares to zero in the pixel count: an
+    # ArithmeticError fails the row like any other error, no traceback
+    assert main(argv + ["--threads", "1", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"[{argv[0]}] row 0 failed: error: ")
+    [row] = json.loads(captured.out)
+    assert row["status"].startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["postselect-range", "--energy-list", "5,20"], "--energy-list"),
     (["spinless-sweep", "--geometry", "equator", "--n-cells", "4,10"],

@@ -305,8 +305,10 @@ def test_sphere_jaynes_matches_discrete_when_valid():
 
 # 1 keV and 10 keV with a 50 um packet put the cutoff at epsilon ~ 4e-8 and
 # 4e-9 rad, nine octaves below any fixed breakpoint list scaled by 1000;
-# 1 eV / 50 nm is the validity regime of the tests above
-@pytest.mark.parametrize("e_ev, l_nm", [(1e3, 5e4), (1e4, 5e4), (1.0, 50.0)])
+# 100 keV (epsilon ~ 4.1e-10) is near the smallest cutoff the 2^50-cell
+# sum accepts, and 1 eV / 50 nm is the validity regime of the tests above
+@pytest.mark.parametrize("e_ev, l_nm",
+                         [(1e3, 5e4), (1e4, 5e4), (1e5, 5e4), (1.0, 50.0)])
 @pytest.mark.parametrize("channel", list(SpinChannel), ids=lambda c: c.value)
 def test_continuous_limit_matches_oracle(e_ev, l_nm, channel):
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
@@ -314,6 +316,18 @@ def test_continuous_limit_matches_oracle(e_ev, l_nm, channel):
     sphere = continuous_limit_oracle(ctx, channel.value, "sphere")
     assert abs(shannon_ring_jaynes(ctx, channel, n_cells=10_000) - ring) <= 1e-9
     assert abs(shannon_sphere_jaynes(ctx, channel) - sphere) <= 1e-9
+
+
+@pytest.mark.parametrize("channel", list(SpinChannel), ids=lambda c: c.value)
+def test_continuous_limit_refuses_tiny_cutoff(channel):
+    # 1 MeV / 50 um: epsilon ~ 4.1e-11 rad is fewer than 1e5 cells of the
+    # 2^50-cell grid, whose discreteness error would exceed 1e-10 bits
+    ctx = make_context(1e6, 5e4, CALIBRATED_KSCALE)
+    for form in (lambda: shannon_ring_jaynes(ctx, channel, n_cells=10_000),
+                 lambda: shannon_sphere_jaynes(ctx, channel)):
+        with pytest.raises(NumericalError,
+                           match=r"epsilon = 4\.07e-11 rad.*shannon_ring_discrete"):
+            form()
 
 
 @pytest.mark.parametrize("e_ev, channel, form, reference", [

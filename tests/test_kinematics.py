@@ -63,13 +63,15 @@ def test_context_invariants():
     assert ctx.K > 0
     assert 0 < ctx.epsilon < math.pi / 2
     assert ctx.sigma_k == pytest.approx(1.0 / length, rel=1e-15)
-    assert ctx.b_bar == pytest.approx(length / math.sqrt(2.0), rel=1e-15)
     assert ctx.delta_theta == pytest.approx(2.0 / (ctx.K * length), rel=1e-15)
-    # each field recomputed independently
-    assert ctx.E_total_cm == pytest.approx(1.0 / HARTREE_EV, rel=1e-14)
-    assert ctx.K == pytest.approx(math.sqrt(ctx.E_total_cm), rel=1e-14)
+    # each field recomputed independently: 1 eV in Hartree, and the
+    # limiting impact parameter b_bar = L / sqrt(2)
+    e_ha = 1.0 / HARTREE_EV
+    assert ctx.K == pytest.approx(wave_number(e_ha), rel=1e-14)
     assert ctx.epsilon == pytest.approx(
-        2.0 * math.atan(1.0 / (2.0 * ctx.E_total_cm * ctx.b_bar)), rel=1e-14)
+        min_scattering_angle(e_ha, length / math.sqrt(2.0)), rel=1e-14)
+    assert ctx.epsilon == pytest.approx(
+        2.0 * math.atan(math.sqrt(2.0) / (2.0 * e_ha * length)), rel=1e-14)
 
 
 def test_packet_scale_check():
