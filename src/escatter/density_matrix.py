@@ -25,9 +25,17 @@ lower end and double in width, each interpolating J at 16 Chebyshev
 nodes.  Every build checks every panel against direct J at the 17
 Chebyshev extrema interleaving its nodes, to 1e-10 relative, and bisects
 the panels that miss; past a fixed number of panel fits it raises
-:class:`NumericalError`, so a build takes bounded time.  The band is then
-assembled by broadcasting.  :func:`kernel_element` evaluates one element
-from direct J.
+:class:`NumericalError`, so a build takes bounded time.  The panels are
+fitted in rounds, and one round evaluates direct J at every pending
+panel's 33 points in one batched call: Gauss-Legendre doubling on all of
+them at once, each mu leaving the batch at its own first agreement.  The
+work is a few large numpy calls, which release the GIL, so the rows of a
+table build in parallel threads.  The band is then assembled by
+broadcasting.  :func:`kernel_element` evaluates one element from direct
+J.
+
+I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, so
+the package needs no scipy.
 
 Discretization uses midpoint cells in theta with the spherical measure
 folded in symmetrically (rho_ij = sqrt(mu_i mu_j) K(q_i, q_j) with
@@ -41,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -62,10 +69,41 @@ _TABLE_NODES = 16
 _TABLE_RTOL = 1e-10
 _TABLE_MAX_PANELS = 256
 _CHECK_X = chebyshev.chebpts2(_TABLE_NODES + 1)  # extrema of T_16
+# a panel's direct-J points: chebinterpolate's nodes, then the checks
+_PANEL_X = np.concatenate([chebyshev.chebpts1(_TABLE_NODES), _CHECK_X])
 
 _GL_START = 64
 _GL_MAX = 4096
 _GL_RTOL = 1e-9
+# direct J evaluates its integrand on at most this many (mu, node) pairs
+# at a time, which bounds its temporaries to a few MB
+_J_BATCH = 1 << 15
+
+# Cephes' i0e tables: Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2
+# on [0, 8], and of exp(-x) I0(x) sqrt(x) in 32/x - 2 on (8, inf)
+_I0E_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,52 +126,86 @@ class DensityMatrix:
                 f"trace = {float(np.trace(rho))!r}, expected 1 after normalization")
 
 
-def _gl_doubling(rule: Callable[[np.ndarray, np.ndarray], float],
-                 what: str) -> float:
-    """Gauss-Legendre doubling: ``rule(x, w)`` is the integral's estimate
-    from the n-point nodes x and weights w on [-1, 1].  n starts at 64 and
-    doubles until two successive estimates agree to 1e-9 relative; a
-    non-finite estimate, or no agreement by 4096 nodes, raises
-    :class:`NumericalError` naming ``what``."""
-    prev = None
-    n = _GL_START
-    while n <= _GL_MAX:
-        est = rule(*_gl_nodes(n))
-        if not math.isfinite(est):
-            raise NumericalError(f"{what} is {est!r} with {n} GL nodes")
-        if prev is not None and abs(est - prev) <= _GL_RTOL * max(abs(est), 1e-300):
-            return est
-        prev = est
-        n *= 2
-    raise NumericalError(
-        f"{what} did not converge to {_GL_RTOL:g} relative with {_GL_MAX} GL nodes")
+def _chbevl(y: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes' ``chbevl``: the Chebyshev series ``coef`` (highest order
+    first) at y/2, by the Clenshaw recurrence b0 = y b1 - b2 + c, rounded
+    in Cephes' order."""
+    b0, b1 = np.full_like(y, coef[0]), np.zeros_like(y)
+    for c in coef[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1
+        b0 -= b2
+        b0 += c
+    return 0.5 * (b0 - b2)
 
 
-def _kernel_j(mu: float, ctx: ScatterContext) -> float:
-    """J(mu), the q'' integral of the kernel, window-restricted and GL-refined."""
+def _i0e(x):
+    """Exponentially scaled modified Bessel function I0(x) exp(-|x|),
+    element-wise, equal to Cephes' ``i0e`` (and so to scipy's)."""
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    small = x <= 8.0
+    xs, xl = x[small], x[~small]
+    out[small] = _chbevl(xs / 2.0 - 2.0, _I0E_A)
+    out[~small] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
+    return out[()]
+
+
+def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
+    """J at every ``mu``: the q'' integral of the kernel, window-restricted
+    and refined by Gauss-Legendre doubling, all mu at once.
+
+    Each mu's estimate starts at 64 nodes and doubles until two successive
+    estimates agree to 1e-9 relative; that mu then keeps its estimate and
+    leaves the batch.  A non-finite estimate, or a mu still open at 4096
+    nodes, raises :class:`NumericalError` naming the mu.  A mu whose window
+    [max(K eps, mu - 40 sigma_k), min(2K, mu + 40 sigma_k)] is empty has
+    J = 0.
+    """
+    mu = np.asarray(mu, dtype=float)
     sig2 = ctx.sigma_k ** 2
-    lo = max(ctx.K * ctx.epsilon, mu - _WINDOW_SIGMAS * ctx.sigma_k)
-    hi = min(2.0 * ctx.K, mu + _WINDOW_SIGMAS * ctx.sigma_k)
-    if hi <= lo:
-        return 0.0
-    # imported here: only vn-compare needs it, and it doubles the CLI's
-    # import time
-    from scipy.special import i0e
-
+    lo = np.maximum(ctx.K * ctx.epsilon, mu - _WINDOW_SIGMAS * ctx.sigma_k)
+    hi = np.minimum(2.0 * ctx.K, mu + _WINDOW_SIGMAS * ctx.sigma_k)
     half = 0.5 * (hi - lo)
     shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
     bessel_scale = mu / sig2
-
-    def rule(x, w):
-        # q'' - mu from the node offsets, not as a difference of nearby
-        # floats: with mu >> sigma_k, rounding q'' to ulp(mu) would put
-        # noise of ulp(mu)/sigma_k into every exponent
-        t = shift + half * x
-        qq = mu + t
-        vals = qq ** (-3.0) * i0e(bessel_scale * qq) * np.exp(-(t * t) / (2.0 * sig2))
-        return half * float(np.dot(w, vals))
-
-    return _gl_doubling(rule, f"kernel integral J(mu={mu!r})")
+    out = np.zeros_like(mu)
+    todo = np.flatnonzero(hi > lo)
+    prev = None
+    n = _GL_START
+    while todo.size and n <= _GL_MAX:
+        x, w = _gl_nodes(n)
+        est = np.empty(todo.size)
+        rows = max(1, _J_BATCH // n)
+        for r in range(0, todo.size, rows):
+            i = todo[r:r + rows]
+            k = i[:, None]
+            # q'' - mu from the node offsets, not as a difference of
+            # nearby floats: with mu >> sigma_k, rounding q'' to ulp(mu)
+            # would put noise of ulp(mu)/sigma_k into every exponent
+            t = shift[k] + half[k] * x
+            qq = mu[k] + t
+            vals = (qq ** (-3.0) * _i0e(bessel_scale[k] * qq)
+                    * np.exp(-(t * t) / (2.0 * sig2)))
+            # one dot per mu: a matrix product sums in another order
+            est[r:r + rows] = half[i] * np.array([np.dot(w, v) for v in vals])
+        bad = ~np.isfinite(est)
+        if bad.any():
+            m = float(mu[todo[bad][0]])
+            raise NumericalError(
+                f"kernel integral J(mu={m!r}) is {float(est[bad][0])!r} "
+                f"with {n} GL nodes")
+        if prev is not None:
+            done = np.abs(est - prev) <= _GL_RTOL * np.maximum(np.abs(est), 1e-300)
+            out[todo[done]] = est[done]
+            todo, est = todo[~done], est[~done]
+        prev = est
+        n *= 2
+    if todo.size:
+        raise NumericalError(
+            f"kernel integral J(mu={float(mu[todo[0]])!r}) did not converge "
+            f"to {_GL_RTOL:g} relative with {_GL_MAX} GL nodes")
+    return out
 
 
 def kernel_element(q: float, q_prime: float, ctx: ScatterContext) -> float:
@@ -149,41 +221,51 @@ def kernel_element(q: float, q_prime: float, ctx: ScatterContext) -> float:
             f"momentum transfer below forward cutoff {q_min!r}: "
             f"q={q!r}, q'={q_prime!r}")
     band_expo = -((q - q_prime) ** 2) / (8.0 * ctx.sigma_k ** 2)
-    return 2.0 * math.pi * math.exp(band_expo) * _kernel_j(0.5 * (q + q_prime), ctx)
+    j = float(_kernel_j(np.array([0.5 * (q + q_prime)]), ctx)[0])
+    return 2.0 * math.pi * math.exp(band_expo) * j
 
 
 def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """J at every ``mu``, from a piecewise-Chebyshev table over
-    [min mu, max mu] that is checked against direct J before use."""
+    [min mu, max mu] that is checked against direct J before use.
+
+    Panels are fitted in rounds: one direct-J call covers every pending
+    panel's nodes and check points, within what is left of the
+    ``_TABLE_MAX_PANELS`` budget, and each panel is then kept or bisected.
+    """
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
     edges = [mu_lo]
     width = ctx.sigma_k
     while edges[-1] < mu_hi:
         edges.append(min(edges[-1] + width, mu_hi))
         width *= 2.0
-    pending = list(zip(edges[:-1], edges[1:]))[::-1]  # leftmost panel last
+    pending = list(zip(edges[:-1], edges[1:]))
     panels: list[tuple[float, float, np.ndarray]] = []
     fits = 0
     while pending:
-        a, b = pending.pop()
-        fits += 1
-        if fits > _TABLE_MAX_PANELS:
+        if fits >= _TABLE_MAX_PANELS:
+            a, b = min(pending)
             raise NumericalError(
                 f"J(mu) table missed {_TABLE_RTOL:g} relative after "
-                f"{_TABLE_MAX_PANELS} panel fits; last panel [{a!r}, {b!r}]")
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                f"{_TABLE_MAX_PANELS} panel fits; {len(pending)} panels "
+                f"left, the first [{a!r}, {b!r}]")
+        batch = pending[:_TABLE_MAX_PANELS - fits]
+        pending = pending[len(batch):]
+        fits += len(batch)
+        ab = np.array(batch)
+        mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
+        direct = _kernel_j((mid[:, None] + half[:, None] * _PANEL_X).ravel(), ctx)
+        for (a, b), m, j in zip(batch, mid, direct.reshape(len(batch), -1)):
+            nodes, check = j[:_TABLE_NODES], j[_TABLE_NODES:]
+            coef = chebyshev.chebinterpolate(lambda _x, y: y, _TABLE_NODES - 1,
+                                             args=(nodes,))
+            if np.all(np.abs(chebyshev.chebval(_CHECK_X, coef) - check)
+                      <= _TABLE_RTOL * np.abs(check)):
+                panels.append((a, b, coef))
+            else:
+                pending += [(a, float(m)), (float(m), b)]
 
-        def direct_j(x):  # J at the panel points mid + half * x
-            return np.array([_kernel_j(m, ctx) for m in mid + half * x])
-
-        coef = chebyshev.chebinterpolate(direct_j, _TABLE_NODES - 1)
-        direct = direct_j(_CHECK_X)
-        if np.all(np.abs(chebyshev.chebval(_CHECK_X, coef) - direct)
-                  <= _TABLE_RTOL * np.abs(direct)):
-            panels.append((a, b, coef))
-        else:
-            pending += [(mid, b), (a, mid)]
-
+    panels.sort(key=lambda panel: panel[0])
     starts = np.array([a for a, _, _ in panels])
     which = np.searchsorted(starts, mu, side="right") - 1
     out = np.empty_like(mu)

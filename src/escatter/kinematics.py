@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV
+from .errors import NumericalError
 
 
 def ev_to_hartree(e_ev: float) -> float:
@@ -134,13 +135,30 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     Returns
     -------
     ScatterContext
+
+    Raises
+    ------
+    NumericalError
+        If ``e_ev`` is beyond what the cell integrals can represent: K^4,
+        their scale, overflows, or the cutoff angle epsilon is lost in
+        rounding against the pixel width delta_theta (epsilon/delta_theta
+        = k_scale / sqrt(2 E), E in Hartree: from about 1e33 eV).
     """
     e_ha = ev_to_hartree(e_ev)
     length = nm_to_bohr(l_nm)
     k = wave_number(e_ha, k_scale)
-    return ScatterContext(
+    ctx = ScatterContext(
         K=k,
         sigma_k=1.0 / length,
         epsilon=min_scattering_angle(e_ha, length / math.sqrt(2.0)),
         delta_theta=2.0 / (k * length),
     )
+    if not math.isfinite(k * k * k * k):
+        raise NumericalError(
+            f"e_ev = {e_ev!r} is out of range: K^4 overflows (K = {k!r})")
+    if ctx.epsilon + ctx.delta_theta == ctx.delta_theta:
+        raise NumericalError(
+            f"e_ev = {e_ev!r} is out of range: the cutoff angle "
+            f"epsilon = {ctx.epsilon!r} rad is lost against the pixel width "
+            f"delta_theta = {ctx.delta_theta!r} rad")
+    return ctx

@@ -17,9 +17,13 @@ Each oracle recomputes a quantity through a route that shares no code
 * ``kernel_element_oracle`` evaluates the meridian density-matrix kernel
   by brute-force 2-D quadrature in polar momentum coordinates, with the
   azimuthal integral done directly -- no Bessel function anywhere.
+* ``kernel_j_oracle`` is the meridian kernel's 1-D integral J(mu) for
+  one mu at a time: the same window and Gauss-Legendre doubling as
+  ``escatter.density_matrix._kernel_j``, in a scalar loop, with scipy's
+  ``i0e``.  The package's batched J must equal it bit for bit.
 * ``meridian_matrix_oracle`` assembles the meridian density matrix one
-  element at a time from ``kernel_element`` (direct J per element, as the
-  package did before its J(mu) table); it referees the table and the
+  element at a time from ``kernel_j_oracle`` (direct J per element, as
+  the package did before its J(mu) table); it referees the table and the
   broadcast band assembly, while ``kernel_element_oracle`` referees the
   element itself.
 * ``charpoly_spectrum`` finds eigenvalues from characteristic-polynomial
@@ -55,13 +59,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import i0e
 
 from escatter.amplitudes import SpinChannel
-from escatter.density_matrix import kernel_element
 from escatter.errors import NumericalError
 from escatter.geometry import (
     GridKind,
@@ -128,6 +133,7 @@ def differential_probability(theta, K, channel: SpinChannel):
     raise ValueError(f"unknown spin channel: {channel!r}")
 
 
+@lru_cache(maxsize=32)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
@@ -332,12 +338,57 @@ def diagonal_convolution_oracle(q: float, ctx, n_radial: int = 4000,
     return kernel_element_oracle(q, q, ctx, n_radial=n_radial, n_phi=n_phi)
 
 
+def _gl_doubling(rule, what: str) -> float:
+    """Gauss-Legendre doubling: ``rule(x, w)`` is the integral's estimate
+    from the n-point nodes x and weights w on [-1, 1].  n starts at 64 and
+    doubles until two successive estimates agree to 1e-9 relative; a
+    non-finite estimate, or no agreement by 4096 nodes, raises
+    :class:`NumericalError` naming ``what``."""
+    prev = None
+    n = 64
+    while n <= 4096:
+        est = rule(*_gl(n))
+        if not math.isfinite(est):
+            raise NumericalError(f"{what} is {est!r} with {n} GL nodes")
+        if prev is not None and abs(est - prev) <= 1e-9 * max(abs(est), 1e-300):
+            return est
+        prev = est
+        n *= 2
+    raise NumericalError(f"{what} did not converge with 4096 GL nodes")
+
+
+def kernel_j_oracle(mu: float, ctx) -> float:
+    """J(mu), the q'' integral of the meridian kernel for one mu,
+    window-restricted (40 sigma_k) and Gauss-Legendre-refined."""
+    sig2 = ctx.sigma_k ** 2
+    lo = max(ctx.K * ctx.epsilon, mu - 40.0 * ctx.sigma_k)
+    hi = min(2.0 * ctx.K, mu + 40.0 * ctx.sigma_k)
+    if hi <= lo:
+        return 0.0
+    half = 0.5 * (hi - lo)
+    shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
+    bessel_scale = mu / sig2
+
+    def rule(x, w):
+        t = shift + half * x
+        qq = mu + t
+        vals = qq ** (-3.0) * i0e(bessel_scale * qq) * np.exp(-(t * t) / (2.0 * sig2))
+        return half * float(np.dot(w, vals))
+
+    return _gl_doubling(rule, f"kernel integral J(mu={mu!r})")
+
+
+def _kernel_element(q: float, q_prime: float, ctx) -> float:
+    band_expo = -((q - q_prime) ** 2) / (8.0 * ctx.sigma_k ** 2)
+    return 2.0 * math.pi * math.exp(band_expo) * kernel_j_oracle(0.5 * (q + q_prime), ctx)
+
+
 def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
     """Trace-normalized meridian density matrix, element by element.
 
     Same theta grid, measure and 45 sigma_k band as
     ``escatter.density_matrix.build_meridian_matrix``, but every band
-    element is its own ``kernel_element`` call in a per-pair scan that
+    element is its own ``kernel_j_oracle`` call in a per-pair scan that
     stops at the first element past the band.
     """
     lo, hi = ctx.epsilon, math.pi - ctx.epsilon
@@ -350,11 +401,11 @@ def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
     band = 45.0 * ctx.sigma_k
     rho = np.zeros((n_grid, n_grid))
     for i in range(n_grid):
-        rho[i, i] = measure[i] * kernel_element(float(q[i]), float(q[i]), ctx)
+        rho[i, i] = measure[i] * _kernel_element(float(q[i]), float(q[i]), ctx)
         for j in range(i + 1, n_grid):
             if q[j] - q[i] > band:
                 break  # q is increasing in j; everything further is zero
-            val = sqrt_mu[i] * sqrt_mu[j] * kernel_element(
+            val = sqrt_mu[i] * sqrt_mu[j] * _kernel_element(
                 float(q[i]), float(q[j]), ctx)
             rho[i, j] = val
             rho[j, i] = val

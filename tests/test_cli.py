@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -395,12 +396,21 @@ def test_failed_row_rule(command, fmt, capsys):
 ], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
         "postselect-overflow", "sphere-zero-division"])
 def test_arithmetic_error_fails_the_row(argv, capsys):
-    # K^4 overflows in the cell integrals at 1e160 eV, and a 1e300 nm
+    # at 1e160 eV K^4 overflows and epsilon is lost against delta_theta,
+    # which the context refuses up front, naming the energy; a 1e300 nm
     # packet's pixel side squares to zero in the pixel count: an
-    # ArithmeticError fails the row like any other error, no traceback
-    assert main(argv + ["--threads", "1", "--format", "json"]) == 3
+    # ArithmeticError fails the row like any other error, no traceback.
+    # Either way the row's one line is all that reaches stderr: no numpy
+    # warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--threads", "1", "--format", "json"]) == 3
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.err.startswith(f"[{argv[0]}] row 0 failed: error: ")
+    assert captured.err.count("\n") == 1
+    if "1e160" in argv:
+        assert "e_ev = 1e+160 is out of range" in captured.err
     [row] = json.loads(captured.out)
     assert row["status"].startswith("error: ")
 

@@ -5,7 +5,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import i0e
+import scipy.special
 
 from escatter import (
     DensityMatrix,
@@ -24,6 +24,7 @@ from oracles import (
     diagonal_convolution_oracle,
     i0e_phi_quadrature,
     kernel_element_oracle,
+    kernel_j_oracle,
     meridian_matrix_oracle,
 )
 
@@ -46,12 +47,23 @@ def test_i0e_against_mpmath():
     mpmath.mp.dps = 30
     for x in (0.1, 1.0, 14.0, 15.0, 16.0, 50.0, 1e3, 1e6):
         ref = float(mpmath.besseli(0, x) * mpmath.exp(-x))
-        assert i0e(x) == pytest.approx(ref, rel=1e-12), x
+        assert density_matrix._i0e(x) == pytest.approx(ref, rel=1e-12), x
 
 
 def test_i0e_against_phi_quadrature():
     for x in (0.5, 5.0, 40.0, 300.0):
-        assert i0e(x) == pytest.approx(i0e_phi_quadrature(x), rel=1e-10), x
+        assert density_matrix._i0e(x) == \
+            pytest.approx(i0e_phi_quadrature(x), rel=1e-10), x
+
+
+def test_i0e_equals_cephes_bit_for_bit():
+    # the package's numpy i0e runs Cephes' tables in Cephes' order of
+    # operations, so it must equal scipy's (Cephes') i0e exactly, on both
+    # series and at their seam x = 8
+    x = 10.0 ** np.random.default_rng(5).uniform(-3.0, 8.0, 200_000)
+    x = np.concatenate([x, [0.0, 8.0, np.nextafter(8.0, 0.0),
+                            np.nextafter(8.0, 16.0)]])
+    assert np.array_equal(density_matrix._i0e(x), scipy.special.i0e(x))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +195,29 @@ def test_two_point_grid_decoheres(ctx):
 
 @pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
                                        (1.0, 20.0)])
+def test_batched_j_equals_scalar_oracle(e_ev, l_nm):
+    # the batched doubling keeps each mu's own first-converged estimate,
+    # so it must equal the one-mu-at-a-time loop bit for bit: across the
+    # lower window end K*eps, the upper end 2K and past both (empty
+    # window, J = 0)
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    q_min, q_max, sk = ctx.K * ctx.epsilon, 2.0 * ctx.K, ctx.sigma_k
+    mu = np.concatenate([np.linspace(q_min - 45.0 * sk, q_min + 45.0 * sk, 100),
+                         np.linspace(q_max - 45.0 * sk, q_max + 45.0 * sk, 100),
+                         np.geomspace(q_min, q_max, 100)])
+    lo = np.maximum(q_min, mu - 40.0 * sk)
+    hi = np.minimum(q_max, mu + 40.0 * sk)
+    assert np.count_nonzero((lo == q_min) & (hi > lo)) >= 50
+    assert np.count_nonzero((hi == q_max) & (hi > lo)) >= 50
+    assert np.count_nonzero(hi <= lo) >= 10
+    j = density_matrix._kernel_j(mu, ctx)
+    ref = np.array([kernel_j_oracle(float(m), ctx) for m in mu])
+    assert np.array_equal(j, ref)
+    assert np.all(j[hi <= lo] == 0.0)
+
+
+@pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
+                                       (1.0, 20.0)])
 def test_assembly_matches_per_element_oracle(e_ev, l_nm):
     # 1 eV / 20 nm has sigma_k / q_min ~ 0.1: J varies fastest there
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
@@ -205,8 +240,9 @@ def test_table_rejects_unfittable_j(ctx, monkeypatch):
     mus = []
 
     def noisy_j(mu, _ctx):
-        mus.append(mu)
-        return 1.0 + 1e-3 * random.Random(mu).random()
+        mus.extend(mu)
+        return 1.0 + 1e-3 * np.array([random.Random(float(m)).random()
+                                      for m in mu])
 
     monkeypatch.setattr(density_matrix, "_kernel_j", noisy_j)
     with pytest.raises(NumericalError, match="panel fits"):
@@ -230,7 +266,7 @@ def test_grid_below_forward_cutoff_fails_before_j(monkeypatch):
     # 512-point theta grid maps to q = 2K sin(theta_0/2) < K epsilon
     ctx = make_context(0.5, 10.0, CALIBRATED_KSCALE)
 
-    def no_j(mu, _ctx):
+    def no_j(mus, _ctx):  # direct J takes and returns an array
         raise AssertionError("J evaluated before the cutoff check")
 
     monkeypatch.setattr(density_matrix, "_kernel_j", no_j)

@@ -44,6 +44,10 @@ CASES = (
                           "--energy-ev", "1000"]),
     ("vn-compare", ["vn-compare", "--packet-nm", "100",
                     "--k-scale", repr(math.sqrt(2.0)), "--energy-ev", "5"]),
+    # the meridian-vn benchmark's own size and packet
+    ("vn-compare-1024", ["vn-compare", "--packet-nm", "100",
+                         "--k-scale", repr(math.sqrt(2.0)),
+                         "--energy-list", "19.6,5.1", "--n-grid", "1024"]),
 )
 
 FORMATS = ("csv", "json")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from escatter import (
     HARTREE_EV,
+    NumericalError,
     ev_to_hartree,
     make_context,
     min_scattering_angle,
@@ -31,6 +32,18 @@ def test_energy_domain_errors():
         wave_number(1.0, k_scale=0.0)
     with pytest.raises(ValueError):
         min_scattering_angle(1.0, 0.0)
+
+
+def test_context_refuses_unrepresentable_energy():
+    # the cell integrals scale as 1/K^4 and start epsilon past theta = 0
+    # in cells of width delta_theta: the context refuses an energy that
+    # overflows the one or loses the other, naming the energy
+    with pytest.raises(NumericalError, match=r"e_ev = 1e\+160 .*K\^4 overflows"):
+        make_context(1e160, 100.0)
+    with pytest.raises(NumericalError, match=r"e_ev = 1e\+40 .*epsilon .* lost"):
+        make_context(1e40, 100.0)
+    ctx = make_context(1e12, 1000.0, math.sqrt(2.0))  # test_a12's point
+    assert ctx.epsilon + ctx.delta_theta > ctx.delta_theta
 
 
 @given(st.floats(min_value=1e-6, max_value=1e9))

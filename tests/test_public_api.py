@@ -33,16 +33,31 @@ def test_all_matches_the_bound_names():
     assert set(escatter.__all__) == _bound_public_names()
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the package has one quadrature rule of its own, and only the
-    # meridian kernel needs scipy.special (for i0e): a cold CLI start
-    # must pay for importing neither
+def _probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this package."""
     src = str(pathlib.Path(escatter.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, escatter.cli; "
-             "print([m for m in ('scipy.integrate', 'scipy.special') "
-             "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+_SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the package has one quadrature rule and one i0e of its own: a cold
+    # CLI start must pay for importing no part of scipy
+    assert _probe(f"import sys, escatter.cli; print({_SCIPY_LOADED})").strip() == "[]"
+
+
+def test_vn_compare_runs_without_scipy():
+    # the meridian kernel's Bessel factor is the package's own, so not even
+    # a vn-compare run loads scipy (a test-only dependency)
+    out = _probe(
+        "import contextlib, io, sys, escatter.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = escatter.cli.main(['vn-compare', '--n-grid', '48', "
+        "'--energy-list', '5,20', '--threads', '2'])\n"
+        f"print(code, {_SCIPY_LOADED})")
+    assert out.strip() == "0 []"
