@@ -6,24 +6,27 @@ identical run-to-run and across thread counts — workers only compute
 per-row values, assembly is always in input order, and the header's
 config hash covers only physics parameters (not threads, output path or
 format).
+
+Only vn-compare has a matrix, so only vn-compare imports numpy: with
+``escatter.density_matrix``, in the main thread before its rows start.
+Every other table runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
 from .amplitudes import SpinChannel
-from .density_matrix import build_meridian_matrix, eigen_spectrum
 from .entropy import shannon_discrete, shannon_ring_discrete, shannon_sphere_discrete
 from .errors import NumericalError
 from .geometry import ring_grid, sphere_pixel_count
@@ -278,7 +281,25 @@ def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
             shannon_sphere_discrete(ctx, channel))
 
 
+def _vn_inputs(cfg: RunConfig) -> list[tuple]:
+    # runs in the main thread, before the row pool: numpy is imported here,
+    # not concurrently by the first rows
+    importlib.import_module(".density_matrix", __package__)
+    return [(e, cfg.n_grid) for e in cfg.e_list]
+
+
+def __getattr__(name: str):
+    # the density-matrix functions of the vn-compare rows, for callers that
+    # look them up here; they come with numpy, so on first use only
+    if name in ("build_meridian_matrix", "eigen_spectrum"):
+        from . import density_matrix
+        return getattr(density_matrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
+    from .density_matrix import build_meridian_matrix, eigen_spectrum
+
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
     s_vn = shannon_discrete(eigen_spectrum(dm))
@@ -336,8 +357,7 @@ _TABLES = {
                            _per_energy, _sphere_row),
     "vn-compare": _Table(("E_ev", "n_grid"),
                          ("S_shannon_ring", "S_vn", "abs_diff"),
-                         lambda cfg: [(e, cfg.n_grid) for e in cfg.e_list],
-                         _vn_row),
+                         _vn_inputs, _vn_row),
     "spin-sweep": _Table(("E_ev",), ("n_cells", "S_par", "S_ap",
                                      "S_par_modified", "S_ap_modified"),
                          _per_energy, _spin_row),
@@ -419,6 +439,8 @@ def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file + rename so interrupted runs never
     leave a truncated table at the target path."""
+    import tempfile  # only --out needs it: kept out of every cold start
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".escatter-", suffix=".tmp")
     try:

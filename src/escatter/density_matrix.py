@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import _gl_nodes, channel_domain
+from .geometry import channel_domain
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -71,6 +72,10 @@ _TABLE_MAX_PANELS = 256
 _CHECK_X = chebyshev.chebpts2(_TABLE_NODES + 1)  # extrema of T_16
 # a panel's direct-J points: chebinterpolate's nodes, then the checks
 _PANEL_X = np.concatenate([chebyshev.chebpts1(_TABLE_NODES), _CHECK_X])
+
+#: Gauss-Legendre nodes and weights on [-1, 1], cached by order: numpy's
+#: rule, the one ``kernel_j_oracle`` uses, so that direct J equals it
+_gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 _GL_START = 64
 _GL_MAX = 4096

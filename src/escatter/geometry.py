@@ -1,5 +1,5 @@
-"""Detector discretizations, per-cell probability integrals and the
-package's Gauss-Legendre nodes.
+"""Detector discretizations and per-cell probability integrals, on the
+``math`` module alone.
 
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
@@ -8,8 +8,11 @@ exact to rounding and usable at any (even fractional) cell index.  Each
 cell is given by its centre and half-width, never by two rounded edges:
 b - a formed from edges near theta carries an error of ulp(theta), which
 is 1e-9 of a 2.5e-7 rad cell, and it would make a cell's weight a noisy
-function of its index.  The test suite referees the closed forms against
-Gauss-Legendre quadrature and mpmath in ``tests/oracles.py``.
+function of its index.  The integrals take a sequence of centres and one
+half-width and return lists: the entropy reducer evaluates a few hundred
+cells a call, too few for array code to pay for importing numpy.  The
+test suite referees them against numpy-vectorised copies, Gauss-Legendre
+quadrature and mpmath in ``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
 d(s)/d(theta) = sin(theta)/2 and the densities become rational in s:
@@ -28,10 +31,6 @@ d = u_b - u_a = -2 sin(mid) sin(hw) and y = d / (1 - u_a u_b), where
 
 whose bracket is taken from its series for small |y|.  Every piece keeps
 its relative accuracy at the equator, where A itself cancels.
-
-:func:`_gl_nodes` caches the Gauss-Legendre nodes of the package: the
-Euler-Maclaurin sums of ``escatter.entropy`` and the meridian kernel
-J(mu) of ``escatter.density_matrix`` use them.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
 from .kinematics import ScatterContext
@@ -50,10 +46,6 @@ from .kinematics import ScatterContext
 #: so that a whole number of cells up to rounding keeps its last cell.
 #: Above about 2**24 cells it is below half an ulp and has no effect.
 _DIVISION_SLACK = 1e-9
-
-
-#: Gauss-Legendre nodes and weights on [-1, 1], cached by order
-_gl_nodes = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 class GridKind(Enum):
@@ -83,11 +75,12 @@ class AngularGrid:
         if not self.theta_lo < self.theta_hi:
             raise ValueError("grid domain is empty (theta_lo >= theta_hi)")
 
-    def centres(self, x) -> np.ndarray:
-        """Centres theta_lo + (x + 1/2) delta_theta of the cells at
-        indices ``x``; a fractional index is a point between cell centres,
+    def centres(self, xs) -> list[float]:
+        """Centres theta_lo + (x + 1/2) delta_theta of the cells at the
+        indices ``xs``; a fractional index is a point between cell centres,
         where the cell integrals are smooth functions of x."""
-        return self.theta_lo + (np.asarray(x, dtype=float) + 0.5) * self.delta_theta
+        lo, delta = self.theta_lo, self.delta_theta
+        return [lo + (x + 0.5) * delta for x in xs]
 
 
 def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, float]:
@@ -163,75 +156,91 @@ def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
     return int(math.floor(omega0 / ctx.delta_theta ** 2 + _DIVISION_SLACK))
 
 
-def ring_weight(theta_i: float | np.ndarray,
-                delta_theta: float) -> float | np.ndarray:
-    """Pixels per ring at polar angle(s) theta_i: m_i = 2 pi sin(theta_i) / dtheta."""
-    return 2.0 * math.pi * np.sin(theta_i) / delta_theta
+def ring_weight(theta_i: float, delta_theta: float) -> float:
+    """Pixels per ring at polar angle theta_i: m_i = 2 pi sin(theta_i) / dtheta."""
+    return 2.0 * math.pi * math.sin(theta_i) / delta_theta
 
 
 # ---------------------------------------------------------------------------
 # closed-form cell integrals
 # ---------------------------------------------------------------------------
 
-def _half_angle_s(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sin^2(theta/2), cos^2(theta/2)), each computed directly so
-    both stay relatively accurate near their zeros."""
-    half = 0.5 * theta
-    sh = np.sin(half)
-    ch = np.cos(half)
-    return sh * sh, ch * ch
-
-
-def direct_exchange_cell_integrals(mid, hw, K: float
-                                   ) -> tuple[np.ndarray, np.ndarray]:
+def direct_exchange_cell_integrals(mids, hw: float, K: float
+                                   ) -> tuple[list[float], list[float]]:
     """Per-cell (2 pi * integral f^2 sin, 2 pi * integral g^2 sin) over the
-    cells [mid - hw, mid + hw]."""
-    s_a, c_a = _half_angle_s(mid - hw)
-    s_b, c_b = _half_angle_s(mid + hw)
-    ds = np.sin(mid) * np.sin(hw)  # s_b - s_a, without cancellation
+    cells [mid - hw, mid + hw], one pair of lists over ``mids``.
+
+    sin^2 and cos^2 of each half-angle are formed directly, so both stay
+    relatively accurate near their zeros."""
+    sin, cos = math.sin, math.cos
     c = math.pi / (4.0 * K ** 4)
-    return c * ds / (s_a * s_b), c * ds / (c_a * c_b)
+    sin_hw = sin(hw)
+    direct, exchange = [], []
+    for mid in mids:
+        half_a, half_b = 0.5 * (mid - hw), 0.5 * (mid + hw)
+        sa, ca, sb, cb = sin(half_a), cos(half_a), sin(half_b), cos(half_b)
+        cds = c * (sin(mid) * sin_hw)  # c (s_b - s_a), without cancellation
+        direct.append(cds / ((sa * sa) * (sb * sb)))
+        exchange.append(cds / ((ca * ca) * (cb * cb)))
+    return direct, exchange
 
 
 #: below this |y| atanh(y) - y is summed from its series, which reaches
 #: full precision in fourteen terms; above it atanh(y) - y loses at most
 #: a factor 3 / y^2 = 48 of its relative accuracy
 _ATANH_SERIES_CUT = 0.25
+#: the series' coefficients 1 / (2k + 1), k = 14 down to 1, in Horner order
+_ATANH_SERIES = tuple(1.0 / (2 * k + 1) for k in range(14, 0, -1))
 
 
-def _atanh_minus_identity(y: np.ndarray) -> np.ndarray:
-    """atanh(y) - y = sum_{k>=1} y^(2k+1) / (2k+1), without cancellation."""
-    y2 = y * y
-    series = np.zeros_like(y2)
-    for k in range(14, 0, -1):  # Horner in y^2
-        series = y2 * (1.0 / (2 * k + 1) + series)
-    return np.where(np.abs(y) < _ATANH_SERIES_CUT, y * series, np.arctanh(y) - y)
+def _atanh_minus_identity(y: float) -> float:
+    """atanh(y) - y = sum_{k>=1} y^(2k+1) / (2k+1) for |y| < 1, without
+    cancellation."""
+    if abs(y) < _ATANH_SERIES_CUT:
+        y2 = y * y
+        series = 0.0
+        for inv in _ATANH_SERIES:  # Horner in y^2
+            series = y2 * (inv + series)
+        return y * series
+    return math.atanh(y) - y
 
 
-def parallel_cell_integrals(mid, hw, K: float) -> np.ndarray:
+def parallel_cell_integrals(mids, hw: float, K: float) -> list[float]:
     """Per-cell 2 pi * integral (f-g)^2 sin dtheta over the cells
-    [mid - hw, mid + hw], to rounding everywhere, the equator included."""
-    sm, cm = np.sin(mid), np.cos(mid)
-    sh, ch = np.sin(hw), np.cos(hw)
-    # cos and sin of a = mid - hw and b = mid + hw by the addition
-    # theorems, so cos stays relatively accurate at pi/2
-    u_a, u_b = cm * ch + sm * sh, cm * ch - sm * sh
-    sin_a, sin_b = sm * ch - cm * sh, sm * ch + cm * sh
-    y = -2.0 * sm * sh / (sh * sh + sm * sm)
-    cot2 = (u_a / sin_a) ** 2 + (u_b / sin_b) ** 2
-    c = math.pi / (4.0 * K ** 4)
-    return 4.0 * c * (_atanh_minus_identity(y) - y * cot2)
+    [mid - hw, mid + hw], to rounding everywhere, the equator included.
+
+    Once a cell's lower edge is within about 1e-8 of its width from 0
+    (from about 1e18 eV at 1 um), 1 + y cancels and y rounds to -1, where
+    atanh is -inf: the cell gets the weight -inf, which the entropy
+    reducer reports as non-finite."""
+    sin, cos = math.sin, math.cos
+    sh, ch = sin(hw), cos(hw)
+    c4 = 4.0 * (math.pi / (4.0 * K ** 4))
+    out = []
+    for mid in mids:
+        sm, cm = sin(mid), cos(mid)
+        y = -2.0 * sm * sh / (sh * sh + sm * sm)
+        if y <= -1.0:
+            out.append(-math.inf)
+            continue
+        # cos and sin of a = mid - hw and b = mid + hw by the addition
+        # theorems, so cos stays relatively accurate at pi/2
+        cot_a = (cm * ch + sm * sh) / (sm * ch - cm * sh)
+        cot_b = (cm * ch - sm * sh) / (sm * ch + cm * sh)
+        out.append(c4 * (_atanh_minus_identity(y)
+                         - y * (cot_a * cot_a + cot_b * cot_b)))
+    return out
 
 
-def channel_cell_integrals(mid, hw, K: float,
-                           channel: SpinChannel) -> np.ndarray:
+def channel_cell_integrals(mids, hw: float, K: float,
+                           channel: SpinChannel) -> list[float]:
     """Per-cell 2 pi * integral p(theta) sin(theta) dtheta for one channel
-    over the cells [mid - hw, mid + hw]."""
+    over the cells [mid - hw, mid + hw], one list over ``mids``."""
     if channel is SpinChannel.SPINLESS:
-        return direct_exchange_cell_integrals(mid, hw, K)[0]
+        return direct_exchange_cell_integrals(mids, hw, K)[0]
     if channel is SpinChannel.PARALLEL:
-        return parallel_cell_integrals(mid, hw, K)
+        return parallel_cell_integrals(mids, hw, K)
     if channel is SpinChannel.ANTIPARALLEL:
-        F, G = direct_exchange_cell_integrals(mid, hw, K)
-        return F + G
+        F, G = direct_exchange_cell_integrals(mids, hw, K)
+        return [f + g for f, g in zip(F, G)]
     raise ValueError(f"unknown spin channel: {channel!r}")

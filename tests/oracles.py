@@ -7,6 +7,11 @@ Each oracle recomputes a quantity through a route that shares no code
   ``differential_probability`` are the Coulomb amplitudes f, g and the
   channel densities |f|^2, |f-g|^2, |f|^2 + |g|^2 pointwise; the package
   only needs their closed-form cell integrals.
+* ``direct_exchange_cell_integrals_np``, ``parallel_cell_integrals_np``
+  and ``channel_cell_integrals_np`` are the closed-form cell integrals of
+  ``escatter.geometry`` vectorised with numpy, as the package computed
+  them before it ran on the ``math`` module alone; the streamed oracle
+  below sums them, and they referee the package's loops to rounding.
 * ``cell_probability`` integrates a channel density over one detector
   cell with Gauss-Legendre quadrature of doubling order
   (``integrate_cell_gl``); it referees the closed-form cell integrals of
@@ -14,6 +19,10 @@ Each oracle recomputes a quantity through a route that shares no code
 * ``interference_cell_integrals`` is the closed-form cross term
   2 pi int f g sin dtheta, which ``escatter.geometry`` does not need; it
   closes the cell-by-cell identity (f-g)^2 = f^2 + g^2 - 2 f g.
+* ``gauss_legendre_mp`` is the n-point Gauss-Legendre rule at 50 digits,
+  the Legendre roots from mpmath's root finder; it referees the package's
+  pure-Python rule, as numpy's ``leggauss`` (itself 7e-14 off in the
+  weights next to +-1 at 20 nodes) cannot to rounding.
 * ``kernel_element_oracle`` evaluates the meridian density-matrix kernel
   by brute-force 2-D quadrature in polar momentum coordinates, with the
   azimuthal integral done directly -- no Bessel function anywhere.
@@ -68,12 +77,7 @@ from scipy.special import i0e
 
 from escatter.amplitudes import SpinChannel
 from escatter.errors import NumericalError
-from escatter.geometry import (
-    GridKind,
-    channel_cell_integrals,
-    direct_exchange_cell_integrals,
-    ring_weight,
-)
+from escatter.geometry import GridKind
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
@@ -133,6 +137,62 @@ def differential_probability(theta, K, channel: SpinChannel):
     raise ValueError(f"unknown spin channel: {channel!r}")
 
 
+def _half_angle_s_np(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin^2(theta/2), cos^2(theta/2)), each formed directly."""
+    half = 0.5 * theta
+    sh = np.sin(half)
+    ch = np.cos(half)
+    return sh * sh, ch * ch
+
+
+def direct_exchange_cell_integrals_np(mid, hw: float, K: float
+                                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (2 pi int f^2 sin, 2 pi int g^2 sin) over the cells
+    [mid - hw, mid + hw], as numpy arrays."""
+    mid = np.asarray(mid, dtype=float)
+    s_a, c_a = _half_angle_s_np(mid - hw)
+    s_b, c_b = _half_angle_s_np(mid + hw)
+    ds = np.sin(mid) * np.sin(hw)  # s_b - s_a, without cancellation
+    c = math.pi / (4.0 * K ** 4)
+    return c * ds / (s_a * s_b), c * ds / (c_a * c_b)
+
+
+def _atanh_minus_identity_np(y: np.ndarray) -> np.ndarray:
+    """atanh(y) - y: its series below |y| = 0.25, arctanh above."""
+    y2 = y * y
+    series = np.zeros_like(y2)
+    for k in range(14, 0, -1):  # Horner in y^2
+        series = y2 * (1.0 / (2 * k + 1) + series)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(y) < 0.25, y * series, np.arctanh(y) - y)
+
+
+def parallel_cell_integrals_np(mid, hw, K: float) -> np.ndarray:
+    """Per-cell 2 pi int (f-g)^2 sin dtheta over the cells
+    [mid - hw, mid + hw], as a numpy array (mid or hw may be arrays)."""
+    mid = np.asarray(mid, dtype=float)
+    sm, cm = np.sin(mid), np.cos(mid)
+    sh, ch = np.sin(hw), np.cos(hw)
+    u_a, u_b = cm * ch + sm * sh, cm * ch - sm * sh
+    sin_a, sin_b = sm * ch - cm * sh, sm * ch + cm * sh
+    y = -2.0 * sm * sh / (sh * sh + sm * sm)
+    cot2 = (u_a / sin_a) ** 2 + (u_b / sin_b) ** 2
+    c = math.pi / (4.0 * K ** 4)
+    return 4.0 * c * (_atanh_minus_identity_np(y) - y * cot2)
+
+
+def channel_cell_integrals_np(mid, hw: float, K: float,
+                              channel: SpinChannel) -> np.ndarray:
+    """Per-cell 2 pi int p(theta) sin(theta) dtheta of one channel, as a
+    numpy array."""
+    if channel is SpinChannel.SPINLESS:
+        return direct_exchange_cell_integrals_np(mid, hw, K)[0]
+    if channel is SpinChannel.PARALLEL:
+        return parallel_cell_integrals_np(mid, hw, K)
+    F, G = direct_exchange_cell_integrals_np(mid, hw, K)
+    return F + G
+
+
 @lru_cache(maxsize=32)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -189,7 +249,7 @@ def grid_cells(grid, i0: int = 0, i1: int | None = None):
     the arguments of the ``escatter.geometry`` cell integrals."""
     if i1 is None:
         i1 = grid.n_cells
-    return grid.centres(np.arange(i0, i1)), 0.5 * grid.delta_theta
+    return grid.centres(range(i0, i1)), 0.5 * grid.delta_theta
 
 
 #: cells per chunk of the streamed exact sum
@@ -213,12 +273,12 @@ def streamed_weight_entropy(grid, K: float, channel,
     z = 0.0
     t = 0.0
     for x in iter_cell_chunks(grid, chunk_cells):
-        mid = grid.centres(x)
+        mid = grid.theta_lo + (x + 0.5) * grid.delta_theta
         if channel is SpinChannel.ANTIPARALLEL:
-            branches = direct_exchange_cell_integrals(mid, hw, K)
+            branches = direct_exchange_cell_integrals_np(mid, hw, K)
         else:
-            branches = (channel_cell_integrals(mid, hw, K, channel),)
-        m = (ring_weight(mid, grid.delta_theta)
+            branches = (channel_cell_integrals_np(mid, hw, K, channel),)
+        m = (2.0 * math.pi * np.sin(mid) / grid.delta_theta
              if grid.kind is GridKind.SPHERE_PIXELS else np.ones_like(mid))
         for w in branches:
             keep = w > 0.0
@@ -292,6 +352,21 @@ def interference_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
     at = 0.5 * np.log(cs / s)          # atanh(cos theta), stable via s, 1-s
     c = math.pi / (4.0 * K ** 4)
     return 2.0 * c * (at[:-1] - at[1:])
+
+
+def gauss_legendre_mp(n: int) -> tuple[list[float], list[float]]:
+    """Nodes and weights 2 / ((1 - x^2) P_n'(x)^2) of the n-point
+    Gauss-Legendre rule, each rounded once from 50 digits."""
+    nodes, weights = [], []
+    with mpmath.workdps(50):
+        for guess in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                mpmath.mpf(float(guess)))
+            dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) \
+                / (1 - x * x)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return nodes, weights
 
 
 def kernel_element_oracle(q: float, q_prime: float, ctx,

@@ -333,6 +333,27 @@ def test_empty_domain_row_fails_without_warning(command):
         "(2 E b_bar < 1)"]
 
 
+@pytest.mark.parametrize("e_ev", ["1e18", "1e25"])
+def test_parallel_channel_at_extreme_energy_fails_cleanly(e_ev):
+    # from about 1e18 eV at 1 um, y = -2 sin(mid) sin(hw) / (...) of the
+    # first parallel cell rounds to -1: the row fails naming the channel
+    # and the angle, and that line is all of stderr (no arctanh warning,
+    # no bare "math domain error")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "escatter.cli", "spin-sweep", "--energy-ev", e_ev,
+         "--packet-nm", "1000", "--k-scale", SQRT2, "--threads", "1"],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"\[spin-sweep\] row 0 failed: error: non-finite cell "
+                        r"weight in the parallel channel at theta = "
+                        r"\d\.\d+e-\d+", line), line
+
+
 def test_meridian_grid_below_cutoff_exit_3(capsys):
     # epsilon = 0.402: the first midpoint of a 512-point theta grid maps
     # to q = 2K sin(theta_0/2), below the kernel's cutoff K epsilon

@@ -28,6 +28,7 @@ from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integ
 from oracles import (
     CALIBRATED_KSCALE,
     continuous_limit_oracle,
+    gauss_legendre_mp,
     grid_cells,
     streamed_weight_entropy,
     telescoped_weight_mp,
@@ -105,7 +106,8 @@ def test_streamed_matches_materialized():
     # vector and feeding it to the plain Shannon sum
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
-        w = channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)), ctx.K, ch)
+        w = np.asarray(channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)),
+                                              ctx.K, ch))
         assert shannon_ring_discrete(ctx, ch) == \
             pytest.approx(shannon_discrete(w / w.sum()), abs=1e-10)
 
@@ -176,25 +178,32 @@ def test_single_cell_entropy_zero():
 # ---------------------------------------------------------------------------
 
 _H = entropy._EXACT_END_CELLS
+_EXACT = entropy._EXACT_MAX_CELLS
 
 
 def _reducer_grids():
-    """(id, grid, K, channel): native ring and sphere grids, post-selection
-    bands below pi/2 (the parallel channel's double zero at their top)
-    and uniform grids of 2H cells and just above."""
+    """(id, grid, K, channel): native ring and sphere grids at 100 eV and
+    at 1 eV (where the cells' singularity sits about 5 cells before the
+    first cell), post-selection bands below pi/2 (the parallel channel's
+    double zero at their top), and uniform grids of 2H cells, of the
+    most cells summed exactly, and just above each."""
     ring = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
+    near = make_context(1.0, 50_000.0, CALIBRATED_KSCALE)
     band = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
     coarse = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in SpinChannel:
         for kind in GridKind:
             yield (f"ring-{ch.value}-{kind.value}",
                    ring_grid(ring, ch, kind=kind), ring.K, ch)
+            yield (f"ring-1eV-{ch.value}-{kind.value}",
+                   ring_grid(near, ch, kind=kind), near.K, ch)
         for theta_r in (0.01, 0.1, 1.5):
             yield (f"band-{theta_r}-{ch.value}",
                    range_grid_below(0.5 * math.pi, theta_r, band.delta_theta),
                    band.K, ch)
         lo, hi = channel_domain(coarse, ch)
-        for n in (2 * _H, 2 * _H + 1, 2 * _H + 2, 2 * _H + 7, 3 * _H):
+        for n in (2 * _H, 2 * _H + 1, _EXACT, _EXACT + 1, _EXACT + 2,
+                  _EXACT + 7, 3 * _EXACT // 2):
             for kind in GridKind:
                 yield (f"uniform-{n}-{ch.value}-{kind.value}",
                        uniform_grid(lo, hi, n, kind=kind), coarse.K, ch)
@@ -233,7 +242,7 @@ def test_reducer_z_matches_telescoped_total(e_ev):
 def test_reducer_cost_does_not_grow_with_cells():
     # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 cells, each summed from two
     # calls of the cell integrals (the ends, then the Euler-Maclaurin
-    # nodes) of under 3 H points, where the cell walk took minutes
+    # nodes) of under a thousand points, where the cell walk took minutes
     calls = []
 
     def counting(mid, hw, K, channel):
@@ -243,13 +252,31 @@ def test_reducer_cost_does_not_grow_with_cells():
     for e_ev in (1e4, 1e12):
         ctx = make_context(e_ev, 1000.0, CALIBRATED_KSCALE)
         grid = ring_grid(ctx, SpinChannel.PARALLEL)
-        assert grid.n_cells > 2 * _H
+        assert grid.n_cells > _EXACT
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy, "channel_cell_integrals", counting)
             h, _ = entropy._stream_weight_entropy(grid, ctx.K,
                                                   SpinChannel.PARALLEL)
         assert 0.0 <= h <= math.log2(grid.n_cells)
-    assert len(calls) == 4 and max(calls) < 3 * _H
+    assert len(calls) == 4 and max(calls) < 1000
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python Gauss-Legendre rule of the Euler-Maclaurin panels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", sorted({entropy._PANEL_NODES, 1, 2, 3, 7, 20, 40}))
+def test_gauss_legendre_rule(n):
+    # the panels use _PANEL_NODES.  numpy's nodes agree to 2 ulp, but its
+    # weights are themselves up to 7e-14 off next to +-1 (20 nodes), so
+    # the weights are refereed against 50-digit ones instead
+    x, w = map(np.asarray, entropy._gauss_legendre(n))
+    x_np, _ = np.polynomial.legendre.leggauss(n)
+    _, w_mp = map(np.asarray, gauss_legendre_mp(n))
+    assert np.all(np.abs(x - x_np) <= 2 * np.spacing(np.abs(x_np)))
+    assert np.all(np.abs(w - w_mp) <= 1e-14 * w_mp)
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +289,8 @@ def test_sphere_ring_multiplicity_identity():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
     centers, hw = grid_cells(grid)
-    w = channel_cell_integrals(centers, hw, ctx.K, SpinChannel.SPINLESS)
+    w = np.asarray(channel_cell_integrals(centers, hw, ctx.K,
+                                          SpinChannel.SPINLESS))
     p = w / w.sum()
     m = np.array([ring_weight(t, grid.delta_theta) for t in centers])
     expected = shannon_discrete(p) + float((p * np.log2(m)).sum())
@@ -387,12 +415,11 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
 def test_non_finite_entropy_fails(monkeypatch):
     # every weight finite, but w ln w overflows: the entropy is -inf,
     # which the clamp at 0 used to hide
     def huge(mid, hw, K, channel):
-        w = np.ones(len(mid))
+        w = [1.0] * len(mid)
         w[0] = 1e308
         return w
 

@@ -24,13 +24,16 @@ from escatter.geometry import (
 from oracles import (
     CALIBRATED_KSCALE,
     cell_probability,
+    channel_cell_integrals_np,
     direct_exchange_cell_integrals_mp,
+    direct_exchange_cell_integrals_np,
     grid_cells,
     grid_edges,
     integrate_cell_gl,
     interference_cell_integrals,
     iter_cell_chunks,
     parallel_cell_integral_mp,
+    parallel_cell_integrals_np,
 )
 
 
@@ -103,8 +106,7 @@ def test_grid_edges_and_chunks():
     # cell centres sit halfway between the edges, at fractional indices too
     centres = g.centres(np.arange(1000))
     assert np.allclose(centres, 0.5 * (edges[:-1] + edges[1:]), rtol=0, atol=1e-15)
-    assert g.centres(-0.5) == 0.0
-    assert g.centres(999.5) == pytest.approx(1.0)
+    assert g.centres([-0.5, 999.5]) == [0.0, pytest.approx(1.0)]
     # chunks of cell indices tile the full grid without gaps or overlaps
     seen = np.concatenate(list(iter_cell_chunks(g, chunk_cells=137)))
     assert np.array_equal(seen, np.arange(1000))
@@ -223,7 +225,7 @@ def test_normalized_probabilities_sum_to_one():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
-        w = channel_cell_integrals(*grid_cells(grid), ctx.K, channel)
+        w = np.asarray(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
         p = w / w.sum()
         assert abs(float(p.sum()) - 1.0) <= 1e-12
 
@@ -241,9 +243,12 @@ def test_interference_consistency():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     edges = np.linspace(0.3, math.pi / 2, 200)
     mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    # one cell a call: the cells' rounded widths differ
+    F, G = np.array([[direct_exchange_cell_integrals([m], h, ctx.K)[i][0]
+                      for m, h in zip(mid, hw)] for i in (0, 1)])
     X = interference_cell_integrals(edges, ctx.K)
-    W = parallel_cell_integrals(mid, hw, ctx.K)
+    W = np.array([parallel_cell_integrals([m], h, ctx.K)[0]
+                  for m, h in zip(mid, hw)])
     assert np.all(np.abs(W - (F + G - 2.0 * X)) <= 1e-12 * (F + G))
 
 
@@ -269,8 +274,10 @@ def test_series_closed_form_crossover():
     u_cut = 0.1
     theta_cut = math.acos(u_cut)
     edges = np.linspace(theta_cut - 0.05, theta_cut + 0.05, 101)
-    W = parallel_cell_integrals(0.5 * (edges[1:] + edges[:-1]),
-                                0.5 * (edges[1:] - edges[:-1]), K)
+    # one cell a call: the cells' rounded widths differ
+    W = [parallel_cell_integrals([m], h, K)[0]
+         for m, h in zip(0.5 * (edges[1:] + edges[:-1]),
+                         0.5 * (edges[1:] - edges[:-1]))]
     # compare against high-order quadrature per cell
     for i in (0, 49, 50, 51, 99):
         lo, hi = float(edges[i]), float(edges[i + 1])
@@ -311,7 +318,49 @@ def test_parallel_cell_integral_across_series_cut():
     # atanh(y) - y switches from its series to arctanh at |y| = 0.25;
     # these cells at theta = 1 have |y| from about 0.19 to 0.31
     hws = np.linspace(0.08, 0.13, 11)
-    W = parallel_cell_integrals(1.0, hws, 1.0)
+    W = [parallel_cell_integrals([1.0], hw, 1.0)[0] for hw in hws]
     for hw, w in zip(hws, W):
         assert w == pytest.approx(parallel_cell_integral_mp(1.0, hw, 1.0),
                                   rel=1e-13, abs=0.0), hw
+
+
+# ---------------------------------------------------------------------------
+# the package's loops against the numpy-vectorised forms they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("e_ev, l_nm", [(1.0, 50.0), (5.0, 100.0), (1e3, 5e4),
+                                        (1e8, 1000.0), (1e12, 1000.0)])
+def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
+    # first and last cells, where the singularity and the parallel
+    # channel's double zero sit, and cells across the domain, in the
+    # series branch of atanh(y) - y and out of it
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    hw = 0.5 * ctx.delta_theta
+    for channel in SpinChannel:
+        grid = ring_grid(ctx, channel)
+        n = grid.n_cells
+        mid = grid.centres([*range(20), *np.linspace(20, n - 20, 500),
+                            *range(n - 20, n)])
+        ours = channel_cell_integrals(mid, hw, ctx.K, channel)
+        assert np.allclose(ours, channel_cell_integrals_np(mid, hw, ctx.K, channel),
+                           rtol=1e-14, atol=0.0), channel
+    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    F_np, G_np = direct_exchange_cell_integrals_np(mid, hw, ctx.K)
+    assert np.allclose(F, F_np, rtol=1e-14, atol=0.0)
+    assert np.allclose(G, G_np, rtol=1e-14, atol=0.0)
+    hws = np.linspace(0.08, 0.13, 11)  # |y| across the series cut at 1 rad
+    assert np.allclose([parallel_cell_integrals([1.0], h, 1.0)[0] for h in hws],
+                       parallel_cell_integrals_np(1.0, hws, 1.0),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_parallel_weight_where_y_rounds_to_minus_one():
+    # 1e18 eV / 1 um: the first cell's lower edge is 5e-9 of a cell above
+    # 0, so y = -2 sin(mid) sin(hw) / (sin^2 hw + sin^2 mid) rounds to -1;
+    # its weight is -inf (numpy's arctanh(-1)), without a math domain error
+    ctx = make_context(1e18, 1000.0, CALIBRATED_KSCALE)
+    grid = ring_grid(ctx, SpinChannel.PARALLEL)
+    mid, hw = grid_cells(grid, 0, 2)
+    w = parallel_cell_integrals(mid, hw, ctx.K)
+    assert w[0] == -math.inf
+    assert parallel_cell_integrals_np(mid, hw, ctx.K)[0] == -math.inf

@@ -4,19 +4,26 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import escatter
+import escatter.cli
 
 
 def _bound_public_names() -> set[str]:
-    """Names that escatter/__init__.py itself binds, by import or by
-    assignment, other than private ones."""
+    """Names that escatter/__init__.py itself binds, by import, by
+    assignment or on first use through its module ``__getattr__`` (the
+    names listed in ``_DENSITY_MATRIX_NAMES``), other than private ones."""
     tree = ast.parse(pathlib.Path(escatter.__file__).read_text())
     names = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            names.update(targets)
+            if targets == {"_DENSITY_MATRIX_NAMES"}:
+                names.update(ast.literal_eval(node.value))
     return {n for n in names if not n.startswith("_")} | {"__version__"}
 
 
@@ -31,6 +38,17 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
+    assert len(escatter.__all__) == 34
+
+
+def test_density_matrix_names_resolve_on_first_use():
+    from escatter import density_matrix
+
+    for name in escatter._DENSITY_MATRIX_NAMES:
+        assert getattr(escatter, name) is getattr(density_matrix, name), name
+    assert escatter.cli.build_meridian_matrix is density_matrix.build_meridian_matrix
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        escatter.not_a_name
 
 
 def _probe(code: str) -> str:
@@ -43,6 +61,54 @@ def _probe(code: str) -> str:
 
 
 _SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+#: the modules a probe's code adds to those of a bare interpreter that
+#: are neither in the standard library nor part of this package
+_FOREIGN_ADDED = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "{code}\n"
+    "print(sorted(m for m in set(sys.modules) - before\n"
+    "             if m.split('.')[0] not in sys.stdlib_module_names\n"
+    "             and m.split('.')[0] != 'escatter'))")
+
+#: one small row of every table but vn-compare
+_NUMPY_FREE_COMMANDS = {
+    "spinless-sweep": ["spinless-sweep", "--energy-ev", "1e4"],
+    "sphere-sweep": ["sphere-sweep", "--energy-ev", "1e4"],
+    "spin-sweep": ["spin-sweep", "--energy-ev", "1e4"],
+    "postselect-range": ["postselect-range", "--energy-ev", "1e4",
+                         "--theta-r", "0.5"],
+    "equator-geometry": ["spinless-sweep", "--geometry", "equator",
+                         "--channel", "antiparallel"],
+    "equator": ["equator", "--n-cells", "4"],
+}
+
+
+def _run_cli(argv: list[str]) -> str:
+    """Probe code that runs the CLI on ``argv`` with its table discarded."""
+    return ("import contextlib, io, escatter.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert escatter.cli.main({argv!r} + ['--threads', '2']) == 0")
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # numpy's import was most of a cold start: escatter.cli needs none of it
+    code = _FOREIGN_ADDED.format(code="import escatter.cli")
+    assert _probe(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", list(_NUMPY_FREE_COMMANDS.values()),
+                         ids=list(_NUMPY_FREE_COMMANDS))
+def test_commands_without_a_matrix_load_only_the_standard_library(argv):
+    code = _FOREIGN_ADDED.format(code=_run_cli(argv))
+    assert _probe(code).strip() == "[]"
+
+
+def test_vn_compare_loads_numpy():
+    code = _FOREIGN_ADDED.format(
+        code=_run_cli(["vn-compare", "--n-grid", "48", "--energy-list", "5,20"]))
+    assert "numpy" in _probe(code)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
