@@ -10,6 +10,11 @@ format).
 Only vn-compare has a matrix, so only vn-compare imports numpy: with
 ``escatter.density_matrix``, in the main thread before its rows start.
 Every other table runs on the standard library alone.
+
+Only vn-compare's rows run in worker threads (``--threads``): they are
+large numpy calls that release the GIL.  Every other table's rows are
+pure Python, which holds it, so they run one after another on the
+calling thread, and a cold start loads no thread pool.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import __version__
 from .amplitudes import SpinChannel
@@ -58,21 +61,49 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass
 class RunConfig:
-    command: str
-    e_list: list = field(default_factory=lambda: [5.0])  # eV
-    l_nm: float = 100.0
-    k_scale: float = 1.0
-    grid_cap: int = 4096
-    n_grid: int = 512          # vn-compare matrix dimension
-    n_cells: list = field(default_factory=lambda: [3140])  # equator cells
-    channel: str = "spinless"
-    geometry: str = "rings"
-    theta_r: list = field(default_factory=lambda: list(_DEFAULT_THETA_R))
-    out: str | None = None
-    format: str = "csv"
-    threads: int = 0           # 0 = auto
+    """One command's settings; ``build_config`` fills them from flags,
+    a config file and the environment, and ``validate`` checks them."""
+
+    __slots__ = ("command", "e_list", "l_nm", "k_scale", "grid_cap", "n_grid",
+                 "n_cells", "channel", "geometry", "theta_r", "out", "format",
+                 "threads")
+
+    def __init__(self, command: str, e_list: list | None = None,
+                 l_nm: float = 100.0, k_scale: float = 1.0,
+                 grid_cap: int = 4096, n_grid: int = 512,
+                 n_cells: list | None = None, channel: str = "spinless",
+                 geometry: str = "rings", theta_r: list | None = None,
+                 out: str | None = None, format: str = "csv",
+                 threads: int = 0) -> None:
+        self.command = command
+        self.e_list = [5.0] if e_list is None else e_list  # eV
+        self.l_nm = l_nm
+        self.k_scale = k_scale
+        self.grid_cap = grid_cap
+        self.n_grid = n_grid  # vn-compare matrix dimension
+        self.n_cells = [3140] if n_cells is None else n_cells  # equator cells
+        self.channel = channel
+        self.geometry = geometry
+        self.theta_r = list(_DEFAULT_THETA_R) if theta_r is None else theta_r
+        self.out = out
+        self.format = format
+        self.threads = threads  # 0 = one per usable CPU
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return "RunConfig(" + ", ".join(
+            f"{name}={value!r}" for name, value
+            in zip(self.__slots__, self._fields())) + ")"
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -252,12 +283,24 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # per-command tables
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn to items, in parallel but with output in input order."""
+    """Apply fn to items, on ``threads`` worker threads (0 = one per usable
+    CPU) but with output in input order; 1 runs them on the calling
+    thread."""
     if threads == 0:
-        threads = os.cpu_count() or 1
+        threads = _usable_cpus()
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # GIL-free rows only
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -334,16 +377,14 @@ def _per_energy(cfg: RunConfig) -> list[tuple]:
     return [(e,) for e in cfg.e_list]
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(namedtuple("_Table", ("inputs", "computed", "row_inputs", "row",
+                                   "releases_gil"), defaults=(False,))):
     """How one command builds its table: ``row_inputs(cfg)`` gives one
     tuple of ``inputs`` values per row, and ``row(cfg, *inputs)`` returns
-    that row's ``computed`` values in column order."""
+    that row's ``computed`` values in column order.  ``releases_gil``
+    marks the one table whose rows may run on ``--threads`` workers."""
 
-    inputs: tuple[str, ...]
-    computed: tuple[str, ...]
-    row_inputs: Callable[[RunConfig], list[tuple]]
-    row: Callable[..., tuple]
+    __slots__ = ()
 
     @property
     def columns(self) -> list[str]:
@@ -357,7 +398,7 @@ _TABLES = {
                            _per_energy, _sphere_row),
     "vn-compare": _Table(("E_ev", "n_grid"),
                          ("S_shannon_ring", "S_vn", "abs_diff"),
-                         _vn_inputs, _vn_row),
+                         _vn_inputs, _vn_row, releases_gil=True),
     "spin-sweep": _Table(("E_ev",), ("n_cells", "S_par", "S_ap",
                                      "S_par_modified", "S_ap_modified"),
                          _per_energy, _spin_row),
@@ -395,7 +436,8 @@ def _table(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         row.update(zip(table.computed, values, strict=True), status=status)
         return row
 
-    return table.columns, _map_ordered(one, table.row_inputs(cfg), cfg.threads)
+    threads = cfg.threads if table.releases_gil else 1
+    return table.columns, _map_ordered(one, table.row_inputs(cfg), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +563,12 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file path (atomic write); "
                                       "default prints the table to stdout")
     parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--threads", help="worker threads, 0 = auto; env "
-                                          "ESCATTER_THREADS is the fallback")
+    parser.add_argument("--threads", help="worker threads for vn-compare "
+                                          "rows, the only ones that release "
+                                          "the GIL (other tables run on one "
+                                          "thread); 0 = one per usable CPU; "
+                                          "env ESCATTER_THREADS is the "
+                                          "fallback")
     return parser
 
 

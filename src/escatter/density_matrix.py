@@ -48,7 +48,6 @@ the operator spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,24 +110,36 @@ _I0E_B = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Discretized reduced density matrix on a meridian theta-grid."""
+    """Discretized reduced density matrix on a meridian theta-grid.
 
-    theta_grid: np.ndarray
-    q_grid: np.ndarray
-    rho: np.ndarray
+    Immutable.  The constructor checks that ``rho`` is finite, symmetric
+    to 1e-12 of its largest absolute entry and of unit trace."""
 
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=float)
-        if not np.isfinite(rho).all():  # NaN fails every comparison below
+    __slots__ = ("theta_grid", "q_grid", "rho")
+
+    def __init__(self, theta_grid: np.ndarray, q_grid: np.ndarray,
+                 rho: np.ndarray) -> None:
+        r = np.asarray(rho, dtype=float)
+        if not np.isfinite(r).all():  # NaN fails every comparison below
             raise ValueError("density matrix has non-finite entries")
-        scale = float(np.max(np.abs(rho))) if rho.size else 0.0
-        if scale > 0.0 and float(np.max(np.abs(rho - rho.T))) > 1e-12 * scale:
-            raise ValueError("density matrix is not symmetric")
-        if abs(float(np.trace(rho)) - 1.0) > 1e-9:
+        scale = float(np.max(np.abs(r))) if r.size else 0.0
+        if scale > 0.0:
+            asym = r - r.T  # the one n^2 temporary; abs in place
+            if float(np.abs(asym, out=asym).max()) > 1e-12 * scale:
+                raise ValueError("density matrix is not symmetric")
+        if abs(float(np.trace(r)) - 1.0) > 1e-9:
             raise ValueError(
-                f"trace = {float(np.trace(rho))!r}, expected 1 after normalization")
+                f"trace = {float(np.trace(r))!r}, expected 1 after normalization")
+        for name, value in (("theta_grid", theta_grid), ("q_grid", q_grid),
+                            ("rho", rho)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DensityMatrix is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DensityMatrix is immutable: cannot delete {name!r}")
 
 
 def _chbevl(y: np.ndarray, coef: tuple) -> np.ndarray:

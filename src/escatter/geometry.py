@@ -36,7 +36,7 @@ its relative accuracy at the equator, where A itself cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
@@ -53,8 +53,8 @@ class GridKind(Enum):
     SPHERE_PIXELS = "sphere"
 
 
-@dataclass(frozen=True)
-class AngularGrid:
+class AngularGrid(namedtuple("AngularGrid", ("kind", "theta_lo", "theta_hi",
+                                             "n_cells", "delta_theta"))):
     """A detector discretization over a polar angular domain.
 
     ``theta_lo``/``theta_hi`` bound the domain and cells are congruent
@@ -63,17 +63,21 @@ class AngularGrid:
     ``theta_hi``.  SPHERE_PIXELS grids split each ring cell into pixels.
     """
 
-    kind: GridKind
-    theta_lo: float
-    theta_hi: float
-    n_cells: int
-    delta_theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_cells < 1:
-            raise ValueError(f"grid needs at least one cell, got {self.n_cells}")
-        if not self.theta_lo < self.theta_hi:
+    def __new__(cls, kind: GridKind, theta_lo: float, theta_hi: float,
+                n_cells: int, delta_theta: float) -> AngularGrid:
+        if n_cells < 1:
+            raise ValueError(f"grid needs at least one cell, got {n_cells}")
+        if not theta_lo < theta_hi:
             raise ValueError("grid domain is empty (theta_lo >= theta_hi)")
+        return super().__new__(cls, kind, theta_lo, theta_hi, n_cells,
+                               delta_theta)
+
+    @classmethod
+    def _make(cls, iterable) -> AngularGrid:
+        # through __new__, so that _replace checks its result as well
+        return cls(*iterable)
 
     def centres(self, xs) -> list[float]:
         """Centres theta_lo + (x + 1/2) delta_theta of the cells at the

@@ -9,7 +9,7 @@ small-angle cutoff formula, which removes a whole class of unit bugs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV
 from .errors import NumericalError
@@ -96,8 +96,8 @@ def min_scattering_angle(e_total_cm: float, b_bar: float) -> float:
     return 2.0 * math.atan(1.0 / (2.0 * e_total_cm * b_bar))
 
 
-@dataclass(frozen=True)
-class ScatterContext:
+class ScatterContext(namedtuple("ScatterContext",
+                                ("K", "sigma_k", "epsilon", "delta_theta"))):
     """Derived kinematic and packet parameters for one collision setup.
 
     Attributes
@@ -114,10 +114,7 @@ class ScatterContext:
         Detector pixel width, delta_theta = 2/(K L), radians.
     """
 
-    K: float
-    sigma_k: float
-    epsilon: float
-    delta_theta: float
+    __slots__ = ()
 
 
 def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterContext:

@@ -21,22 +21,19 @@ SPINLESS channel, |f|^2 on the full shell, and needs nothing here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .amplitudes import SpinChannel
 from .entropy import _stream_weight_entropy
-from .geometry import AngularGrid, range_grid_below, ring_grid
+from .geometry import range_grid_below, ring_grid
 from .kinematics import ScatterContext
 
 
-@dataclass(frozen=True)
-class SpinEntropyResult:
+class SpinEntropyResult(namedtuple("SpinEntropyResult",
+                                   ("channel", "grid", "S", "S_modified"))):
     """Entropy of one spin channel on one grid."""
 
-    channel: SpinChannel
-    grid: AngularGrid
-    S: float
-    S_modified: float
+    __slots__ = ()
 
 
 def _channel_entropy(ctx: ScatterContext,
@@ -71,8 +68,9 @@ def entropy_antiparallel(ctx: ScatterContext) -> SpinEntropyResult:
     return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL)
 
 
-@dataclass(frozen=True)
-class EquatorEntropies:
+class EquatorEntropies(namedtuple("EquatorEntropies", (
+        "n_cells", "S_parallel", "S_antiparallel", "S_parallel_modified",
+        "S_antiparallel_modified"))):
     """Closed-form entropies for N equal azimuthal cells at theta = pi/2.
 
     On the equator |f| = |g|, so every azimuthal cell is exactly equally
@@ -84,11 +82,7 @@ class EquatorEntropies:
     hence the antiparallel-parallel gap is exactly 1 bit at any N.
     """
 
-    n_cells: int
-    S_parallel: float
-    S_antiparallel: float
-    S_parallel_modified: float
-    S_antiparallel_modified: float
+    __slots__ = ()
 
     @property
     def delta_S(self) -> float:

@@ -7,10 +7,12 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
 
+from escatter import cli
 from escatter.cli import (
     ConfigError,
     RunConfig,
@@ -112,6 +114,20 @@ def test_config_hash_covers_physics_only():
     assert base.config_hash() != other.config_hash()
     assert len(base.config_hash()) == 12
     int(base.config_hash(), 16)  # valid hex
+
+
+def test_run_config_keywords_defaults_and_fields():
+    cfg = RunConfig(command="spin-sweep", e_list=[1.0, 2.0], threads=2)
+    assert (cfg.command, cfg.e_list, cfg.threads) == ("spin-sweep", [1.0, 2.0], 2)
+    assert (cfg.l_nm, cfg.k_scale, cfg.n_cells, cfg.out) == (100.0, 1.0, [3140], None)
+    a, b = RunConfig(command="equator"), RunConfig(command="equator")
+    assert a == b and a.theta_r == list(cli._DEFAULT_THETA_R)
+    a.e_list.append(7.0)  # each config has its own default lists
+    assert b.e_list == [5.0] and a != b
+    assert repr(b).startswith("RunConfig(command='equator', e_list=[5.0], ")
+    a.threads = 3  # settable, as build_config needs
+    with pytest.raises(AttributeError):
+        a.thread = 3  # no such field
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +298,79 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert main(argv + ["--threads", "1", "--out", str(a)]) == 0
     assert main(argv + ["--threads", "8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _row_threads(monkeypatch, *names) -> list:
+    """Thread ids of the calls the rows make to the ``cli`` functions
+    ``names``, one entry per call."""
+    seen = []
+    for name in names:
+        def record(*args, _fn=getattr(cli, name)):
+            seen.append(threading.get_ident())
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, record)
+    return seen
+
+
+#: several rows of every table whose rows hold the GIL
+_GIL_BOUND_TABLES = {
+    "spinless-sweep": ["spinless-sweep", "--energy-list", "1,100,1e4"],
+    "sphere-sweep": ["sphere-sweep", "--energy-list", "1e3,1e4"],
+    "spin-sweep": ["spin-sweep", "--energy-list", "1e3,1e4"],
+    "postselect-range": ["postselect-range", "--energy-ev", "1e4",
+                         "--theta-r", "0.1,0.5"],
+    "equator-geometry": ["spinless-sweep", "--geometry", "equator",
+                         "--energy-list", "1,2"],
+    "equator": ["equator", "--n-cells", "4,8,16"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_GIL_BOUND_TABLES.values()),
+                         ids=list(_GIL_BOUND_TABLES))
+def test_gil_bound_rows_run_on_the_calling_thread(argv, monkeypatch, capsys):
+    # pure-Python rows cannot overlap: a pool would only add switching
+    seen = _row_threads(monkeypatch, "make_context", "equator_entropies")
+    assert main(argv + ["--threads", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(seen) == len(rows) > 1
+    assert set(seen) == {threading.get_ident()}
+
+
+def test_only_vn_compare_rows_release_the_gil():
+    assert [name for name, table in cli._TABLES.items()
+            if table.releases_gil] == ["vn-compare"]
+    with pytest.raises(AttributeError):
+        cli._TABLES["vn-compare"].releases_gil = False
+
+
+def test_vn_compare_rows_fan_out_with_the_same_bytes(tmp_path, monkeypatch):
+    argv = ["vn-compare", "--n-grid", "48", "--energy-list", "5,20",
+            "--k-scale", SQRT2]
+    seen = _row_threads(monkeypatch, "make_context")
+    tables = []
+    for threads in ("1", "2"):
+        seen.clear()
+        target = tmp_path / f"t{threads}.csv"
+        assert main(argv + ["--threads", threads, "--out", str(target)]) == 0
+        tables.append(target.read_bytes())
+        on_caller = [ident == threading.get_ident() for ident in seen]
+        assert on_caller == [threads == "1"] * 2
+    assert tables[0] == tables[1]
+
+
+def test_auto_threads_follow_cpu_affinity(monkeypatch):
+    # under `taskset -c 0` on a 2-CPU host: one usable CPU, not two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._usable_cpus() == 1
+    caller = threading.get_ident()
+    assert cli._map_ordered(lambda _: threading.get_ident(), [1, 2], 0) == [caller] * 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+    assert cli._usable_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def _console_script(name: str) -> tuple[list[str], dict | None]:

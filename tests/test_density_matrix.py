@@ -305,6 +305,34 @@ def test_density_matrix_rejects_non_finite():
             _dm_from(rho)
 
 
+def test_density_matrix_checks_symmetry_and_trace():
+    # symmetric to 1e-12 of the largest |entry|, here a negative one
+    for gap, ok in ((1.5e-12, True), (3e-12, False)):
+        rho = np.array([[0.5, -2.0], [-2.0 + gap, 0.5]])
+        if ok:
+            assert _dm_from(rho).rho is rho
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                _dm_from(rho)
+    for excess, ok in ((5e-10, True), (2e-9, False)):
+        rho = np.diag([0.5, 0.5 + excess])
+        if ok:
+            _dm_from(rho)
+        else:
+            with pytest.raises(ValueError, match="expected 1"):
+                _dm_from(rho)
+
+
+def test_density_matrix_is_immutable():
+    dm = _dm_from(0.5 * np.eye(2))
+    assert dm != _dm_from(0.5 * np.eye(2))  # identity, not array, equality
+    for name in ("rho", "theta_grid", "q_grid", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(dm, name, np.eye(2))
+    with pytest.raises(AttributeError):
+        del dm.rho
+
+
 def test_eigen_spectrum_rejects_nonpsd():
     with pytest.raises(NumericalError, match="not positive semidefinite"):
         eigen_spectrum(_dm_from(np.diag([1.5, -0.5])))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from escatter import (
+    AngularGrid,
     GridKind,
     SpinChannel,
     channel_domain,
@@ -40,6 +41,26 @@ from oracles import (
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
+
+def test_angular_grid_is_an_immutable_checked_value():
+    fields = dict(kind=GridKind.RINGS, theta_lo=0.1, theta_hi=1.0, n_cells=3,
+                  delta_theta=0.3)
+    g = AngularGrid(**fields)
+    assert {name: getattr(g, name) for name in fields} == fields
+    assert g == AngularGrid(**fields) and hash(g) == hash(AngularGrid(**fields))
+    with pytest.raises(AttributeError):
+        g.n_cells = 4
+    assert g._replace(n_cells=2).n_cells == 2
+    for bad, match in (({"n_cells": 0}, "at least one cell"),
+                       ({"theta_hi": 0.1}, "domain is empty"),
+                       ({"theta_hi": math.nan}, "domain is empty")):
+        with pytest.raises(ValueError, match=match):
+            AngularGrid(**{**fields, **bad})
+        with pytest.raises(ValueError, match=match):
+            g._replace(**bad)
+    with pytest.raises(ValueError, match="at least one cell"):
+        uniform_grid(0.0, 1.0, 0)
+
 
 def test_exact_division_cell_count():
     g = uniform_grid(0.0, 1.0, 4)

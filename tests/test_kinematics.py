@@ -6,12 +6,25 @@ from hypothesis import given, strategies as st
 from escatter import (
     HARTREE_EV,
     NumericalError,
+    ScatterContext,
     ev_to_hartree,
     make_context,
     min_scattering_angle,
     nm_to_bohr,
     wave_number,
 )
+
+
+def test_scatter_context_is_an_immutable_value():
+    ctx = make_context(5.0, 100.0)
+    same = ScatterContext(K=ctx.K, sigma_k=ctx.sigma_k, epsilon=ctx.epsilon,
+                          delta_theta=ctx.delta_theta)
+    assert same == ctx and hash(same) == hash(ctx)
+    assert repr(ctx) == (f"ScatterContext(K={ctx.K!r}, sigma_k={ctx.sigma_k!r}, "
+                         f"epsilon={ctx.epsilon!r}, "
+                         f"delta_theta={ctx.delta_theta!r})")
+    with pytest.raises(AttributeError):
+        ctx.K = 1.0
 
 
 def test_ev_to_hartree_definition():

@@ -51,12 +51,13 @@ def test_density_matrix_names_resolve_on_first_use():
         escatter.not_a_name
 
 
-def _probe(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter on this package."""
+def _probe(code: str, *flags: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter, started with the
+    interpreter options ``flags``, on this package."""
     src = str(pathlib.Path(escatter.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60).stdout
 
 
@@ -103,6 +104,33 @@ def test_cli_import_loads_only_the_standard_library():
 def test_commands_without_a_matrix_load_only_the_standard_library(argv):
     code = _FOREIGN_ADDED.format(code=_run_cli(argv))
     assert _probe(code).strip() == "[]"
+
+
+#: standard-library packages that cost a cold start tens of milliseconds
+#: each: dataclasses (which loads inspect), typing, and the thread pool
+#: (concurrent.futures, which loads logging)
+_COSTLY_STDLIB = ("dataclasses", "inspect", "typing", "concurrent", "logging")
+
+_COSTLY_ADDED = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "{code}\n"
+    "print(sorted(m for m in set(sys.modules) - before\n"
+    "             if m.split('.')[0] in {costly!r}))")
+
+_COLD_STARTS = {
+    "import": "import escatter.cli",
+    **{name: _run_cli(argv) for name, argv in _NUMPY_FREE_COMMANDS.items()},
+    "postselect-range-2-rows": _run_cli(["postselect-range", "--energy-ev", "1e4",
+                                         "--theta-r", "0.1,0.5"]),
+}
+
+
+@pytest.mark.parametrize("code", list(_COLD_STARTS.values()), ids=list(_COLD_STARTS))
+def test_cold_start_loads_only_the_cheap_core(code):
+    # -S: no site .pth file preloads any of them, as it can with site
+    code = _COSTLY_ADDED.format(code=code, costly=_COSTLY_STDLIB)
+    assert _probe(code, "-S").strip() == "[]"
 
 
 def test_vn_compare_loads_numpy():

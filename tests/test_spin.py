@@ -3,7 +3,9 @@ import math
 import pytest
 
 from escatter import (
+    EquatorEntropies,
     SpinChannel,
+    SpinEntropyResult,
     entropy_antiparallel,
     entropy_parallel,
     equator_entropies,
@@ -21,6 +23,20 @@ def _ctx(e_ev=5.0, l_nm=100.0):
 # ---------------------------------------------------------------------------
 # exchange-bit bookkeeping
 # ---------------------------------------------------------------------------
+
+def test_result_types_are_immutable_values():
+    r = entropy_parallel(_ctx())
+    assert SpinEntropyResult(channel=r.channel, grid=r.grid, S=r.S,
+                             S_modified=r.S_modified) == r
+    eq = equator_entropies(4)
+    assert eq == EquatorEntropies(n_cells=4, S_parallel=3.0, S_antiparallel=4.0,
+                                  S_parallel_modified=2.0,
+                                  S_antiparallel_modified=3.0)
+    assert eq.delta_S == 1.0
+    for obj, attr in ((r, "S"), (r, "grid"), (eq, "n_cells"), (eq, "delta_S")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0.0)
+
 
 def test_modified_strips_exactly_one_bit():
     ctx = _ctx()
