@@ -11,10 +11,12 @@ Only vn-compare has a matrix, so only vn-compare imports numpy: with
 ``escatter.density_matrix``, in the main thread before its rows start.
 Every other table runs on the standard library alone.
 
-Only vn-compare's rows run in worker threads (``--threads``): they are
-large numpy calls that release the GIL.  Every other table's rows are
-pure Python, which holds it, so they run one after another on the
-calling thread, and a cold start loads no thread pool.
+Only vn-compare's rows run in worker threads (``--threads``), because
+only their eigensolve (LAPACK, via numpy) releases the GIL: on two
+threads the eigensolves scale about 1.8x, while the matrix builds, many
+small numpy calls, hold the GIL and scale 1.0-1.2x.  Every other
+table's rows are pure Python, which holds it, so they run one after
+another on the calling thread, and a cold start loads no thread pool.
 """
 
 from __future__ import annotations
@@ -382,7 +384,8 @@ class _Table(namedtuple("_Table", ("inputs", "computed", "row_inputs", "row",
     """How one command builds its table: ``row_inputs(cfg)`` gives one
     tuple of ``inputs`` values per row, and ``row(cfg, *inputs)`` returns
     that row's ``computed`` values in column order.  ``releases_gil``
-    marks the one table whose rows may run on ``--threads`` workers."""
+    marks the one table whose rows may run on ``--threads`` workers
+    (vn-compare: its eigensolves release the GIL)."""
 
     __slots__ = ()
 
@@ -564,7 +567,7 @@ def _make_parser() -> argparse.ArgumentParser:
                                       "default prints the table to stdout")
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--threads", help="worker threads for vn-compare "
-                                          "rows, the only ones that release "
+                                          "rows, whose eigensolves release "
                                           "the GIL (other tables run on one "
                                           "thread); 0 = one per usable CPU; "
                                           "env ESCATTER_THREADS is the "

@@ -27,9 +27,12 @@ Each oracle recomputes a quantity through a route that shares no code
   by brute-force 2-D quadrature in polar momentum coordinates, with the
   azimuthal integral done directly -- no Bessel function anywhere.
 * ``kernel_j_oracle`` is the meridian kernel's 1-D integral J(mu) for
-  one mu at a time: the same window and Gauss-Legendre doubling as
+  one mu at a time: the same Gauss-Legendre doubling as
   ``escatter.density_matrix._kernel_j``, in a scalar loop, with scipy's
-  ``i0e``.  The package's batched J must equal it bit for bit.
+  ``i0e``.  Given the package's window the batched J must equal it bit
+  for bit; its default 40 sigma_k window, whose edge underflows,
+  referees the package's narrower one, and so does ``kernel_j_mp``, the
+  same integral to 30 digits with mpmath.
 * ``meridian_matrix_oracle`` assembles the meridian density matrix one
   element at a time from ``kernel_j_oracle`` (direct J per element, as
   the package did before its J(mu) table); it referees the table and the
@@ -432,12 +435,15 @@ def _gl_doubling(rule, what: str) -> float:
     raise NumericalError(f"{what} did not converge with 4096 GL nodes")
 
 
-def kernel_j_oracle(mu: float, ctx) -> float:
+def kernel_j_oracle(mu: float, ctx, window_sigmas: float = 40.0) -> float:
     """J(mu), the q'' integral of the meridian kernel for one mu,
-    window-restricted (40 sigma_k) and Gauss-Legendre-refined."""
+    restricted to the window [max(K eps, mu - W sigma_k),
+    min(2K, mu + W sigma_k)] with W = ``window_sigmas`` and
+    Gauss-Legendre-refined.  At the default W = 40 the Gaussian factor at
+    the window edge, exp(-800), underflows: the window drops nothing."""
     sig2 = ctx.sigma_k ** 2
-    lo = max(ctx.K * ctx.epsilon, mu - 40.0 * ctx.sigma_k)
-    hi = min(2.0 * ctx.K, mu + 40.0 * ctx.sigma_k)
+    lo = max(ctx.K * ctx.epsilon, mu - window_sigmas * ctx.sigma_k)
+    hi = min(2.0 * ctx.K, mu + window_sigmas * ctx.sigma_k)
     if hi <= lo:
         return 0.0
     half = 0.5 * (hi - lo)
@@ -451,6 +457,31 @@ def kernel_j_oracle(mu: float, ctx) -> float:
         return half * float(np.dot(w, vals))
 
     return _gl_doubling(rule, f"kernel integral J(mu={mu!r})")
+
+
+def kernel_j_mp(mu: float, ctx) -> mpmath.mpf:
+    """J(mu) to 30 digits by mpmath quadrature in t = q'' - mu, so the
+    Gaussian's exponent is formed from the offset itself, not as a
+    difference of nearby q''.  The window is 40 sigma_k, whose edge
+    factor exp(-800) is invisible at 30 digits; the quadrature's own
+    error estimate must be below 1e-15 of J."""
+    with mpmath.workdps(30):
+        m, s = mpmath.mpf(mu), mpmath.mpf(ctx.sigma_k)
+        s2 = s * s
+        a = max(mpmath.mpf(ctx.K * ctx.epsilon) - m, -40 * s)
+        b = min(mpmath.mpf(2.0 * ctx.K) - m, 40 * s)
+
+        def integrand(t):
+            qq = m + t
+            x = m * qq / s2
+            return qq ** -3 * mpmath.besseli(0, x) * mpmath.exp(-x - t * t / (2 * s2))
+
+        cuts = [c * s for c in (-12, -4, -1, 0, 1, 4, 12)]
+        val, err = mpmath.quad(integrand, [a, *(c for c in cuts if a < c < b), b],
+                               error=True)
+        if not err <= 1e-15 * val:
+            raise NumericalError(f"J(mu={mu!r}) to 30 digits: error estimate {err}")
+        return +val
 
 
 def _kernel_element(q: float, q_prime: float, ctx) -> float:

@@ -228,6 +228,9 @@ def test_a10_thread_count_keeps_bytes(tmp_path):
         ["spinless-sweep", "--energy-list", "1,5,25,100",
          "--packet-nm", "50", "--k-scale", SQRT2],
         ["postselect-range", "--energy-ev", "5", "--k-scale", SQRT2],
+        # the one table whose rows run on worker threads
+        ["vn-compare", "--energy-list", "5,20", "--n-grid", "256",
+         "--k-scale", SQRT2],
     )
     for idx, argv in enumerate(cases):
         a = tmp_path / f"{idx}-t1.csv"

@@ -24,6 +24,7 @@ from oracles import (
     diagonal_convolution_oracle,
     i0e_phi_quadrature,
     kernel_element_oracle,
+    kernel_j_mp,
     kernel_j_oracle,
     meridian_matrix_oracle,
 )
@@ -202,18 +203,79 @@ def test_batched_j_equals_scalar_oracle(e_ev, l_nm):
     # window, J = 0)
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
     q_min, q_max, sk = ctx.K * ctx.epsilon, 2.0 * ctx.K, ctx.sigma_k
-    mu = np.concatenate([np.linspace(q_min - 45.0 * sk, q_min + 45.0 * sk, 100),
-                         np.linspace(q_max - 45.0 * sk, q_max + 45.0 * sk, 100),
+    w = density_matrix._WINDOW_SIGMAS
+    span = (w + 5.0) * sk  # the window's reach, and 5 sigma_k past it
+    mu = np.concatenate([np.linspace(q_min - span, q_min + span, 100),
+                         np.linspace(q_max - span, q_max + span, 100),
                          np.geomspace(q_min, q_max, 100)])
-    lo = np.maximum(q_min, mu - 40.0 * sk)
-    hi = np.minimum(q_max, mu + 40.0 * sk)
+    lo = np.maximum(q_min, mu - w * sk)
+    hi = np.minimum(q_max, mu + w * sk)
     assert np.count_nonzero((lo == q_min) & (hi > lo)) >= 50
     assert np.count_nonzero((hi == q_max) & (hi > lo)) >= 50
     assert np.count_nonzero(hi <= lo) >= 10
     j = density_matrix._kernel_j(mu, ctx)
-    ref = np.array([kernel_j_oracle(float(m), ctx) for m in mu])
+    ref = np.array([kernel_j_oracle(float(m), ctx, w) for m in mu])
     assert np.array_equal(j, ref)
     assert np.all(j[hi <= lo] == 0.0)
+
+
+@pytest.mark.parametrize("e_ev,l_nm", [(1.0, 20.0), (5.0, 100.0),
+                                       (20.0, 100.0), (1e3, 100.0),
+                                       (1e4, 50_000.0)])
+def test_window_keeps_j_of_the_untruncated_window(e_ev, l_nm):
+    # direct J integrates over mu +- 12 sigma_k; the 40 sigma_k oracle's
+    # window edge, exp(-800), underflows, so it drops nothing.  Over the
+    # whole range of mu, and densely where the lower window edge leaves
+    # K*eps, the two must agree to the table's own tolerance
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    q_min, q_max, sk = ctx.K * ctx.epsilon, 2.0 * ctx.K, ctx.sigma_k
+    assert density_matrix._WINDOW_SIGMAS < 40.0
+    mu = np.concatenate([np.geomspace(q_min, q_max, 200),
+                         np.linspace(q_min, min(q_max, q_min + 40.0 * sk), 100)])
+    j = density_matrix._kernel_j(mu, ctx)
+    ref = np.array([kernel_j_oracle(float(m), ctx, 40.0) for m in mu])
+    assert np.all(ref > 0.0)
+    rel = np.abs(j - ref) / ref
+    assert float(rel.max()) <= density_matrix._TABLE_RTOL
+
+
+@pytest.mark.parametrize("e_ev,l_nm,where", [
+    (5.0, 100.0, "K eps"), (5.0, 100.0, 5.0), (5.0, 100.0, 1e3),
+    (5.0, 100.0, "2K"), (1e4, 50_000.0, "K eps"), (1e4, 50_000.0, 1e5),
+    (1e4, 50_000.0, "2K"), (1.0, 50_000.0, "2K")])
+def test_window_j_against_mpmath(e_ev, l_nm, where):
+    # at the window's ends and at mu / sigma_k ~ 5, 1e3 and 1e5, the
+    # 12 sigma_k J is no farther from a 30-digit J than the 40 sigma_k J
+    # is; at 1 eV / 50 um, mu = 2K both sit ~4e-11 off (the GL doubling's
+    # 1e-9 agreement), on opposite sides
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    mu = {"K eps": ctx.K * ctx.epsilon, "2K": 2.0 * ctx.K}.get(where)
+    if mu is None:
+        mu = where * ctx.sigma_k
+    ref = kernel_j_mp(mu, ctx)
+    new = float(density_matrix._kernel_j(np.array([mu]), ctx)[0])
+    old = kernel_j_oracle(mu, ctx, 40.0)
+    err_new = float(abs((new - ref) / ref))
+    err_old = float(abs((old - ref) / ref))
+    assert err_new <= err_old + 1e-12
+
+
+def test_window_needs_only_128_gl_nodes(monkeypatch):
+    # the build's speed rests on every direct-J point converging by the
+    # second Gauss-Legendre order (64, then 128 nodes): pin the orders an
+    # n = 1024 build asks for at the benchmark's working points
+    orders = []
+    nodes = density_matrix._gl_nodes
+
+    def recording(n):
+        orders.append(n)
+        return nodes(n)
+
+    monkeypatch.setattr(density_matrix, "_gl_nodes", recording)
+    for e_ev in (5.1, 19.6):
+        orders.clear()
+        build_meridian_matrix(make_context(e_ev, 100.0, CALIBRATED_KSCALE), 1024)
+        assert max(orders) == 128, e_ev
 
 
 @pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
@@ -321,6 +383,29 @@ def test_density_matrix_checks_symmetry_and_trace():
         else:
             with pytest.raises(ValueError, match="expected 1"):
                 _dm_from(rho)
+
+
+def test_symmetry_check_covers_every_tile():
+    # the check compares row tiles with their mirror image; an asymmetry
+    # of 1e-9 of the scale is caught wherever it sits, in the first or
+    # last tile, on a tile's edge or far off the diagonal, and nowhere
+    # else does the check fire
+    n, b = 1024, density_matrix._SYM_TILE
+    rng = np.random.default_rng(3)
+    base = rng.uniform(0.0, 1.0, (n, n))
+    base = 0.5 * (base + base.T)
+    base /= np.trace(base)
+    scale = float(base.max())
+    _dm_from(base)
+    for i, j in ((0, 1), (1, 0), (0, n - 1), (n - 1, 0), (b - 1, b),
+                 (b, b - 1), (n - 2, n - 1), (n - 1, n - 2), (500, 37)):
+        rho = base.copy()
+        rho[i, j] += 1e-9 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            _dm_from(rho)
+    for shape in ((2, 3), (4,)):
+        with pytest.raises(ValueError, match="square"):
+            _dm_from(np.zeros(shape))
 
 
 def test_density_matrix_is_immutable():
