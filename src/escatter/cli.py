@@ -14,14 +14,23 @@ Every other table runs on the standard library alone.
 Only vn-compare's rows run in worker threads (``--threads``), because
 only their eigensolve (LAPACK, via numpy) releases the GIL: on two
 threads the eigensolves scale about 1.8x, while the matrix builds, many
-small numpy calls, hold the GIL and scale 1.0-1.2x.  Every other
+small numpy calls, hold the GIL and only contend for it, so they take
+turns: a row's eigensolve starts right after its own build.  Every other
 table's rows are pure Python, which holds it, so they run one after
 another on the calling thread, and a cold start loads no thread pool.
+
+A CLI process (``python -m escatter.cli`` or the ``escatter-entropy``
+script) enters through :func:`process_main`: it runs ``main()`` with
+automatic garbage collection off and freezes the heap before exit, so
+the interpreter's final collections no longer walk numpy's objects.
+``main(argv)`` called in-process leaves the collector as it was.
 """
 
 from __future__ import annotations
 
+import _thread
 import argparse
+import gc
 import hashlib
 import importlib
 import json
@@ -342,11 +351,18 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# vn-compare builds one matrix at a time: two concurrent n = 1024 builds
+# took 0.11-0.13 s, against 0.045 s each one after the other.  (A
+# threading.Lock; ``threading`` itself is not loaded under ``python -S``.)
+_BUILD_TURN = _thread.allocate_lock()
+
+
 def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
     from .density_matrix import build_meridian_matrix, eigen_spectrum
 
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-    dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
+    with _BUILD_TURN:
+        dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
     s_vn = shannon_discrete(eigen_spectrum(dm))
     # exact discrete sum: the continuous-limit form is not valid when the
     # cell width is comparable to the cutoff angle, which is the case on
@@ -589,5 +605,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def process_main() -> int:
+    """``main()`` as a whole process: the entry of ``python -m
+    escatter.cli`` and of the ``escatter-entropy`` script.
+
+    Automatic garbage collection is off while it runs (a run leaves a few
+    hundred objects in reference cycles, all from imports), and the heap
+    is frozen before it returns, so the interpreter's final collections
+    skip every object the run made: numpy alone tracks about 20k."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

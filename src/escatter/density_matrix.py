@@ -29,14 +29,20 @@ the panels that miss; past a fixed number of panel fits it raises
 fitted in rounds, and one round evaluates direct J at every pending
 panel's 33 points in one batched call: Gauss-Legendre doubling on all of
 them at once, each mu leaving the batch at its own first agreement, on
-a window 12 sigma_k wide either side of mu.  The band is then assembled
-by broadcasting.  A build is many small numpy calls and Python loops
-that hold the GIL, so builds on two threads overlap little (1.0-1.2x);
-the dense eigensolve is one LAPACK call that releases it (about 1.8x).
+a window 12 sigma_k wide either side of mu.  A round fits all its
+panels with one interpolation matrix built at import (chebinterpolate's,
+one dot per panel) and checks them in one Clenshaw pass; one more pass
+evaluates every band mu, each gathering its panel's coefficients one
+degree at a time.  Both passes repeat numpy's ``chebval`` operation for
+operation, so the table equals a per-panel chebinterpolate and chebval
+bit for bit.  The band is then assembled by broadcasting.  A build is
+many small numpy calls and Python loops that hold the GIL, so builds on
+two threads overlap little (1.0-1.2x); the dense eigensolve is one
+LAPACK call that releases it (about 1.8x).
 :func:`kernel_element` evaluates one element from direct J.
 
-I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, so
-the package needs no scipy.
+I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, in
+three preallocated buffers, so the package needs no scipy.
 
 Discretization uses midpoint cells in theta with the spherical measure
 folded in symmetrically (rho_ij = sqrt(mu_i mu_j) K(q_i, q_j) with
@@ -76,6 +82,8 @@ _TABLE_MAX_PANELS = 256
 _CHECK_X = chebyshev.chebpts2(_TABLE_NODES + 1)  # extrema of T_16
 # a panel's direct-J points: chebinterpolate's nodes, then the checks
 _PANEL_X = np.concatenate([chebyshev.chebpts1(_TABLE_NODES), _CHECK_X])
+# chebinterpolate's interpolation matrix at those nodes, built once
+_FIT_M = chebyshev.chebvander(_PANEL_X[:_TABLE_NODES], _TABLE_NODES - 1)
 
 #: Gauss-Legendre nodes and weights on [-1, 1], cached by order: numpy's
 #: rule, the one ``kernel_j_oracle`` uses, so that direct J equals it
@@ -157,14 +165,16 @@ class DensityMatrix:
 def _chbevl(y: np.ndarray, coef: tuple) -> np.ndarray:
     """Cephes' ``chbevl``: the Chebyshev series ``coef`` (highest order
     first) at y/2, by the Clenshaw recurrence b0 = y b1 - b2 + c, rounded
-    in Cephes' order."""
-    b0, b1 = np.full_like(y, coef[0]), np.zeros_like(y)
+    in Cephes' order, in three buffers that take turns."""
+    b0, b1, b2 = np.full_like(y, coef[0]), np.zeros_like(y), np.empty_like(y)
     for c in coef[1:]:
-        b2, b1 = b1, b0
-        b0 = y * b1
+        b2, b1, b0 = b1, b0, b2
+        np.multiply(y, b1, out=b0)
         b0 -= b2
         b0 += c
-    return 0.5 * (b0 - b2)
+    b0 -= b2
+    b0 *= 0.5
+    return b0
 
 
 def _i0e(x):
@@ -272,6 +282,18 @@ def kernel_element(q: float, q_prime: float, ctx: ScatterContext) -> float:
     return 2.0 * math.pi * math.exp(band_expo) * j
 
 
+def _chebval_rows(x: np.ndarray, coef_of) -> np.ndarray:
+    """numpy's ``chebval`` Clenshaw recurrence, operation for operation,
+    with the series of degree ``_TABLE_NODES - 1`` taken one coefficient
+    at a time: ``coef_of(k)`` is degree k's coefficient, broadcast
+    against ``x``."""
+    x2 = 2.0 * x
+    c0, c1 = coef_of(_TABLE_NODES - 2), coef_of(_TABLE_NODES - 1)
+    for k in range(_TABLE_NODES - 3, -1, -1):
+        c0, c1 = coef_of(k) - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """J at every ``mu``, from a piecewise-Chebyshev table over
     [min mu, max mu] that is checked against direct J before use.
@@ -279,6 +301,10 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     Panels are fitted in rounds: one direct-J call covers every pending
     panel's nodes and check points, within what is left of the
     ``_TABLE_MAX_PANELS`` budget, and each panel is then kept or bisected.
+    Fits, checks and the final evaluation do chebinterpolate's and
+    chebval's arithmetic in their order, so the table is theirs bit for
+    bit, with one Clenshaw pass over all check points of a round and one
+    over all of ``mu``.
     """
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
     edges = [mu_lo]
@@ -287,7 +313,7 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
         edges.append(min(edges[-1] + width, mu_hi))
         width *= 2.0
     pending = list(zip(edges[:-1], edges[1:]))
-    panels: list[tuple[float, float, np.ndarray]] = []
+    kept_ab, kept_coef = [], []
     fits = 0
     while pending:
         if fits >= _TABLE_MAX_PANELS:
@@ -301,25 +327,27 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
         fits += len(batch)
         ab = np.array(batch)
         mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
-        direct = _kernel_j((mid[:, None] + half[:, None] * _PANEL_X).ravel(), ctx)
-        for (a, b), m, j in zip(batch, mid, direct.reshape(len(batch), -1)):
-            nodes, check = j[:_TABLE_NODES], j[_TABLE_NODES:]
-            coef = chebyshev.chebinterpolate(lambda _x, y: y, _TABLE_NODES - 1,
-                                             args=(nodes,))
-            if np.all(np.abs(chebyshev.chebval(_CHECK_X, coef) - check)
-                      <= _TABLE_RTOL * np.abs(check)):
-                panels.append((a, b, coef))
-            else:
-                pending += [(a, float(m)), (float(m), b)]
+        direct = _kernel_j((mid[:, None] + half[:, None] * _PANEL_X).ravel(),
+                           ctx).reshape(len(batch), -1)
+        check = direct[:, _TABLE_NODES:]
+        # chebinterpolate's arithmetic: one dot per panel (a matrix product
+        # may sum in another order), then its two scalings
+        coef = np.array([np.dot(_FIT_M.T, y) for y in direct[:, :_TABLE_NODES]])
+        coef[:, 0] /= _TABLE_NODES
+        coef[:, 1:] /= 0.5 * _TABLE_NODES
+        fit = _chebval_rows(_CHECK_X, lambda k: coef[:, k, None])
+        ok = np.all(np.abs(fit - check) <= _TABLE_RTOL * np.abs(check), axis=1)
+        kept_ab.append(ab[ok])
+        kept_coef.append(coef[ok])
+        for (a, b), m in zip(ab[~ok].tolist(), mid[~ok].tolist()):
+            pending += [(a, m), (m, b)]
 
-    panels.sort(key=lambda panel: panel[0])
-    starts = np.array([a for a, _, _ in panels])
-    which = np.searchsorted(starts, mu, side="right") - 1
-    out = np.empty_like(mu)
-    for k, (a, b, coef) in enumerate(panels):
-        sel = which == k
-        out[sel] = chebyshev.chebval((2.0 * mu[sel] - (a + b)) / (b - a), coef)
-    return out
+    ab, coef = np.concatenate(kept_ab), np.concatenate(kept_coef)
+    order = np.argsort(ab[:, 0], kind="stable")
+    a, b, coef_t = ab[order, 0], ab[order, 1], coef[order].T.copy()
+    which = np.searchsorted(a, mu, side="right") - 1
+    x = (2.0 * mu - (a + b)[which]) / (b - a)[which]
+    return _chebval_rows(x, lambda k: coef_t[k][which])
 
 
 def build_meridian_matrix(ctx: ScatterContext, n_grid: int,

@@ -33,6 +33,11 @@ Each oracle recomputes a quantity through a route that shares no code
   for bit; its default 40 sigma_k window, whose edge underflows,
   referees the package's narrower one, and so does ``kernel_j_mp``, the
   same integral to 30 digits with mpmath.
+* ``kernel_j_table_oracle`` is the J(mu) table fitted and evaluated
+  panel by panel, with numpy's ``chebinterpolate`` per panel and a
+  masked ``chebval`` per panel over the mu it holds (the package's table
+  before it did both for all panels in one Clenshaw pass); the package's
+  table must equal it bit for bit.
 * ``meridian_matrix_oracle`` assembles the meridian density matrix one
   element at a time from ``kernel_j_oracle`` (direct J per element, as
   the package did before its J(mu) table); it referees the table and the
@@ -75,9 +80,11 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 from scipy.special import i0e
 
+from escatter import density_matrix
 from escatter.amplitudes import SpinChannel
 from escatter.errors import NumericalError
 from escatter.geometry import GridKind
@@ -457,6 +464,53 @@ def kernel_j_oracle(mu: float, ctx, window_sigmas: float = 40.0) -> float:
         return half * float(np.dot(w, vals))
 
     return _gl_doubling(rule, f"kernel integral J(mu={mu!r})")
+
+
+def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
+    """``escatter.density_matrix._kernel_j_table`` one panel at a time:
+    the same panels, rounds, direct J and 1e-10 check, but every panel is
+    fitted by ``chebinterpolate`` and checked by its own ``chebval``, and
+    the mu of each final panel are selected by a mask and evaluated by
+    one ``chebval`` per panel."""
+    nodes = density_matrix._TABLE_NODES
+    check_x = chebyshev.chebpts2(nodes + 1)
+    panel_x = np.concatenate([chebyshev.chebpts1(nodes), check_x])
+    mu_lo, mu_hi = float(mu.min()), float(mu.max())
+    edges = [mu_lo]
+    width = ctx.sigma_k
+    while edges[-1] < mu_hi:
+        edges.append(min(edges[-1] + width, mu_hi))
+        width *= 2.0
+    pending = list(zip(edges[:-1], edges[1:]))
+    panels = []
+    fits = 0
+    while pending:
+        if fits >= density_matrix._TABLE_MAX_PANELS:
+            raise NumericalError("J(mu) table oracle ran out of panel fits")
+        batch = pending[:density_matrix._TABLE_MAX_PANELS - fits]
+        pending = pending[len(batch):]
+        fits += len(batch)
+        ab = np.array(batch)
+        mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
+        direct = density_matrix._kernel_j((mid[:, None] + half[:, None] * panel_x).ravel(), ctx)
+        for (a, b), m, j in zip(batch, mid, direct.reshape(len(batch), -1)):
+            coef = chebyshev.chebinterpolate(lambda _x, y: y, nodes - 1,
+                                             args=(j[:nodes],))
+            check = j[nodes:]
+            if np.all(np.abs(chebyshev.chebval(check_x, coef) - check)
+                      <= density_matrix._TABLE_RTOL * np.abs(check)):
+                panels.append((a, b, coef))
+            else:
+                pending += [(a, float(m)), (float(m), b)]
+
+    panels.sort(key=lambda panel: panel[0])
+    starts = np.array([a for a, _, _ in panels])
+    which = np.searchsorted(starts, mu, side="right") - 1
+    out = np.empty_like(mu)
+    for k, (a, b, coef) in enumerate(panels):
+        sel = which == k
+        out[sel] = chebyshev.chebval((2.0 * mu[sel] - (a + b)) / (b - a), coef)
+    return out
 
 
 def kernel_j_mp(mu: float, ctx) -> mpmath.mpf:

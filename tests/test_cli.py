@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import threading
+import time
 import warnings
 
 import pytest
@@ -373,6 +376,23 @@ def test_auto_threads_follow_cpu_affinity(monkeypatch):
     assert cli._usable_cpus() == 1
 
 
+def _src_env() -> dict:
+    """The environment with src/ importable."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def _script_target(name: str) -> tuple[str, str]:
+    """Module and function of the ``[project.scripts]`` entry ``name``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    toml = (root / "pyproject.toml").read_text()
+    scripts = toml.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"',
+                     scripts, re.M).groups()
+
+
 def _console_script(name: str) -> tuple[list[str], dict | None]:
     """Command and environment that run the console script ``name``.
 
@@ -381,15 +401,9 @@ def _console_script(name: str) -> tuple[list[str], dict | None]:
     """
     if shutil.which(name):
         return [name], None
-    root = pathlib.Path(__file__).resolve().parents[1]
-    toml = (root / "pyproject.toml").read_text()
-    scripts = toml.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
-    module, func = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"',
-                             scripts, re.M).groups()
-    pythonpath = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    module, func = _script_target(name)
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    return [sys.executable, "-c", code], dict(os.environ, PYTHONPATH=pythonpath)
+    return [sys.executable, "-c", code], _src_env()
 
 
 def test_console_script():
@@ -402,19 +416,84 @@ def test_console_script():
     assert lines[2] == "4,3,4,2,3,1,ok"
 
 
+@pytest.mark.parametrize("launch", ["python -m", "console script"])
+def test_process_entry_runs_without_gc_and_freezes_the_heap(launch):
+    # a CLI process runs its rows with automatic GC off and freezes the
+    # heap before it exits, whether started as a module or as the script
+    # pyproject.toml names; a spy on the equator row records the GC state
+    if launch == "python -m":
+        start = "runpy.run_module('escatter.cli', run_name='__main__')"
+    else:
+        module, func = _script_target("escatter-entropy")
+        start = f"sys.exit(importlib.import_module('{module}').{func}())"
+    code = textwrap.dedent(f"""\
+        import gc, importlib, runpy, sys
+        from escatter import spin
+        seen, real = [], spin.equator_entropies
+        def spy(n):
+            seen.append(gc.isenabled())
+            return real(n)
+        spin.equator_entropies = spy
+        sys.argv = ["escatter-entropy", "equator", "--n-cells", "4,8"]
+        try:
+            {start}
+        finally:
+            print(seen, gc.isenabled(), gc.get_freeze_count() > 0,
+                  file=sys.stderr)
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[2:] == ["4,3,4,2,3,1,ok", "8,4,5,3,4,1,ok"]
+    assert proc.stderr.splitlines() == ["[False, False] False True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_gc_alone(enabled, capsys):
+    # only the process entry touches the collector: main(), which tests and
+    # the benchmark's replay call, leaves its state and the freeze as found
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["equator", "--n-cells", "4"]) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert capsys.readouterr().out.splitlines()[2] == "4,3,4,2,3,1,ok"
+
+
+def test_vn_compare_builds_take_turns(monkeypatch, capsys):
+    # builds hold the GIL, so vn-compare's row threads build one matrix at
+    # a time; each build here sleeps, so overlapping builds would show
+    from escatter import density_matrix
+
+    build, active, most = density_matrix.build_meridian_matrix, [], []
+
+    def slow_build(*args, **kwargs):
+        active.append(1)
+        most.append(len(active))
+        time.sleep(0.05)
+        active.pop()
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(density_matrix, "build_meridian_matrix", slow_build)
+    assert main(["vn-compare", "--energy-list", "5,6,7,8", "--n-grid", "16",
+                 "--k-scale", SQRT2, "--threads", "4"]) == 0
+    assert len(most) == 4 and max(most) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
 @pytest.mark.parametrize("command", ["spinless-sweep", "vn-compare"])
 def test_empty_domain_row_fails_without_warning(command):
     # 2 E b_bar < 1: the cutoff angle is above pi/2 and no angle is
     # accessible; the row fails with a message naming both, and nothing
     # else (no numpy warning) reaches stderr
-    root = pathlib.Path(__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "escatter.cli", command, "--energy-ev", "0.0001",
          "--packet-nm", "0.01", "--threads", "1"],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True, text=True, timeout=120)
+        env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
         f"[{command}] row 0 failed: error: cutoff angle epsilon = 3.14159 rad "
@@ -428,14 +507,10 @@ def test_parallel_channel_at_extreme_energy_fails_cleanly(e_ev):
     # first parallel cell rounds to -1: the row fails naming the channel
     # and the angle, and that line is all of stderr (no arctanh warning,
     # no bare "math domain error")
-    root = pathlib.Path(__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "escatter.cli", "spin-sweep", "--energy-ev", e_ev,
          "--packet-nm", "1000", "--k-scale", SQRT2, "--threads", "1"],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True, text=True, timeout=120)
+        env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     [line] = proc.stderr.splitlines()
     assert re.fullmatch(r"\[spin-sweep\] row 0 failed: error: non-finite cell "

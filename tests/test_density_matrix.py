@@ -26,6 +26,7 @@ from oracles import (
     kernel_element_oracle,
     kernel_j_mp,
     kernel_j_oracle,
+    kernel_j_table_oracle,
     meridian_matrix_oracle,
 )
 
@@ -59,12 +60,18 @@ def test_i0e_against_phi_quadrature():
 
 def test_i0e_equals_cephes_bit_for_bit():
     # the package's numpy i0e runs Cephes' tables in Cephes' order of
-    # operations, so it must equal scipy's (Cephes') i0e exactly, on both
-    # series and at their seam x = 8
+    # operations, so it must equal scipy's (Cephes') i0e exactly: on both
+    # series, at their seam x = 8, for negative x, over the whole double
+    # range, on 2-D arrays (as direct J calls it) and on scalars
     x = 10.0 ** np.random.default_rng(5).uniform(-3.0, 8.0, 200_000)
-    x = np.concatenate([x, [0.0, 8.0, np.nextafter(8.0, 0.0),
-                            np.nextafter(8.0, 16.0)]])
+    seam = [0.0, 8.0, np.nextafter(8.0, -np.inf), np.nextafter(8.0, np.inf)]
+    x = np.concatenate([x, seam, np.geomspace(1e-300, 1e300, 6001)])
+    x = np.concatenate([x, -x])
     assert np.array_equal(density_matrix._i0e(x), scipy.special.i0e(x))
+    grid = x[:200_000].reshape(400, 500)
+    assert np.array_equal(density_matrix._i0e(grid), scipy.special.i0e(grid))
+    for v in [*seam, -8.0, 1e-300, 0.5, 30.0, 1e300, -1e300]:
+        assert density_matrix._i0e(v) == scipy.special.i0e(v), v
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,42 @@ def test_window_needs_only_128_gl_nodes(monkeypatch):
         orders.clear()
         build_meridian_matrix(make_context(e_ev, 100.0, CALIBRATED_KSCALE), 1024)
         assert max(orders) == 128, e_ev
+
+
+@pytest.mark.parametrize("e_ev,l_nm,rounds", [
+    (5.1, 100.0, 8), (19.6, 100.0, 9), (1e3, 100.0, 14), (1e4, 50_000.0, 2)])
+def test_table_equals_per_panel_oracle(e_ev, l_nm, rounds, monkeypatch):
+    # the table fits, checks and evaluates every panel at once, with
+    # chebinterpolate's and chebval's arithmetic: its J, and so rho, must
+    # equal the panel-by-panel table bit for bit; from the third round on
+    # each of these builds bisects one panel a round
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    table, direct = density_matrix._kernel_j_table, density_matrix._kernel_j
+    band_mu, direct_calls = [], []
+
+    def recording_table(mu, c):
+        band_mu.append(mu)
+        return table(mu, c)
+
+    def recording_direct(mu, c):
+        direct_calls.append(mu.size)
+        return direct(mu, c)
+
+    monkeypatch.setattr(density_matrix, "_kernel_j", recording_direct)
+    for n in (2, 48, 256, 1024):
+        band_mu.clear()
+        direct_calls.clear()
+        monkeypatch.setattr(density_matrix, "_kernel_j_table", recording_table)
+        rho = build_meridian_matrix(ctx, n).rho
+        build_calls = list(direct_calls)
+        assert np.array_equal(table(band_mu[0], ctx),
+                              kernel_j_table_oracle(band_mu[0], ctx)), n
+        monkeypatch.setattr(density_matrix, "_kernel_j_table",
+                            kernel_j_table_oracle)
+        assert np.array_equal(build_meridian_matrix(ctx, n).rho, rho), n
+    per_panel = 2 * density_matrix._TABLE_NODES + 1
+    assert len(build_calls) == rounds
+    assert build_calls[2:] == [2 * per_panel] * (rounds - 2)  # n = 1024
 
 
 @pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
