@@ -72,34 +72,83 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
+# ---------------------------------------------------------------------------
+# settings: options, RunConfig, config file
+# ---------------------------------------------------------------------------
+
+_Option = namedtuple("_Option", ("field", "key", "parse", "default", "hashed",
+                                 "help", "choices"), defaults=(None, None))
+
+#: Every setting, once: its RunConfig field, its flag and config-file key
+#: (``packet_nm`` is ``--packet-nm``), parser (``[float]`` parses a
+#: comma-separated list), default (a tuple default is a fresh list in each
+#: RunConfig), whether the config hash covers it, and its --help text (a
+#: template the default is formatted into) and choices.  The two energy
+#: keys fill one field, whose default the second gives.
+_OPTIONS = (
+    _Option("e_list", "energy_ev", lambda text: [float(text)], None, True,
+            "single CM kinetic energy in eV"),
+    _Option("e_list", "energy_list", [float], (5.0,), True,
+            "comma-separated energies in eV"),
+    _Option("l_nm", "packet_nm", float, 100.0, True,
+            "Gaussian packet size in nm (default {:g})"),
+    _Option("k_scale", "k_scale", float, 1.0, True,
+            "wave-number calibration factor (default {:g}; sqrt(2) reproduces "
+            "the benchmark tables)"),
+    _Option("grid_cap", "grid_cap", int, 4096, True,
+            "dense-diagonalization cap (default {})"),
+    _Option("n_grid", "n_grid", int, 512, True,
+            "vn-compare matrix dimension (default {})"),
+    _Option("n_cells", "n_cells", [int], (3140,), True,
+            "equator cell count(s), comma-separated (default {[0]})"),
+    _Option("channel", "channel", str, "spinless", True,
+            "default {}; distinguishable is an alias of spinless",
+            sorted(_CHANNELS)),
+    _Option("geometry", "geometry", str, "rings", True,
+            choices=sorted(_GEOMETRIES)),
+    _Option("theta_r", "theta_r", [float], _DEFAULT_THETA_R, True,
+            "comma-separated acceptance half-angles in radians"),
+    _Option("out", "out", str, None, False, "output file path (atomic "
+            "write); default prints the table to stdout"),
+    _Option("format", "format", str, "csv", False, choices=("csv", "json")),
+    _Option("threads", "threads", int, 0, False,
+            "worker threads for vn-compare rows, whose eigensolves release "
+            "the GIL (other tables run on one thread); 0 = one per usable "
+            "CPU; env ESCATTER_THREADS is the fallback"),
+)
+
+_DEFAULTS = {opt.field: opt.default for opt in _OPTIONS}
+_KEYS = {opt.key for opt in _OPTIONS}
+_HASHED = {"command": str, **{opt.field: opt.parse for opt in _OPTIONS
+                               if opt.hashed}}  # field -> its (last) parser
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _canonical(value, parse):
+    """A value as the config hash reads it: a float field's as 12-digit
+    text, also when it holds an int."""
+    if isinstance(parse, list):
+        return [_canonical(v, parse[0]) for v in value]
+    return format(value, ".12g") if parse is float else value
+
+
 class RunConfig:
-    """One command's settings; ``build_config`` fills them from flags,
-    a config file and the environment, and ``validate`` checks them."""
+    """One command's settings, one field per ``_OPTIONS`` field and each
+    a keyword; ``build_config`` fills them from flags, a config file and
+    the environment, and ``validate`` checks them."""
 
-    __slots__ = ("command", "e_list", "l_nm", "k_scale", "grid_cap", "n_grid",
-                 "n_cells", "channel", "geometry", "theta_r", "out", "format",
-                 "threads")
+    __slots__ = ("command", *_DEFAULTS)
 
-    def __init__(self, command: str, e_list: list | None = None,
-                 l_nm: float = 100.0, k_scale: float = 1.0,
-                 grid_cap: int = 4096, n_grid: int = 512,
-                 n_cells: list | None = None, channel: str = "spinless",
-                 geometry: str = "rings", theta_r: list | None = None,
-                 out: str | None = None, format: str = "csv",
-                 threads: int = 0) -> None:
+    def __init__(self, command: str, **values) -> None:
         self.command = command
-        self.e_list = [5.0] if e_list is None else e_list  # eV
-        self.l_nm = l_nm
-        self.k_scale = k_scale
-        self.grid_cap = grid_cap
-        self.n_grid = n_grid  # vn-compare matrix dimension
-        self.n_cells = [3140] if n_cells is None else n_cells  # equator cells
-        self.channel = channel
-        self.geometry = geometry
-        self.theta_r = list(_DEFAULT_THETA_R) if theta_r is None else theta_r
-        self.out = out
-        self.format = format
-        self.threads = threads  # 0 = one per usable CPU
+        for name, default in _DEFAULTS.items():
+            value = values.pop(name, default)
+            setattr(self, name, list(value) if isinstance(value, tuple) else value)
+        if values:
+            raise TypeError(f"RunConfig() got unexpected keywords {sorted(values)}")
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -132,6 +181,9 @@ class RunConfig:
             raise ConfigError(f"grid cap must be >= 2, got {self.grid_cap}")
         if self.n_grid < 2:
             raise ConfigError(f"n-grid must be >= 2, got {self.n_grid}")
+        if self.command == "vn-compare" and self.n_grid > self.grid_cap:
+            raise ConfigError(f"n-grid {self.n_grid} exceeds the "
+                              f"dense-diagonalization cap {self.grid_cap}")
         if not self.n_cells or any(n < 1 for n in self.n_cells):
             raise ConfigError(f"n-cells must be positive, got {self.n_cells!r}")
         if self.channel not in _CHANNELS:
@@ -163,30 +215,10 @@ class RunConfig:
         only in execution details carry (and must reproduce) the same
         table bytes.
         """
-        physics = {
-            "command": self.command,
-            "e_list": [format(e, ".12g") for e in self.e_list],
-            "l_nm": format(self.l_nm, ".12g"),
-            "k_scale": format(self.k_scale, ".12g"),
-            "grid_cap": self.grid_cap,
-            "n_grid": self.n_grid,
-            "n_cells": self.n_cells,
-            "channel": self.channel,
-            "geometry": self.geometry,
-            "theta_r": [format(t, ".12g") for t in self.theta_r],
-        }
+        physics = {name: _canonical(getattr(self, name), parse)
+                   for name, parse in _HASHED.items()}
         canon = json.dumps(physics, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-
-
-# ---------------------------------------------------------------------------
-# config file
-# ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = {
-    "energy_ev", "energy_list", "packet_nm", "k_scale", "grid_cap", "n_grid",
-    "n_cells", "channel", "geometry", "theta_r", "out", "format", "threads",
-}
 
 
 def parse_config_file(path: str) -> dict:
@@ -207,7 +239,7 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
@@ -215,77 +247,37 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_float(text: str, what: str) -> float:
+def _parse(parse, text: str, flag: str):
+    """``parse(text)``, or each comma-separated part for ``[parse]``; a
+    ValueError becomes a ConfigError that names the flag."""
     try:
-        return float(text)
+        if isinstance(parse, list):
+            return [parse[0](part) for part in text.split(",") if part.strip()]
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"{what}: not a number: {text!r}") from exc
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: not an integer: {text!r}") from exc
-
-
-def _parse_float_list(text: str, what: str) -> list:
-    return [_parse_float(part, what) for part in str(text).split(",") if part.strip()]
-
-
-def _parse_int_list(text: str, what: str) -> list:
-    return [_parse_int(part, what) for part in str(text).split(",") if part.strip()]
-
-
-def _parse_str(text: str, what: str) -> str:
-    return text
-
-
-#: (RunConfig field, flag / config-file key, parser) for every option but
-#: the energies; the flag spelling in error messages derives from the key.
-_OPTIONS = (
-    ("l_nm", "packet_nm", _parse_float),
-    ("k_scale", "k_scale", _parse_float),
-    ("grid_cap", "grid_cap", _parse_int),
-    ("n_grid", "n_grid", _parse_int),
-    ("n_cells", "n_cells", _parse_int_list),
-    ("channel", "channel", _parse_str),
-    ("geometry", "geometry", _parse_str),
-    ("theta_r", "theta_r", _parse_float_list),
-    ("out", "out", _parse_str),
-    ("format", "format", _parse_str),
-    ("threads", "threads", _parse_int),
-)
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command-line flags > config file > defaults
-    (ESCATTER_THREADS ranks between the config file and the default)."""
-    filevals = parse_config_file(args.config) if args.config else {}
-    if "ESCATTER_THREADS" in os.environ:
-        filevals.setdefault("threads", os.environ["ESCATTER_THREADS"])
-
-    def pick(flag_value, file_key: str):
-        if flag_value is not None:
-            return flag_value
-        return filevals.get(file_key)
-
-    cfg = RunConfig(command=args.command)
-
-    energy_list = pick(args.energy_list, "energy_list")
-    energy_ev = pick(args.energy_ev, "energy_ev")
-    if args.energy_list is not None and args.energy_ev is not None:
-        raise ConfigError("give either --energy-ev or --energy-list, not both")
-    if energy_list is not None:
-        cfg.e_list = _parse_float_list(str(energy_list), "--energy-list")
-    elif energy_ev is not None:
-        cfg.e_list = [_parse_float(str(energy_ev), "--energy-ev")]
-
-    for attr, key, parse in _OPTIONS:
-        raw = pick(getattr(args, key), key)
-        if raw is not None:
-            setattr(cfg, attr, parse(str(raw), "--" + key.replace("_", "-")))
-
+    """Merge precedence: command-line flags > config file >
+    ESCATTER_THREADS > defaults.  A source gives at most one of the two
+    energy keys, and one that gives either replaces lower sources' energies."""
+    env = os.environ.get("ESCATTER_THREADS")
+    given: dict = {}  # field -> (option, text) from the highest source
+    for source in ({} if env is None else {"threads": env},
+                   parse_config_file(args.config) if args.config else {},
+                   vars(args)):
+        here: dict = {}
+        for opt in _OPTIONS:
+            if source.get(opt.key) is not None:
+                if opt.field in here:
+                    raise ConfigError(f"give either {_flag(here[opt.field][0].key)}"
+                                      f" or {_flag(opt.key)}, not both")
+                here[opt.field] = opt, source[opt.key]
+        given.update(here)
+    cfg = RunConfig(args.command, **{
+        field: _parse(opt.parse, text, _flag(opt.key))
+        for field, (opt, text) in given.items()})
     cfg.validate()
     return cfg
 
@@ -538,11 +530,9 @@ def run(cfg: RunConfig) -> int:
 
     failures = [(i, row["status"]) for i, row in enumerate(rows)
                 if row.get("status") != "ok"]
-    if failures:
-        for i, status in failures:
-            print(f"[{cfg.command}] row {i} failed: {status}", file=sys.stderr)
-        return 3
-    return 0
+    for i, status in failures:
+        print(f"[{cfg.command}] row {i} failed: {status}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -560,40 +550,14 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat 'key = value' config file; "
                                          "command-line flags win")
-    parser.add_argument("--energy-ev", help="single CM kinetic energy in eV")
-    parser.add_argument("--energy-list", help="comma-separated energies in eV")
-    parser.add_argument("--packet-nm", help="Gaussian packet size in nm "
-                                            "(default 100)")
-    parser.add_argument("--k-scale", help="wave-number calibration factor "
-                                          "(default 1; sqrt(2) reproduces the "
-                                          "benchmark tables)")
-    parser.add_argument("--grid-cap", help="dense-diagonalization cap "
-                                           "(default 4096)")
-    parser.add_argument("--n-grid", help="vn-compare matrix dimension "
-                                         "(default 512)")
-    parser.add_argument("--n-cells", help="equator cell count(s), "
-                                          "comma-separated (default 3140)")
-    parser.add_argument("--channel", choices=sorted(_CHANNELS),
-                        help="default spinless; distinguishable is an alias "
-                             "of spinless")
-    parser.add_argument("--geometry", choices=sorted(_GEOMETRIES))
-    parser.add_argument("--theta-r", help="comma-separated acceptance "
-                                          "half-angles in radians")
-    parser.add_argument("--out", help="output file path (atomic write); "
-                                      "default prints the table to stdout")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--threads", help="worker threads for vn-compare "
-                                          "rows, whose eigensolves release "
-                                          "the GIL (other tables run on one "
-                                          "thread); 0 = one per usable CPU; "
-                                          "env ESCATTER_THREADS is the "
-                                          "fallback")
+    for opt in _OPTIONS:
+        parser.add_argument(_flag(opt.key), choices=opt.choices, help=opt.help
+                            and opt.help.format(_DEFAULTS[opt.field]))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return run(cfg)

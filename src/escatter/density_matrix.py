@@ -62,7 +62,7 @@ from numpy.polynomial import chebyshev
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import channel_domain
+from .geometry import channel_domain, uniform_grid
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -354,10 +354,11 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
                           grid_cap: int = 4096) -> DensityMatrix:
     """Assemble and trace-normalize the meridian density matrix.
 
-    The theta grid is ``n_grid`` midpoints uniform over the accessible
-    range [epsilon, pi - epsilon].  Elements farther than 45 sigma_k from
-    the diagonal in q are set to exactly zero (they are < 1e-100 of the
-    peak), which keeps assembly O(n * bandwidth).  A grid whose first
+    The theta grid is the cell centres of ``uniform_grid`` over the
+    accessible range [epsilon, pi - epsilon], vn-compare's ring grid.
+    Elements farther than 45 sigma_k from the diagonal in q are set to
+    exactly zero (they are < 1e-100 of the peak), which keeps assembly
+    O(n * bandwidth).  A grid whose first
     point q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon
     raises ValueError before any kernel work.
     """
@@ -368,9 +369,9 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
             f"n_grid = {n_grid} exceeds the dense-diagonalization cap "
             f"{grid_cap}; subsample the grid (or raise the cap)")
 
-    lo, hi = channel_domain(ctx, SpinChannel.SPINLESS)
-    h = (hi - lo) / n_grid
-    theta = lo + (np.arange(n_grid) + 0.5) * h
+    grid = uniform_grid(*channel_domain(ctx, SpinChannel.SPINLESS), n_grid)
+    h = grid.delta_theta
+    theta = np.array(grid.centres(range(n_grid)))
     q = 2.0 * ctx.K * np.sin(0.5 * theta)
     q_min = ctx.K * ctx.epsilon
     if q[0] < q_min:

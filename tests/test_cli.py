@@ -88,6 +88,127 @@ def test_energy_flags_conflict():
                    "--energy-list", "1,2"])
 
 
+def test_flag_energies_replace_file_energies(tmp_path):
+    # either energy flag replaces the file's energies, whichever key the
+    # file used
+    path = tmp_path / "run.cfg"
+    path.write_text("energy_list = 1,2\n")
+    assert _cfg_from(["spinless-sweep", "--config", str(path),
+                      "--energy-ev", "3"]).e_list == [3.0]
+    path.write_text("energy_ev = 7.5\n")
+    assert _cfg_from(["spinless-sweep", "--config", str(path),
+                      "--energy-list", "1,2"]).e_list == [1.0, 2.0]
+
+
+def test_file_with_both_energy_keys_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("energy_ev = 3\nenergy_list = 1,2\n")
+    argv = ["spinless-sweep", "--config", str(path)]
+    with pytest.raises(ConfigError, match="give either --energy-ev or "
+                                          "--energy-list, not both"):
+        _cfg_from(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
+def test_unparsable_value_names_its_flag(monkeypatch):
+    with pytest.raises(ConfigError, match="--packet-nm: could not convert"):
+        _cfg_from(["spinless-sweep", "--packet-nm", "abc"])
+    with pytest.raises(ConfigError, match="--n-cells: invalid literal for int"):
+        _cfg_from(["equator", "--n-cells", "4,x"])
+    monkeypatch.setenv("ESCATTER_THREADS", "many")
+    with pytest.raises(ConfigError, match="--threads: invalid literal for int"):
+        _cfg_from(["equator"])
+
+
+def test_n_grid_above_the_cap_is_a_configuration_error():
+    # rejected before any row runs: exit 2, no table and no numpy import
+    code = ("import sys; from escatter.cli import main; "
+            "code = main(['vn-compare', '--n-grid', '5000']); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: n-grid 5000 exceeds the dense-diagonalization cap 4096",
+        "False"]
+    assert _cfg_from(["vn-compare", "--n-grid", "64", "--grid-cap", "64"])
+    # only vn-compare builds a matrix: the other tables ignore the cap
+    assert _cfg_from(["spinless-sweep", "--grid-cap", "100"]).n_grid == 512
+
+
+#: Two values per option key, each valid for spin-sweep and neither the
+#: first the default; a new ``cli._OPTIONS`` row needs its pair here.
+_SAMPLES = {
+    "energy_ev": ("7.5", "2.25"),
+    "energy_list": ("1,2", "3.5"),
+    "packet_nm": ("25", "50.5"),
+    "k_scale": (SQRT2, "2"),
+    "grid_cap": ("1024", "2048"),
+    "n_grid": ("64", "128"),
+    "n_cells": ("100,1000", "628"),
+    "channel": ("parallel", "antiparallel"),
+    "geometry": ("meridian", "equator"),
+    "theta_r": ("0.1,0.5", "1.2"),
+    "out": ("a.csv", "b.json"),
+    "format": ("json", "csv"),
+    "threads": ("3", "5"),
+}
+
+
+@pytest.mark.parametrize("opt", cli._OPTIONS, ids=lambda opt: opt.key)
+def test_every_option_through_every_source(opt, tmp_path, monkeypatch):
+    monkeypatch.delenv("ESCATTER_THREADS", raising=False)
+    a, b = _SAMPLES[opt.key]
+    flag = "--" + opt.key.replace("_", "-")
+    path = tmp_path / "run.cfg"
+
+    def cfg(flags=(), file=None):
+        argv = ["spin-sweep", *flags]
+        if file is not None:
+            path.write_text(f"{opt.key} = {file}\n")
+            argv += ["--config", str(path)]
+        return _cfg_from(argv)
+
+    by_flag = cfg([flag, a])
+    assert by_flag != cfg()
+    assert cfg(file=a) == by_flag                  # flag and file agree
+    assert cfg([flag, b], file=a) == cfg([flag, b]) != by_flag  # flag wins
+    if opt.key == "threads":
+        monkeypatch.setenv("ESCATTER_THREADS", b)
+        assert cfg() == cfg([flag, b])             # env beats the default
+        assert cfg(file=a) == by_flag              # the file beats env
+        assert cfg([flag, a]) == by_flag
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["equator", "--n-cells", "100,1000"], "dad7110d916e"),
+    (["spinless-sweep", "--geometry", "equator", "--n-cells", "628"],
+     "e9866e937e6e"),
+    (["postselect-range", "--energy-ev", "5", "--theta-r", "0.1,0.5,1.2"],
+     "662dcb557768"),
+    (["spinless-sweep", "--geometry", "meridian", "--energy-list", "5,20"],
+     "651aca02fda7"),
+    (["vn-compare", "--grid-cap", "1024", "--n-grid", "256"], "72be19580ecf"),
+    (["spinless-sweep", "--channel", "parallel"], "3d34853d1fb6"),
+    (["sphere-sweep", "--channel", "antiparallel", "--packet-nm", "50000"],
+     "177cb51ef893"),
+    (["spin-sweep", "--channel", "distinguishable"], "b8289a230ed4"),
+    (["equator"], "c0530805ce85"),
+], ids=["n-cells", "equator-geometry", "theta-r", "meridian", "grid-cap",
+        "parallel", "antiparallel", "distinguishable", "defaults"])
+def test_config_hash_is_pinned(argv, digest):
+    # hashes the golden tables never vary; the benchmark recomputes the
+    # hash on its own, so a change here fails every benchmark row
+    assert _cfg_from(argv).config_hash() == digest
+    # a float setting given as an int hashes as the float would
+    assert RunConfig(command="equator", l_nm=25, k_scale=2, e_list=[5, 7.5],
+                     theta_r=[1]).config_hash() == "d7d8eadc03f3"
+
+
 def test_validation_errors():
     for argv in (["spinless-sweep", "--energy-ev", "-3"],
                  ["spinless-sweep", "--energy-ev", "0"],
