@@ -36,6 +36,7 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
 from collections import namedtuple
 
@@ -222,7 +223,7 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; a '#' starting a word opens a comment."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -230,7 +231,7 @@ def parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

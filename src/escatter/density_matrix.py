@@ -20,25 +20,23 @@ q'' integral -- window, Bessel argument, Gaussian centre -- depends on q
 and q' only through mu = (q+q')/2, so J is a function of one variable.
 
 A matrix build therefore evaluates J once, as a piecewise-Chebyshev
-table over the band's range of mu: panels start one sigma_k wide at the
-lower end and double in width, each interpolating J at 16 Chebyshev
-nodes.  Every build checks every panel against direct J at the 17
-Chebyshev extrema interleaving its nodes, to 1e-10 relative, and bisects
-the panels that miss; past a fixed number of panel fits it raises
+table over the band's range of mu: panels start at both ends and double
+in width towards the middle, each interpolating J at 16 Chebyshev nodes.
+Every build checks every panel against direct J at the 17 Chebyshev
+extrema interleaving its nodes, to 1e-10 relative, and bisects the
+panels that miss; past a fixed number of panel fits it raises
 :class:`NumericalError`, so a build takes bounded time.  The panels are
-fitted in rounds, and one round evaluates direct J at every pending
-panel's 33 points in one batched call: Gauss-Legendre doubling on all of
-them at once, each mu leaving the batch at its own first agreement, on
-a window 12 sigma_k wide either side of mu.  A round fits all its
-panels with one interpolation matrix built at import (chebinterpolate's,
-one dot per panel) and checks them in one Clenshaw pass; one more pass
-evaluates every band mu, each gathering its panel's coefficients one
-degree at a time.  Both passes repeat numpy's ``chebval`` operation for
-operation, so the table equals a per-panel chebinterpolate and chebval
-bit for bit.  The band is then assembled by broadcasting.  A build is
-many small numpy calls and Python loops that hold the GIL, so builds on
-two threads overlap little (1.0-1.2x); the dense eigensolve is one
-LAPACK call that releases it (about 1.8x).
+fitted in rounds (at most two at the benchmark's points), each one
+batched direct-J call on every pending panel's 33 points.  A round fits
+all its panels with one interpolation matrix built at import
+(chebinterpolate's, one dot per panel) and checks them in one Clenshaw
+pass; one more pass evaluates every band mu, each gathering its panel's
+coefficients one degree at a time.  Both passes repeat numpy's
+``chebval`` operation for operation, so the table equals a per-panel
+chebinterpolate and chebval bit for bit.  The band is then assembled by
+broadcasting.  A build is many small numpy calls and Python loops that
+hold the GIL, so builds on two threads overlap little (1.0-1.2x); the
+dense eigensolve is one LAPACK call that releases it (about 1.8x).
 :func:`kernel_element` evaluates one element from direct J.
 
 I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, in
@@ -62,7 +60,7 @@ from numpy.polynomial import chebyshev
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import channel_domain, uniform_grid
+from .geometry import channel_domain, panel_edges, uniform_grid
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -196,9 +194,9 @@ def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     Each mu's estimate starts at 64 nodes and doubles until two successive
     estimates agree to 1e-9 relative; that mu then keeps its estimate and
     leaves the batch.  A non-finite estimate, or a mu still open at 4096
-    nodes, raises :class:`NumericalError` naming the mu.  A mu whose window
-    [max(K eps, mu - W sigma_k), min(2K, mu + W sigma_k)], W = 12, is empty
-    has J = 0.
+    nodes, raises :class:`NumericalError` naming the mu.  The window is
+    q'' - mu in [max(K eps - mu, -W sigma_k), min(2K - mu, W sigma_k)],
+    W = 12, so mu +- W sigma_k is never rounded; an empty one gives J = 0.
 
     The window drops the integrand beyond W sigma_k of mu.  Above, the
     dropped piece is about exp(-W^2/2)/W ~ 5e-33 of J.  Below, there is
@@ -221,10 +219,10 @@ def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=float)
     sig2 = ctx.sigma_k ** 2
-    lo = np.maximum(ctx.K * ctx.epsilon, mu - _WINDOW_SIGMAS * ctx.sigma_k)
-    hi = np.minimum(2.0 * ctx.K, mu + _WINDOW_SIGMAS * ctx.sigma_k)
+    lo = np.maximum(ctx.K * ctx.epsilon - mu, -_WINDOW_SIGMAS * ctx.sigma_k)
+    hi = np.minimum(2.0 * ctx.K - mu, _WINDOW_SIGMAS * ctx.sigma_k)
     half = 0.5 * (hi - lo)
-    shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
+    shift = 0.5 * (hi + lo)  # window centre relative to mu
     bessel_scale = mu / sig2
     out = np.zeros_like(mu)
     todo = np.flatnonzero(hi > lo)
@@ -298,20 +296,18 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """J at every ``mu``, from a piecewise-Chebyshev table over
     [min mu, max mu] that is checked against direct J before use.
 
-    Panels are fitted in rounds: one direct-J call covers every pending
-    panel's nodes and check points, within what is left of the
-    ``_TABLE_MAX_PANELS`` budget, and each panel is then kept or bisected.
-    Fits, checks and the final evaluation do chebinterpolate's and
-    chebval's arithmetic in their order, so the table is theirs bit for
-    bit, with one Clenshaw pass over all check points of a round and one
-    over all of ``mu``.
+    :func:`panel_edges` lays the panels out from both ends, the first one
+    at an end max(sigma_k, d/4) wide, d being its distance to the kernel's
+    cutoff (min mu - K eps, 2K - max mu): J varies on sigma_k near a cutoff
+    and on d away from it.  Panels are fitted in rounds: one direct-J call
+    covers every pending panel's nodes and check points, within what is
+    left of the ``_TABLE_MAX_PANELS`` budget, and each panel is then kept
+    or bisected.
     """
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
-    edges = [mu_lo]
-    width = ctx.sigma_k
-    while edges[-1] < mu_hi:
-        edges.append(min(edges[-1] + width, mu_hi))
-        width *= 2.0
+    edges = panel_edges(mu_lo, mu_hi,
+                        max(ctx.sigma_k, 0.25 * (mu_lo - ctx.K * ctx.epsilon)),
+                        max(ctx.sigma_k, 0.25 * (2.0 * ctx.K - mu_hi)))
     pending = list(zip(edges[:-1], edges[1:]))
     kept_ab, kept_coef = [], []
     fits = 0

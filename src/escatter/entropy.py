@@ -38,6 +38,7 @@ from .geometry import (
     channel_cell_integrals,
     channel_domain,
     direct_exchange_cell_integrals,
+    panel_edges,
     ring_grid,
     ring_weight,
     sphere_pixel_count,
@@ -74,9 +75,6 @@ _EXACT_MAX_CELLS = 8192
 #: the Euler-Maclaurin middle is within rounding from 64 on, without it
 #: from about 128
 _EXACT_END_CELLS = 64
-#: width ratio of neighbouring Gauss-Legendre panels, which grow
-#: geometrically from both ends of the Euler-Maclaurin middle
-_PANEL_RATIO = 2.0
 #: Gauss-Legendre nodes per panel
 _PANEL_NODES = 16
 #: offsets from a half-integer end of the middle of the six cells around
@@ -171,17 +169,11 @@ def _euler_maclaurin_sum(f, a: float, b: float) -> tuple[float, ...]:
 
     (midpoint Euler-Maclaurin, Abramowitz & Stegun 23.1.30; the first
     term left out, 127 [f^(7)] / 154828800, is below rounding).  The
-    integral runs on Gauss-Legendre panels that grow from both ends by
-    _PANEL_RATIO, the first one _EXACT_END_CELLS wide; the endpoint
-    derivatives come from the six cells around each end.  ``f`` maps a
-    list of points to rows of values, and is called once."""
-    half = 0.5 * (b - a)
-    steps = math.ceil(math.log1p(half / _EXACT_END_CELLS)
-                      / math.log(_PANEL_RATIO))
-    offsets = [o for o in (_EXACT_END_CELLS * (_PANEL_RATIO ** k - 1.0)
-                           for k in range(steps + 1)) if o < half]
-    offsets.append(half)
-    edges = [a + o for o in offsets] + [b - o for o in offsets[-2::-1]]
+    integral runs on Gauss-Legendre panels :func:`panel_edges` lays out,
+    _EXACT_END_CELLS wide at both ends and doubling towards the middle;
+    the endpoint derivatives come from the six cells around each end.
+    ``f`` maps a list of points to rows of values, and is called once."""
+    edges = panel_edges(a, b, _EXACT_END_CELLS, _EXACT_END_CELLS)
     nodes, weights = _gauss_legendre(_PANEL_NODES)
     points, gl_weights = [], []
     for lo, hi in zip(edges, edges[1:]):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import count, takewhile
 
 from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
 from .kinematics import ScatterContext
@@ -163,6 +164,16 @@ def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
 def ring_weight(theta_i: float, delta_theta: float) -> float:
     """Pixels per ring at polar angle theta_i: m_i = 2 pi sin(theta_i) / dtheta."""
     return 2.0 * math.pi * math.sin(theta_i) / delta_theta
+
+
+def panel_edges(a: float, b: float, first_a: float, first_b: float) -> list[float]:
+    """Edges from a to b (a < b) of panels ``first_a`` wide at a and
+    ``first_b`` at b, doubling until they meet at (a + b) / 2."""
+    half = 0.5 * (b - a)
+    lower, upper = (list(takewhile(lambda o: o < half,
+                                   (w * (2.0 ** k - 1.0) for k in count())))
+                    for w in (first_a, first_b))
+    return [a + o for o in lower] + [a + half] + [b - o for o in upper[::-1]]
 
 
 # ---------------------------------------------------------------------------

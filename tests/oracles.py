@@ -87,7 +87,7 @@ from scipy.special import i0e
 from escatter import density_matrix
 from escatter.amplitudes import SpinChannel
 from escatter.errors import NumericalError
-from escatter.geometry import GridKind
+from escatter.geometry import GridKind, panel_edges
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
@@ -444,17 +444,18 @@ def _gl_doubling(rule, what: str) -> float:
 
 def kernel_j_oracle(mu: float, ctx, window_sigmas: float = 40.0) -> float:
     """J(mu), the q'' integral of the meridian kernel for one mu,
-    restricted to the window [max(K eps, mu - W sigma_k),
-    min(2K, mu + W sigma_k)] with W = ``window_sigmas`` and
-    Gauss-Legendre-refined.  At the default W = 40 the Gaussian factor at
-    the window edge, exp(-800), underflows: the window drops nothing."""
+    restricted to the window q'' - mu in [max(K eps - mu, -W sigma_k),
+    min(2K - mu, W sigma_k)] with W = ``window_sigmas``, whose ends are
+    formed as these offsets, and Gauss-Legendre-refined.  At the default
+    W = 40 the Gaussian factor at the window edge, exp(-800), underflows:
+    the window drops nothing."""
     sig2 = ctx.sigma_k ** 2
-    lo = max(ctx.K * ctx.epsilon, mu - window_sigmas * ctx.sigma_k)
-    hi = min(2.0 * ctx.K, mu + window_sigmas * ctx.sigma_k)
+    lo = max(ctx.K * ctx.epsilon - mu, -window_sigmas * ctx.sigma_k)
+    hi = min(2.0 * ctx.K - mu, window_sigmas * ctx.sigma_k)
     if hi <= lo:
         return 0.0
     half = 0.5 * (hi - lo)
-    shift = 0.5 * (hi + lo) - mu  # window centre relative to mu
+    shift = 0.5 * (hi + lo)  # window centre relative to mu
     bessel_scale = mu / sig2
 
     def rule(x, w):
@@ -476,11 +477,9 @@ def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
     check_x = chebyshev.chebpts2(nodes + 1)
     panel_x = np.concatenate([chebyshev.chebpts1(nodes), check_x])
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
-    edges = [mu_lo]
-    width = ctx.sigma_k
-    while edges[-1] < mu_hi:
-        edges.append(min(edges[-1] + width, mu_hi))
-        width *= 2.0
+    d_lo, d_hi = mu_lo - ctx.K * ctx.epsilon, 2.0 * ctx.K - mu_hi  # to the cutoffs
+    edges = panel_edges(mu_lo, mu_hi, max(ctx.sigma_k, d_lo / 4.0),
+                        max(ctx.sigma_k, d_hi / 4.0))
     pending = list(zip(edges[:-1], edges[1:]))
     panels = []
     fits = 0

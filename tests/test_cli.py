@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from escatter import cli
+from escatter import cli, make_context
 from escatter.cli import (
     ConfigError,
     RunConfig,
@@ -50,6 +50,24 @@ def test_parse_config_file(tmp_path):
         "format = json\n")
     values = parse_config_file(str(path))
     assert values == {"energy_ev": "7.5", "k_scale": "2.0", "format": "json"}
+
+
+def test_config_value_may_hold_a_hash(tmp_path, capsys):
+    # '#' starts a comment only at the start of a line or after
+    # whitespace: the path keeps its '#', the spaced trailing note goes
+    out = tmp_path / "run#1.csv"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"out = {out}\n"
+                    "n_grid = 512  # note\n"
+                    "energy_ev = 5\t# tab before the note\n"
+                    "  # indented comment line\n")
+    assert parse_config_file(str(path)) == {
+        "out": str(out), "n_grid": "512", "energy_ev": "5"}
+    assert main(["spinless-sweep", "--config", str(path),
+                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    assert out.read_text().count("\n") > 1
+    assert not (tmp_path / "run").exists()
+    assert f"wrote 1 rows to {out}\n" in capsys.readouterr().out
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -637,6 +655,31 @@ def test_parallel_channel_at_extreme_energy_fails_cleanly(e_ev):
     assert re.fullmatch(r"\[spin-sweep\] row 0 failed: error: non-finite cell "
                         r"weight in the parallel channel at theta = "
                         r"\d\.\d+e-\d+", line), line
+
+
+@pytest.mark.parametrize("e_ev,l_nm,n_grid", [
+    ("1000", "50000", "2048"), ("2000", "50000", "2048"),
+    ("10000", "10000", "2048"), ("10000", "50000", "4096")])
+def test_j_table_close_to_2k_fails_cleanly(e_ev, l_nm, n_grid, capsys):
+    # a known failure, pinned so that its fix flips this test: within a
+    # few sigma_k of mu = 2K the table bisects to panels ~1e-8 wide whose
+    # nodes mid + half x round to ulp(mu), which moves x by up to ~1e-6;
+    # J varies on sigma_k there, so a fit at the ideal x misses the 1e-10
+    # check however narrow the panel.  The build stops at its panel
+    # budget, in bounded time, and the row fails: exit 3
+    t0 = time.perf_counter()
+    assert main(["vn-compare", "--energy-ev", e_ev, "--packet-nm", l_nm,
+                 "--n-grid", n_grid, "--k-scale", SQRT2, "--threads", "1"]) == 3
+    assert time.perf_counter() - t0 < 30.0
+    [line] = capsys.readouterr().err.splitlines()
+    match = re.fullmatch(r"\[vn-compare\] row 0 failed: error: J\(mu\) table "
+                         r"missed 1e-10 relative after 256 panel fits; \d+ "
+                         r"panels left, the first \[(\S+), (\S+)\]", line)
+    assert match, line
+    a, b = float(match[1]), float(match[2])
+    ctx = make_context(float(e_ev), float(l_nm), math.sqrt(2.0))
+    assert 0.0 < 2.0 * ctx.K - a < 12.0 * ctx.sigma_k
+    assert b - a < 1e-7
 
 
 def test_meridian_grid_below_cutoff_exit_3(capsys):

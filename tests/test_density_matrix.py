@@ -253,8 +253,9 @@ def test_window_keeps_j_of_the_untruncated_window(e_ev, l_nm):
 def test_window_j_against_mpmath(e_ev, l_nm, where):
     # at the window's ends and at mu / sigma_k ~ 5, 1e3 and 1e5, the
     # 12 sigma_k J is no farther from a 30-digit J than the 40 sigma_k J
-    # is; at 1 eV / 50 um, mu = 2K both sit ~4e-11 off (the GL doubling's
-    # 1e-9 agreement), on opposite sides
+    # is.  At 1 eV / 50 um, mu = 2K (mu / sigma_k ~ 5e5) the window's
+    # ends were once mu -+ W sigma_k rounded to ulp(2K), less mu: J sat
+    # 4.2e-11 off; as offsets from mu they are exact, 2.5e-14 off
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
     mu = {"K eps": ctx.K * ctx.epsilon, "2K": 2.0 * ctx.K}.get(where)
     if mu is None:
@@ -265,6 +266,8 @@ def test_window_j_against_mpmath(e_ev, l_nm, where):
     err_new = float(abs((new - ref) / ref))
     err_old = float(abs((old - ref) / ref))
     assert err_new <= err_old + 1e-12
+    if (e_ev, l_nm, where) == (1.0, 50_000.0, "2K"):
+        assert err_new <= 1e-13
 
 
 def test_window_needs_only_128_gl_nodes(monkeypatch):
@@ -285,16 +288,26 @@ def test_window_needs_only_128_gl_nodes(monkeypatch):
         assert max(orders) == 128, e_ev
 
 
-@pytest.mark.parametrize("e_ev,l_nm,rounds", [
+#: per working point, the direct-J mu of an n = 1024 build, and those of
+#: an n = 2 build when the table's panels grew from min mu alone
+_TABLE_MU = {(5.1, 100.0): (1122, 363), (19.6, 100.0): (1254, 396),
+             (1e3, 100.0): (1320, 495), (1e4, 50_000.0): (1617, 825)}
+
+
+@pytest.mark.parametrize("e_ev,l_nm,grown_from_min_rounds", [
     (5.1, 100.0, 8), (19.6, 100.0, 9), (1e3, 100.0, 14), (1e4, 50_000.0, 2)])
-def test_table_equals_per_panel_oracle(e_ev, l_nm, rounds, monkeypatch):
+def test_table_equals_per_panel_oracle(e_ev, l_nm, grown_from_min_rounds,
+                                       monkeypatch):
     # the table fits, checks and evaluates every panel at once, with
     # chebinterpolate's and chebval's arithmetic: its J, and so rho, must
-    # equal the panel-by-panel table bit for bit; from the third round on
-    # each of these builds bisects one panel a round
+    # equal the panel-by-panel table bit for bit.  Its panels start at both
+    # ends of the mu range, so every build needs at most 2 direct-J rounds
+    # (grown from min mu alone, n = 1024 took grown_from_min_rounds), and
+    # an n = 2 build evaluates fewer mu than it did then
+    mu_1024, grown_from_min_mu_2 = _TABLE_MU[e_ev, l_nm]
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
     table, direct = density_matrix._kernel_j_table, density_matrix._kernel_j
-    band_mu, direct_calls = [], []
+    band_mu, direct_calls, mu_per_build = [], [], {}
 
     def recording_table(mu, c):
         band_mu.append(mu)
@@ -310,15 +323,17 @@ def test_table_equals_per_panel_oracle(e_ev, l_nm, rounds, monkeypatch):
         direct_calls.clear()
         monkeypatch.setattr(density_matrix, "_kernel_j_table", recording_table)
         rho = build_meridian_matrix(ctx, n).rho
-        build_calls = list(direct_calls)
+        rounds = len(direct_calls)
+        assert rounds <= 2, n
+        mu_per_build[n] = sum(direct_calls)
         assert np.array_equal(table(band_mu[0], ctx),
                               kernel_j_table_oracle(band_mu[0], ctx)), n
         monkeypatch.setattr(density_matrix, "_kernel_j_table",
                             kernel_j_table_oracle)
         assert np.array_equal(build_meridian_matrix(ctx, n).rho, rho), n
-    per_panel = 2 * density_matrix._TABLE_NODES + 1
-    assert len(build_calls) == rounds
-    assert build_calls[2:] == [2 * per_panel] * (rounds - 2)  # n = 1024
+    assert mu_per_build[1024] == mu_1024
+    assert mu_per_build[2] < grown_from_min_mu_2
+    assert rounds <= grown_from_min_rounds  # n = 1024
 
 
 @pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),

@@ -19,6 +19,7 @@ from escatter import (
 from escatter.geometry import (
     channel_cell_integrals,
     direct_exchange_cell_integrals,
+    panel_edges,
     parallel_cell_integrals,
 )
 
@@ -174,6 +175,48 @@ def test_rings_times_weight_matches_sphere_pixels():
         total = sum(ring_weight(t, grid.delta_theta) for t in centers)
         assert total == pytest.approx(sphere_pixel_count(ctx, ch),
                                       rel=1e-3), ch
+
+
+# ---------------------------------------------------------------------------
+# quadrature panel layout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a,b,first_a,first_b", [
+    (0.0, 1.0, 0.01, 0.01), (0.0, 1.0, 0.001, 0.1), (0.0, 1.0, 0.3, 1e-6),
+    (-3.0, 5e4, 2.0, 7.5), (63.5, 2.0 ** 50 - 64.5, 64.0, 64.0),
+    (1.0, 1.5, 10.0, 10.0)])
+def test_panel_edges_double_from_both_ends(a, b, first_a, first_b):
+    edges = panel_edges(a, b, first_a, first_b)
+    assert edges[0] == a and edges[-1] == b
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    mid = edges.index(a + 0.5 * (b - a))  # the two series meet here
+    lower = [hi - lo for lo, hi in zip(edges[:mid], edges[1:mid + 1])]
+    upper = [hi - lo for lo, hi in zip(edges[mid:], edges[mid + 1:])][::-1]
+    for first, widths in ((first_a, lower), (first_b, upper)):
+        # each full panel doubles the one before it; the one at the
+        # midpoint is cut, so it is at most twice as wide
+        expected = [first * 2.0 ** k for k in range(len(widths))]
+        assert widths[:-1] == pytest.approx(expected[:-1], rel=1e-12)
+        assert 0.0 < widths[-1] <= expected[-1] * (1.0 + 1e-12)
+    # one panel a side when a first width reaches past the midpoint
+    if first_a >= 0.5 * (b - a) and first_b >= 0.5 * (b - a):
+        assert edges == [a, a + 0.5 * (b - a), b]
+
+
+@pytest.mark.parametrize("a,b", [
+    (63.5, 8192.0 - 64.5), (63.5, 63.5 + 128.0), (63.5, 63.5 + 127.75),
+    (63.5, 63.5 + 2.0 * 64.0 * 1023.0), (63.5, 10.0 ** 12 - 64.5),
+    (63.5, 2.0 ** 50 - 64.5), (0.25, 3.0e6 + 0.75), (0.3, 12345.678)])
+def test_panel_edges_equal_the_euler_maclaurin_layout(a, b):
+    # the Euler-Maclaurin middle's panels as its own code laid them out:
+    # 64 cells wide at both ends, width ratio 2, offsets 64 (2^k - 1)
+    half = 0.5 * (b - a)
+    steps = math.ceil(math.log1p(half / 64) / math.log(2.0))
+    offsets = [o for o in (64 * (2.0 ** k - 1.0) for k in range(steps + 1))
+               if o < half]
+    offsets.append(half)
+    edges = [a + o for o in offsets] + [b - o for o in offsets[-2::-1]]
+    assert panel_edges(a, b, 64, 64) == edges
 
 
 # ---------------------------------------------------------------------------
