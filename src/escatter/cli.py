@@ -31,7 +31,6 @@ from __future__ import annotations
 import _thread
 import argparse
 import gc
-import hashlib
 import importlib
 import json
 import math
@@ -39,6 +38,14 @@ import os
 import re
 import sys
 from collections import namedtuple
+
+try:  # the interpreter's own sha256: hashlib would load OpenSSL's
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .amplitudes import SpinChannel
@@ -219,7 +226,7 @@ class RunConfig:
         physics = {name: _canonical(getattr(self, name), parse)
                    for name, parse in _HASHED.items()}
         canon = json.dumps(physics, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+        return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def parse_config_file(path: str) -> dict:

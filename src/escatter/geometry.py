@@ -168,7 +168,9 @@ def ring_weight(theta_i: float, delta_theta: float) -> float:
 
 def panel_edges(a: float, b: float, first_a: float, first_b: float) -> list[float]:
     """Edges from a to b (a < b) of panels ``first_a`` wide at a and
-    ``first_b`` at b, doubling until they meet at (a + b) / 2."""
+    ``first_b`` at b, doubling until they meet at (a + b) / 2.  Both
+    callers, the Euler-Maclaurin middle and the J(mu) table, make a first
+    width max(floor, d/4), d being the end's distance to a singularity."""
     half = 0.5 * (b - a)
     lower, upper = (list(takewhile(lambda o: o < half,
                                    (w * (2.0 ** k - 1.0) for k in count())))

@@ -23,7 +23,11 @@ from escatter import (
 from escatter import entropy
 from escatter.cli import main
 from escatter.errors import NumericalError
-from escatter.geometry import channel_cell_integrals, direct_exchange_cell_integrals
+from escatter.geometry import (
+    channel_cell_integrals,
+    direct_exchange_cell_integrals,
+    panel_edges,
+)
 
 from oracles import (
     CALIBRATED_KSCALE,
@@ -185,19 +189,28 @@ def _reducer_grids():
     """(id, grid, K, channel): native ring and sphere grids at 100 eV and
     at 1 eV (where the cells' singularity sits about 5 cells before the
     first cell), post-selection bands below pi/2 (the parallel channel's
-    double zero at their top), and uniform grids of 2H cells, of the
-    most cells summed exactly, and just above each."""
+    double zero at their top; the others far from every singular angle,
+    so summed from a few coarse panels), among them the benchmark's at
+    1 keV / 50 um, half-shell antiparallel grids at 1 keV and 10 keV
+    (whose top, pi/2, is far from 0 and pi), and uniform grids of 2H
+    cells, of the most cells summed exactly, and just above each."""
     ring = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
     near = make_context(1.0, 50_000.0, CALIBRATED_KSCALE)
     band = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
     coarse = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    ap = SpinChannel.ANTIPARALLEL
+    for name, ctx in (("1keV", band),
+                      ("10keV", make_context(1e4, 5000.0, CALIBRATED_KSCALE))):
+        for kind in GridKind:
+            yield (f"half-shell-{name}-{ap.value}-{kind.value}",
+                   ring_grid(ctx, ap, kind=kind), ctx.K, ap)
     for ch in SpinChannel:
         for kind in GridKind:
             yield (f"ring-{ch.value}-{kind.value}",
                    ring_grid(ring, ch, kind=kind), ring.K, ch)
             yield (f"ring-1eV-{ch.value}-{kind.value}",
                    ring_grid(near, ch, kind=kind), near.K, ch)
-        for theta_r in (0.01, 0.1, 1.5):
+        for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 1.5):
             yield (f"band-{theta_r}-{ch.value}",
                    range_grid_below(0.5 * math.pi, theta_r, band.delta_theta),
                    band.K, ch)
@@ -237,6 +250,64 @@ def test_reducer_z_matches_telescoped_total(e_ev):
             z = entropy._stream_weight_entropy(grid, ctx.K, ch)[1]
             assert z == pytest.approx(telescoped_weight_mp(grid, ctx.K, ch),
                                       rel=1e-14, abs=0.0), (grid.n_cells, ch)
+
+
+def _record_cell_terms(mp) -> list[list]:
+    """The points of each _cell_terms call, recorded from here on."""
+    calls = []
+    cell_terms = entropy._cell_terms
+
+    def recording(grid, K, channel, xs):
+        calls.append(list(xs))
+        return cell_terms(grid, K, channel, calls[-1])
+
+    mp.setattr(entropy, "_cell_terms", recording)
+    return calls
+
+
+def test_postselect_bands_far_from_singular_angles_are_cheap():
+    # postselect-range's 12 default bands at 1 keV / 50 um, three channels
+    # each: only the parallel channel's top, at pi/2, needs exact cells and
+    # narrow first panels (5,648 evaluations; 20,496 with both of them at
+    # every end)
+    ctx = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_cell_terms(mp)
+        for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.2,
+                        1.4, 1.5):
+            grid = range_grid_below(0.5 * math.pi, theta_r, ctx.delta_theta)
+            assert grid.n_cells > _EXACT
+            for ch in SpinChannel:
+                entropy._stream_weight_entropy(grid, ctx.K, ch)
+    assert sum(map(len, calls)) <= 6000
+
+
+@pytest.mark.parametrize("e_ev", [1.0, 10.0, 100.0, 1000.0, 10_000.0])
+def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
+    # native spinless and parallel grids end within H cells of 0 and of pi
+    # (pi/2): both ends keep H exact cells and the middle keeps panels H
+    # wide at both ends, bit for bit
+    ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)
+    for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
+        for kind in GridKind:
+            grid = ring_grid(ctx, ch, kind=kind)
+            n = grid.n_cells
+            assert n > _EXACT
+            layouts = []
+
+            def recording(a, b, first_a, first_b):
+                layouts.append((a, b, panel_edges(a, b, first_a, first_b)))
+                return layouts[-1][2]
+
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _record_cell_terms(mp)
+                mp.setattr(entropy, "panel_edges", recording)
+                entropy._stream_weight_entropy(grid, ctx.K, ch)
+            assert len(calls) == 2
+            assert calls[0] == [*range(_H), *range(n - _H, n)]
+            [(a, b, edges)] = layouts
+            assert (a, b) == (_H - 0.5, n - _H - 0.5)
+            assert edges == panel_edges(a, b, 64, 64)
 
 
 def test_reducer_cost_does_not_grow_with_cells():

@@ -108,8 +108,11 @@ def test_commands_without_a_matrix_load_only_the_standard_library(argv):
 
 #: standard-library packages that cost a cold start tens of milliseconds
 #: each: dataclasses (which loads inspect), typing, and the thread pool
-#: (concurrent.futures, which loads logging)
-_COSTLY_STDLIB = ("dataclasses", "inspect", "typing", "concurrent", "logging")
+#: (concurrent.futures, which loads logging); and hashlib's OpenSSL
+#: binding _hashlib, about 4 ms and 3 MB of peak RSS a start, where the
+#: config hash needs only the interpreter's own sha256
+_COSTLY_STDLIB = ("dataclasses", "inspect", "typing", "concurrent", "logging",
+                  "_hashlib")
 
 _COSTLY_ADDED = (
     "import sys\n"
