@@ -41,9 +41,6 @@ from .kinematics import (
 )
 from .spin import (
     EquatorEntropies,
-    SpinEntropyResult,
-    entropy_antiparallel,
-    entropy_parallel,
     equator_entropies,
     postselect_entropies,
 )
@@ -70,13 +67,10 @@ __all__ = [
     "NumericalError",
     "ScatterContext",
     "SpinChannel",
-    "SpinEntropyResult",
     "__version__",
     "build_meridian_matrix",
     "channel_domain",
     "eigen_spectrum",
-    "entropy_antiparallel",
-    "entropy_parallel",
     "equator_entropies",
     "ev_to_hartree",
     "kernel_element",

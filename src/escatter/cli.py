@@ -53,12 +53,7 @@ from .entropy import shannon_discrete, shannon_ring_discrete, shannon_sphere_dis
 from .errors import NumericalError
 from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
-from .spin import (
-    entropy_antiparallel,
-    entropy_parallel,
-    equator_entropies,
-    postselect_entropies,
-)
+from .spin import equator_entropies, postselect_entropies
 
 #: "meridian" has the same 1-D distribution as "rings"; "equator" reads
 #: the closed forms for equal azimuthal cells; "sphere" is sphere-sweep's.
@@ -372,10 +367,13 @@ def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
 
 
 def _spin_row(cfg: RunConfig, e_ev: float) -> tuple:
+    # S_modified is the detection entropy; S = 1 + S_modified adds the
+    # exchange bit of the indistinguishable pair (conventions: escatter.spin)
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-    par = entropy_parallel(ctx)
-    ap = entropy_antiparallel(ctx)
-    return par.grid.n_cells, par.S, ap.S, par.S_modified, ap.S_modified
+    par = shannon_ring_discrete(ctx, SpinChannel.PARALLEL)
+    ap = shannon_ring_discrete(ctx, SpinChannel.ANTIPARALLEL)
+    return (ring_grid(ctx, SpinChannel.PARALLEL).n_cells, 1.0 + par,
+            1.0 + ap, par, ap)
 
 
 def _postselect_row(cfg: RunConfig, e_ev: float, theta_r: float) -> tuple:

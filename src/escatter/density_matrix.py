@@ -53,6 +53,7 @@ the operator spectrum.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -356,7 +357,9 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth).  A grid whose first
     point q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon
-    raises ValueError before any kernel work.
+    raises ValueError before any kernel work, and a packet so wide that
+    sigma_k^2 is not a normal float, or 2K / sigma_k^2 (the largest
+    Bessel scale mu / sigma_k^2) overflows, raises NumericalError there.
     """
     if n_grid < 2:
         raise ValueError(f"need at least a 2-point grid, got {n_grid}")
@@ -364,6 +367,12 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
         raise ValueError(
             f"n_grid = {n_grid} exceeds the dense-diagonalization cap "
             f"{grid_cap}; subsample the grid (or raise the cap)")
+    sig2 = ctx.sigma_k ** 2
+    if not (sig2 >= sys.float_info.min and math.isfinite(2.0 * ctx.K / sig2)):
+        raise NumericalError(
+            f"sigma_k = {ctx.sigma_k!r} is too small for the kernel: "
+            f"sigma_k^2 = {sig2!r} is below the normal float range or "
+            "2K / sigma_k^2 overflows (the packet is too wide)")
 
     grid = uniform_grid(*channel_domain(ctx, SpinChannel.SPINLESS), n_grid)
     h = grid.delta_theta

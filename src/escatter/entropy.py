@@ -38,7 +38,6 @@ from .geometry import (
     GridKind,
     channel_cell_integrals,
     channel_domain,
-    direct_exchange_cell_integrals,
     panel_edges,
     ring_grid,
     ring_weight,
@@ -128,16 +127,25 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
                 xs) -> tuple[list[float], list[float]]:
     """(w, w ln w) for the cells at (possibly fractional) indices ``xs``,
-    each summed over the channel's branches.  On a SPHERE_PIXELS grid the
-    second term is w ln(w / m), m = ring_weight(centre).  Both are smooth
-    in x, which is what lets the middle of a grid be summed by
-    Euler-Maclaurin."""
+    each summed over the branches :func:`channel_cell_integrals` gives
+    the channel (two for ANTIPARALLEL, one otherwise).  On a SPHERE_PIXELS
+    grid the second term is w ln(w / m), m = ring_weight(centre).  Both
+    are smooth in x, which is what lets the middle of a grid be summed by
+    Euler-Maclaurin.
+
+    A cell integral divides by sin^2 products of its cell's half-angles;
+    on a grid whose lower edge is too close to 0 (packets of about 1e81
+    nm at 5 eV) they underflow and the division fails, which is reported
+    as a NumericalError naming the channel and that edge."""
     mids = grid.centres(xs)
     hw = 0.5 * grid.delta_theta
-    if channel is SpinChannel.ANTIPARALLEL:
-        branches = direct_exchange_cell_integrals(mids, hw, K)
-    else:
-        branches = (channel_cell_integrals(mids, hw, K, channel),)
+    try:
+        branches = channel_cell_integrals(mids, hw, K, channel)
+    except ZeroDivisionError:
+        raise NumericalError(
+            f"{channel.value}-channel cell weights underflow: the grid's "
+            f"lower edge theta = {grid.theta_lo!r} rad is too close to 0 "
+            "(division by zero in the cell integrals)") from None
     m = ([ring_weight(mid, grid.delta_theta) for mid in mids]
          if grid.kind is GridKind.SPHERE_PIXELS else [1.0] * len(mids))
     log = math.log
@@ -260,8 +268,8 @@ def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
 
     This is the entropy of *which detector fires* (and, for ANTIPARALLEL,
     which spin pattern it sees); the extra exchange bit of the
-    indistinguishable spin channels is added by the spin module where the
-    full spin-state entropy is wanted.
+    indistinguishable spin channels is added where spin-sweep prints the
+    full spin-state entropy (conventions in ``escatter.spin``).
     """
     grid = _resolve_grid(ctx, channel, n_cells)
     return _stream_weight_entropy(grid, ctx.K, channel)[0]

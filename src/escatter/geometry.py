@@ -4,15 +4,21 @@
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
 (:func:`direct_exchange_cell_integrals`, :func:`parallel_cell_integrals`),
-exact to rounding and usable at any (even fractional) cell index.  Each
-cell is given by its centre and half-width, never by two rounded edges:
-b - a formed from edges near theta carries an error of ulp(theta), which
-is 1e-9 of a 2.5e-7 rad cell, and it would make a cell's weight a noisy
-function of its index.  The integrals take a sequence of centres and one
-half-width and return lists: the entropy reducer evaluates a few hundred
-cells a call, too few for array code to pay for importing numpy.  The
-test suite referees them against numpy-vectorised copies, Gauss-Legendre
-quadrature and mpmath in ``tests/oracles.py``.
+exact to rounding and usable at any (even fractional) cell index.
+:func:`channel_cell_integrals` picks a spin channel's branches from
+them, the distinguishable outcomes within a cell: |f|^2 for SPINLESS,
+|f - g|^2 for PARALLEL, and |f|^2 and |g|^2 for ANTIPARALLEL's two spin
+patterns.
+
+Each cell is given by its centre and half-width, never by two rounded
+edges: b - a formed from edges near theta carries an error of
+ulp(theta), which is 1e-9 of a 2.5e-7 rad cell, and it would make a
+cell's weight a noisy function of its index.  The integrals take a
+sequence of centres and one half-width and return lists: the entropy
+reducer evaluates a few hundred cells a call, too few for array code to
+pay for importing numpy.  The test suite referees them against
+numpy-vectorised copies, Gauss-Legendre quadrature and mpmath in
+``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
 d(s)/d(theta) = sin(theta)/2 and the densities become rational in s:
@@ -250,14 +256,18 @@ def parallel_cell_integrals(mids, hw: float, K: float) -> list[float]:
 
 
 def channel_cell_integrals(mids, hw: float, K: float,
-                           channel: SpinChannel) -> list[float]:
-    """Per-cell 2 pi * integral p(theta) sin(theta) dtheta for one channel
-    over the cells [mid - hw, mid + hw], one list over ``mids``."""
+                           channel: SpinChannel) -> tuple[list[float], ...]:
+    """A channel's branches over the cells [mid - hw, mid + hw]: per
+    branch, one list over ``mids`` of 2 pi * integral p sin dtheta.
+
+    A branch is a distinguishable outcome within a cell.  SPINLESS has
+    one, |f|^2; PARALLEL one, |f - g|^2; ANTIPARALLEL two, |f|^2 and
+    |g|^2, the direct and the exchange spin pattern.  This is the one
+    place that decides which densities a channel's cells carry."""
     if channel is SpinChannel.SPINLESS:
-        return direct_exchange_cell_integrals(mids, hw, K)[0]
+        return (direct_exchange_cell_integrals(mids, hw, K)[0],)
     if channel is SpinChannel.PARALLEL:
-        return parallel_cell_integrals(mids, hw, K)
+        return (parallel_cell_integrals(mids, hw, K),)
     if channel is SpinChannel.ANTIPARALLEL:
-        F, G = direct_exchange_cell_integrals(mids, hw, K)
-        return [f + g for f, g in zip(F, G)]
+        return direct_exchange_cell_integrals(mids, hw, K)
     raise ValueError(f"unknown spin channel: {channel!r}")

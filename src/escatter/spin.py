@@ -4,8 +4,8 @@ For indistinguishable electrons the post-scattering pair state carries,
 besides *where* the pair landed, one extra bit tied to the symmetrized
 spin/exchange structure.  Conventions used here:
 
-* ``S`` on a result is the full spin-state entropy, exchange bit
-  included: S = 1 + H_detection.
+* ``S`` is the full spin-state entropy, exchange bit included:
+  S = 1 + H_detection.
 * ``S_modified`` strips that bit: S_modified = S - 1 is the bare
   detection entropy (which detector fired and, for antiparallel spins,
   which spin pattern it recorded).  Differences S_ap - S_par are the
@@ -13,9 +13,19 @@ spin/exchange structure.  Conventions used here:
 
 Parallel spins scatter on the half shell [cutoff, pi/2] with the
 antisymmetric combination |f - g|^2; antiparallel spins produce two
-distinguishable branches per cell with weights |f|^2 and |g|^2.  A
-spin-filtered (distinguishable) pair carries no exchange bit: it is the
-SPINLESS channel, |f|^2 on the full shell, and needs nothing here.
+distinguishable branches per cell with weights |f|^2 and |g|^2
+(``geometry.channel_cell_integrals`` gives each channel its branches).
+A spin-filtered (distinguishable) pair carries no exchange bit: it is
+the SPINLESS channel, |f|^2 on the full shell, and needs nothing here.
+
+A spin channel's H_detection on its native ring grid is
+``entropy.shannon_ring_discrete(ctx, channel)``, the one route for
+every channel.  The exchange bit is added where S is printed, in
+spin-sweep's rows (``cli._spin_row``): the normalized per-cell
+amplitudes c_i satisfy sum 2|c_i|^2 = 1, so
+-sum 2|c_i|^2 log2 |c_i|^2 = 1 + H(w), w the normalized cell weights.
+This module keeps the equator's closed forms and the post-selected
+detection entropies.
 """
 
 from __future__ import annotations
@@ -25,47 +35,8 @@ from collections import namedtuple
 
 from .amplitudes import SpinChannel
 from .entropy import _stream_weight_entropy
-from .geometry import range_grid_below, ring_grid
+from .geometry import range_grid_below
 from .kinematics import ScatterContext
-
-
-class SpinEntropyResult(namedtuple("SpinEntropyResult",
-                                   ("channel", "grid", "S", "S_modified"))):
-    """Entropy of one spin channel on one grid."""
-
-    __slots__ = ()
-
-
-def _channel_entropy(ctx: ScatterContext,
-                     channel: SpinChannel) -> SpinEntropyResult:
-    """S = 1 + H_detection for an indistinguishable spin channel on its
-    native ring grid."""
-    grid = ring_grid(ctx, channel)
-    h, z = _stream_weight_entropy(grid, ctx.K, channel)
-    if z <= 0.0:
-        raise ValueError(f"all {channel.value}-channel cell weights are zero")
-    return SpinEntropyResult(channel=channel, grid=grid, S=1.0 + h,
-                             S_modified=h)
-
-
-def entropy_parallel(ctx: ScatterContext) -> SpinEntropyResult:
-    """Full spin-state entropy for parallel spins: S = 1 + H_detection.
-
-    The normalized per-cell amplitudes c_i satisfy sum 2|c_i|^2 = 1, so
-    -sum 2|c_i|^2 log2 |c_i|^2 = 1 + H(w) with w the normalized cell
-    weights; the identity is used directly.
-    """
-    return _channel_entropy(ctx, SpinChannel.PARALLEL)
-
-
-def entropy_antiparallel(ctx: ScatterContext) -> SpinEntropyResult:
-    """Full spin-state entropy for antiparallel spins.
-
-    Each cell contributes two outcomes (direct and exchange spin
-    patterns) with weights |f|^2 and |g|^2, jointly normalized, so
-    H_detection runs over 2 N weights and S = 1 + H_detection.
-    """
-    return _channel_entropy(ctx, SpinChannel.ANTIPARALLEL)
 
 
 class EquatorEntropies(namedtuple("EquatorEntropies", (

@@ -657,6 +657,62 @@ def test_parallel_channel_at_extreme_energy_fails_cleanly(e_ev):
                         r"\d\.\d+e-\d+", line), line
 
 
+@pytest.mark.parametrize("command, channel", [
+    ("spinless-sweep", "spinless"), ("sphere-sweep", "spinless"),
+    ("spin-sweep", "antiparallel")])
+def test_huge_packet_underflow_fails_cleanly(command, channel):
+    # 5 eV / 1e81 nm: the sin^2 products of the first cell's half-angles
+    # underflow and the cell integral divides by zero; the row fails
+    # naming the channel and the grid's lower edge, where it printed a
+    # bare "float division by zero" (spin-sweep: its parallel channel
+    # computes, the antiparallel one fails)
+    proc = subprocess.run(
+        [sys.executable, "-m", "escatter.cli", command, "--energy-ev", "5",
+         "--packet-nm", "1e81", "--k-scale", SQRT2, "--threads", "1"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(rf"\[{command}\] row 0 failed: error: {channel}-channel "
+                        r"cell weights underflow: the grid's lower edge theta "
+                        r"= 4\.07\d*e-82 rad is too close to 0 \(division by "
+                        r"zero in the cell integrals\)", line), line
+
+
+def test_huge_packet_rows_that_compute_keep_computing(capsys):
+    # one decade narrower every channel computes; the parallel channel
+    # computes at 1e100 nm, and post-selection bands at 1e300 nm
+    assert main(["spin-sweep", "--energy-ev", "5", "--packet-nm", "1e80",
+                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    assert main(["postselect-range", "--energy-ev", "5", "--packet-nm", "1e300",
+                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert main(["spinless-sweep", "--channel", "parallel", "--energy-ev", "5",
+                 "--packet-nm", "1e100", "--k-scale", SQRT2, "--threads", "1",
+                 "--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["S_bits"] == pytest.approx(2.4324, abs=1e-4)
+
+
+def test_vn_compare_packet_too_wide_fails_without_warning():
+    # 5 eV / 1e170 nm: sigma_k^2 underflows to 0.  numpy printed three
+    # RuntimeWarnings and the row failed on "J(mu=...) is nan"; the build
+    # now refuses it first, naming sigma_k
+    proc = subprocess.run(
+        [sys.executable, "-m", "escatter.cli", "vn-compare", "--energy-ev", "5",
+         "--packet-nm", "1e170", "--n-grid", "4", "--k-scale", SQRT2,
+         "--threads", "1"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"\[vn-compare\] row 0 failed: error: sigma_k = "
+                        r"5\.29\d*e-172 is too small for the kernel: "
+                        r"sigma_k\^2 = 0\.0 is below the normal float range "
+                        r"or 2K / sigma_k\^2 overflows \(the packet is too "
+                        r"wide\)", line), line
+
+
 @pytest.mark.parametrize("e_ev,l_nm,n_grid", [
     ("1000", "50000", "2048"), ("2000", "50000", "2048"),
     ("10000", "10000", "2048"), ("10000", "50000", "4096")])

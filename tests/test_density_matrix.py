@@ -395,6 +395,25 @@ def test_grid_below_forward_cutoff_fails_before_j(monkeypatch):
         build_meridian_matrix(ctx, 512)
 
 
+@pytest.mark.parametrize("e_ev, l_nm, narrower_nm", [
+    (5.0, 1e170, 1e152), (5.0, 1e153, 1e152), (1e4, 1e152, 1e151)])
+def test_packet_too_wide_fails_before_j(monkeypatch, e_ev, l_nm, narrower_nm):
+    # sigma_k^2 zero or below the normal floats (5 eV at 1e170 and 1e153
+    # nm), or 2K / sigma_k^2 overflowing (1e4 eV at 1e152 nm), made numpy
+    # warn and J come out nan; the build now stops before any J, naming
+    # sigma_k.  A packet a little narrower still builds
+    build_meridian_matrix(make_context(e_ev, narrower_nm, CALIBRATED_KSCALE), 4)
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+
+    def no_j(mus, _ctx):
+        raise AssertionError("J evaluated before the sigma_k check")
+
+    monkeypatch.setattr(density_matrix, "_kernel_j", no_j)
+    with pytest.raises(NumericalError, match=r"sigma_k = 5\.29\d*e-\d+ is too "
+                       r"small for the kernel: sigma_k\^2 = "):
+        build_meridian_matrix(ctx, 4)
+
+
 # ---------------------------------------------------------------------------
 # spectra and entropy of hand-built states
 # ---------------------------------------------------------------------------

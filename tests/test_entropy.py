@@ -110,8 +110,8 @@ def test_streamed_matches_materialized():
     # vector and feeding it to the plain Shannon sum
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
-        w = np.asarray(channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)),
-                                              ctx.K, ch))
+        w, = channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)), ctx.K, ch)
+        w = np.asarray(w)
         assert shannon_ring_discrete(ctx, ch) == \
             pytest.approx(shannon_discrete(w / w.sum()), abs=1e-10)
 
@@ -360,8 +360,8 @@ def test_sphere_ring_multiplicity_identity():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
     centers, hw = grid_cells(grid)
-    w = np.asarray(channel_cell_integrals(centers, hw, ctx.K,
-                                          SpinChannel.SPINLESS))
+    w, = channel_cell_integrals(centers, hw, ctx.K, SpinChannel.SPINLESS)
+    w = np.asarray(w)
     p = w / w.sum()
     m = np.array([ring_weight(t, grid.delta_theta) for t in centers])
     expected = shannon_discrete(p) + float((p * np.log2(m)).sum())
@@ -469,35 +469,42 @@ def test_sweep_error_rows_do_not_abort(capsys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
     # the reducer's w > 0 filter would drop a NaN or -inf weight, and the
-    # final clamp would turn the NaN entropy an inf weight gives into 0
+    # final clamp would turn the NaN entropy an inf weight gives into 0.
+    # Every channel's cells come from channel_cell_integrals, so spoiling
+    # its last branch (antiparallel: the exchange one) reaches each channel
     def spoiled(mid, hw, K, channel):
-        w = channel_cell_integrals(mid, hw, K, channel)
+        branches = channel_cell_integrals(mid, hw, K, channel)
+        w = branches[-1]
         w[len(w) // 2] = bad
-        return w
+        return branches
 
     monkeypatch.setattr(entropy, "channel_cell_integrals", spoiled)
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     message = ("detection entropy is nan" if bad == math.inf
                else "non-finite cell weight")
-    with pytest.raises(NumericalError, match=message):
-        shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
-    assert main(["spinless-sweep", "--energy-ev", "5",
-                 "--k-scale", repr(CALIBRATED_KSCALE)]) == 3
-    assert message in capsys.readouterr().err
+    for channel in SpinChannel:
+        with pytest.raises(NumericalError, match=message):
+            shannon_ring_discrete(ctx, channel)
+        assert main(["spinless-sweep", "--energy-ev", "5", "--channel",
+                     channel.value, "--k-scale", repr(CALIBRATED_KSCALE)]) == 3
+        assert message in capsys.readouterr().err, channel
 
 
 def test_non_finite_entropy_fails(monkeypatch):
     # every weight finite, but w ln w overflows: the entropy is -inf,
-    # which the clamp at 0 used to hide
+    # which the clamp at 0 used to hide; on every channel, one huge weight
+    # in its first branch
     def huge(mid, hw, K, channel):
-        w = [1.0] * len(mid)
-        w[0] = 1e308
-        return w
+        branches = tuple([1.0] * len(mid)
+                         for _ in channel_cell_integrals(mid, hw, K, channel))
+        branches[0][0] = 1e308
+        return branches
 
     monkeypatch.setattr(entropy, "channel_cell_integrals", huge)
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    with pytest.raises(NumericalError, match="detection entropy is -inf"):
-        shannon_ring_discrete(ctx, SpinChannel.SPINLESS)
+    for channel in SpinChannel:
+        with pytest.raises(NumericalError, match="detection entropy is -inf"):
+            shannon_ring_discrete(ctx, channel)
 
 
 def test_sweep_sphere_rows_report_pixel_count(capsys):

@@ -223,8 +223,13 @@ def test_panel_edges_equal_the_euler_maclaurin_layout(a, b):
 # cell probabilities: quadrature route vs closed-form route
 # ---------------------------------------------------------------------------
 
+def _branch_sum(branches) -> np.ndarray:
+    """A cell's weight summed over a channel's branches."""
+    return np.sum(branches, axis=0)
+
+
 def _dual_route_check(ctx, channel, grid, indices, rel=1e-9):
-    fast = channel_cell_integrals(*grid_cells(grid), ctx.K, channel)
+    fast = _branch_sum(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
     for i in indices:
         gl = cell_probability(grid, i, ctx, channel)
         assert gl == pytest.approx(fast[i], rel=rel), (
@@ -255,8 +260,8 @@ def test_first_cell_dominates_spinless():
     p1 = cell_probability(grid, 1, ctx, SpinChannel.SPINLESS)
     assert p0 > p1
     # ratio agrees with the closed-form antiderivative route
-    fast = channel_cell_integrals(*grid_cells(grid, 0, 2), ctx.K,
-                                  SpinChannel.SPINLESS)
+    fast, = channel_cell_integrals(*grid_cells(grid, 0, 2), ctx.K,
+                                   SpinChannel.SPINLESS)
     assert p0 / p1 == pytest.approx(float(fast[0] / fast[1]), rel=1e-8)
 
 
@@ -289,7 +294,7 @@ def test_normalized_probabilities_sum_to_one():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
-        w = np.asarray(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
+        w = _branch_sum(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
         p = w / w.sum()
         assert abs(float(p.sum()) - 1.0) <= 1e-12
 
@@ -405,7 +410,7 @@ def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
         n = grid.n_cells
         mid = grid.centres([*range(20), *np.linspace(20, n - 20, 500),
                             *range(n - 20, n)])
-        ours = channel_cell_integrals(mid, hw, ctx.K, channel)
+        ours = _branch_sum(channel_cell_integrals(mid, hw, ctx.K, channel))
         assert np.allclose(ours, channel_cell_integrals_np(mid, hw, ctx.K, channel),
                            rtol=1e-14, atol=0.0), channel
     F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
@@ -416,6 +421,26 @@ def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
     assert np.allclose([parallel_cell_integrals([1.0], h, 1.0)[0] for h in hws],
                        parallel_cell_integrals_np(1.0, hws, 1.0),
                        rtol=1e-14, atol=0.0)
+
+
+def test_channel_branches():
+    # the one place that decides a channel's branches: |f|^2 for
+    # spinless, |f - g|^2 for parallel, |f|^2 and |g|^2 (the two spin
+    # patterns) for antiparallel
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    mid, hw = grid_cells(ring_grid(ctx, SpinChannel.PARALLEL), 0, 50)
+    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    expected = {SpinChannel.SPINLESS: (F,),
+                SpinChannel.PARALLEL: (parallel_cell_integrals(mid, hw, ctx.K),),
+                SpinChannel.ANTIPARALLEL: (F, G)}
+    for channel, branches in expected.items():
+        assert channel_cell_integrals(mid, hw, ctx.K, channel) == branches
+    assert {channel: len(channel_cell_integrals(mid, hw, ctx.K, channel))
+            for channel in SpinChannel} == {SpinChannel.SPINLESS: 1,
+                                            SpinChannel.PARALLEL: 1,
+                                            SpinChannel.ANTIPARALLEL: 2}
+    with pytest.raises(ValueError, match="unknown spin channel"):
+        channel_cell_integrals(mid, hw, ctx.K, "spinless")
 
 
 def test_parallel_weight_where_y_rounds_to_minus_one():

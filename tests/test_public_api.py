@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -38,7 +39,30 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
-    assert len(escatter.__all__) == 34
+    assert len(escatter.__all__) == 31
+
+
+def test_names_the_benchmark_tracer_rebinds_exist():
+    # perfbench/tracing.py wraps library functions by name (its TRACED and
+    # COUNTED tables, and the cli attributes it reads); a refactor that
+    # drops one of them fails here instead of in a traced benchmark run.
+    # The file is parsed, not imported: it imports perfbench's own modules
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    pairs = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and {getattr(t, "id", None) for t in node.targets} & {"TRACED", "COUNTED"}):
+            pairs.update((row.elts[0].id, row.elts[1].value)
+                         for row in node.value.elts)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "cli"):
+            pairs.add(("cli", node.attr))
+    assert ("geometry", "channel_cell_integrals") in pairs
+    assert ("cli", "_map_ordered") in pairs
+    for module, name in sorted(pairs):
+        assert hasattr(importlib.import_module(f"escatter.{module}"), name), \
+            f"escatter.{module}.{name}"
 
 
 def test_density_matrix_names_resolve_on_first_use():

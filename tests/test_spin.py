@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,13 +6,12 @@ import pytest
 from escatter import (
     EquatorEntropies,
     SpinChannel,
-    SpinEntropyResult,
-    entropy_antiparallel,
-    entropy_parallel,
     equator_entropies,
     make_context,
     postselect_entropies,
+    shannon_ring_discrete,
 )
+from escatter.cli import main
 
 from oracles import CALIBRATED_KSCALE
 
@@ -20,42 +20,66 @@ def _ctx(e_ev=5.0, l_nm=100.0):
     return make_context(e_ev, l_nm, CALIBRATED_KSCALE)
 
 
+def _json_rows(capsys, argv: list[str]) -> list[dict]:
+    """Run the CLI in process with JSON output; return its rows."""
+    assert main(argv + ["--k-scale", repr(CALIBRATED_KSCALE), "--threads", "1",
+                        "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 # ---------------------------------------------------------------------------
 # exchange-bit bookkeeping
 # ---------------------------------------------------------------------------
 
 def test_result_types_are_immutable_values():
-    r = entropy_parallel(_ctx())
-    assert SpinEntropyResult(channel=r.channel, grid=r.grid, S=r.S,
-                             S_modified=r.S_modified) == r
     eq = equator_entropies(4)
     assert eq == EquatorEntropies(n_cells=4, S_parallel=3.0, S_antiparallel=4.0,
                                   S_parallel_modified=2.0,
                                   S_antiparallel_modified=3.0)
     assert eq.delta_S == 1.0
-    for obj, attr in ((r, "S"), (r, "grid"), (eq, "n_cells"), (eq, "delta_S")):
+    for attr in ("n_cells", "delta_S"):
         with pytest.raises(AttributeError):
-            setattr(obj, attr, 0.0)
+            setattr(eq, attr, 0.0)
 
 
-def test_modified_strips_exactly_one_bit():
-    ctx = _ctx()
-    for fn in (entropy_parallel, entropy_antiparallel):
-        r = fn(ctx)
-        assert r.S == 1.0 + r.S_modified
-        assert r.S_modified >= 0.0
+def test_modified_strips_exactly_one_bit(capsys):
+    # spin-sweep adds the exchange bit to the detection entropy, and to
+    # nothing else
+    for row in _json_rows(capsys, ["spin-sweep", "--energy-list", "1,5,100",
+                                   "--packet-nm", "100"]):
+        for s, s_modified in ((row["S_par"], row["S_par_modified"]),
+                              (row["S_ap"], row["S_ap_modified"])):
+            assert s == 1.0 + s_modified
+            assert s_modified >= 0.0
 
 
-def test_channels_tagged_on_results():
-    ctx = _ctx()
-    assert entropy_parallel(ctx).channel is SpinChannel.PARALLEL
-    assert entropy_antiparallel(ctx).channel is SpinChannel.ANTIPARALLEL
-
-
-def test_antiparallel_exceeds_parallel():
-    for e_ev in (1.0, 5.0, 100.0):
+def test_antiparallel_exceeds_parallel(capsys):
+    rows = _json_rows(capsys, ["spin-sweep", "--energy-list", "1,5,100",
+                               "--packet-nm", "100"])
+    for e_ev, row in zip((1.0, 5.0, 100.0), rows):
         ctx = _ctx(e_ev)
-        assert entropy_antiparallel(ctx).S > entropy_parallel(ctx).S
+        assert shannon_ring_discrete(ctx, SpinChannel.ANTIPARALLEL) > \
+            shannon_ring_discrete(ctx, SpinChannel.PARALLEL)
+        assert row["S_ap"] > row["S_par"]
+
+
+def test_spin_sweep_reads_the_ring_reducer(capsys):
+    # one route from a spin channel to its detection entropy: spin-sweep's
+    # modified entropies are spinless-sweep's ring entropies of the same
+    # channel, bit for bit, and its S adds exactly the exchange bit
+    flags = ["--energy-list", "1,100,1000", "--packet-nm", "50000"]
+    spin = _json_rows(capsys, ["spin-sweep", *flags])
+    ring = {channel: _json_rows(capsys, ["spinless-sweep", "--channel",
+                                         channel, *flags])
+            for channel in ("parallel", "antiparallel")}
+    assert len(spin) == 3
+    for i, row in enumerate(spin):
+        assert row["status"] == "ok"
+        assert row["S_par_modified"] == ring["parallel"][i]["S_bits"]
+        assert row["S_ap_modified"] == ring["antiparallel"][i]["S_bits"]
+        assert row["n_cells"] == ring["parallel"][i]["n_cells"]
+        assert row["S_par"] == 1.0 + row["S_par_modified"]
+        assert row["S_ap"] == 1.0 + row["S_ap_modified"]
 
 
 # ---------------------------------------------------------------------------
