@@ -1,9 +1,9 @@
 """Spin channels of the pair: which combination of the direct Coulomb
 amplitude f(theta) = 1 / (4 K^2 sin^2(theta/2)) and the exchange
-amplitude g(theta) = f(pi - theta) is detected, and over which angular
-domain.  The package integrates the channel densities over detector
-cells in closed form (``escatter.geometry``); the amplitudes themselves
-are written out only by the test oracles.
+amplitude g(theta) = f(pi - theta) is detected.  The package integrates
+the channel densities over detector cells in closed form, and decides
+each channel's angular domain, in ``escatter.geometry``; the amplitudes
+themselves are written out only by the test oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from enum import Enum
 
 
 class SpinChannel(Enum):
-    """Which amplitude combination (and angular domain) applies.
+    """Which amplitude combination applies.
 
     SPINLESS         : single-particle detection of either electron, |f|^2;
                        also a pair told apart by a spin filter
@@ -24,7 +24,3 @@ class SpinChannel(Enum):
     SPINLESS = "spinless"
     PARALLEL = "parallel"
     ANTIPARALLEL = "antiparallel"
-
-
-#: Channels whose angular domain is the half shell [epsilon, pi/2].
-HALF_SHELL_CHANNELS = (SpinChannel.PARALLEL, SpinChannel.ANTIPARALLEL)

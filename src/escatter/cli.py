@@ -339,7 +339,8 @@ def _vn_inputs(cfg: RunConfig) -> list[tuple]:
 
 def __getattr__(name: str):
     # the density-matrix functions of the vn-compare rows, for callers that
-    # look them up here; they come with numpy, so on first use only
+    # look them up here (perfbench/test_check.py); they come with numpy, so
+    # on first use only
     if name in ("build_meridian_matrix", "eigen_spectrum"):
         from . import density_matrix
         return getattr(density_matrix, name)

@@ -27,14 +27,15 @@ extrema interleaving its nodes, to 1e-10 relative, and bisects the
 panels that miss; past a fixed number of panel fits it raises
 :class:`NumericalError`, so a build takes bounded time.  The panels are
 fitted in rounds (at most two at the benchmark's points), each one
-batched direct-J call on every pending panel's 33 points.  A round fits
-all its panels with one interpolation matrix built at import
-(chebinterpolate's, one dot per panel) and checks them in one Clenshaw
-pass; one more pass evaluates every band mu, each gathering its panel's
-coefficients one degree at a time.  Both passes repeat numpy's
-``chebval`` operation for operation, so the table equals a per-panel
-chebinterpolate and chebval bit for bit.  The band is then assembled by
-broadcasting.  A build is many small numpy calls and Python loops that
+batched direct-J call on every pending panel's 33 points.  Its nodes
+mid + half x round to ulp(mu), which near mu = 2K moves x by up to
+1e-6, so a fit at the ideal Chebyshev x would miss the check there.  A
+round fits every panel at x = (node - mid) / half, where its nodes
+really sit, by one batched solve of their Chebyshev-Vandermonde systems
+(well conditioned at points this close to Chebyshev's); check points
+and band mu take the same map.  Clenshaw passes, numpy's ``chebval``
+step for step, check a round and evaluate every band mu.  The band is
+then assembled by broadcasting.  A build is many small numpy calls and Python loops that
 hold the GIL, so builds on two threads overlap little (1.0-1.2x); the
 dense eigensolve is one LAPACK call that releases it (about 1.8x).
 :func:`kernel_element` evaluates one element from direct J.
@@ -61,7 +62,7 @@ from numpy.polynomial import chebyshev
 
 from .amplitudes import SpinChannel
 from .errors import NumericalError
-from .geometry import channel_domain, panel_edges, uniform_grid
+from .geometry import panel_edges, ring_grid
 from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
@@ -78,11 +79,10 @@ _WINDOW_SIGMAS = 12.0
 _TABLE_NODES = 16
 _TABLE_RTOL = 1e-10
 _TABLE_MAX_PANELS = 256
-_CHECK_X = chebyshev.chebpts2(_TABLE_NODES + 1)  # extrema of T_16
-# a panel's direct-J points: chebinterpolate's nodes, then the checks
-_PANEL_X = np.concatenate([chebyshev.chebpts1(_TABLE_NODES), _CHECK_X])
-# chebinterpolate's interpolation matrix at those nodes, built once
-_FIT_M = chebyshev.chebvander(_PANEL_X[:_TABLE_NODES], _TABLE_NODES - 1)
+# a panel's direct-J points in [-1, 1]: the Chebyshev points of the first
+# kind, which it interpolates, then the extrema of T_16, where it is checked
+_PANEL_X = np.concatenate([chebyshev.chebpts1(_TABLE_NODES),
+                           chebyshev.chebpts2(_TABLE_NODES + 1)])
 
 #: Gauss-Legendre nodes and weights on [-1, 1], cached by order: numpy's
 #: rule, the one ``kernel_j_oracle`` uses, so that direct J equals it
@@ -271,11 +271,11 @@ def kernel_element(q: float, q_prime: float, ctx: ScatterContext) -> float:
     completed square), so every exponent is <= 0 and the value never
     overflows for physical arguments.
     """
-    q_min = ctx.K * ctx.epsilon
-    if q < q_min or q_prime < q_min:
+    q_min, q_max = ctx.K * ctx.epsilon, 2.0 * ctx.K  # q = 2K sin(theta/2)
+    if not (q_min <= q <= q_max and q_min <= q_prime <= q_max):
         raise ValueError(
-            f"momentum transfer below forward cutoff {q_min!r}: "
-            f"q={q!r}, q'={q_prime!r}")
+            f"momentum transfer outside [forward cutoff {q_min!r}, backward "
+            f"limit 2K = {q_max!r}]: q={q!r}, q'={q_prime!r}")
     band_expo = -((q - q_prime) ** 2) / (8.0 * ctx.sigma_k ** 2)
     j = float(_kernel_j(np.array([0.5 * (q + q_prime)]), ctx)[0])
     return 2.0 * math.pi * math.exp(band_expo) * j
@@ -324,15 +324,18 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
         fits += len(batch)
         ab = np.array(batch)
         mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
-        direct = _kernel_j((mid[:, None] + half[:, None] * _PANEL_X).ravel(),
-                           ctx).reshape(len(batch), -1)
+        nodes = mid[:, None] + half[:, None] * _PANEL_X
+        x = (nodes - mid[:, None]) / half[:, None]  # where they really sit
+        fit_x, check_x = x[:, :_TABLE_NODES], x[:, _TABLE_NODES:]
+        if (np.diff(fit_x) <= 0.0).any():  # a jump in J bisects to here
+            raise NumericalError(f"J(mu) table missed {_TABLE_RTOL:g} relative "
+                                 "down to a panel too narrow for distinct nodes")
+        direct = _kernel_j(nodes.ravel(), ctx).reshape(nodes.shape)
+        coef = np.linalg.solve(
+            chebyshev.chebvander(fit_x, _TABLE_NODES - 1),
+            direct[:, :_TABLE_NODES, None])[:, :, 0]
         check = direct[:, _TABLE_NODES:]
-        # chebinterpolate's arithmetic: one dot per panel (a matrix product
-        # may sum in another order), then its two scalings
-        coef = np.array([np.dot(_FIT_M.T, y) for y in direct[:, :_TABLE_NODES]])
-        coef[:, 0] /= _TABLE_NODES
-        coef[:, 1:] /= 0.5 * _TABLE_NODES
-        fit = _chebval_rows(_CHECK_X, lambda k: coef[:, k, None])
+        fit = _chebval_rows(check_x, lambda k: coef[:, k, None])
         ok = np.all(np.abs(fit - check) <= _TABLE_RTOL * np.abs(check), axis=1)
         kept_ab.append(ab[ok])
         kept_coef.append(coef[ok])
@@ -343,7 +346,7 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     order = np.argsort(ab[:, 0], kind="stable")
     a, b, coef_t = ab[order, 0], ab[order, 1], coef[order].T.copy()
     which = np.searchsorted(a, mu, side="right") - 1
-    x = (2.0 * mu - (a + b)[which]) / (b - a)[which]
+    x = (mu - (0.5 * (a + b))[which]) / (0.5 * (b - a))[which]  # as nodes sit
     return _chebval_rows(x, lambda k: coef_t[k][which])
 
 
@@ -351,8 +354,8 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
                           grid_cap: int = 4096) -> DensityMatrix:
     """Assemble and trace-normalize the meridian density matrix.
 
-    The theta grid is the cell centres of ``uniform_grid`` over the
-    accessible range [epsilon, pi - epsilon], vn-compare's ring grid.
+    The theta grid is the cell centres of vn-compare's ring grid,
+    ``ring_grid`` with ``n_grid`` cells over [epsilon, pi - epsilon].
     Elements farther than 45 sigma_k from the diagonal in q are set to
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth).  A grid whose first
@@ -374,7 +377,7 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
             f"sigma_k^2 = {sig2!r} is below the normal float range or "
             "2K / sigma_k^2 overflows (the packet is too wide)")
 
-    grid = uniform_grid(*channel_domain(ctx, SpinChannel.SPINLESS), n_grid)
+    grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     h = grid.delta_theta
     theta = np.array(grid.centres(range(n_grid)))
     q = 2.0 * ctx.K * np.sin(0.5 * theta)

@@ -34,15 +34,14 @@ from functools import lru_cache, partial
 from .amplitudes import SpinChannel
 from .errors import NumericalError
 from .geometry import (
+    SINGULAR_ANGLES,
     AngularGrid,
     GridKind,
     channel_cell_integrals,
-    channel_domain,
     panel_edges,
     ring_grid,
     ring_weight,
     sphere_pixel_count,
-    uniform_grid,
 )
 from .kinematics import ScatterContext
 
@@ -76,12 +75,9 @@ _EXACT_MAX_CELLS = 8192
 #: with the f^(5) term the middle is within rounding from 64 cells off a
 #: singular angle on, without it from about 128
 _EXACT_END_CELLS = 64
-#: where a channel's w ln w (w ln(w / m) on a sphere) is not analytic in
-#: the cell index: 0, the pole of f; pi, the pole of g and the zero of
-#: sin(theta); pi/2 for PARALLEL, the double zero of (f - g)^2
-_SINGULAR_ANGLES = {SpinChannel.SPINLESS: (0.0, math.pi),
-                    SpinChannel.PARALLEL: (0.0, 0.5 * math.pi, math.pi),
-                    SpinChannel.ANTIPARALLEL: (0.0, math.pi)}
+#: how a grid's cell weights leave the float range, and where it shows
+_RANGE_ERRORS = {ZeroDivisionError: ("underflow", "division by zero in the cell integrals"),
+                 OverflowError: ("overflow", "intermediate overflow in fsum")}
 #: Gauss-Legendre nodes per panel
 _PANEL_NODES = 16
 #: offsets from a half-integer end of the middle of the six cells around
@@ -131,21 +127,10 @@ def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
     the channel (two for ANTIPARALLEL, one otherwise).  On a SPHERE_PIXELS
     grid the second term is w ln(w / m), m = ring_weight(centre).  Both
     are smooth in x, which is what lets the middle of a grid be summed by
-    Euler-Maclaurin.
-
-    A cell integral divides by sin^2 products of its cell's half-angles;
-    on a grid whose lower edge is too close to 0 (packets of about 1e81
-    nm at 5 eV) they underflow and the division fails, which is reported
-    as a NumericalError naming the channel and that edge."""
+    Euler-Maclaurin."""
     mids = grid.centres(xs)
     hw = 0.5 * grid.delta_theta
-    try:
-        branches = channel_cell_integrals(mids, hw, K, channel)
-    except ZeroDivisionError:
-        raise NumericalError(
-            f"{channel.value}-channel cell weights underflow: the grid's "
-            f"lower edge theta = {grid.theta_lo!r} rad is too close to 0 "
-            "(division by zero in the cell integrals)") from None
+    branches = channel_cell_integrals(mids, hw, K, channel)
     m = ([ring_weight(mid, grid.delta_theta) for mid in mids]
          if grid.kind is GridKind.SPHERE_PIXELS else [1.0] * len(mids))
     log = math.log
@@ -224,26 +209,36 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     Uses H(w/Z) = ln(Z)/ln2 - T / (Z ln2), Z = sum w and T = sum w ln w.
     A grid of up to _EXACT_MAX_CELLS cells is summed cell by cell.  On a
     larger one the _EXACT_END_CELLS cells at an edge within as many
-    cells of one of the channel's _SINGULAR_ANGLES are, and the cells
+    cells of one of the channel's ``SINGULAR_ANGLES`` are, and the cells
     between go to :func:`_euler_maclaurin_sum`, so the cost does not
     grow with the number of cells.
     """
     terms = partial(_cell_terms, grid, K, channel)
     n = grid.n_cells
-    if n <= _EXACT_MAX_CELLS:
-        w, wlnw = terms(range(n))
-        z, t = math.fsum(w), math.fsum(wlnw)
-    else:
-        # cells from each grid edge to the channel's nearest singular angle
-        d_lo, d_hi = (min(abs(edge - s) for s in _SINGULAR_ANGLES[channel])
-                      / grid.delta_theta
-                      for edge in grid.centres((-0.5, n - 0.5)))
-        lo, hi = (_EXACT_END_CELLS if d < _EXACT_END_CELLS else 0
-                  for d in (d_lo, d_hi))
-        w, wlnw = terms([*range(lo), *range(n - hi, n)])
-        z_mid, t_mid = _euler_maclaurin_sum(
-            terms, lo - 0.5, n - hi - 0.5, d_lo + lo, d_hi + hi)
-        z, t = math.fsum([*w, z_mid]), math.fsum([*wlnw, t_mid])
+    # a lower edge too close to 0 (5 eV packets of 1e81 nm, 1e160 nm for
+    # PARALLEL) underflows the sin^2 products that cell integrals divide
+    # by, or sums finite weights past the largest float in math.fsum
+    try:
+        if n <= _EXACT_MAX_CELLS:
+            w, wlnw = terms(range(n))
+            z, t = math.fsum(w), math.fsum(wlnw)
+        else:
+            # cells from each grid edge to the channel's nearest singular angle
+            d_lo, d_hi = (min(abs(edge - s) for s in SINGULAR_ANGLES[channel])
+                          / grid.delta_theta
+                          for edge in grid.centres((-0.5, n - 0.5)))
+            lo, hi = (_EXACT_END_CELLS if d < _EXACT_END_CELLS else 0
+                      for d in (d_lo, d_hi))
+            w, wlnw = terms([*range(lo), *range(n - hi, n)])
+            z_mid, t_mid = _euler_maclaurin_sum(
+                terms, lo - 0.5, n - hi - 0.5, d_lo + lo, d_hi + hi)
+            z, t = math.fsum([*w, z_mid]), math.fsum([*wlnw, t_mid])
+    except (ZeroDivisionError, OverflowError) as exc:
+        what, where = _RANGE_ERRORS[type(exc)]
+        raise NumericalError(
+            f"{channel.value}-channel cell weights {what}: the grid's "
+            f"lower edge theta = {grid.theta_lo!r} rad is too close to 0 "
+            f"({where})") from None
     if z <= 0.0:
         return 0.0, 0.0
     h = (math.log(z) - t / z) / _LN2
@@ -251,15 +246,6 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
         raise NumericalError(f"detection entropy is {h!r} (Z = {z!r})")
     # the sum is >= 0 mathematically; rounding can leave -1e-16
     return max(0.0, h), z
-
-
-def _resolve_grid(ctx: ScatterContext, channel: SpinChannel,
-                  n_cells: int | None,
-                  kind: GridKind = GridKind.RINGS) -> AngularGrid:
-    if n_cells is None:
-        return ring_grid(ctx, channel, kind=kind)
-    lo, hi = channel_domain(ctx, channel)
-    return uniform_grid(lo, hi, n_cells, kind=kind)
 
 
 def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
@@ -271,7 +257,7 @@ def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
     indistinguishable spin channels is added where spin-sweep prints the
     full spin-state entropy (conventions in ``escatter.spin``).
     """
-    grid = _resolve_grid(ctx, channel, n_cells)
+    grid = ring_grid(ctx, channel, n_cells=n_cells)
     return _stream_weight_entropy(grid, ctx.K, channel)[0]
 
 
@@ -285,7 +271,7 @@ def shannon_sphere_discrete(ctx: ScatterContext,
     S = -sum_rings P_ring log2(P_ring / m) without ever enumerating
     pixels.  The entropy of the discretized sphere at any energy.
     """
-    grid = _resolve_grid(ctx, channel, n_cells, kind=GridKind.SPHERE_PIXELS)
+    grid = ring_grid(ctx, channel, GridKind.SPHERE_PIXELS, n_cells=n_cells)
     return _stream_weight_entropy(grid, ctx.K, channel)[0]
 
 
@@ -302,13 +288,12 @@ _LIMIT_MAX_CELL_RATIO = 1e-5
 
 
 def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
-                   kind: GridKind) -> tuple[float, float]:
-    """(H, delta): the discrete entropy of _LIMIT_CELLS equal cells of
-    width delta over the channel domain.  Raises NumericalError when
-    delta is not small against the cutoff angle epsilon, where only the
-    detector's own grid gives the entropy."""
-    lo, hi = channel_domain(ctx, channel)
-    grid = uniform_grid(lo, hi, _LIMIT_CELLS, kind=kind)
+                   kind: GridKind) -> tuple[float, AngularGrid]:
+    """(H, grid): the discrete entropy of the grid of _LIMIT_CELLS equal
+    cells of width delta over the channel domain.  Raises NumericalError
+    when delta is not small against the cutoff angle epsilon, where only
+    the detector's own grid gives the entropy."""
+    grid = ring_grid(ctx, channel, kind, n_cells=_LIMIT_CELLS)
     if grid.delta_theta > _LIMIT_MAX_CELL_RATIO * ctx.epsilon:
         raise NumericalError(
             f"cutoff angle epsilon = {ctx.epsilon:.3g} rad is less than "
@@ -317,7 +302,7 @@ def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
             "than 1e-10 bits; the discrete sums "
             "shannon_ring_discrete(n_cells=...) and "
             "shannon_sphere_discrete(n_cells=...) are exact there")
-    return _stream_weight_entropy(grid, ctx.K, channel)[0], grid.delta_theta
+    return _stream_weight_entropy(grid, ctx.K, channel)[0], grid
 
 
 def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
@@ -329,7 +314,7 @@ def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
     count.  Valid when the cell width is well below the cutoff angle.
     The integral is the discrete entropy of 2^50 equal cells minus 50.
     """
-    n = _resolve_grid(ctx, channel, n_cells).n_cells
+    n = ring_grid(ctx, channel, n_cells=n_cells).n_cells
     h, _ = _limit_entropy(ctx, channel, GridKind.RINGS)
     return h - math.log2(_LIMIT_CELLS) + math.log2(n)
 
@@ -345,8 +330,7 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
     well below the cutoff angle.  The integral is the per-pixel entropy
     of 2^50 rings of width delta minus log2(Omega_0 / delta^2).
     """
-    lo, hi = channel_domain(ctx, channel)
-    omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
-    h, delta = _limit_entropy(ctx, channel, GridKind.SPHERE_PIXELS)
-    return h - math.log2(omega0 / delta ** 2) \
+    h, grid = _limit_entropy(ctx, channel, GridKind.SPHERE_PIXELS)
+    omega0 = 2.0 * math.pi * (math.cos(grid.theta_lo) - math.cos(grid.theta_hi))
+    return h - math.log2(omega0 / grid.delta_theta ** 2) \
         + math.log2(sphere_pixel_count(ctx, channel))

@@ -1,5 +1,8 @@
 """Detector discretizations and per-cell probability integrals, on the
-``math`` module alone.
+``math`` module alone.  A channel's grid has one resolver,
+:func:`ring_grid`, over the domain :func:`channel_domain` decides;
+``SINGULAR_ANGLES`` lists where each channel's densities have poles and
+zeros.
 
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
@@ -46,7 +49,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import count, takewhile
 
-from .amplitudes import HALF_SHELL_CHANNELS, SpinChannel
+from .amplitudes import SpinChannel
 from .kinematics import ScatterContext
 
 #: Absolute slack, 1e-9 of one cell, added to a cell count before flooring
@@ -107,9 +110,9 @@ def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, fl
             f"cutoff angle epsilon = {ctx.epsilon:.6g} rad is not below "
             f"pi/2 = {0.5 * math.pi:.6g} rad: no scattering angle is "
             "accessible (2 E b_bar < 1)")
-    if channel in HALF_SHELL_CHANNELS:
-        return (ctx.epsilon, 0.5 * math.pi)
-    return (ctx.epsilon, math.pi - ctx.epsilon)
+    if channel is SpinChannel.SPINLESS:
+        return (ctx.epsilon, math.pi - ctx.epsilon)
+    return (ctx.epsilon, 0.5 * math.pi)
 
 
 def _cell_count(length: float, delta: float) -> int:
@@ -117,10 +120,14 @@ def _cell_count(length: float, delta: float) -> int:
 
 
 def ring_grid(ctx: ScatterContext, channel: SpinChannel,
-              kind: GridKind = GridKind.RINGS) -> AngularGrid:
-    """Native ring grid: cells of width ``ctx.delta_theta`` anchored with the
-    first cell's lower edge at the cutoff angle epsilon."""
+              kind: GridKind = GridKind.RINGS,
+              n_cells: int | None = None) -> AngularGrid:
+    """A channel's grid over its ``channel_domain``: with ``n_cells`` that
+    many equal cells (:func:`uniform_grid`), else the native one, cells of
+    ``ctx.delta_theta`` from the cutoff angle epsilon up."""
     lo, hi = channel_domain(ctx, channel)
+    if n_cells is not None:
+        return uniform_grid(lo, hi, n_cells, kind=kind)
     n = _cell_count(hi - lo, ctx.delta_theta)
     if n < 1:
         raise ValueError(
@@ -253,6 +260,14 @@ def parallel_cell_integrals(mids, hw: float, K: float) -> list[float]:
         out.append(c4 * (_atanh_minus_identity(y)
                          - y * (cot_a * cot_a + cot_b * cot_b)))
     return out
+
+
+#: where a channel's cell weights are not analytic in the cell index: 0,
+#: the pole of f; pi, the pole of g and the zero of sin(theta); pi/2 for
+#: PARALLEL, the double zero of (f - g)^2
+SINGULAR_ANGLES = {SpinChannel.SPINLESS: (0.0, math.pi),
+                   SpinChannel.PARALLEL: (0.0, 0.5 * math.pi, math.pi),
+                   SpinChannel.ANTIPARALLEL: (0.0, math.pi)}
 
 
 def channel_cell_integrals(mids, hw: float, K: float,

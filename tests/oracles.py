@@ -34,10 +34,11 @@ Each oracle recomputes a quantity through a route that shares no code
   referees the package's narrower one, and so does ``kernel_j_mp``, the
   same integral to 30 digits with mpmath.
 * ``kernel_j_table_oracle`` is the J(mu) table fitted and evaluated
-  panel by panel, with numpy's ``chebinterpolate`` per panel and a
-  masked ``chebval`` per panel over the mu it holds (the package's table
-  before it did both for all panels in one Clenshaw pass); the package's
-  table must equal it bit for bit.
+  panel by panel: per panel one ``solve`` with the Chebyshev Vandermonde
+  matrix at the real x of its rounded nodes, and a masked ``chebval``
+  over the mu it holds (where the package fits all of a round's panels
+  in one batched solve and evaluates them in one Clenshaw pass); the
+  package's table must equal it bit for bit.
 * ``meridian_matrix_oracle`` assembles the meridian density matrix one
   element at a time from ``kernel_j_oracle`` (direct J per element, as
   the package did before its J(mu) table); it referees the table and the
@@ -470,12 +471,13 @@ def kernel_j_oracle(mu: float, ctx, window_sigmas: float = 40.0) -> float:
 def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
     """``escatter.density_matrix._kernel_j_table`` one panel at a time:
     the same panels, rounds, direct J and 1e-10 check, but every panel is
-    fitted by ``chebinterpolate`` and checked by its own ``chebval``, and
-    the mu of each final panel are selected by a mask and evaluated by
-    one ``chebval`` per panel."""
+    fitted by its own ``solve`` with the Chebyshev Vandermonde matrix at
+    the real x of its rounded nodes and checked by its own ``chebval``,
+    and the mu of each final panel are selected by a mask and evaluated
+    by one ``chebval`` per panel."""
     nodes = density_matrix._TABLE_NODES
-    check_x = chebyshev.chebpts2(nodes + 1)
-    panel_x = np.concatenate([chebyshev.chebpts1(nodes), check_x])
+    panel_x = np.concatenate([chebyshev.chebpts1(nodes),
+                              chebyshev.chebpts2(nodes + 1)])
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
     d_lo, d_hi = mu_lo - ctx.K * ctx.epsilon, 2.0 * ctx.K - mu_hi  # to the cutoffs
     edges = panel_edges(mu_lo, mu_hi, max(ctx.sigma_k, d_lo / 4.0),
@@ -491,12 +493,14 @@ def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
         fits += len(batch)
         ab = np.array(batch)
         mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
-        direct = density_matrix._kernel_j((mid[:, None] + half[:, None] * panel_x).ravel(), ctx)
-        for (a, b), m, j in zip(batch, mid, direct.reshape(len(batch), -1)):
-            coef = chebyshev.chebinterpolate(lambda _x, y: y, nodes - 1,
-                                             args=(j[:nodes],))
+        points = mid[:, None] + half[:, None] * panel_x
+        direct = density_matrix._kernel_j(points.ravel(), ctx).reshape(points.shape)
+        for (a, b), m, h, p, j in zip(batch, mid, half, points, direct):
+            x_real = (p - m) / h
+            coef = np.linalg.solve(chebyshev.chebvander(x_real[:nodes], nodes - 1),
+                                   j[:nodes])
             check = j[nodes:]
-            if np.all(np.abs(chebyshev.chebval(check_x, coef) - check)
+            if np.all(np.abs(chebyshev.chebval(x_real[nodes:], coef) - check)
                       <= density_matrix._TABLE_RTOL * np.abs(check)):
                 panels.append((a, b, coef))
             else:
@@ -508,7 +512,8 @@ def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
     out = np.empty_like(mu)
     for k, (a, b, coef) in enumerate(panels):
         sel = which == k
-        out[sel] = chebyshev.chebval((2.0 * mu[sel] - (a + b)) / (b - a), coef)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        out[sel] = chebyshev.chebval((mu[sel] - mid) / half, coef)
     return out
 
 

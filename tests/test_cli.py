@@ -679,19 +679,39 @@ def test_huge_packet_underflow_fails_cleanly(command, channel):
                         r"zero in the cell integrals\)", line), line
 
 
+def test_huge_packet_overflow_fails_cleanly():
+    # 5 eV / 1e160 nm, parallel channel: the first cells' weights are
+    # finite, but the Euler-Maclaurin middle's sum passes the largest
+    # float; the row fails naming the channel and the grid's lower edge,
+    # where it printed a bare "intermediate overflow in fsum"
+    proc = subprocess.run(
+        [sys.executable, "-m", "escatter.cli", "spinless-sweep", "--channel",
+         "parallel", "--energy-ev", "5", "--packet-nm", "1e160", "--k-scale",
+         SQRT2, "--threads", "1"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"\[spinless-sweep\] row 0 failed: error: parallel-"
+                        r"channel cell weights overflow: the grid's lower edge "
+                        r"theta = 4\.07\d*e-161 rad is too close to 0 "
+                        r"\(intermediate overflow in fsum\)", line), line
+
+
 def test_huge_packet_rows_that_compute_keep_computing(capsys):
     # one decade narrower every channel computes; the parallel channel
-    # computes at 1e100 nm, and post-selection bands at 1e300 nm
+    # computes at 1e100 and 1e150 nm (1e160 nm overflows), and
+    # post-selection bands at 1e300 nm
     assert main(["spin-sweep", "--energy-ev", "5", "--packet-nm", "1e80",
                  "--k-scale", SQRT2, "--threads", "1"]) == 0
     assert main(["postselect-range", "--energy-ev", "5", "--packet-nm", "1e300",
                  "--k-scale", SQRT2, "--threads", "1"]) == 0
     capsys.readouterr()
-    assert main(["spinless-sweep", "--channel", "parallel", "--energy-ev", "5",
-                 "--packet-nm", "1e100", "--k-scale", SQRT2, "--threads", "1",
-                 "--format", "json"]) == 0
-    [row] = json.loads(capsys.readouterr().out)
-    assert row["S_bits"] == pytest.approx(2.4324, abs=1e-4)
+    for l_nm in ("1e100", "1e150"):
+        assert main(["spinless-sweep", "--channel", "parallel", "--energy-ev", "5",
+                     "--packet-nm", l_nm, "--k-scale", SQRT2, "--threads", "1",
+                     "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["S_bits"] == pytest.approx(2.4324, abs=1e-4), l_nm
 
 
 def test_vn_compare_packet_too_wide_fails_without_warning():
@@ -715,27 +735,43 @@ def test_vn_compare_packet_too_wide_fails_without_warning():
 
 @pytest.mark.parametrize("e_ev,l_nm,n_grid", [
     ("1000", "50000", "2048"), ("2000", "50000", "2048"),
-    ("10000", "10000", "2048"), ("10000", "50000", "4096")])
-def test_j_table_close_to_2k_fails_cleanly(e_ev, l_nm, n_grid, capsys):
-    # a known failure, pinned so that its fix flips this test: within a
-    # few sigma_k of mu = 2K the table bisects to panels ~1e-8 wide whose
-    # nodes mid + half x round to ulp(mu), which moves x by up to ~1e-6;
-    # J varies on sigma_k there, so a fit at the ideal x misses the 1e-10
-    # check however narrow the panel.  The build stops at its panel
-    # budget, in bounded time, and the row fails: exit 3
+    ("10000", "10000", "2048"), ("10000", "50000", "4096"),
+    ("20", "50000", "2048")])
+def test_j_table_close_to_2k_computes(e_ev, l_nm, n_grid, monkeypatch, capsys):
+    # within a few sigma_k of mu = 2K the table bisects to panels whose
+    # nodes mid + half x round to ulp(mu), which moves x by up to ~1e-6.
+    # A fit at the ideal x then missed the 1e-10 check however narrow the
+    # panel, and these rows failed at the panel budget.  Fitted at the x
+    # where the nodes really sit, each row computes in at most two
+    # direct-J rounds, and the table's J within 12 sigma_k of 2K is
+    # direct J to 1e-10 relative
+    from escatter import density_matrix
+
+    table, direct = density_matrix._kernel_j_table, density_matrix._kernel_j
+    rounds, band = [], []
+
+    def recording_direct(mu, c):
+        rounds.append(mu.size)
+        return direct(mu, c)
+
+    def recording_table(mu, c):
+        band.append((mu, table(mu, c)))
+        return band[-1][1]
+
+    monkeypatch.setattr(density_matrix, "_kernel_j", recording_direct)
+    monkeypatch.setattr(density_matrix, "_kernel_j_table", recording_table)
     t0 = time.perf_counter()
     assert main(["vn-compare", "--energy-ev", e_ev, "--packet-nm", l_nm,
-                 "--n-grid", n_grid, "--k-scale", SQRT2, "--threads", "1"]) == 3
+                 "--n-grid", n_grid, "--k-scale", SQRT2, "--threads", "1"]) == 0
     assert time.perf_counter() - t0 < 30.0
-    [line] = capsys.readouterr().err.splitlines()
-    match = re.fullmatch(r"\[vn-compare\] row 0 failed: error: J\(mu\) table "
-                         r"missed 1e-10 relative after 256 panel fits; \d+ "
-                         r"panels left, the first \[(\S+), (\S+)\]", line)
-    assert match, line
-    a, b = float(match[1]), float(match[2])
+    assert capsys.readouterr().err == ""
+    assert len(rounds) <= 2
+    [(mu, j)] = band
     ctx = make_context(float(e_ev), float(l_nm), math.sqrt(2.0))
-    assert 0.0 < 2.0 * ctx.K - a < 12.0 * ctx.sigma_k
-    assert b - a < 1e-7
+    near = mu > 2.0 * ctx.K - 12.0 * ctx.sigma_k
+    assert near.any()
+    exact = direct(mu[near], ctx)
+    assert (abs(j[near] - exact) <= 1e-10 * abs(exact)).all()
 
 
 def test_meridian_grid_below_cutoff_exit_3(capsys):

@@ -110,6 +110,14 @@ def test_kernel_symmetry_and_domain(ctx):
         kernel_element(0.5 * q_min, 0.1, ctx)
     with pytest.raises(ValueError, match="forward cutoff"):
         kernel_element(0.1, 0.5 * q_min, ctx)
+    # q = 2K sin(theta/2) is at most 2K; above it the kernel returned 0.0
+    # (3K) or a truncated window's J (2K + 1e-3) without a word
+    q_max = 2.0 * ctx.K
+    assert kernel_element(q_max, q_max, ctx) > 0.0
+    for q, qp in ((1.5 * q_max, 1.5 * q_max), (q_max + 1e-3, 0.1),
+                  (0.1, q_max + 1e-3)):
+        with pytest.raises(ValueError, match="backward limit 2K"):
+            kernel_element(q, qp, ctx)
 
 
 def test_coherence_width_tracks_packet_size():
@@ -369,6 +377,18 @@ def test_table_rejects_unfittable_j(ctx, monkeypatch):
         build_meridian_matrix(ctx, 64)
     per_fit = 2 * density_matrix._TABLE_NODES + 1  # nodes and check points
     assert len(mus) == density_matrix._TABLE_MAX_PANELS * per_fit
+
+
+def test_table_stops_at_a_panel_too_narrow_to_fit(ctx, monkeypatch):
+    # a J with a jump fails every panel that holds it; bisected towards
+    # ulp(mu), that panel's nodes merge and its fit would be singular, so
+    # the build stops there with a NumericalError, not numpy's LinAlgError
+    jump = 0.8572473289451747
+    direct = density_matrix._kernel_j
+    monkeypatch.setattr(density_matrix, "_kernel_j",
+                        lambda mu, c: np.where(mu > jump, 1.5, 1.0) * direct(mu, c))
+    with pytest.raises(NumericalError, match="too narrow for distinct nodes"):
+        build_meridian_matrix(ctx, 64)
 
 
 def test_table_tolerance_checked_on_every_build(ctx, monkeypatch):

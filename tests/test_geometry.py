@@ -87,6 +87,19 @@ def test_ring_grid_domains():
         assert g.theta_hi == pytest.approx(math.pi / 2)
 
 
+def test_ring_grid_with_n_cells_is_the_uniform_grid_over_the_domain():
+    # the one resolver: entropy's sums, the continuous limit (2^50 cells)
+    # and the meridian matrix ask ring_grid for n equal cells
+    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    for ch in SpinChannel:
+        for kind in GridKind:
+            for n in (1, 1024, 2 ** 50):
+                assert ring_grid(ctx, ch, kind, n_cells=n) == \
+                    uniform_grid(*channel_domain(ctx, ch), n, kind=kind)
+    with pytest.raises(ValueError, match="at least one cell"):
+        ring_grid(ctx, SpinChannel.SPINLESS, n_cells=0)
+
+
 def test_fewer_than_one_detector():
     # 2 E b_bar just above 1: the domain [eps, pi - eps] is narrow but not
     # empty, and the packet is small enough that delta_theta exceeds it

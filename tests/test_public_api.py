@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import escatter
 import escatter.cli
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _bound_public_names() -> set[str]:
@@ -42,27 +45,66 @@ def test_all_matches_the_bound_names():
     assert len(escatter.__all__) == 31
 
 
-def test_names_the_benchmark_tracer_rebinds_exist():
-    # perfbench/tracing.py wraps library functions by name (its TRACED and
-    # COUNTED tables, and the cli attributes it reads); a refactor that
-    # drops one of them fails here instead of in a traced benchmark run.
-    # The file is parsed, not imported: it imports perfbench's own modules
-    tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(tracing.read_text())
-    pairs = set()
+def _escatter_names_read_by(path: pathlib.Path) -> set[tuple[str, str]]:
+    """(module, name) for every ``escatter`` attribute that the file at
+    ``path`` reads: names other than submodules that it imports from an
+    escatter module, attributes it reads from a submodule it bound by
+    ``from escatter import ...``, and
+    the (module, "name", ...) rows of tables such as a tracer's, which
+    are looked up by name.  The file is parsed, not imported."""
+    tree = ast.parse(path.read_text())
+    modules, pairs = {}, set()
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and {getattr(t, "id", None) for t in node.targets} & {"TRACED", "COUNTED"}):
-            pairs.update((row.elts[0].id, row.elts[1].value)
-                         for row in node.value.elts)
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "cli"):
-            pairs.add(("cli", node.attr))
-    assert ("geometry", "channel_cell_integrals") in pairs
-    assert ("cli", "_map_ordered") in pairs
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "escatter"):
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                if node.module == "escatter" and importlib.util.find_spec(dotted):
+                    modules[alias.asname or alias.name] = dotted
+                else:
+                    pairs.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            pairs.add((modules[node.value.id], node.attr))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+              and isinstance(node.elts[0], ast.Name) and node.elts[0].id in modules
+              and isinstance(node.elts[1], ast.Constant)
+              and isinstance(node.elts[1].value, str)):
+            pairs.add((modules[node.elts[0].id], node.elts[1].value))
+    return pairs
+
+
+def test_names_the_benchmark_tracer_rebinds_exist():
+    # perfbench/ reads library names: tracing.py wraps functions by name
+    # (its TRACED and COUNTED tables, and the cli attributes it reads),
+    # and test_check.py asserts some of them.  A refactor that drops one
+    # fails here instead of in a benchmark run.  The files are parsed, not
+    # imported: they import perfbench's own modules
+    pairs = set()
+    for path in sorted((_ROOT / "perfbench").glob("*.py")):
+        pairs |= _escatter_names_read_by(path)
+    assert {("escatter.geometry", "channel_cell_integrals"),
+            ("escatter.density_matrix", "kernel_element"),
+            ("escatter.cli", "_map_ordered"),
+            ("escatter.cli", "build_meridian_matrix")} <= pairs
     for module, name in sorted(pairs):
-        assert hasattr(importlib.import_module(f"escatter.{module}"), name), \
-            f"escatter.{module}.{name}"
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_only_geometry_resolves_a_channel_grid():
+    # one grid resolver: ring_grid pairs channel_domain with the cell
+    # layout, so no other module calls channel_domain or uniform_grid
+    src = pathlib.Path(escatter.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("channel_domain", "uniform_grid"):
+                    callers.add(path.name)
+    assert callers == {"geometry.py"}
 
 
 def test_density_matrix_names_resolve_on_first_use():
