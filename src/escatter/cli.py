@@ -138,35 +138,20 @@ def _canonical(value, parse):
     return format(value, ".12g") if parse is float else value
 
 
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
+                           defaults=tuple(_DEFAULTS.values()))):
     """One command's settings, one field per ``_OPTIONS`` field and each
     a keyword; ``build_config`` fills them from flags, a config file and
-    the environment, and ``validate`` checks them."""
+    the environment, ``validate`` checks them, and ``_replace`` makes a
+    changed copy."""
 
-    __slots__ = ("command", *_DEFAULTS)
+    __slots__ = ()
 
-    def __init__(self, command: str, **values) -> None:
-        self.command = command
-        for name, default in _DEFAULTS.items():
-            value = values.pop(name, default)
-            setattr(self, name, list(value) if isinstance(value, tuple) else value)
-        if values:
-            raise TypeError(f"RunConfig() got unexpected keywords {sorted(values)}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return "RunConfig(" + ", ".join(
-            f"{name}={value!r}" for name, value
-            in zip(self.__slots__, self._fields())) + ")"
+    def __new__(cls, command: str, *args, **values) -> RunConfig:
+        cfg = super().__new__(cls, command, *args, **values)
+        return cfg._replace(**{name: list(value) for name, value
+                               in zip(cfg._fields, cfg)
+                               if isinstance(value, tuple)})
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -201,6 +186,10 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(self.out)))):
+            raise ConfigError(f"cannot write {self.out!r}: not a file in an "
+                              "existing directory")
         if self.command == "spinless-sweep" and self.geometry == "sphere":
             raise ConfigError("use the sphere-sweep command for sphere geometry")
         if (self.command == "spinless-sweep" and self.geometry == "equator"
@@ -526,7 +515,10 @@ def run(cfg: RunConfig) -> int:
     text = (render_csv if cfg.format == "csv" else render_json)(cfg, columns, rows)
 
     if cfg.out is not None:
-        write_atomic(cfg.out, text)
+        try:
+            write_atomic(cfg.out, text)
+        except OSError as exc:  # write_atomic has removed its temp file
+            raise ConfigError(f"cannot write {cfg.out!r}: {exc.strerror or exc}")
         for i, row in enumerate(rows):
             summary = " ".join(
                 f"{col}={_format_cell(row.get(col))}" for col in columns)
@@ -571,9 +563,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
 
 
 def process_main() -> int:

@@ -297,18 +297,17 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """J at every ``mu``, from a piecewise-Chebyshev table over
     [min mu, max mu] that is checked against direct J before use.
 
-    :func:`panel_edges` lays the panels out from both ends, the first one
-    at an end max(sigma_k, d/4) wide, d being its distance to the kernel's
-    cutoff (min mu - K eps, 2K - max mu): J varies on sigma_k near a cutoff
-    and on d away from it.  Panels are fitted in rounds: one direct-J call
+    :func:`panel_edges` lays the panels out from both ends, at least
+    sigma_k wide, from each end's distance d to the kernel's cutoff
+    (min mu - K eps, 2K - max mu): J varies on sigma_k near a cutoff and
+    on d away from it.  Panels are fitted in rounds: one direct-J call
     covers every pending panel's nodes and check points, within what is
     left of the ``_TABLE_MAX_PANELS`` budget, and each panel is then kept
     or bisected.
     """
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
-    edges = panel_edges(mu_lo, mu_hi,
-                        max(ctx.sigma_k, 0.25 * (mu_lo - ctx.K * ctx.epsilon)),
-                        max(ctx.sigma_k, 0.25 * (2.0 * ctx.K - mu_hi)))
+    edges = panel_edges(mu_lo, mu_hi, ctx.sigma_k, mu_lo - ctx.K * ctx.epsilon,
+                        2.0 * ctx.K - mu_hi)
     pending = list(zip(edges[:-1], edges[1:]))
     kept_ab, kept_coef = [], []
     fits = 0
@@ -360,9 +359,9 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth).  A grid whose first
     point q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon
-    raises ValueError before any kernel work, and a packet so wide that
-    sigma_k^2 is not a normal float, or 2K / sigma_k^2 (the largest
-    Bessel scale mu / sigma_k^2) overflows, raises NumericalError there.
+    raises ValueError before any kernel work; NumericalError there refuses a
+    packet so wide that sigma_k^2 is not a normal float, or 2K / sigma_k^2 or
+    (2K)^2 / sigma_k^2 (the largest Bessel scale and argument) overflows.
     """
     if n_grid < 2:
         raise ValueError(f"need at least a 2-point grid, got {n_grid}")
@@ -376,6 +375,9 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
             f"sigma_k = {ctx.sigma_k!r} is too small for the kernel: "
             f"sigma_k^2 = {sig2!r} is below the normal float range or "
             "2K / sigma_k^2 overflows (the packet is too wide)")
+    if not math.isfinite(2.0 * ctx.K / sig2 * (2.0 * ctx.K)):  # mu q'' / sigma_k^2
+        raise NumericalError(f"sigma_k = {ctx.sigma_k!r} is too small for the kernel: "
+                             "the Bessel argument (2K)^2 / sigma_k^2 overflows")
 
     grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     h = grid.delta_theta

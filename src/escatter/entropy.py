@@ -172,14 +172,12 @@ def _euler_maclaurin_sum(f, a: float, b: float,
 
     (midpoint Euler-Maclaurin, Abramowitz & Stegun 23.1.30; the first
     term left out, 127 [f^(7)] / 154828800, is below rounding).  The
-    integral runs on Gauss-Legendre panels :func:`panel_edges` lays out,
-    max(_EXACT_END_CELLS, d/4) wide at an end d from its nearest
-    singularity (which keeps it out of every panel's Bernstein ellipse)
-    and doubling towards the middle; the endpoint derivatives come from
-    the six cells around each end.  ``f`` maps a list of points to rows
-    of values, and is called once."""
-    edges = panel_edges(a, b, max(_EXACT_END_CELLS, 0.25 * d_a),
-                        max(_EXACT_END_CELLS, 0.25 * d_b))
+    integral runs on Gauss-Legendre panels :func:`panel_edges` lays out
+    from d_a and d_b, at least _EXACT_END_CELLS wide and doubling towards
+    the middle; the endpoint derivatives come from the six cells around
+    each end.  ``f`` maps a list of points to rows of values, and is
+    called once."""
+    edges = panel_edges(a, b, _EXACT_END_CELLS, d_a, d_b)
     nodes, weights = _gauss_legendre(_PANEL_NODES)
     points, gl_weights = [], []
     for lo, hi in zip(edges, edges[1:]):
@@ -239,6 +237,9 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
             f"{channel.value}-channel cell weights {what}: the grid's "
             f"lower edge theta = {grid.theta_lo!r} rad is too close to 0 "
             f"({where})") from None
+    except ValueError:  # log(w / m) of a sphere ring's w / m rounded to 0
+        raise NumericalError(f"{channel.value}-channel pixel weights w / m underflow "
+                             f"at delta_theta = {grid.delta_theta!r} rad") from None
     if z <= 0.0:
         return 0.0, 0.0
     h = (math.log(z) - t / z) / _LN2

@@ -50,6 +50,7 @@ from enum import Enum
 from itertools import count, takewhile
 
 from .amplitudes import SpinChannel
+from .errors import NumericalError
 from .kinematics import ScatterContext
 
 #: Absolute slack, 1e-9 of one cell, added to a cell count before flooring
@@ -171,7 +172,12 @@ def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
     Omega_0 = 2 pi (cos lo - cos hi) over ``channel_domain`` [lo, hi]."""
     lo, hi = channel_domain(ctx, channel)
     omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
-    return int(math.floor(omega0 / ctx.delta_theta ** 2 + _DIVISION_SLACK))
+    area = ctx.delta_theta ** 2
+    if not (area > 0.0 and omega0 / area < math.inf):
+        raise NumericalError(
+            "sphere pixel count Omega_0 / delta_theta^2 leaves the float range "
+            f"(pixel side delta_theta = {ctx.delta_theta!r} rad)")
+    return _cell_count(omega0, area)
 
 
 def ring_weight(theta_i: float, delta_theta: float) -> float:
@@ -179,15 +185,16 @@ def ring_weight(theta_i: float, delta_theta: float) -> float:
     return 2.0 * math.pi * math.sin(theta_i) / delta_theta
 
 
-def panel_edges(a: float, b: float, first_a: float, first_b: float) -> list[float]:
-    """Edges from a to b (a < b) of panels ``first_a`` wide at a and
-    ``first_b`` at b, doubling until they meet at (a + b) / 2.  Both
-    callers, the Euler-Maclaurin middle and the J(mu) table, make a first
-    width max(floor, d/4), d being the end's distance to a singularity."""
+def panel_edges(a: float, b: float, floor: float,
+                d_a: float, d_b: float) -> list[float]:
+    """Edges from a to b (a < b) of panels doubling from each end until
+    they meet at (a + b) / 2.  The first panel at an end d from its nearest
+    singularity (d_a at a, d_b at b) is max(floor, d/4) wide, which keeps
+    the singularity out of every panel's Bernstein ellipse."""
     half = 0.5 * (b - a)
     lower, upper = (list(takewhile(lambda o: o < half,
                                    (w * (2.0 ** k - 1.0) for k in count())))
-                    for w in (first_a, first_b))
+                    for w in (max(floor, d / 4.0) for d in (d_a, d_b)))
     return [a + o for o in lower] + [a + half] + [b - o for o in upper[::-1]]
 
 

@@ -34,9 +34,9 @@ def ev_to_hartree(e_ev: float) -> float:
 
 
 def nm_to_bohr(l_nm: float) -> float:
-    """Convert a length from nm to Bohr radii."""
-    if not l_nm > 0.0:
-        raise ValueError(f"length must be positive, got {l_nm} nm")
+    """Convert a length from nm to Bohr radii, which must be positive and finite."""
+    if not 0.0 < l_nm / BOHR_RADIUS_NM < math.inf:
+        raise ValueError(f"l_nm = {l_nm!r} nm must be positive and finite in bohr")
     return l_nm / BOHR_RADIUS_NM
 
 

@@ -480,8 +480,7 @@ def kernel_j_table_oracle(mu: np.ndarray, ctx) -> np.ndarray:
                               chebyshev.chebpts2(nodes + 1)])
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
     d_lo, d_hi = mu_lo - ctx.K * ctx.epsilon, 2.0 * ctx.K - mu_hi  # to the cutoffs
-    edges = panel_edges(mu_lo, mu_hi, max(ctx.sigma_k, d_lo / 4.0),
-                        max(ctx.sigma_k, d_hi / 4.0))
+    edges = panel_edges(mu_lo, mu_hi, ctx.sigma_k, d_lo, d_hi)
     pending = list(zip(edges[:-1], edges[1:]))
     panels = []
     fits = 0

@@ -267,9 +267,11 @@ def test_run_config_keywords_defaults_and_fields():
     a.e_list.append(7.0)  # each config has its own default lists
     assert b.e_list == [5.0] and a != b
     assert repr(b).startswith("RunConfig(command='equator', e_list=[5.0], ")
-    a.threads = 3  # settable, as build_config needs
     with pytest.raises(AttributeError):
         a.thread = 3  # no such field
+    with pytest.raises(AttributeError):
+        a.threads = 3  # a built config is not reassigned: _replace copies it
+    assert a._replace(threads=3).threads == 3 and a.threads == 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +338,25 @@ def test_out_file_with_summaries(tmp_path, capsys):
     body = target.read_text().splitlines()
     assert body[2].startswith("4,3,4,2,3,1,ok")
     assert body[3].startswith("16,5,6,4,5,1,ok")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory-target"])
+def test_out_that_cannot_be_written_exits_2(where, tmp_path, capsys, monkeypatch):
+    # both ended in a traceback (FileNotFoundError from mkstemp,
+    # IsADirectoryError from os.replace) after the whole table was
+    # computed; the configuration is now refused before any row runs
+    rows = []
+    monkeypatch.setattr(cli, "equator_entropies",
+                        lambda n: rows.append(n))  # any row would record here
+    (tmp_path / "adir").mkdir()
+    target = tmp_path / ("nodir/eq.csv" if where == "missing-directory" else "adir")
+    assert main(["equator", "--n-cells", "4,16", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert rows == [] and captured.out == ""
+    assert captured.err == (f"error: cannot write {str(target)!r}: not a file "
+                            "in an existing directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["adir"]
+    assert os.listdir(tmp_path / "adir") == []
 
 
 def test_bad_config_exit_2(capsys):
@@ -828,21 +849,49 @@ def test_failed_row_rule(command, fmt, capsys):
     assert all(rows[i][col] != missing for i in (0, 2) for col in computed)
 
 
-@pytest.mark.parametrize("argv", [
-    ["spinless-sweep", "--energy-ev", "1e160"],
-    ["sphere-sweep", "--energy-ev", "1e160"],
-    ["spin-sweep", "--energy-ev", "1e160"],
-    ["postselect-range", "--energy-ev", "1e160", "--theta-r", "0.1"],
-    ["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e300"],
+_PIXELS_OUT_OF_RANGE = ("sphere pixel count Omega_0 / delta_theta^2 leaves the "
+                        "float range")
+_BESSEL_OVERFLOW = "the Bessel argument (2K)^2 / sigma_k^2 overflows"
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["spinless-sweep", "--energy-ev", "1e160"], "e_ev = 1e+160 is out of range"),
+    (["sphere-sweep", "--energy-ev", "1e160"], "e_ev = 1e+160 is out of range"),
+    (["spin-sweep", "--energy-ev", "1e160"], "e_ev = 1e+160 is out of range"),
+    (["postselect-range", "--energy-ev", "1e160", "--theta-r", "0.1"],
+     "e_ev = 1e+160 is out of range"),
+    (["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e300"],
+     _PIXELS_OUT_OF_RANGE),
+    (["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e200",
+      "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
+    (["sphere-sweep", "--energy-ev", "1e10", "--packet-nm", "1e150",
+      "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
+    (["sphere-sweep", "--channel", "parallel", "--energy-ev", "1",
+      "--packet-nm", "1e150", "--k-scale", SQRT2],
+     "parallel-channel pixel weights w / m underflow"),
+    (["spinless-sweep", "--energy-ev", "5", "--packet-nm", "1e308",
+      "--k-scale", SQRT2], "l_nm = 1e+308 nm must be positive and finite"),
+    (["vn-compare", "--energy-ev", "1e10", "--packet-nm", "1e150", "--n-grid",
+      "16", "--k-scale", SQRT2], _BESSEL_OVERFLOW),
+    (["vn-compare", "--energy-ev", "1e8", "--packet-nm", "1e150", "--n-grid",
+      "16", "--k-scale", SQRT2], _BESSEL_OVERFLOW),
 ], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
-        "postselect-overflow", "sphere-zero-division"])
-def test_arithmetic_error_fails_the_row(argv, capsys):
-    # at 1e160 eV K^4 overflows and epsilon is lost against delta_theta,
-    # which the context refuses up front, naming the energy; a 1e300 nm
-    # packet's pixel side squares to zero in the pixel count: an
-    # ArithmeticError fails the row like any other error, no traceback.
-    # Either way the row's one line is all that reaches stderr: no numpy
-    # warning
+        "postselect-overflow", "sphere-zero-division", "sphere-pixel-underflow",
+        "sphere-pixel-overflow", "sphere-pixel-weights", "packet-overflow",
+        "vn-bessel-overflow", "vn-table-overflow"])
+def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
+    # rows whose numbers leave the float range fail naming the quantity
+    # that left it, never with Python's or numpy's own text: at 1e160 eV
+    # K^4 overflows and epsilon is lost against delta_theta, which the
+    # context refuses naming the energy; a 1e300 nm packet's pixel side
+    # squares to zero in the pixel count, which printed "float division
+    # by zero", and at 1e10 eV / 1e150 nm the count overflowed ("cannot
+    # convert float infinity to integer"); the parallel channel's pixel
+    # weights w / m underflowed into log ("math domain error"); a 1e308 nm
+    # packet is infinite in bohr, which blamed the energy; and vn-compare's
+    # Bessel argument overflowed with a numpy RuntimeWarning ("matrix trace
+    # is 0.0", or the J table ran out of panel fits).  The row's one line
+    # is all that reaches stderr: no numpy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + ["--threads", "1", "--format", "json"]) == 3
@@ -850,10 +899,12 @@ def test_arithmetic_error_fails_the_row(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"[{argv[0]}] row 0 failed: error: ")
     assert captured.err.count("\n") == 1
-    if "1e160" in argv:
-        assert "e_ev = 1e+160 is out of range" in captured.err
     [row] = json.loads(captured.out)
     assert row["status"].startswith("error: ")
+    assert quantity in row["status"]
+    for text in ("division by zero", "math domain error", "cannot convert",
+                 "overflow encountered"):
+        assert text not in row["status"]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -295,8 +295,8 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
             assert n > _EXACT
             layouts = []
 
-            def recording(a, b, first_a, first_b):
-                layouts.append((a, b, panel_edges(a, b, first_a, first_b)))
+            def recording(a, b, floor, d_a, d_b):
+                layouts.append((a, b, panel_edges(a, b, floor, d_a, d_b)))
                 return layouts[-1][2]
 
             with pytest.MonkeyPatch.context() as mp:
@@ -307,7 +307,7 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
             assert calls[0] == [*range(_H), *range(n - _H, n)]
             [(a, b, edges)] = layouts
             assert (a, b) == (_H - 0.5, n - _H - 0.5)
-            assert edges == panel_edges(a, b, 64, 64)
+            assert edges == panel_edges(a, b, 64, 0.0, 0.0)
 
 
 def test_reducer_cost_does_not_grow_with_cells():

@@ -199,7 +199,8 @@ def test_rings_times_weight_matches_sphere_pixels():
     (-3.0, 5e4, 2.0, 7.5), (63.5, 2.0 ** 50 - 64.5, 64.0, 64.0),
     (1.0, 1.5, 10.0, 10.0)])
 def test_panel_edges_double_from_both_ends(a, b, first_a, first_b):
-    edges = panel_edges(a, b, first_a, first_b)
+    # a first width is max(floor, d/4): with floor 0, d = 4 w gives w
+    edges = panel_edges(a, b, 0.0, 4.0 * first_a, 4.0 * first_b)
     assert edges[0] == a and edges[-1] == b
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
     mid = edges.index(a + 0.5 * (b - a))  # the two series meet here
@@ -229,7 +230,7 @@ def test_panel_edges_equal_the_euler_maclaurin_layout(a, b):
                if o < half]
     offsets.append(half)
     edges = [a + o for o in offsets] + [b - o for o in offsets[-2::-1]]
-    assert panel_edges(a, b, 64, 64) == edges
+    assert panel_edges(a, b, 64, 0.0, 0.0) == edges
 
 
 # ---------------------------------------------------------------------------
