@@ -84,8 +84,8 @@ _Option = namedtuple("_Option", ("field", "key", "parse", "default", "hashed",
 
 #: Every setting, once: its RunConfig field, its flag and config-file key
 #: (``packet_nm`` is ``--packet-nm``), parser (``[float]`` parses a
-#: comma-separated list), default (a tuple default is a fresh list in each
-#: RunConfig), whether the config hash covers it, and its --help text (a
+#: comma-separated list), default (a list field's is a tuple, immutable
+#: like the RunConfig that holds it), whether the config hash covers it, and its --help text (a
 #: template the default is formatted into) and choices.  The two energy
 #: keys fill one field, whose default the second gives.
 _OPTIONS = (
@@ -146,12 +146,6 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
     changed copy."""
 
     __slots__ = ()
-
-    def __new__(cls, command: str, *args, **values) -> RunConfig:
-        cfg = super().__new__(cls, command, *args, **values)
-        return cfg._replace(**{name: list(value) for name, value
-                               in zip(cfg._fields, cfg)
-                               if isinstance(value, tuple)})
 
     def validate(self) -> None:
         if self.command not in COMMANDS:

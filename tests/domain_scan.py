@@ -4,32 +4,33 @@ in-process through ``escatter.cli.main``.
 
 Per command it prints how many rows came out ``ok``, how many failed
 with escatter's own message, and how many failed with Python's or
-numpy's text: a status that begins with one of ``FOREIGN_TEXT``, or a
-row of a call that raised out of ``main`` (a traceback) or during which
-a warning (numpy's ``RuntimeWarning``) was issued.  The first few of
-those are listed under the counts.  No ``ok`` count may drop from one
-version of the package to the next.
+numpy's text: a status that begins with one of ``FOREIGN_TEXT`` (the
+bare exception text, with no escatter message around it), or a row of a
+call that raised out of ``main`` (a traceback) or during which a warning
+(numpy's ``RuntimeWarning``) was issued.  ``FOREIGN_TEXT`` is a list of
+known texts, so under the counts every distinct failure message is
+listed with its numbers blanked to ``#``, the own ones as well as the
+foreign ones, for a reader to check the split.  No ``ok`` count may drop
+from one version of the package to the next.
 
 Not collected by pytest (the file name does not start with ``test_``).
 Run from the repository root:
 
-    python tests/domain_scan.py                # the full grid, ~30 min
-    python tests/domain_scan.py --step 10      # every tenth decade, ~30 s
+    python tests/domain_scan.py
 
-(one core of a 2-CPU x86-64 host; postselect-range takes half the time).
-
-The package comes from ``PYTHONPATH`` when that holds one, else from
-this checkout's ``src/``.
+It takes about 30 min on one core of a 2-CPU x86-64 host, half of it in
+postselect-range.  The package comes from ``PYTHONPATH`` when that holds
+one, else from this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import math
 import pathlib
+import re
 import sys
 import time
 import warnings
@@ -43,7 +44,13 @@ from escatter.cli import main  # noqa: E402
 #: quantity they name
 FOREIGN_TEXT = ("float division", "division by zero", "math domain error",
                 "math range error", "cannot convert", "(34,", "int too large",
-                "overflow encountered", "invalid value encountered")
+                "overflow encountered", "invalid value encountered",
+                "intermediate overflow", "Singular matrix",
+                "must not contain infs")
+
+#: a number in a status, blanked so that messages differing only in their
+#: numbers list as one
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|\b(?:inf|nan)\b")
 
 #: (label, command, flags per call).  postselect-range takes one energy a
 #: call, and so does vn-compare, the one command that imports numpy, so
@@ -83,42 +90,36 @@ def _call(argv: list[str]) -> tuple[list[str], bool]:
     return statuses, bool(caught)
 
 
-def _decades(lo: int, hi: int, step: int) -> list[str]:
-    return [f"1e{p}" for p in range(lo, hi + 1, step)]
-
-
-def scan(step: int, labels: set[str] | None) -> None:
-    energies = _decades(-3, 300, step)
-    packets = _decades(-3, 300, step)
+def scan() -> None:
+    decades = [f"1e{p}" for p in range(-3, 301)]
+    foreign = tuple("error: " + text for text in FOREIGN_TEXT)
     for label, command, flags in SCANS:
-        if labels and label not in labels:
-            continue
         start = time.perf_counter()
         counts: Counter = Counter()
-        foreign: Counter = Counter()
+        messages = {"own": Counter(), "foreign": Counter()}
         for k_scale in K_SCALES:
-            for packet in packets:
+            for packet in decades:
                 base = [command, *flags, "--packet-nm", packet,
                         "--k-scale", k_scale]
-                calls = ([[*base, "--energy-ev", e] for e in energies]
+                calls = ([[*base, "--energy-ev", e] for e in decades]
                          if command in ("postselect-range", "vn-compare")
-                         else [[*base, "--energy-list", ",".join(energies)]])
+                         else [[*base, "--energy-list", ",".join(decades)]])
                 for argv in calls:
                     statuses, broke = _call(argv)
                     for status in statuses:
                         if status == "ok":
                             counts["ok"] += 1
-                        elif broke or status.startswith(
-                                tuple("error: " + t for t in FOREIGN_TEXT)):
-                            counts["foreign"] += 1
-                            foreign[status[:100]] += 1
-                        else:
-                            counts["own"] += 1
+                            continue
+                        kind = ("foreign" if broke or status.startswith(
+                            foreign) else "own")
+                        counts[kind] += 1
+                        messages[kind][_NUMBER.sub("#", status)] += 1
         print(f"{label:30s} ok {counts['ok']:7d}  own {counts['own']:7d}  "
               f"foreign {counts['foreign']:7d}  "
               f"({time.perf_counter() - start:.0f} s)", flush=True)
-        for status, n in foreign.most_common(5):
-            print(f"    {n:6d} x {status}", flush=True)
+        for kind in ("foreign", "own"):
+            for status, n in sorted(messages[kind].items()):
+                print(f"    {kind:7s} {n:6d} x {status}", flush=True)
     statuses, broke = _call(["equator", "--n-cells", "1,2,3140,1000000000"])
     print(f"{'equator':30s} ok {statuses.count('ok'):7d}  "
           f"failed {len(statuses) - statuses.count('ok'):7d}  "
@@ -126,10 +127,4 @@ def scan(step: int, labels: set[str] | None) -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--step", type=int, default=1,
-                        help="decades between grid points (default 1)")
-    parser.add_argument("--only", action="append",
-                        help="scan only this label (repeatable)")
-    args = parser.parse_args()
-    scan(args.step, set(args.only or ()))
+    scan()

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import math
@@ -261,12 +262,11 @@ def test_config_hash_covers_physics_only():
 def test_run_config_keywords_defaults_and_fields():
     cfg = RunConfig(command="spin-sweep", e_list=[1.0, 2.0], threads=2)
     assert (cfg.command, cfg.e_list, cfg.threads) == ("spin-sweep", [1.0, 2.0], 2)
-    assert (cfg.l_nm, cfg.k_scale, cfg.n_cells, cfg.out) == (100.0, 1.0, [3140], None)
+    assert (cfg.l_nm, cfg.k_scale, cfg.n_cells, cfg.out) == (100.0, 1.0, (3140,), None)
     a, b = RunConfig(command="equator"), RunConfig(command="equator")
-    assert a == b and a.theta_r == list(cli._DEFAULT_THETA_R)
-    a.e_list.append(7.0)  # each config has its own default lists
-    assert b.e_list == [5.0] and a != b
-    assert repr(b).startswith("RunConfig(command='equator', e_list=[5.0], ")
+    assert a == b and a.theta_r == cli._DEFAULT_THETA_R
+    assert (a.e_list, a.n_cells) == ((5.0,), (3140,))  # immutable defaults
+    assert repr(b).startswith("RunConfig(command='equator', e_list=(5.0,), ")
     with pytest.raises(AttributeError):
         a.thread = 3  # no such field
     with pytest.raises(AttributeError):
@@ -340,21 +340,34 @@ def test_out_file_with_summaries(tmp_path, capsys):
     assert body[3].startswith("16,5,6,4,5,1,ok")
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory-target"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory-target",
+                                   "full-disk"])
 def test_out_that_cannot_be_written_exits_2(where, tmp_path, capsys, monkeypatch):
-    # both ended in a traceback (FileNotFoundError from mkstemp,
+    # the first two ended in a traceback (FileNotFoundError from mkstemp,
     # IsADirectoryError from os.replace) after the whole table was
-    # computed; the configuration is now refused before any row runs
+    # computed; the configuration is now refused before any row runs.  A
+    # write that fails later (a full disk at the rename) also names the
+    # path, and write_atomic removes its temp file.
     rows = []
+    equator_entropies = cli.equator_entropies
     monkeypatch.setattr(cli, "equator_entropies",
-                        lambda n: rows.append(n))  # any row would record here
+                        lambda n: rows.append(n) or equator_entropies(n))
+    if where == "full-disk":
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
     (tmp_path / "adir").mkdir()
-    target = tmp_path / ("nodir/eq.csv" if where == "missing-directory" else "adir")
+    target = tmp_path / {"missing-directory": "nodir/eq.csv",
+                         "directory-target": "adir",
+                         "full-disk": "eq.csv"}[where]
     assert main(["equator", "--n-cells", "4,16", "--out", str(target)]) == 2
     captured = capsys.readouterr()
-    assert rows == [] and captured.out == ""
-    assert captured.err == (f"error: cannot write {str(target)!r}: not a file "
-                            "in an existing directory\n")
+    assert rows == ([4, 16] if where == "full-disk" else [])
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {str(target)!r}: " + (
+        "No space left on device\n" if where == "full-disk"
+        else "not a file in an existing directory\n")
     assert sorted(os.listdir(tmp_path)) == ["adir"]
     assert os.listdir(tmp_path / "adir") == []
 
