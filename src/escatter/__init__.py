@@ -12,7 +12,6 @@ table but vn-compare, runs on the standard library alone.
 __version__ = "0.1.0"
 
 from .amplitudes import SpinChannel
-from .constants import BOHR_RADIUS_NM, HARTREE_EV
 from .entropy import (
     shannon_discrete,
     shannon_ring_discrete,
@@ -32,12 +31,10 @@ from .geometry import (
     uniform_grid,
 )
 from .kinematics import (
+    BOHR_RADIUS_NM,
+    HARTREE_EV,
     ScatterContext,
-    ev_to_hartree,
     make_context,
-    min_scattering_angle,
-    nm_to_bohr,
-    wave_number,
 )
 from .spin import (
     EquatorEntropies,
@@ -72,11 +69,8 @@ __all__ = [
     "channel_domain",
     "eigen_spectrum",
     "equator_entropies",
-    "ev_to_hartree",
     "kernel_element",
     "make_context",
-    "min_scattering_angle",
-    "nm_to_bohr",
     "postselect_entropies",
     "range_grid_below",
     "ring_grid",
@@ -88,5 +82,4 @@ __all__ = [
     "shannon_sphere_jaynes",
     "sphere_pixel_count",
     "uniform_grid",
-    "wave_number",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import _thread
 import argparse
 import gc
-import importlib
 import json
 import math
 import os
@@ -316,7 +315,7 @@ def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
 def _vn_inputs(cfg: RunConfig) -> list[tuple]:
     # runs in the main thread, before the row pool: numpy is imported here,
     # not concurrently by the first rows
-    importlib.import_module(".density_matrix", __package__)
+    from . import density_matrix  # noqa: F401
     return [(e, cfg.n_grid) for e in cfg.e_list]
 
 
@@ -481,7 +480,8 @@ def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file + rename so interrupted runs never
-    leave a truncated table at the target path."""
+    leave a truncated table at the target path.  The table gets the mode
+    a plain ``open`` gives a new file, 0o666 less the umask."""
     import tempfile  # only --out needs it: kept out of every cold start
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -489,6 +489,9 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the one way to read it: set it and put it back
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp's file is 0o600
         os.replace(tmp_path, path)
     except BaseException:
         try:

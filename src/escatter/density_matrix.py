@@ -123,15 +123,15 @@ _I0E_B = (
 
 
 class DensityMatrix:
-    """Discretized reduced density matrix on a meridian theta-grid.
+    """Discretized reduced density matrix on a meridian grid: ``rho`` at
+    the momentum transfers ``q_grid``.
 
     Immutable.  The constructor checks that ``rho`` is square, finite,
     symmetric to 1e-12 of its largest absolute entry and of unit trace."""
 
-    __slots__ = ("theta_grid", "q_grid", "rho")
+    __slots__ = ("q_grid", "rho")
 
-    def __init__(self, theta_grid: np.ndarray, q_grid: np.ndarray,
-                 rho: np.ndarray) -> None:
+    def __init__(self, q_grid: np.ndarray, rho: np.ndarray) -> None:
         r = np.asarray(rho, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {r.shape}")
@@ -150,9 +150,8 @@ class DensityMatrix:
         if abs(float(np.trace(r)) - 1.0) > 1e-9:
             raise ValueError(
                 f"trace = {float(np.trace(r))!r}, expected 1 after normalization")
-        for name, value in (("theta_grid", theta_grid), ("q_grid", q_grid),
-                            ("rho", rho)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "q_grid", q_grid)
+        object.__setattr__(self, "rho", rho)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"DensityMatrix is immutable: cannot set {name!r}")
@@ -415,7 +414,7 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericalError(f"matrix trace is {trace!r}, cannot normalize")
     rho /= trace
-    return DensityMatrix(theta_grid=theta, q_grid=q, rho=rho)
+    return DensityMatrix(q_grid=q, rho=rho)
 
 
 def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:

@@ -136,13 +136,13 @@ def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
     log = math.log
     z = [0.0] * len(mids)
     t = [0.0] * len(mids)
+    inf = math.inf
     for branch in branches:
         for i, w in enumerate(branch):
-            if w > 0.0:
+            if 0.0 < w < inf:
                 z[i] += w
                 t[i] += w * log(w / m[i])
-            # w > 0 also drops NaN and -inf: look at what it dropped (an inf
-            # weight is kept and makes the entropy below non-finite)
+            # the range test also drops NaN and +-inf: look at what it dropped
             elif not math.isfinite(w):
                 raise NumericalError(
                     f"non-finite cell weight in the {channel.value} channel "
@@ -240,13 +240,16 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     except ValueError:  # log(w / m) of a sphere ring's w / m rounded to 0
         raise NumericalError(f"{channel.value}-channel pixel weights w / m underflow "
                              f"at delta_theta = {grid.delta_theta!r} rad") from None
+    # finite weights whose w ln(w / m) overflows, or whose Euler-Maclaurin
+    # terms do, leave T (or Z) non-finite
+    if not (math.isfinite(z) and math.isfinite(t)):
+        raise NumericalError(
+            f"{channel.value}-channel sums leave the float range: "
+            f"Z = sum w = {z!r}, T = sum w ln(w / m) = {t!r}")
     if z <= 0.0:
         return 0.0, 0.0
-    h = (math.log(z) - t / z) / _LN2
-    if not math.isfinite(h):
-        raise NumericalError(f"detection entropy is {h!r} (Z = {z!r})")
     # the sum is >= 0 mathematically; rounding can leave -1e-16
-    return max(0.0, h), z
+    return max(0.0, (math.log(z) - t / z) / _LN2), z
 
 
 def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,

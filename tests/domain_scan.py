@@ -13,8 +13,9 @@ listed with its numbers blanked to ``#``, the own ones as well as the
 foreign ones, for a reader to check the split.  No ``ok`` count may drop
 from one version of the package to the next.
 
-Not collected by pytest (the file name does not start with ``test_``).
-Run from the repository root:
+Not collected by pytest (the file name does not start with ``test_``);
+``test_domain_slice.py`` runs a coarse slice of it in the suite.  Run
+from the repository root:
 
     python tests/domain_scan.py
 
@@ -73,9 +74,10 @@ SCANS = (
 K_SCALES = ("1", repr(math.sqrt(2.0)))
 
 
-def _call(argv: list[str]) -> tuple[list[str], bool]:
-    """Row statuses of one ``main`` call, and whether it went wrong
-    outside the rows: it raised, or issued a warning."""
+def _call(argv: list[str]) -> tuple[list[dict], bool]:
+    """JSON rows of one ``main`` call, and whether it went wrong outside
+    the rows: it raised, or issued a warning.  A call that raised or
+    exited 2 gives one row, with only a status."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -83,11 +85,23 @@ def _call(argv: list[str]) -> tuple[list[str], bool]:
         try:
             code = main(argv + ["--format", "json", "--threads", "1"])
         except Exception as exc:  # a traceback: Python's text by definition
-            return [f"raised {type(exc).__name__}: {exc}"], True
+            return [{"status": f"raised {type(exc).__name__}: {exc}"}], True
     if code == 2:
-        return [f"exit 2: {err.getvalue().strip()}"], False
-    statuses = [row["status"] for row in json.loads(out.getvalue())]
-    return statuses, bool(caught)
+        return [{"status": f"exit 2: {err.getvalue().strip()}"}], False
+    return json.loads(out.getvalue()), bool(caught)
+
+
+def _calls(command: str, flags: list[str], k_scales: tuple[str, ...],
+           decades: list[str]):
+    """argv of every call that scans ``command`` over each packet size
+    and energy in ``decades`` at each k-scale."""
+    for k_scale in k_scales:
+        for packet in decades:
+            base = [command, *flags, "--packet-nm", packet, "--k-scale", k_scale]
+            if command in ("postselect-range", "vn-compare"):
+                yield from ([*base, "--energy-ev", e] for e in decades)
+            else:
+                yield [*base, "--energy-list", ",".join(decades)]
 
 
 def scan() -> None:
@@ -97,30 +111,23 @@ def scan() -> None:
         start = time.perf_counter()
         counts: Counter = Counter()
         messages = {"own": Counter(), "foreign": Counter()}
-        for k_scale in K_SCALES:
-            for packet in decades:
-                base = [command, *flags, "--packet-nm", packet,
-                        "--k-scale", k_scale]
-                calls = ([[*base, "--energy-ev", e] for e in decades]
-                         if command in ("postselect-range", "vn-compare")
-                         else [[*base, "--energy-list", ",".join(decades)]])
-                for argv in calls:
-                    statuses, broke = _call(argv)
-                    for status in statuses:
-                        if status == "ok":
-                            counts["ok"] += 1
-                            continue
-                        kind = ("foreign" if broke or status.startswith(
-                            foreign) else "own")
-                        counts[kind] += 1
-                        messages[kind][_NUMBER.sub("#", status)] += 1
+        for argv in _calls(command, flags, K_SCALES, decades):
+            rows, broke = _call(argv)
+            for status in (row["status"] for row in rows):
+                if status == "ok":
+                    counts["ok"] += 1
+                    continue
+                kind = "foreign" if broke or status.startswith(foreign) else "own"
+                counts[kind] += 1
+                messages[kind][_NUMBER.sub("#", status)] += 1
         print(f"{label:30s} ok {counts['ok']:7d}  own {counts['own']:7d}  "
               f"foreign {counts['foreign']:7d}  "
               f"({time.perf_counter() - start:.0f} s)", flush=True)
         for kind in ("foreign", "own"):
             for status, n in sorted(messages[kind].items()):
                 print(f"    {kind:7s} {n:6d} x {status}", flush=True)
-    statuses, broke = _call(["equator", "--n-cells", "1,2,3140,1000000000"])
+    rows, broke = _call(["equator", "--n-cells", "1,2,3140,1000000000"])
+    statuses = [row["status"] for row in rows]
     print(f"{'equator':30s} ok {statuses.count('ok'):7d}  "
           f"failed {len(statuses) - statuses.count('ok'):7d}  "
           f"broke {broke}", flush=True)

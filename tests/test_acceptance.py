@@ -182,8 +182,7 @@ def test_a08_density_matrix_suite():
     rng = np.random.default_rng(2026)
     q_mat, _ = np.linalg.qr(rng.normal(size=dm.rho.shape))
     rotated = q_mat @ dm.rho @ q_mat.T
-    dm_rot = DensityMatrix(theta_grid=dm.theta_grid, q_grid=dm.q_grid,
-                           rho=0.5 * (rotated + rotated.T))
+    dm_rot = DensityMatrix(q_grid=dm.q_grid, rho=0.5 * (rotated + rotated.T))
     assert float(np.max(np.abs(eigen_spectrum(dm_rot) - lam))) <= 1e-9
 
     # diagonal kernel against the independent smoothing quadrature
@@ -213,9 +212,7 @@ def test_a09_spectra_match_characteristic_polynomial():
         q_mat, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         rho = (q_mat * lam_true) @ q_mat.T
         rho = 0.5 * (rho + rho.T)
-        dm = DensityMatrix(theta_grid=np.arange(dim, dtype=float),
-                           q_grid=np.arange(dim, dtype=float) + 1.0,
-                           rho=rho)
+        dm = DensityMatrix(q_grid=np.arange(dim, dtype=float) + 1.0, rho=rho)
         lam = eigen_spectrum(dm)
         ref = charpoly_spectrum(rho)
         assert float(np.max(np.abs(lam - ref))) <= 1e-8

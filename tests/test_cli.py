@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import textwrap
@@ -314,6 +315,33 @@ def test_write_atomic_success_and_failure(tmp_path):
     assert blocked.is_dir()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".escatter-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_write_atomic_gives_the_mode_open_gives(tmp_path, umask):
+    # mkstemp's temp file is 0o600, which the rename used to hand on to
+    # the table; it now gets 0o666 less the umask, like a plain open, and
+    # the umask is left as it was
+    before = os.umask(umask)
+    try:
+        write_atomic(str(tmp_path / "atomic.csv"), "x\n")
+        (tmp_path / "plain.csv").write_text("x\n")
+        assert os.umask(umask) == umask
+    finally:
+        os.umask(before)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("atomic.csv", "plain.csv")}
+    assert modes == {0o666 & ~umask}
+
+
+def test_cli_import_loads_neither_importlib_nor_numpy():
+    # vn-compare loads escatter.density_matrix with a plain relative
+    # import: a python -S start needs importlib for nothing else
+    code = ("import sys, escatter.cli; "
+            "print(sorted({'importlib', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +743,10 @@ def test_huge_packet_underflow_fails_cleanly(command, channel):
 
 def test_huge_packet_overflow_fails_cleanly():
     # 5 eV / 1e160 nm, parallel channel: the first cells' weights are
-    # finite, but the Euler-Maclaurin middle's sum passes the largest
-    # float; the row fails naming the channel and the grid's lower edge,
-    # where it printed a bare "intermediate overflow in fsum"
+    # inf.  The row fails naming the channel and the first cell's angle;
+    # it printed a bare "intermediate overflow in fsum", and later named
+    # the grid's lower edge when the Euler-Maclaurin middle's sum
+    # overflowed
     proc = subprocess.run(
         [sys.executable, "-m", "escatter.cli", "spinless-sweep", "--channel",
          "parallel", "--energy-ev", "5", "--packet-nm", "1e160", "--k-scale",
@@ -725,10 +754,9 @@ def test_huge_packet_overflow_fails_cleanly():
         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     [line] = proc.stderr.splitlines()
-    assert re.fullmatch(r"\[spinless-sweep\] row 0 failed: error: parallel-"
-                        r"channel cell weights overflow: the grid's lower edge "
-                        r"theta = 4\.07\d*e-161 rad is too close to 0 "
-                        r"\(intermediate overflow in fsum\)", line), line
+    assert re.fullmatch(r"\[spinless-sweep\] row 0 failed: error: non-finite "
+                        r"cell weight in the parallel channel at theta = "
+                        r"4\.9\d*e-161", line), line
 
 
 def test_huge_packet_rows_that_compute_keep_computing(capsys):
@@ -865,6 +893,9 @@ def test_failed_row_rule(command, fmt, capsys):
 _PIXELS_OUT_OF_RANGE = ("sphere pixel count Omega_0 / delta_theta^2 leaves the "
                         "float range")
 _BESSEL_OVERFLOW = "the Bessel argument (2K)^2 / sigma_k^2 overflows"
+_TINY_EL = ("--energy-ev", "1e-200", "--packet-nm", "1e-200")
+_NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
+             "scattering angle is accessible")
 
 
 @pytest.mark.parametrize("argv, quantity", [
@@ -888,10 +919,23 @@ _BESSEL_OVERFLOW = "the Bessel argument (2K)^2 / sigma_k^2 overflows"
       "16", "--k-scale", SQRT2], _BESSEL_OVERFLOW),
     (["vn-compare", "--energy-ev", "1e8", "--packet-nm", "1e150", "--n-grid",
       "16", "--k-scale", SQRT2], _BESSEL_OVERFLOW),
+    (["spinless-sweep", *_TINY_EL], _NO_ANGLE),
+    (["sphere-sweep", *_TINY_EL], _NO_ANGLE),
+    (["spin-sweep", *_TINY_EL], _NO_ANGLE),
+    (["postselect-range", *_TINY_EL, "--theta-r", "0.1"], _NO_ANGLE),
+    (["vn-compare", *_TINY_EL, "--n-grid", "16"], _NO_ANGLE),
+    (["spinless-sweep", "--channel", "parallel", "--energy-ev", "1e5",
+      "--packet-nm", "1e150", "--k-scale", SQRT2],
+     "non-finite cell weight in the parallel channel at theta = "),
+    (["spinless-sweep", "--channel", "parallel", "--energy-ev", "100",
+      "--packet-nm", "1e152", "--k-scale", SQRT2],
+     "parallel-channel sums leave the float range: Z = sum w = "),
 ], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
         "postselect-overflow", "sphere-zero-division", "sphere-pixel-underflow",
         "sphere-pixel-overflow", "sphere-pixel-weights", "packet-overflow",
-        "vn-bessel-overflow", "vn-table-overflow"])
+        "vn-bessel-overflow", "vn-table-overflow", "spinless-tiny-el",
+        "sphere-tiny-el", "spin-tiny-el", "postselect-tiny-el", "vn-tiny-el",
+        "parallel-inf-weight", "parallel-wlnw-overflow"])
 def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # rows whose numbers leave the float range fail naming the quantity
     # that left it, never with Python's or numpy's own text: at 1e160 eV
@@ -903,8 +947,12 @@ def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # weights w / m underflowed into log ("math domain error"); a 1e308 nm
     # packet is infinite in bohr, which blamed the energy; and vn-compare's
     # Bessel argument overflowed with a numpy RuntimeWarning ("matrix trace
-    # is 0.0", or the J table ran out of panel fits).  The row's one line
-    # is all that reaches stderr: no numpy warning
+    # is 0.0", or the J table ran out of panel fits).  At 1e-200 eV and
+    # 1e-200 nm, 2 E b_bar underflowed to 0 in the cutoff angle ("float
+    # division by zero"); the parallel channel's first cells at 1e5 eV /
+    # 1e150 nm weighed inf ("detection entropy is nan"), and at 100 eV /
+    # 1e152 nm a finite weight's w ln w overflowed ("... is -inf").  The
+    # row's one line is all that reaches stderr: no numpy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + ["--threads", "1", "--format", "json"]) == 3

@@ -183,8 +183,7 @@ def test_spectrum_orthogonal_invariance(dm256):
     q_mat, _ = np.linalg.qr(rng.normal(size=dm256.rho.shape))
     rotated = q_mat @ dm256.rho @ q_mat.T
     rotated = 0.5 * (rotated + rotated.T)  # scrub rounding asymmetry
-    dm_rot = DensityMatrix(theta_grid=dm256.theta_grid, q_grid=dm256.q_grid,
-                           rho=rotated)
+    dm_rot = DensityMatrix(q_grid=dm256.q_grid, rho=rotated)
     lam0 = eigen_spectrum(dm256)
     lam1 = eigen_spectrum(dm_rot)
     assert float(np.max(np.abs(lam0 - lam1))) <= 1e-9
@@ -357,7 +356,7 @@ def test_assembly_matches_per_element_oracle(e_ev, l_nm):
         rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
         assert float(rel.max()) <= 1e-9, n
         s_ref = shannon_discrete(eigen_spectrum(DensityMatrix(
-            theta_grid=dm.theta_grid, q_grid=dm.q_grid, rho=ref)))
+            q_grid=dm.q_grid, rho=ref)))
         assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
 
 
@@ -440,9 +439,7 @@ def test_packet_too_wide_fails_before_j(monkeypatch, e_ev, l_nm, narrower_nm):
 
 def _dm_from(rho):
     n = rho.shape[0]
-    return DensityMatrix(theta_grid=np.arange(n, dtype=float),
-                         q_grid=np.arange(n, dtype=float) + 1.0,
-                         rho=rho)
+    return DensityMatrix(q_grid=np.arange(n, dtype=float) + 1.0, rho=rho)
 
 
 def test_eigen_spectrum_simple_cases():
@@ -508,7 +505,7 @@ def test_symmetry_check_covers_every_tile():
 def test_density_matrix_is_immutable():
     dm = _dm_from(0.5 * np.eye(2))
     assert dm != _dm_from(0.5 * np.eye(2))  # identity, not array, equality
-    for name in ("rho", "theta_grid", "q_grid", "extra"):
+    for name in ("rho", "q_grid", "extra"):
         with pytest.raises(AttributeError):
             setattr(dm, name, np.eye(2))
     with pytest.raises(AttributeError):

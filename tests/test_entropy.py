@@ -468,10 +468,11 @@ def test_sweep_error_rows_do_not_abort(capsys):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
-    # the reducer's w > 0 filter would drop a NaN or -inf weight, and the
-    # final clamp would turn the NaN entropy an inf weight gives into 0.
-    # Every channel's cells come from channel_cell_integrals, so spoiling
-    # its last branch (antiparallel: the exchange one) reaches each channel
+    # the reducer's weight filter would drop a NaN or +-inf weight, and
+    # the final clamp would turn a NaN entropy into 0; an inf weight used
+    # to be kept and to fail only as a NaN entropy.  Every channel's cells
+    # come from channel_cell_integrals, so spoiling its last branch
+    # (antiparallel: the exchange one) reaches each channel
     def spoiled(mid, hw, K, channel):
         branches = channel_cell_integrals(mid, hw, K, channel)
         w = branches[-1]
@@ -480,8 +481,7 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
 
     monkeypatch.setattr(entropy, "channel_cell_integrals", spoiled)
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    message = ("detection entropy is nan" if bad == math.inf
-               else "non-finite cell weight")
+    message = "non-finite cell weight in the "
     for channel in SpinChannel:
         with pytest.raises(NumericalError, match=message):
             shannon_ring_discrete(ctx, channel)
@@ -491,9 +491,9 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
 
 
 def test_non_finite_entropy_fails(monkeypatch):
-    # every weight finite, but w ln w overflows: the entropy is -inf,
-    # which the clamp at 0 used to hide; on every channel, one huge weight
-    # in its first branch
+    # every weight finite, but w ln w overflows: T is inf and the entropy
+    # -inf, which the clamp at 0 used to hide; on every channel, one huge
+    # weight in its first branch.  The row names the sum that overflowed
     def huge(mid, hw, K, channel):
         branches = tuple([1.0] * len(mid)
                          for _ in channel_cell_integrals(mid, hw, K, channel))
@@ -503,7 +503,9 @@ def test_non_finite_entropy_fails(monkeypatch):
     monkeypatch.setattr(entropy, "channel_cell_integrals", huge)
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for channel in SpinChannel:
-        with pytest.raises(NumericalError, match="detection entropy is -inf"):
+        with pytest.raises(NumericalError, match=(
+                rf"{channel.value}-channel sums leave the float range: "
+                r"Z = sum w = .*, T = sum w ln\(w / m\) = inf")):
             shannon_ring_discrete(ctx, channel)
 
 

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from escatter import (
+    BOHR_RADIUS_NM,
     HARTREE_EV,
     NumericalError,
     ScatterContext,
-    ev_to_hartree,
     make_context,
-    min_scattering_angle,
-    nm_to_bohr,
-    wave_number,
 )
 
 
@@ -28,23 +25,37 @@ def test_scatter_context_is_an_immutable_value():
 
 
 def test_ev_to_hartree_definition():
-    assert ev_to_hartree(27.211386245988) == pytest.approx(1.0, rel=1e-14)
-    assert ev_to_hartree(100.0) == pytest.approx(3.67493, abs=5e-6)
+    # K = sqrt(E), E in Hartree: one Hartree gives K = 1
+    assert make_context(27.211386245988, 100.0).K == pytest.approx(1.0, rel=1e-14)
+    assert make_context(100.0, 100.0).K ** 2 == pytest.approx(3.67493, abs=5e-6)
+
+
+#: (e_ev, l_nm, k_scale, what the refusal says): each input is checked
+#: once, E in Hartree first, then L in bohr, then k_scale
+_REFUSED = (
+    (0.0, 100.0, 1.0, "energy must be positive"),
+    (-1.0, 100.0, 1.0, "energy must be positive"),
+    (math.nan, 100.0, 1.0, "energy must be positive"),
+    (5e-324, 100.0, 1.0, "energy must be positive"),  # 0 in Hartree
+    (5.0, -5.0, 1.0, "l_nm = -5.0 nm must be positive and finite in bohr"),
+    (5.0, 0.0, 1.0, "l_nm = 0.0 nm must be positive and finite in bohr"),
+    (5.0, math.nan, 1.0, "must be positive and finite in bohr"),
+    (5.0, 1e308, 1.0, r"l_nm = 1e\+308 nm must be positive and finite in bohr"),
+    (-1.0, -5.0, 0.0, "energy must be positive"),
+    (5.0, -5.0, 0.0, "l_nm = -5.0 nm"),
+    (5.0, 100.0, 0.0, "k_scale must be positive"),
+    (5.0, 100.0, -1.0, "k_scale must be positive"),
+    (5.0, 100.0, math.nan, "k_scale must be positive"),
+    # 2 E b_bar underflows: refused before epsilon divides by it
+    (1e-200, 1e-200, 1.0, r"2 E b_bar rounds to 0 at e_ev = 1e-200, "
+                          r"l_nm = 1e-200: no scattering angle"),
+)
 
 
 def test_energy_domain_errors():
-    with pytest.raises(ValueError):
-        ev_to_hartree(0.0)
-    with pytest.raises(ValueError):
-        ev_to_hartree(-1.0)
-    with pytest.raises(ValueError):
-        nm_to_bohr(-5.0)
-    with pytest.raises(ValueError):
-        wave_number(0.0)
-    with pytest.raises(ValueError):
-        wave_number(1.0, k_scale=0.0)
-    with pytest.raises(ValueError):
-        min_scattering_angle(1.0, 0.0)
+    for e_ev, l_nm, k_scale, message in _REFUSED:
+        with pytest.raises(ValueError, match=message):
+            make_context(e_ev, l_nm, k_scale)
 
 
 def test_context_refuses_unrepresentable_energy():
@@ -61,43 +72,47 @@ def test_context_refuses_unrepresentable_energy():
 
 @given(st.floats(min_value=1e-6, max_value=1e9))
 def test_energy_round_trip(e_ev):
-    assert ev_to_hartree(e_ev) * HARTREE_EV == pytest.approx(e_ev, rel=1e-12)
+    assert make_context(e_ev, 100.0).K ** 2 * HARTREE_EV == pytest.approx(
+        e_ev, rel=1e-12)
 
 
 def test_wave_number_values():
-    assert wave_number(1.0) == 1.0
-    assert wave_number(4.0) == 2.0
-    assert wave_number(3.67493) == pytest.approx(1.91701, abs=5e-6)
+    assert make_context(HARTREE_EV, 100.0).K == 1.0
+    assert make_context(4.0 * HARTREE_EV, 100.0).K == 2.0
+    assert make_context(100.0, 100.0).K == pytest.approx(1.91701, abs=5e-6)
 
 
 def test_min_angle_values():
-    # 2 E b_bar = 1 puts the cutoff at the equator
-    assert min_scattering_angle(0.5, 1.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert min_scattering_angle(3.67493, 668.1) == pytest.approx(4.073e-4, rel=1e-3)
+    # 2 E b_bar = 1 puts the cutoff at the equator: 1 Hartree and
+    # b_bar = L / sqrt(2) = 1/2 bohr
+    l_nm = BOHR_RADIUS_NM / math.sqrt(2.0)
+    assert make_context(HARTREE_EV, l_nm).epsilon == pytest.approx(
+        math.pi / 2, rel=1e-15)
+    assert make_context(100.0, 50.0).epsilon == pytest.approx(4.073e-4, rel=1e-3)
 
 
 @given(st.floats(min_value=-3, max_value=6))
 def test_min_angle_monotone_in_energy(log_e):
+    # epsilon decreases strictly in E and in L
     e = 10.0 ** log_e
-    b = 100.0
-    assert min_scattering_angle(2.0 * e, b) < min_scattering_angle(e, b)
+    assert make_context(2.0 * e, 100.0).epsilon < make_context(e, 100.0).epsilon
+    assert make_context(5.0, 2.0 * e).epsilon < make_context(5.0, e).epsilon
 
 
 def test_context_invariants():
-    ctx = make_context(1.0, 100.0)
-    length = nm_to_bohr(100.0)
-    assert ctx.K > 0
-    assert 0 < ctx.epsilon < math.pi / 2
-    assert ctx.sigma_k == pytest.approx(1.0 / length, rel=1e-15)
-    assert ctx.delta_theta == pytest.approx(2.0 / (ctx.K * length), rel=1e-15)
-    # each field recomputed independently: 1 eV in Hartree, and the
-    # limiting impact parameter b_bar = L / sqrt(2)
-    e_ha = 1.0 / HARTREE_EV
-    assert ctx.K == pytest.approx(wave_number(e_ha), rel=1e-14)
-    assert ctx.epsilon == pytest.approx(
-        min_scattering_angle(e_ha, length / math.sqrt(2.0)), rel=1e-14)
-    assert ctx.epsilon == pytest.approx(
-        2.0 * math.atan(math.sqrt(2.0) / (2.0 * e_ha * length)), rel=1e-14)
+    # each field against its formula written out: E in Hartree, L in
+    # bohr, and the limiting impact parameter b_bar = L / sqrt(2)
+    for e_ev, l_nm, k_scale in ((1.0, 100.0, 1.0), (5.0, 100.0, math.sqrt(2.0)),
+                                (1e12, 1000.0, 1.3)):
+        ctx = make_context(e_ev, l_nm, k_scale)
+        e_ha = e_ev / HARTREE_EV
+        length = l_nm / BOHR_RADIUS_NM
+        assert ctx.K == k_scale * math.sqrt(e_ha)
+        assert ctx.sigma_k == 1.0 / length
+        assert ctx.epsilon == 2.0 * math.atan(
+            1.0 / (2.0 * e_ha * (length / math.sqrt(2.0))))
+        assert ctx.delta_theta == 2.0 / (ctx.K * length)
+        assert 0 < ctx.epsilon < math.pi / 2
 
 
 def test_packet_scale_check():

@@ -42,7 +42,7 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
-    assert len(escatter.__all__) == 31
+    assert len(escatter.__all__) == 27
 
 
 def _escatter_names_read_by(path: pathlib.Path) -> set[tuple[str, str]]:
