@@ -12,12 +12,12 @@ Only vn-compare has a matrix, so only vn-compare imports numpy: with
 Every other table runs on the standard library alone.
 
 Only vn-compare's rows run in worker threads (``--threads``), because
-only their eigensolve (LAPACK, via numpy) releases the GIL: on two
-threads the eigensolves scale about 1.8x, while the matrix builds, many
-small numpy calls, hold the GIL and only contend for it, so they take
-turns: a row's eigensolve starts right after its own build.  Every other
-table's rows are pure Python, which holds it, so they run one after
-another on the calling thread, and a cold start loads no thread pool.
+only they spend their time in numpy, which releases the GIL for the
+dense eigensolve (one LAPACK call) and the matrix build's larger array
+operations; each row builds and diagonalises on its own worker.  Every
+other table's rows are pure Python, which holds it, so they run one
+after another on the calling thread, and a cold start loads no thread
+pool.
 
 A CLI process (``python -m escatter.cli`` or the ``escatter-entropy``
 script) enters through :func:`process_main`: it runs ``main()`` with
@@ -28,7 +28,6 @@ the interpreter's final collections no longer walk numpy's objects.
 
 from __future__ import annotations
 
-import _thread
 import argparse
 import gc
 import json
@@ -329,18 +328,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# vn-compare builds one matrix at a time: two concurrent n = 1024 builds
-# took 0.11-0.13 s, against 0.045 s each one after the other.  (A
-# threading.Lock; ``threading`` itself is not loaded under ``python -S``.)
-_BUILD_TURN = _thread.allocate_lock()
-
-
 def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
     from .density_matrix import build_meridian_matrix, eigen_spectrum
 
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-    with _BUILD_TURN:
-        dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
+    dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
     s_vn = shannon_discrete(eigen_spectrum(dm))
     # exact discrete sum: the continuous-limit form is not valid when the
     # cell width is comparable to the cutoff angle, which is the case on
@@ -382,7 +374,7 @@ class _Table(namedtuple("_Table", ("inputs", "computed", "row_inputs", "row",
     tuple of ``inputs`` values per row, and ``row(cfg, *inputs)`` returns
     that row's ``computed`` values in column order.  ``releases_gil``
     marks the one table whose rows may run on ``--threads`` workers
-    (vn-compare: its eigensolves release the GIL)."""
+    (vn-compare: its rows' numpy work releases the GIL)."""
 
     __slots__ = ()
 

@@ -35,10 +35,9 @@ really sit, by one batched solve of their Chebyshev-Vandermonde systems
 (well conditioned at points this close to Chebyshev's); check points
 and band mu take the same map.  Clenshaw passes, numpy's ``chebval``
 step for step, check a round and evaluate every band mu.  The band is
-then assembled by broadcasting.  A build is many small numpy calls and Python loops that
-hold the GIL, so builds on two threads overlap little (1.0-1.2x); the
-dense eigensolve is one LAPACK call that releases it (about 1.8x).
-:func:`kernel_element` evaluates one element from direct J.
+then assembled by broadcasting.  Builds share no state but
+``_gl_nodes``' cached arrays, which they only read, so threads may build
+at once.  :func:`kernel_element` evaluates one element from direct J.
 
 I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, in
 three preallocated buffers, so the package needs no scipy.
@@ -242,8 +241,7 @@ def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
             qq = mu[k] + t
             vals = (qq ** (-3.0) * _i0e(bessel_scale[k] * qq)
                     * np.exp(-(t * t) / (2.0 * sig2)))
-            # one dot per mu: a matrix product sums in another order
-            est[r:r + rows] = half[i] * np.array([np.dot(w, v) for v in vals])
+            est[r:r + rows] = half[i] * np.vecdot(vals, w)
         bad = ~np.isfinite(est)
         if bad.any():
             m = float(mu[todo[bad][0]])
@@ -313,10 +311,12 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     while pending:
         if fits >= _TABLE_MAX_PANELS:
             a, b = min(pending)
+            j = float(_kernel_j(np.array([a]), ctx)[0])
             raise NumericalError(
                 f"J(mu) table missed {_TABLE_RTOL:g} relative after "
                 f"{_TABLE_MAX_PANELS} panel fits; {len(pending)} panels "
-                f"left, the first [{a!r}, {b!r}]")
+                f"left, the first [{a!r}, {b!r}], where J(a) = {j!r} "
+                f"(sigma_k = {ctx.sigma_k!r})")
         batch = pending[:_TABLE_MAX_PANELS - fits]
         pending = pending[len(batch):]
         fits += len(batch)
@@ -403,16 +403,18 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     keep = dq <= band
     i, j, dq = i[keep], j[keep], dq[keep]
 
+    j_band = _kernel_j_table(0.5 * (q[i] + q[j]), ctx)
     vals = (sqrt_mu[i] * sqrt_mu[j] * 2.0 * math.pi
-            * np.exp(-(dq * dq) / (8.0 * ctx.sigma_k ** 2))
-            * _kernel_j_table(0.5 * (q[i] + q[j]), ctx))
+            * np.exp(-(dq * dq) / (8.0 * ctx.sigma_k ** 2)) * j_band)
     rho = np.zeros((n_grid, n_grid))
     rho[i, j] = vals
     rho[j, i] = vals
 
     trace = float(np.trace(rho))
     if not (math.isfinite(trace) and trace > 0.0):
-        raise NumericalError(f"matrix trace is {trace!r}, cannot normalize")
+        raise NumericalError(
+            f"J(mu) on the band is at most {float(j_band.max())!r} (sigma_k = "
+            f"{ctx.sigma_k!r}): matrix trace is {trace!r}, cannot normalize")
     rho /= trace
     return DensityMatrix(q_grid=q, rho=rho)
 

@@ -16,6 +16,7 @@ bugs, and epsilon decreases strictly in both E and L.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import NumericalError
@@ -46,7 +47,8 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     checked here, once.
 
     Raises ValueError unless E in Hartree is positive, L in bohr positive
-    and finite and k_scale positive, or when 2 E b_bar rounds to 0.
+    and finite and k_scale positive, when 2 E b_bar rounds to 0, or when
+    K or K L is below the normal float range.
     Raises NumericalError if ``e_ev`` is beyond what the cell integrals
     can represent: K^4, their scale, overflows, or the cutoff angle
     epsilon is lost in rounding against the pixel width delta_theta
@@ -68,6 +70,11 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
         raise ValueError(
             f"2 E b_bar rounds to 0 at e_ev = {e_ev!r}, l_nm = {l_nm!r}: no "
             "scattering angle is accessible (2 E b_bar < 1)")
+    if not (k >= sys.float_info.min and k * length >= sys.float_info.min):
+        raise ValueError(
+            f"k_scale = {k_scale!r} is too small at e_ev = {e_ev!r}, l_nm = "
+            f"{l_nm!r}: K = {k!r} or K L = {k * length!r} is below the normal "
+            "float range")
     ctx = ScatterContext(
         K=k,
         sigma_k=1.0 / length,

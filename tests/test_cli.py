@@ -665,25 +665,41 @@ def test_main_in_process_leaves_gc_alone(enabled, capsys):
     assert capsys.readouterr().out.splitlines()[2] == "4,3,4,2,3,1,ok"
 
 
-def test_vn_compare_builds_take_turns(monkeypatch, capsys):
-    # builds hold the GIL, so vn-compare's row threads build one matrix at
-    # a time; each build here sleeps, so overlapping builds would show
-    from escatter import density_matrix
+def test_concurrent_builds_equal_sequential_builds():
+    # vn-compare's rows build their matrices on concurrent worker threads,
+    # with no lock: builds share only the Gauss-Legendre node cache.  Six
+    # threads, each on its own point, switching every microsecond, must
+    # all finish in bounded time with the bytes of a sequential build
+    import numpy as np
 
-    build, active, most = density_matrix.build_meridian_matrix, [], []
+    from escatter.density_matrix import build_meridian_matrix
 
-    def slow_build(*args, **kwargs):
-        active.append(1)
-        most.append(len(active))
-        time.sleep(0.05)
-        active.pop()
-        return build(*args, **kwargs)
+    points = [(e, n) for e in (5.0, 7.0, 20.0) for n in (32, 48)]
 
-    monkeypatch.setattr(density_matrix, "build_meridian_matrix", slow_build)
-    assert main(["vn-compare", "--energy-list", "5,6,7,8", "--n-grid", "16",
-                 "--k-scale", SQRT2, "--threads", "4"]) == 0
-    assert len(most) == 4 and max(most) == 1
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    def build(e_ev, n_grid):
+        ctx = make_context(e_ev, 100.0, math.sqrt(2.0))
+        return build_meridian_matrix(ctx, n_grid).rho
+
+    sequential = [build(*point) for point in points]
+    concurrent = [None] * len(points)
+
+    def worker(k):
+        concurrent[k] = build(*points[k])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(points))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in workers)
+    for seq, con in zip(sequential, concurrent, strict=True):
+        assert con is not None and np.array_equal(con, seq)
 
 
 @pytest.mark.parametrize("command", ["spinless-sweep", "vn-compare"])
@@ -930,12 +946,22 @@ _NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
     (["spinless-sweep", "--channel", "parallel", "--energy-ev", "100",
       "--packet-nm", "1e152", "--k-scale", SQRT2],
      "parallel-channel sums leave the float range: Z = sum w = "),
+    (["vn-compare", "--energy-ev", "1e10", "--packet-nm", "1e148", "--n-grid",
+      "16", "--k-scale", SQRT2], "], where J(a) = "),
+    (["vn-compare", "--energy-ev", "1e33", "--packet-nm", "1e131", "--n-grid",
+      "16", "--k-scale", "1"],
+     "J(mu) on the band is at most 0.0 (sigma_k = 5.2917721e-133)"),
+    (["spinless-sweep", "--energy-ev", "1", "--k-scale", "5e-324"],
+     "k_scale = 5e-324 is too small at e_ev = 1.0, l_nm = 100.0: K = 0.0"),
+    (["spinless-sweep", "--energy-ev", "1", "--packet-nm", "1e-20",
+      "--k-scale", "1e-300"], "k_scale = 1e-300 is too small"),
 ], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
         "postselect-overflow", "sphere-zero-division", "sphere-pixel-underflow",
         "sphere-pixel-overflow", "sphere-pixel-weights", "packet-overflow",
         "vn-bessel-overflow", "vn-table-overflow", "spinless-tiny-el",
         "sphere-tiny-el", "spin-tiny-el", "postselect-tiny-el", "vn-tiny-el",
-        "parallel-inf-weight", "parallel-wlnw-overflow"])
+        "parallel-inf-weight", "parallel-wlnw-overflow", "vn-j-subnormal",
+        "vn-j-zero", "tiny-k-scale", "tiny-k-scale-kl"])
 def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # rows whose numbers leave the float range fail naming the quantity
     # that left it, never with Python's or numpy's own text: at 1e160 eV
@@ -951,8 +977,13 @@ def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # 1e-200 nm, 2 E b_bar underflowed to 0 in the cutoff angle ("float
     # division by zero"); the parallel channel's first cells at 1e5 eV /
     # 1e150 nm weighed inf ("detection entropy is nan"), and at 100 eV /
-    # 1e152 nm a finite weight's w ln w overflowed ("... is -inf").  The
-    # row's one line is all that reaches stderr: no numpy warning
+    # 1e152 nm a finite weight's w ln w overflowed ("... is -inf").
+    # vn-compare's J at 1e10 eV / 1e148 nm is subnormal and at 1e33 eV /
+    # 1e131 nm exactly 0, which failed as the J table's panel budget and
+    # as "matrix trace is 0.0"; both now give J and sigma_k.  A k-scale
+    # that rounds K or K L below the normal range divided by zero in
+    # delta_theta, or blamed the energy.  The row's one line is all that
+    # reaches stderr: no numpy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + ["--threads", "1", "--format", "json"]) == 3

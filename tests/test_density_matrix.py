@@ -363,7 +363,7 @@ def test_assembly_matches_per_element_oracle(e_ev, l_nm):
 def test_table_rejects_unfittable_j(ctx, monkeypatch):
     # a J that is noise at every scale defeats every panel with two
     # distinct nodes: bisection stops at the panel limit, so the direct
-    # evaluations stay bounded
+    # evaluations stay bounded: the fits', and the one J the error quotes
     mus = []
 
     def noisy_j(mu, _ctx):
@@ -375,7 +375,7 @@ def test_table_rejects_unfittable_j(ctx, monkeypatch):
     with pytest.raises(NumericalError, match="panel fits"):
         build_meridian_matrix(ctx, 64)
     per_fit = 2 * density_matrix._TABLE_NODES + 1  # nodes and check points
-    assert len(mus) == density_matrix._TABLE_MAX_PANELS * per_fit
+    assert len(mus) == density_matrix._TABLE_MAX_PANELS * per_fit + 1
 
 
 def test_table_stops_at_a_panel_too_narrow_to_fit(ctx, monkeypatch):

@@ -31,7 +31,8 @@ def test_ev_to_hartree_definition():
 
 
 #: (e_ev, l_nm, k_scale, what the refusal says): each input is checked
-#: once, E in Hartree first, then L in bohr, then k_scale
+#: once, E in Hartree first, then L in bohr, then k_scale, then what
+#: they give together
 _REFUSED = (
     (0.0, 100.0, 1.0, "energy must be positive"),
     (-1.0, 100.0, 1.0, "energy must be positive"),
@@ -49,6 +50,12 @@ _REFUSED = (
     # 2 E b_bar underflows: refused before epsilon divides by it
     (1e-200, 1e-200, 1.0, r"2 E b_bar rounds to 0 at e_ev = 1e-200, "
                           r"l_nm = 1e-200: no scattering angle"),
+    # K, or K L, below the normal range: refused before delta_theta
+    # divides by K L, naming k_scale
+    (1.0, 100.0, 5e-324, r"k_scale = 5e-324 is too small at e_ev = 1.0, "
+                         r"l_nm = 100.0: K = 0.0 or K L = 0.0"),
+    (1.0, 1e20, 1e-310, r"k_scale = 1e-310 is too small"),  # K subnormal
+    (1.0, 1e-20, 1e-300, r"k_scale = 1e-300 is too small"),  # K L subnormal
 )
 
 
