@@ -35,7 +35,8 @@ really sit, by one batched solve of their Chebyshev-Vandermonde systems
 (well conditioned at points this close to Chebyshev's); check points
 and band mu take the same map.  Clenshaw passes, numpy's ``chebval``
 step for step, check a round and evaluate every band mu.  The band is
-then assembled by broadcasting.  Builds share no state but
+then normalised by its own diagonal's sum and written once, by
+broadcasting, into kernel-zeroed pages.  Builds share no state but
 ``_gl_nodes``' cached arrays, which they only read, so threads may build
 at once.  :func:`kernel_element` evaluates one element from direct J.
 
@@ -53,6 +54,7 @@ the operator spectrum.
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 from functools import lru_cache
 
@@ -150,7 +152,7 @@ class DensityMatrix:
             raise ValueError(
                 f"trace = {float(np.trace(r))!r}, expected 1 after normalization")
         object.__setattr__(self, "q_grid", q_grid)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", r)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"DensityMatrix is immutable: cannot set {name!r}")
@@ -186,6 +188,12 @@ def _i0e(x):
     return out[()]
 
 
+def _j_window(mu: np.ndarray, ctx: ScatterContext) -> tuple:
+    """Direct J's window, q'' - mu in [lo, hi]: J = 0 where hi <= lo."""
+    return (np.maximum(ctx.K * ctx.epsilon - mu, -_WINDOW_SIGMAS * ctx.sigma_k),
+            np.minimum(2.0 * ctx.K - mu, _WINDOW_SIGMAS * ctx.sigma_k))
+
+
 def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """J at every ``mu``: the q'' integral of the kernel, window-restricted
     and refined by Gauss-Legendre doubling, all mu at once.
@@ -218,8 +226,7 @@ def _kernel_j(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=float)
     sig2 = ctx.sigma_k ** 2
-    lo = np.maximum(ctx.K * ctx.epsilon - mu, -_WINDOW_SIGMAS * ctx.sigma_k)
-    hi = np.minimum(2.0 * ctx.K - mu, _WINDOW_SIGMAS * ctx.sigma_k)
+    lo, hi = _j_window(mu, ctx)
     half = 0.5 * (hi - lo)
     shift = 0.5 * (hi + lo)  # window centre relative to mu
     bessel_scale = mu / sig2
@@ -302,6 +309,11 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     left of the ``_TABLE_MAX_PANELS`` budget, and each panel is then kept
     or bisected.
     """
+    lo, hi = _j_window(mu, ctx)
+    if not (hi > lo).all():  # empty window: J = 0, a jump no panel fits
+        out, live = np.zeros_like(mu), hi > lo
+        out[live] = _kernel_j_table(mu[live], ctx) if live.any() else 0.0
+        return out
     mu_lo, mu_hi = float(mu.min()), float(mu.max())
     edges = panel_edges(mu_lo, mu_hi, ctx.sigma_k, mu_lo - ctx.K * ctx.epsilon,
                         2.0 * ctx.K - mu_hi)
@@ -348,6 +360,19 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     return _chebval_rows(x, lambda k: coef_t[k][which])
 
 
+def _zero_pages(n: int) -> np.ndarray:
+    """n x n float64 zeros on pages that stay the kernel's zero page until
+    written.  numpy advises huge pages from 4 MB: at n = 1024 the band made
+    all 8 MB of an ``np.zeros`` rho resident, but touches ~4.2 MB of 4 kB
+    pages.  A shared mapping (mmap's default) makes pages it reads resident."""
+    if not hasattr(mmap, "MAP_PRIVATE"):  # Windows
+        return np.zeros((n, n))
+    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=float).reshape(n, n)
+
+
 def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
                           grid_cap: int = 4096) -> DensityMatrix:
     """Assemble and trace-normalize the meridian density matrix.
@@ -356,7 +381,8 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     ``ring_grid`` with ``n_grid`` cells over [epsilon, pi - epsilon].
     Elements farther than 45 sigma_k from the diagonal in q are set to
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
-    O(n * bandwidth).  A grid whose first
+    O(n * bandwidth); the band is divided by the trace, then written once
+    into :func:`_zero_pages`.  A grid whose first
     point q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon
     raises ValueError before any kernel work; NumericalError there refuses a
     packet so wide that sigma_k^2 is not a normal float, or 2K / sigma_k^2 or
@@ -406,16 +432,15 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     j_band = _kernel_j_table(0.5 * (q[i] + q[j]), ctx)
     vals = (sqrt_mu[i] * sqrt_mu[j] * 2.0 * math.pi
             * np.exp(-(dq * dq) / (8.0 * ctx.sigma_k ** 2)) * j_band)
-    rho = np.zeros((n_grid, n_grid))
-    rho[i, j] = vals
-    rho[j, i] = vals
-
-    trace = float(np.trace(rho))
+    trace = float(vals[i == j].sum())  # rows start at (i, i): np.trace's sum
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericalError(
             f"J(mu) on the band is at most {float(j_band.max())!r} (sigma_k = "
             f"{ctx.sigma_k!r}): matrix trace is {trace!r}, cannot normalize")
-    rho /= trace
+    vals /= trace
+    rho = _zero_pages(n_grid)
+    rho[i, j] = vals
+    rho[j, i] = vals
     return DensityMatrix(q_grid=q, rho=rho)
 
 

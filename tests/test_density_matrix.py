@@ -1,4 +1,6 @@
 import math
+import mmap
+import os
 import random
 import time
 
@@ -360,6 +362,30 @@ def test_assembly_matches_per_element_oracle(e_ev, l_nm):
         assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
 
 
+@pytest.mark.parametrize("e_ev,l_nm,start_sigmas,j_at_start", [
+    (0.05, 100.0, None, 0.0), (0.05, 100.0, -20.0, 0.0),
+    (0.05, 100.0, -12.0, 6.5113810e-47), (0.5, 10.0, -12.0, 0.0),
+    (5.0, 100.0, -11.5, 3.8702847e-27)])
+def test_table_below_the_cutoff(e_ev, l_nm, start_sigmas, j_at_start):
+    # below K eps - 12 sigma_k direct J's window is empty and J exactly 0;
+    # the table used to bisect that jump down to a panel too narrow to fit
+    # (0.05 eV / 100 nm from mu = 0 or K eps - 20 sigma_k).  It now
+    # tabulates only where the window is non-empty, by direct J's own
+    # test: at K eps - 12 sigma_k exactly, rounding leaves a sliver of
+    # window at 0.05 eV / 100 nm but not at 0.5 eV / 10 nm
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    start = 0.0 if start_sigmas is None else (
+        ctx.K * ctx.epsilon + start_sigmas * ctx.sigma_k)
+    mu = np.linspace(start, 2.0 * ctx.K, 400)
+    table = density_matrix._kernel_j_table(mu, ctx)
+    direct = density_matrix._kernel_j(mu, ctx)
+    assert direct[0] == pytest.approx(j_at_start, rel=1e-6, abs=0.0)
+    zero = direct == 0.0
+    assert np.array_equal(table == 0.0, zero)
+    rel = np.abs(table[~zero] - direct[~zero]) / direct[~zero]
+    assert float(rel.max()) <= density_matrix._TABLE_RTOL
+
+
 def test_table_rejects_unfittable_j(ctx, monkeypatch):
     # a J that is noise at every scale defeats every panel with two
     # distinct nodes: bisection stops at the panel limit, so the direct
@@ -433,6 +459,33 @@ def test_packet_too_wide_fails_before_j(monkeypatch, e_ev, l_nm, narrower_nm):
         build_meridian_matrix(ctx, 4)
 
 
+@pytest.mark.skipif(not (os.path.exists("/proc/self/smaps")
+                         and hasattr(mmap, "MAP_PRIVATE")),
+                    reason="needs /proc/self/smaps and private mappings")
+def test_only_the_band_pages_are_resident():
+    # rho lives on a private mapping that declines huge pages, so the
+    # pages outside the 45 sigma_k band stay on the kernel's zero page
+    # however often the checks and eigvalsh read them.  np.zeros put it on
+    # huge pages, all 8,192 kB resident; the band's pages are ~4,200 kB
+    dm = build_meridian_matrix(make_context(5.1, 100.0, CALIBRATED_KSCALE), 1024)
+    eigen_spectrum(dm)
+    start = dm.rho.ctypes.data
+    end = start + dm.rho.nbytes
+    kb, inside = {"Size:": 0, "Rss:": 0}, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            key, value = line.split()[:2]
+            if not key.endswith(":"):  # a mapping's first line: lo-hi perms ...
+                lo, hi = (int(a, 16) for a in key.split("-"))
+                inside = lo < end and hi > start
+            elif inside and key in kb:
+                kb[key] += int(value)
+    # the mappings that hold rho; a neighbour of the same kind may have
+    # merged with rho's, and numpy's huge-page advice splits its own
+    assert kb["Size:"] * 1024 >= dm.rho.nbytes
+    assert kb["Rss:"] <= 0.6 * kb["Size:"], kb
+
+
 # ---------------------------------------------------------------------------
 # spectra and entropy of hand-built states
 # ---------------------------------------------------------------------------
@@ -449,6 +502,14 @@ def test_eigen_spectrum_simple_cases():
     v = np.array([3.0, 4.0]) / 5.0
     lam = eigen_spectrum(_dm_from(np.outer(v, v)))
     assert lam == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    # the checked float64 array is what is kept, whatever came in
+    for rho in (np.diag([0.25] * 4).astype(np.float32), [[0.5, 0.0], [0.0, 0.5]]):
+        dm = DensityMatrix(q_grid=np.arange(len(rho)) + 1.0, rho=rho)
+        assert isinstance(dm.rho, np.ndarray) and dm.rho.dtype == np.float64
+        lam = eigen_spectrum(dm)
+        assert lam.dtype == np.float64
+        assert lam == pytest.approx([1.0 / len(lam)] * len(lam), abs=1e-15)
 
 
 def test_density_matrix_rejects_non_finite():
