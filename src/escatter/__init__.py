@@ -23,12 +23,10 @@ from .errors import NumericalError
 from .geometry import (
     AngularGrid,
     GridKind,
-    channel_domain,
     range_grid_below,
     ring_grid,
     ring_weight,
     sphere_pixel_count,
-    uniform_grid,
 )
 from .kinematics import (
     BOHR_RADIUS_NM,
@@ -66,7 +64,6 @@ __all__ = [
     "SpinChannel",
     "__version__",
     "build_meridian_matrix",
-    "channel_domain",
     "eigen_spectrum",
     "equator_entropies",
     "kernel_element",
@@ -81,5 +78,4 @@ __all__ = [
     "shannon_sphere_discrete",
     "shannon_sphere_jaynes",
     "sphere_pixel_count",
-    "uniform_grid",
 ]

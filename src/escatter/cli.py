@@ -473,17 +473,17 @@ def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file + rename so interrupted runs never
     leave a truncated table at the target path.  The table gets the mode
-    a plain ``open`` gives a new file, 0o666 less the umask."""
-    import tempfile  # only --out needs it: kept out of every cold start
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".escatter-", suffix=".tmp")
+    a plain ``open`` gives a new file: 0o666, less the umask the kernel
+    applies at creation."""
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f".escatter-{os.urandom(8).hex()}.tmp")
+    # O_EXCL: never open a file another writer made; O_BINARY (Windows):
+    # the text layer of fdopen already translates newlines
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        umask = os.umask(0)  # the one way to read it: set it and put it back
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp's file is 0o600
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -1,6 +1,8 @@
 """Detector discretizations and per-cell probability integrals, on the
 ``math`` module alone.  A channel's grid has one resolver,
-:func:`ring_grid`, over the domain :func:`channel_domain` decides;
+:func:`ring_grid`, which also decides the channel's domain: the full
+shell [epsilon, pi - epsilon] for SPINLESS, the half shell [epsilon,
+pi/2] up to the equator for the indistinguishable spin channels.
 ``SINGULAR_ANGLES`` lists where each channel's densities have poles and
 zeros.
 
@@ -98,24 +100,6 @@ class AngularGrid(namedtuple("AngularGrid", ("kind", "theta_lo", "theta_hi",
         return [lo + (x + 0.5) * delta for x in xs]
 
 
-def channel_domain(ctx: ScatterContext, channel: SpinChannel) -> tuple[float, float]:
-    """Angular domain accessible to a channel: full shell for SPINLESS,
-    half shell (up to the equator) for the indistinguishable spin
-    channels.
-
-    Both are empty when the cutoff angle epsilon is not below pi/2, which
-    happens once 2 E b_bar < 1.
-    """
-    if not ctx.epsilon < 0.5 * math.pi:
-        raise ValueError(
-            f"cutoff angle epsilon = {ctx.epsilon:.6g} rad is not below "
-            f"pi/2 = {0.5 * math.pi:.6g} rad: no scattering angle is "
-            "accessible (2 E b_bar < 1)")
-    if channel is SpinChannel.SPINLESS:
-        return (ctx.epsilon, math.pi - ctx.epsilon)
-    return (ctx.epsilon, 0.5 * math.pi)
-
-
 def _cell_count(length: float, delta: float) -> int:
     return int(math.floor(length / delta + _DIVISION_SLACK))
 
@@ -123,12 +107,21 @@ def _cell_count(length: float, delta: float) -> int:
 def ring_grid(ctx: ScatterContext, channel: SpinChannel,
               kind: GridKind = GridKind.RINGS,
               n_cells: int | None = None) -> AngularGrid:
-    """A channel's grid over its ``channel_domain``: with ``n_cells`` that
-    many equal cells (:func:`uniform_grid`), else the native one, cells of
-    ``ctx.delta_theta`` from the cutoff angle epsilon up."""
-    lo, hi = channel_domain(ctx, channel)
+    """A channel's grid over its domain: the full shell [epsilon,
+    pi - epsilon] for SPINLESS, the half shell [epsilon, pi/2] for the
+    indistinguishable spin channels, both empty once 2 E b_bar < 1 puts
+    the cutoff angle epsilon at or above pi/2.  With ``n_cells`` that many
+    equal cells, else the native grid, cells of ``ctx.delta_theta``."""
+    if not ctx.epsilon < 0.5 * math.pi:
+        raise ValueError(
+            f"cutoff angle epsilon = {ctx.epsilon:.6g} rad is not below "
+            f"pi/2 = {0.5 * math.pi:.6g} rad: no scattering angle is "
+            "accessible (2 E b_bar < 1)")
+    lo = ctx.epsilon
+    hi = math.pi - lo if channel is SpinChannel.SPINLESS else 0.5 * math.pi
     if n_cells is not None:
-        return uniform_grid(lo, hi, n_cells, kind=kind)
+        # AngularGrid rejects n_cells < 1; max() lets it do so for 0 as well
+        return AngularGrid(kind, lo, hi, n_cells, (hi - lo) / max(n_cells, 1))
     n = _cell_count(hi - lo, ctx.delta_theta)
     if n < 1:
         raise ValueError(
@@ -136,15 +129,6 @@ def ring_grid(ctx: ScatterContext, channel: SpinChannel,
             f"{ctx.delta_theta:.3e} rad exceeds the domain [{lo:.3e}, {hi:.3e}]")
     return AngularGrid(kind=kind, theta_lo=lo, theta_hi=hi,
                        n_cells=n, delta_theta=ctx.delta_theta)
-
-
-def uniform_grid(theta_lo: float, theta_hi: float, n_cells: int,
-                 kind: GridKind = GridKind.RINGS) -> AngularGrid:
-    """A grid with exactly ``n_cells`` equal cells spanning the domain."""
-    # AngularGrid rejects n_cells < 1; max() lets it do so for 0 as well
-    return AngularGrid(kind=kind, theta_lo=theta_lo, theta_hi=theta_hi,
-                       n_cells=n_cells,
-                       delta_theta=(theta_hi - theta_lo) / max(n_cells, 1))
 
 
 def range_grid_below(theta_top: float, theta_r: float,
@@ -169,9 +153,10 @@ def range_grid_below(theta_top: float, theta_r: float,
 def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
     """Number of square pixels of side delta_theta covering the channel's
     part of the sphere: M = floor(Omega_0 / delta_theta^2), with
-    Omega_0 = 2 pi (cos lo - cos hi) over ``channel_domain`` [lo, hi]."""
-    lo, hi = channel_domain(ctx, channel)
-    omega0 = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+    Omega_0 = 2 pi (cos lo - cos hi) over the channel's domain [lo, hi],
+    the span of its :func:`ring_grid`."""
+    span = ring_grid(ctx, channel, n_cells=1)
+    omega0 = 2.0 * math.pi * (math.cos(span.theta_lo) - math.cos(span.theta_hi))
     area = ctx.delta_theta ** 2
     if not (area > 0.0 and omega0 / area < math.inf):
         raise NumericalError(

@@ -298,14 +298,6 @@ def streamed_weight_entropy(grid, K: float, channel,
     return (math.log(z) - t / z) / math.log(2.0), z
 
 
-def _mp_cell(mid: float, hw: float, K: float):
-    """Exact bounds a, b of the cell [mid - hw, mid + hw] and the prefactor
-    pi / (4 K^4), at the working precision."""
-    a = mpmath.mpf(mid) - mpmath.mpf(hw)
-    b = mpmath.mpf(mid) + mpmath.mpf(hw)
-    return a, b, mpmath.pi / (4 * mpmath.mpf(K) ** 4)
-
-
 def _antiderivatives_mp(a, b, K):
     """pi / (4 K^4) times the differences over [a, b] of -1/s, 1/(1-s) and
     A(u) = 4 (atanh u - u / (1 - u^2)), s = sin^2(theta/2), u = cos theta:

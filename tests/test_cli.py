@@ -334,6 +334,19 @@ def test_write_atomic_gives_the_mode_open_gives(tmp_path, umask):
     assert modes == {0o666 & ~umask}
 
 
+def test_write_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, process-wide: a file another
+    # thread created in that window got no umask at all
+    def no_umask(mask):
+        raise AssertionError("write_atomic set the process umask")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    target = tmp_path / "out.csv"
+    write_atomic(str(target), "a,b\n1,2\n")
+    assert target.read_bytes() == b"a,b\n1,2\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
 def test_cli_import_loads_neither_importlib_nor_numpy():
     # vn-compare loads escatter.density_matrix with a plain relative
     # import: a python -S start needs importlib for nothing else
@@ -405,6 +418,39 @@ def test_bad_config_exit_2(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "positive" in err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["spinless-sweep", "--energy-list", ","], None, "energy list is empty"),
+    (["spinless-sweep", "--k-scale", "-1"], None,
+     "k-scale must be positive, got -1.0"),
+    (["vn-compare", "--grid-cap", "1"], None, "grid cap must be >= 2, got 1"),
+    (["vn-compare", "--n-grid", "5000"], None,
+     "n-grid 5000 exceeds the dense-diagonalization cap 4096"),
+    (["spinless-sweep", "--threads", "-1"], None,
+     "threads must be >= 0, got -1"),
+    # the flags' choices refuse these before validate: a config file does not
+    (["spinless-sweep"], "channel = up", "unknown channel 'up'"),
+    (["spinless-sweep"], "geometry = cube", "unknown geometry 'cube'"),
+    (["spinless-sweep"], "format = xml", "format must be csv or json, got 'xml'"),
+], ids=["energy-list", "k-scale", "grid-cap", "n-grid", "threads", "channel",
+        "geometry", "format"])
+def test_refused_config_exits_2_with_its_message(argv, config, message,
+                                                 tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_unknown_command_is_refused():
+    # the parser admits only COMMANDS; run() still checks a RunConfig
+    # built in code
+    with pytest.raises(ConfigError, match=r"^unknown command 'bogus'$"):
+        run(RunConfig("bogus"))
 
 
 def test_sphere_geometry_needs_sphere_command(capsys):

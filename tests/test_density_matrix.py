@@ -122,6 +122,21 @@ def test_kernel_symmetry_and_domain(ctx):
             kernel_element(q, qp, ctx)
 
 
+def test_direct_j_refuses_a_nan_or_unconverged_integral(ctx, monkeypatch):
+    # a non-finite estimate fails at the order that produced it; a mu
+    # still open at the last order fails naming the order cap
+    monkeypatch.setattr(density_matrix, "_i0e",
+                        lambda x: np.full(np.shape(x), math.nan))
+    with pytest.raises(NumericalError, match=r"^kernel integral J\(mu=0\.3\) "
+                       r"is nan with 64 GL nodes$"):
+        kernel_element(0.3, 0.3, ctx)
+    monkeypatch.undo()
+    monkeypatch.setattr(density_matrix, "_GL_MAX", density_matrix._GL_START)
+    with pytest.raises(NumericalError, match=r"^kernel integral J\(mu=0\.3\) "
+                       r"did not converge to 1e-09 relative with 64 GL nodes$"):
+        kernel_element(0.3, 0.3, ctx)
+
+
 def test_coherence_width_tracks_packet_size():
     # the 1e-6 off-diagonal contour sits where the packet overlap dies,
     # so its width in q is proportional to sigma_k (halves when the
@@ -576,6 +591,16 @@ def test_density_matrix_is_immutable():
 def test_eigen_spectrum_rejects_nonpsd():
     with pytest.raises(NumericalError, match="not positive semidefinite"):
         eigen_spectrum(_dm_from(np.diag([1.5, -0.5])))
+
+
+def test_eigen_spectrum_rejects_a_clamped_sum_off_unit_trace():
+    # 99 eigenvalues of -9e-11 pass the PSD tolerance and are clamped to
+    # 0, which leaves the spectrum 8.9e-9 above unit trace
+    rho = np.diag([1.0 + 99 * 9e-11] + [-9e-11] * 99)
+    dm = _dm_from(rho)
+    with pytest.raises(NumericalError, match=r"^eigenvalue sum 1\.00000000\d* "
+                       r"deviates from unit trace$"):
+        eigen_spectrum(dm)
 
 
 def test_eigen_spectrum_vs_characteristic_polynomial():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from escatter import (
     GridKind,
     SpinChannel,
-    channel_domain,
     make_context,
     range_grid_below,
     ring_grid,
@@ -18,7 +17,6 @@ from escatter import (
     shannon_ring_jaynes,
     shannon_sphere_discrete,
     shannon_sphere_jaynes,
-    uniform_grid,
 )
 from escatter import entropy
 from escatter.cli import main
@@ -214,12 +212,11 @@ def _reducer_grids():
             yield (f"band-{theta_r}-{ch.value}",
                    range_grid_below(0.5 * math.pi, theta_r, band.delta_theta),
                    band.K, ch)
-        lo, hi = channel_domain(coarse, ch)
         for n in (2 * _H, 2 * _H + 1, _EXACT, _EXACT + 1, _EXACT + 2,
                   _EXACT + 7, 3 * _EXACT // 2):
             for kind in GridKind:
                 yield (f"uniform-{n}-{ch.value}-{kind.value}",
-                       uniform_grid(lo, hi, n, kind=kind), coarse.K, ch)
+                       ring_grid(coarse, ch, kind, n_cells=n), coarse.K, ch)
 
 
 _REDUCER_GRIDS = list(_reducer_grids())

@@ -8,13 +8,11 @@ from escatter import (
     AngularGrid,
     GridKind,
     SpinChannel,
-    channel_domain,
     make_context,
     range_grid_below,
     ring_grid,
     ring_weight,
     sphere_pixel_count,
-    uniform_grid,
 )
 from escatter.geometry import (
     channel_cell_integrals,
@@ -59,17 +57,13 @@ def test_angular_grid_is_an_immutable_checked_value():
             AngularGrid(**{**fields, **bad})
         with pytest.raises(ValueError, match=match):
             g._replace(**bad)
-    with pytest.raises(ValueError, match="at least one cell"):
-        uniform_grid(0.0, 1.0, 0)
 
 
 def test_exact_division_cell_count():
-    g = uniform_grid(0.0, 1.0, 4)
-    assert g.n_cells == 4
     # floor() on a domain that is an exact multiple of the width must not
     # lose a cell to floating-point rounding
     ctx = make_context(5.0, 100.0)
-    lo, hi = channel_domain(ctx, SpinChannel.SPINLESS)
+    lo, hi = ctx.epsilon, math.pi - ctx.epsilon
     n = math.floor((hi - lo) / ctx.delta_theta)
     grid = ring_grid(ctx, SpinChannel.SPINLESS)
     assert grid.n_cells in (n, n + 1)
@@ -78,13 +72,15 @@ def test_exact_division_cell_count():
 
 
 def test_ring_grid_domains():
+    # the full shell for SPINLESS, the half shell up to the equator for
+    # the spin channels, on the native grid and on n equal cells alike
     ctx = make_context(5.0, 100.0)
-    g = ring_grid(ctx, SpinChannel.SPINLESS)
-    assert g.theta_lo == ctx.epsilon
-    assert g.theta_hi == pytest.approx(math.pi - ctx.epsilon)
-    for ch in (SpinChannel.PARALLEL, SpinChannel.ANTIPARALLEL):
-        g = ring_grid(ctx, ch)
-        assert g.theta_hi == pytest.approx(math.pi / 2)
+    for ch, hi in ((SpinChannel.SPINLESS, math.pi - ctx.epsilon),
+                   (SpinChannel.PARALLEL, 0.5 * math.pi),
+                   (SpinChannel.ANTIPARALLEL, 0.5 * math.pi)):
+        for n in (None, 1, 1024):
+            g = ring_grid(ctx, ch, n_cells=n)
+            assert (g.theta_lo, g.theta_hi) == (ctx.epsilon, hi)
 
 
 def test_ring_grid_with_n_cells_is_the_uniform_grid_over_the_domain():
@@ -92,10 +88,12 @@ def test_ring_grid_with_n_cells_is_the_uniform_grid_over_the_domain():
     # and the meridian matrix ask ring_grid for n equal cells
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in SpinChannel:
+        lo = ctx.epsilon
+        hi = math.pi - lo if ch is SpinChannel.SPINLESS else 0.5 * math.pi
         for kind in GridKind:
             for n in (1, 1024, 2 ** 50):
                 assert ring_grid(ctx, ch, kind, n_cells=n) == \
-                    uniform_grid(*channel_domain(ctx, ch), n, kind=kind)
+                    AngularGrid(kind, lo, hi, n, (hi - lo) / n)
     with pytest.raises(ValueError, match="at least one cell"):
         ring_grid(ctx, SpinChannel.SPINLESS, n_cells=0)
 
@@ -115,10 +113,12 @@ def test_empty_domain_names_cutoff():
     ctx = make_context(0.001, 0.06)
     assert ctx.epsilon > 0.5 * math.pi
     for ch in SpinChannel:
-        with pytest.raises(ValueError, match=r"epsilon = 3\.14.*pi/2 = 1\.5708"):
-            channel_domain(ctx, ch)
+        for n in (None, 4):
+            with pytest.raises(ValueError, match=r"epsilon = 3\.14.*pi/2 = 1\.5708"
+                               r".*: no scattering angle is accessible"):
+                ring_grid(ctx, ch, n_cells=n)
         with pytest.raises(ValueError, match="not below pi/2"):
-            ring_grid(ctx, ch)
+            sphere_pixel_count(ctx, ch)
 
 
 def test_range_grid_below_abuts_top():
@@ -133,7 +133,7 @@ def test_range_grid_below_abuts_top():
 
 
 def test_grid_edges_and_chunks():
-    g = uniform_grid(0.0, 1.0, 1000)
+    g = AngularGrid(GridKind.RINGS, 0.0, 1.0, 1000, 1.0 / 1000)
     edges = grid_edges(g)
     assert len(edges) == 1001
     assert edges[0] == 0.0
@@ -282,7 +282,8 @@ def test_first_cell_dominates_spinless():
 def test_parallel_cell_straddling_equator_suppressed():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     w = 1e-3
-    grid = uniform_grid(math.pi / 2 - w / 2, math.pi / 2 + w / 2, 1)
+    lo, hi = math.pi / 2 - w / 2, math.pi / 2 + w / 2
+    grid = AngularGrid(GridKind.RINGS, lo, hi, 1, hi - lo)
     p_par = cell_probability(grid, 0, ctx, SpinChannel.PARALLEL)
     p_sp = cell_probability(grid, 0, ctx, SpinChannel.SPINLESS)
     assert p_par < 1e-5 * p_sp
@@ -292,8 +293,7 @@ def test_uniform_density_normalizes():
     # integrating the constant density 1/(4 pi cos eps) over the full shell
     # must give exactly 1
     ctx = make_context(5.0, 100.0)
-    lo, hi = channel_domain(ctx, SpinChannel.SPINLESS)
-    grid = uniform_grid(lo, hi, 257)
+    grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=257)
     const = 1.0 / (4.0 * math.pi * math.cos(ctx.epsilon))
 
     total = 0.0

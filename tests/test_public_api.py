@@ -42,7 +42,7 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
-    assert len(escatter.__all__) == 27
+    assert len(escatter.__all__) == 25
 
 
 def _escatter_names_read_by(path: pathlib.Path) -> set[tuple[str, str]]:
@@ -93,8 +93,9 @@ def test_names_the_benchmark_tracer_rebinds_exist():
 
 
 def test_only_geometry_resolves_a_channel_grid():
-    # one grid resolver: ring_grid pairs channel_domain with the cell
-    # layout, so no other module calls channel_domain or uniform_grid
+    # one grid resolver: ring_grid decides a channel's domain and lays its
+    # cells out, and the grids it does not resolve (range_grid_below's)
+    # are built beside it, so no other module constructs an AngularGrid
     src = pathlib.Path(escatter.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -102,7 +103,7 @@ def test_only_geometry_resolves_a_channel_grid():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in ("channel_domain", "uniform_grid"):
+                if name == "AngularGrid":
                     callers.add(path.name)
     assert callers == {"geometry.py"}
 

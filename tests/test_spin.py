@@ -9,8 +9,10 @@ from escatter import (
     equator_entropies,
     make_context,
     postselect_entropies,
+    range_grid_below,
     shannon_ring_discrete,
 )
+from escatter import entropy
 from escatter.cli import main
 
 from oracles import CALIBRATED_KSCALE
@@ -127,6 +129,23 @@ def test_postselect_single_cell():
     assert row["S_par"] == 0.0
     assert row["S_ap"] == pytest.approx(1.0, abs=1e-4)
     assert row["delta_S"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_postselect_zero_weight_reports_zero_entropies(capsys):
+    # at 1e21 eV and a 1e280 nm packet every channel's weight in a band at
+    # the equator underflows to 0: the documented convention is an entropy
+    # of 0 with zero_weight set, not NaN and not a failed row
+    ctx = _ctx(1e21, 1e280)
+    grid = range_grid_below(math.pi / 2.0, 0.01, ctx.delta_theta)
+    for ch in SpinChannel:
+        assert entropy._stream_weight_entropy(grid, ctx.K, ch)[1] == 0.0, ch
+    row, = _json_rows(capsys, ["postselect-range", "--energy-ev", "1e21",
+                               "--packet-nm", "1e280", "--theta-r", "0.01"])
+    assert {k: row[k] for k in ("S_spinless", "S_par", "S_ap", "delta_S",
+                                "zero_weight", "status")} == {
+        "S_spinless": 0.0, "S_par": 0.0, "S_ap": 0.0, "delta_S": 0.0,
+        "zero_weight": True, "status": "ok"}
+    assert row["n_cells"] == grid.n_cells
 
 
 def test_postselect_gap_curve_regression():
