@@ -53,10 +53,6 @@ from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
 from .spin import equator_entropies, postselect_entropies
 
-#: "meridian" has the same 1-D distribution as "rings"; "equator" reads
-#: the closed forms for equal azimuthal cells; "sphere" is sphere-sweep's.
-_GEOMETRIES = ("rings", "sphere", "meridian", "equator")
-
 #: "distinguishable" (a spin-filtered pair) is an alias of "spinless".
 _CHANNELS = {
     "spinless": SpinChannel.SPINLESS,
@@ -105,8 +101,6 @@ _OPTIONS = (
     _Option("channel", "channel", str, "spinless", True,
             "default {}; distinguishable is an alias of spinless",
             sorted(_CHANNELS)),
-    _Option("geometry", "geometry", str, "rings", True,
-            choices=sorted(_GEOMETRIES)),
     _Option("theta_r", "theta_r", [float], _DEFAULT_THETA_R, True,
             "comma-separated acceptance half-angles in radians"),
     _Option("out", "out", str, None, False, "output file path (atomic "
@@ -168,8 +162,6 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
             raise ConfigError(f"n-cells must be positive, got {self.n_cells!r}")
         if self.channel not in _CHANNELS:
             raise ConfigError(f"unknown channel {self.channel!r}")
-        if self.geometry not in _GEOMETRIES:
-            raise ConfigError(f"unknown geometry {self.geometry!r}")
         if not self.theta_r or any(
                 not (0.0 < t <= math.pi / 2.0) for t in self.theta_r):
             raise ConfigError(
@@ -182,12 +174,6 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
                 os.path.dirname(os.path.abspath(self.out)))):
             raise ConfigError(f"cannot write {self.out!r}: not a file in an "
                               "existing directory")
-        if self.command == "spinless-sweep" and self.geometry == "sphere":
-            raise ConfigError("use the sphere-sweep command for sphere geometry")
-        if (self.command == "spinless-sweep" and self.geometry == "equator"
-                and len(self.n_cells) > 1):
-            raise ConfigError("spinless-sweep --geometry equator takes one "
-                              f"--n-cells value, got {self.n_cells!r}")
         if self.command == "postselect-range" and len(self.e_list) > 1:
             raise ConfigError("postselect-range takes one energy, got "
                               f"--energy-list {self.e_list!r}")
@@ -201,6 +187,8 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
         """
         physics = {name: _canonical(getattr(self, name), parse)
                    for name, parse in _HASHED.items()}
+        # the retired --geometry setting's default: every table keeps its hash
+        physics["geometry"] = "rings"
         canon = json.dumps(physics, sort_keys=True, separators=(",", ":"))
         return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
@@ -294,12 +282,6 @@ def _map_ordered(fn, items, threads: int) -> list:
 
 def _ring_row(cfg: RunConfig, e_ev: float) -> tuple:
     channel = _CHANNELS[cfg.channel]
-    if cfg.geometry == "equator":
-        # azimuthal cells on the equator are equally likely: closed forms
-        eq = equator_entropies(cfg.n_cells[0])
-        if channel is SpinChannel.ANTIPARALLEL:
-            return eq.n_cells, eq.S_antiparallel_modified
-        return eq.n_cells, eq.S_parallel_modified
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     return ring_grid(ctx, channel).n_cells, shannon_ring_discrete(ctx, channel)
 

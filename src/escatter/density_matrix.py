@@ -382,11 +382,13 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     Elements farther than 45 sigma_k from the diagonal in q are set to
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth); the band is divided by the trace, then written once
-    into :func:`_zero_pages`.  A grid whose first
-    point q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon
-    raises ValueError before any kernel work; NumericalError there refuses a
-    packet so wide that sigma_k^2 is not a normal float, or 2K / sigma_k^2 or
-    (2K)^2 / sigma_k^2 (the largest Bessel scale and argument) overflows.
+    into :func:`_zero_pages`.  ``ring_grid`` refuses a context with no
+    accessible angle first; then NumericalError refuses a packet so wide
+    that sigma_k^2 is not a normal float, or 2K / sigma_k^2 or
+    (2K)^2 / sigma_k^2 (the largest Bessel scale and argument) overflows,
+    and a grid whose first point q = 2K sin(theta_0/2) lies below the
+    kernel's cutoff K epsilon raises ValueError, all before any kernel
+    work.
     """
     if n_grid < 2:
         raise ValueError(f"need at least a 2-point grid, got {n_grid}")
@@ -394,6 +396,7 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
         raise ValueError(
             f"n_grid = {n_grid} exceeds the dense-diagonalization cap "
             f"{grid_cap}; subsample the grid (or raise the cap)")
+    grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     sig2 = ctx.sigma_k ** 2
     if not (sig2 >= sys.float_info.min and math.isfinite(2.0 * ctx.K / sig2)):
         raise NumericalError(
@@ -404,7 +407,6 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
         raise NumericalError(f"sigma_k = {ctx.sigma_k!r} is too small for the kernel: "
                              "the Bessel argument (2K)^2 / sigma_k^2 overflows")
 
-    grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     h = grid.delta_theta
     theta = np.array(grid.centres(range(n_grid)))
     q = 2.0 * ctx.K * np.sin(0.5 * theta)

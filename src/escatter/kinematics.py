@@ -53,7 +53,10 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     can represent: K^4, their scale, overflows, or the cutoff angle
     epsilon is lost in rounding against the pixel width delta_theta
     (epsilon/delta_theta = k_scale / sqrt(2 E), E in Hartree: from about
-    1e33 eV).
+    1e33 eV).  Neither is checked once epsilon is not below pi/2
+    (2 E b_bar < 1): no angle is accessible, so no cell integral is
+    formed, and ``geometry.ring_grid`` refuses the context with that
+    reason.
     """
     e_ha = e_ev / HARTREE_EV
     if not e_ha > 0.0:
@@ -81,6 +84,8 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
         epsilon=2.0 * math.atan(1.0 / (2.0 * e_ha * b_bar)),
         delta_theta=2.0 / (k * length),
     )
+    if not ctx.epsilon < 0.5 * math.pi:  # ring_grid refuses it, saying why
+        return ctx
     if not math.isfinite(k * k * k * k):
         raise NumericalError(
             f"e_ev = {e_ev!r} is out of range: K^4 overflows (K = {k!r})")

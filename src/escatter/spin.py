@@ -35,7 +35,7 @@ from collections import namedtuple
 
 from .amplitudes import SpinChannel
 from .entropy import _stream_weight_entropy
-from .geometry import range_grid_below
+from .geometry import range_grid_below, ring_grid
 from .kinematics import ScatterContext
 
 
@@ -85,7 +85,10 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     values are detection entropies (no exchange bit; it cancels in
     ``delta_S = S_ap - S_par`` anyway).  A channel whose total weight
     underflows to zero is reported as 0 with ``zero_weight`` set instead
-    of NaN.
+    of NaN.  That 0 is a placeholder, not an entropy: the weights' unit
+    factor pi / (4 K^4) underflows at huge E L (1e21 eV, 1e280 nm,
+    k_scale sqrt(2), theta_r = 0.01 gives 0 for about 960 bits).  A
+    theta_r beyond the half shell of ``ring_grid`` raises ValueError.
 
     The gap is not flat in ``theta_r``.  With x = pi/2 - theta the
     parallel density is proportional to x^2 (1 + 7 x^2 / 6) and the
@@ -97,7 +100,8 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     bits: 1.6232 for a thin band, then falling as 0.6925 T^2 (1.45 at
     0.5 rad, 0.94 at 1.0 rad).  The cell width cancels in the gap.
     """
-    if not 0.0 < theta_r <= math.pi / 2.0 - ctx.epsilon:
+    half_shell = ring_grid(ctx, SpinChannel.PARALLEL, n_cells=1)
+    if not 0.0 < theta_r <= half_shell.theta_hi - half_shell.theta_lo:
         raise ValueError(
             f"acceptance half-angle {theta_r!r} outside (0, pi/2 - cutoff]")
     grid = range_grid_below(math.pi / 2.0, theta_r, ctx.delta_theta)

@@ -171,7 +171,6 @@ _SAMPLES = {
     "n_grid": ("64", "128"),
     "n_cells": ("100,1000", "628"),
     "channel": ("parallel", "antiparallel"),
-    "geometry": ("meridian", "equator"),
     "theta_r": ("0.1,0.5", "1.2"),
     "out": ("a.csv", "b.json"),
     "format": ("json", "csv"),
@@ -206,19 +205,17 @@ def test_every_option_through_every_source(opt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, digest", [
     (["equator", "--n-cells", "100,1000"], "dad7110d916e"),
-    (["spinless-sweep", "--geometry", "equator", "--n-cells", "628"],
-     "e9866e937e6e"),
+    (["spinless-sweep", "--n-cells", "628"], "96f70a3fbca4"),
     (["postselect-range", "--energy-ev", "5", "--theta-r", "0.1,0.5,1.2"],
      "662dcb557768"),
-    (["spinless-sweep", "--geometry", "meridian", "--energy-list", "5,20"],
-     "651aca02fda7"),
+    (["spinless-sweep", "--energy-list", "5,20"], "d05edb778353"),
     (["vn-compare", "--grid-cap", "1024", "--n-grid", "256"], "72be19580ecf"),
     (["spinless-sweep", "--channel", "parallel"], "3d34853d1fb6"),
     (["sphere-sweep", "--channel", "antiparallel", "--packet-nm", "50000"],
      "177cb51ef893"),
     (["spin-sweep", "--channel", "distinguishable"], "b8289a230ed4"),
     (["equator"], "c0530805ce85"),
-], ids=["n-cells", "equator-geometry", "theta-r", "meridian", "grid-cap",
+], ids=["n-cells", "ring-n-cells", "theta-r", "energy-list", "grid-cap",
         "parallel", "antiparallel", "distinguishable", "defaults"])
 def test_config_hash_is_pinned(argv, digest):
     # hashes the golden tables never vary; the benchmark recomputes the
@@ -431,10 +428,9 @@ def test_bad_config_exit_2(capsys):
      "threads must be >= 0, got -1"),
     # the flags' choices refuse these before validate: a config file does not
     (["spinless-sweep"], "channel = up", "unknown channel 'up'"),
-    (["spinless-sweep"], "geometry = cube", "unknown geometry 'cube'"),
     (["spinless-sweep"], "format = xml", "format must be csv or json, got 'xml'"),
 ], ids=["energy-list", "k-scale", "grid-cap", "n-grid", "threads", "channel",
-        "geometry", "format"])
+        "format"])
 def test_refused_config_exits_2_with_its_message(argv, config, message,
                                                  tmp_path, capsys):
     if config is not None:
@@ -453,21 +449,21 @@ def test_unknown_command_is_refused():
         run(RunConfig("bogus"))
 
 
-def test_sphere_geometry_needs_sphere_command(capsys):
-    assert main(["spinless-sweep", "--geometry", "sphere"]) == 2
-    assert "sphere-sweep" in capsys.readouterr().err
-
-
-def test_meridian_geometry_matches_rings(capsys):
-    # meridian is an alias of rings: the config hash in the first line
-    # covers the geometry name, every line after it must match
-    argv = ["spinless-sweep", "--energy-list", "1,5", "--packet-nm", "50",
-            "--k-scale", SQRT2, "--geometry"]
-    tables = []
-    for geometry in ("rings", "meridian"):
-        assert main(argv + [geometry]) == 0
-        tables.append(capsys.readouterr().out.splitlines())
-    assert tables[1][1:] == tables[0][1:]
+def test_geometry_is_no_setting(tmp_path, capsys):
+    # each table has one command (sphere-sweep, equator): no flag or
+    # config key chooses the grid
+    with pytest.raises(SystemExit) as exc:
+        main(["spinless-sweep", "--geometry", "rings"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --geometry rings" in captured.err
+    path = tmp_path / "run.cfg"
+    path.write_text("energy_ev = 5\ngeometry = rings\n")
+    assert main(["spinless-sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}:2: unknown key 'geometry'\n")
 
 
 @pytest.mark.parametrize("command", ["spinless-sweep", "sphere-sweep"])
@@ -569,8 +565,6 @@ _GIL_BOUND_TABLES = {
     "spin-sweep": ["spin-sweep", "--energy-list", "1e3,1e4"],
     "postselect-range": ["postselect-range", "--energy-ev", "1e4",
                          "--theta-r", "0.1,0.5"],
-    "equator-geometry": ["spinless-sweep", "--geometry", "equator",
-                         "--energy-list", "1,2"],
     "equator": ["equator", "--n-cells", "4,8,16"],
 }
 
@@ -1045,13 +1039,37 @@ def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
         assert text not in row["status"]
 
 
+@pytest.mark.parametrize("point", [
+    ("1e-20", "1e-10"), ("1e160", "1e-300"), ("1e-3", "1e-3")],
+    ids=["tiny-E-and-L", "huge-E-tiny-L", "small-E-and-L"])
+@pytest.mark.parametrize("command, extra", [
+    ("spinless-sweep", []), ("sphere-sweep", []), ("spin-sweep", []),
+    ("postselect-range", ["--theta-r", "0.1"]),
+    ("vn-compare", ["--n-grid", "16"]),
+], ids=["spinless-sweep", "sphere-sweep", "spin-sweep", "postselect-range",
+        "vn-compare"])
+def test_no_accessible_angle_fails_the_row_saying_so(command, extra, point,
+                                                     capsys):
+    # 2 E b_bar < 1 puts epsilon at about pi, so no angle is accessible;
+    # these rows blamed the pixel width, K^4, the acceptance half-angle
+    # or (vn-compare) Python's own "Numerical result out of range"
+    e_ev, l_nm = point
+    argv = [command, "--energy-ev", e_ev, "--packet-nm", l_nm, *extra]
+    assert main(argv + ["--threads", "1", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    [row] = json.loads(captured.out)
+    assert re.fullmatch(
+        r"error: cutoff angle epsilon = 3\.14159 rad is not below pi/2 = "
+        r"1\.5708 rad: no scattering angle is accessible \(2 E b_bar < 1\)",
+        row["status"])
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["postselect-range", "--energy-list", "5,20"], "--energy-list"),
-    (["spinless-sweep", "--geometry", "equator", "--n-cells", "4,10"],
-     "--n-cells"),
-], ids=["postselect-energy-list", "equator-n-cells"])
+], ids=["postselect-energy-list"])
 def test_unused_extra_values_exit_2(argv, flag, capsys):
-    # both commands read a single value of the flag; extra values used to
+    # the command reads a single value of the flag; extra values used to
     # be dropped without a word
     with pytest.raises(ConfigError, match=flag):
         _cfg_from(argv)

@@ -92,15 +92,13 @@ def test_shannon_permutation_invariant(weights):
 # ---------------------------------------------------------------------------
 
 def test_equator_closed_forms(capsys):
-    # the equator geometry ignores the energy and the wave number
-    argv = ["spinless-sweep", "--geometry", "equator", "--n-cells", "1024"]
-    for channel, k_scale, bits in (("parallel", "1", 10.0),
-                                   ("antiparallel", "1", 11.0),
-                                   ("spinless", "7.3", 10.0)):
-        rows = _json_rows(capsys, argv + ["--channel", channel,
-                                          "--k-scale", k_scale])
-        assert rows == [{"E_ev": 5.0, "n_cells": 1024, "S_bits": bits,
-                         "status": "ok"}]
+    # the equator's cells ignore the energy and the wave number
+    argv = ["equator", "--n-cells", "1024"]
+    for extra in ([], ["--energy-ev", "1e4", "--k-scale", "7.3"]):
+        rows = _json_rows(capsys, argv + extra)
+        assert rows == [{"n_cells": 1024, "S_par": 11.0, "S_ap": 12.0,
+                         "S_par_modified": 10.0, "S_ap_modified": 11.0,
+                         "delta_S": 1.0, "status": "ok"}]
 
 
 def test_streamed_matches_materialized():

@@ -147,8 +147,6 @@ _NUMPY_FREE_COMMANDS = {
     "spin-sweep": ["spin-sweep", "--energy-ev", "1e4"],
     "postselect-range": ["postselect-range", "--energy-ev", "1e4",
                          "--theta-r", "0.5"],
-    "equator-geometry": ["spinless-sweep", "--geometry", "equator",
-                         "--channel", "antiparallel"],
     "equator": ["equator", "--n-cells", "4"],
 }
 

@@ -133,8 +133,10 @@ def test_postselect_single_cell():
 
 def test_postselect_zero_weight_reports_zero_entropies(capsys):
     # at 1e21 eV and a 1e280 nm packet every channel's weight in a band at
-    # the equator underflows to 0: the documented convention is an entropy
-    # of 0 with zero_weight set, not NaN and not a failed row
+    # the equator underflows to 0: the row prints placeholder zeros with
+    # zero_weight set, not NaN and not a failed row.  The zeros are not
+    # the band's entropies (unit-free weights give 959.7 / 959.1 /
+    # 960.7 bits); this pins today's output, not a correct value
     ctx = _ctx(1e21, 1e280)
     grid = range_grid_below(math.pi / 2.0, 0.01, ctx.delta_theta)
     for ch in SpinChannel:
