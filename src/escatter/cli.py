@@ -53,13 +53,15 @@ from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
 from .spin import equator_entropies, postselect_entropies
 
-#: "distinguishable" (a spin-filtered pair) is an alias of "spinless".
 _CHANNELS = {
     "spinless": SpinChannel.SPINLESS,
     "parallel": SpinChannel.PARALLEL,
     "antiparallel": SpinChannel.ANTIPARALLEL,
-    "distinguishable": SpinChannel.SPINLESS,
 }
+
+#: vn-compare's largest n-grid: its dense eigensolve takes O(n^2) memory
+#: and O(n^3) time
+_GRID_CAP = 4096
 
 # default acceptance half-angles for postselect-range (radians)
 _DEFAULT_THETA_R = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.2, 1.4, 1.5)
@@ -92,14 +94,12 @@ _OPTIONS = (
     _Option("k_scale", "k_scale", float, 1.0, True,
             "wave-number calibration factor (default {:g}; sqrt(2) reproduces "
             "the benchmark tables)"),
-    _Option("grid_cap", "grid_cap", int, 4096, True,
-            "dense-diagonalization cap (default {})"),
     _Option("n_grid", "n_grid", int, 512, True,
-            "vn-compare matrix dimension (default {})"),
+            "vn-compare matrix dimension (default {}, at most "
+            f"{_GRID_CAP})"),
     _Option("n_cells", "n_cells", [int], (3140,), True,
             "equator cell count(s), comma-separated (default {[0]})"),
-    _Option("channel", "channel", str, "spinless", True,
-            "default {}; distinguishable is an alias of spinless",
+    _Option("channel", "channel", str, "spinless", True, "default {}",
             sorted(_CHANNELS)),
     _Option("theta_r", "theta_r", [float], _DEFAULT_THETA_R, True,
             "comma-separated acceptance half-angles in radians"),
@@ -151,13 +151,11 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
             raise ConfigError(f"packet size must be positive, got {self.l_nm!r}")
         if not (self.k_scale > 0.0 and math.isfinite(self.k_scale)):
             raise ConfigError(f"k-scale must be positive, got {self.k_scale!r}")
-        if self.grid_cap < 2:
-            raise ConfigError(f"grid cap must be >= 2, got {self.grid_cap}")
         if self.n_grid < 2:
             raise ConfigError(f"n-grid must be >= 2, got {self.n_grid}")
-        if self.command == "vn-compare" and self.n_grid > self.grid_cap:
+        if self.command == "vn-compare" and self.n_grid > _GRID_CAP:
             raise ConfigError(f"n-grid {self.n_grid} exceeds the "
-                              f"dense-diagonalization cap {self.grid_cap}")
+                              f"dense-diagonalization cap {_GRID_CAP}")
         if not self.n_cells or any(n < 1 for n in self.n_cells):
             raise ConfigError(f"n-cells must be positive, got {self.n_cells!r}")
         if self.channel not in _CHANNELS:
@@ -187,8 +185,9 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
         """
         physics = {name: _canonical(getattr(self, name), parse)
                    for name, parse in _HASHED.items()}
-        # the retired --geometry setting's default: every table keeps its hash
-        physics["geometry"] = "rings"
+        # the retired --geometry and --grid-cap settings' defaults: every
+        # table keeps its hash
+        physics.update(geometry="rings", grid_cap=_GRID_CAP)
         canon = json.dumps(physics, sort_keys=True, separators=(",", ":"))
         return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
@@ -314,7 +313,7 @@ def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
     from .density_matrix import build_meridian_matrix, eigen_spectrum
 
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
-    dm = build_meridian_matrix(ctx, n_grid, grid_cap=cfg.grid_cap)
+    dm = build_meridian_matrix(ctx, n_grid)
     s_vn = shannon_discrete(eigen_spectrum(dm))
     # exact discrete sum: the continuous-limit form is not valid when the
     # cell width is comparable to the cutoff angle, which is the case on

@@ -373,12 +373,13 @@ def _zero_pages(n: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=float).reshape(n, n)
 
 
-def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
-                          grid_cap: int = 4096) -> DensityMatrix:
+def build_meridian_matrix(ctx: ScatterContext, n_grid: int) -> DensityMatrix:
     """Assemble and trace-normalize the meridian density matrix.
 
     The theta grid is the cell centres of vn-compare's ring grid,
     ``ring_grid`` with ``n_grid`` cells over [epsilon, pi - epsilon].
+    ``n_grid`` is the caller's choice: rho takes O(n^2) memory and its
+    eigensolve O(n^3) time (the CLI caps it).
     Elements farther than 45 sigma_k from the diagonal in q are set to
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth); the band is divided by the trace, then written once
@@ -392,10 +393,6 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int,
     """
     if n_grid < 2:
         raise ValueError(f"need at least a 2-point grid, got {n_grid}")
-    if n_grid > grid_cap:
-        raise ValueError(
-            f"n_grid = {n_grid} exceeds the dense-diagonalization cap "
-            f"{grid_cap}; subsample the grid (or raise the cap)")
     grid = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     sig2 = ctx.sigma_k ** 2
     if not (sig2 >= sys.float_info.min and math.isfinite(2.0 * ctx.K / sig2)):

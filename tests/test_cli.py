@@ -143,7 +143,7 @@ def test_unparsable_value_names_its_flag(monkeypatch):
         _cfg_from(["equator"])
 
 
-def test_n_grid_above_the_cap_is_a_configuration_error():
+def test_n_grid_above_the_cap_is_a_configuration_error(capsys):
     # rejected before any row runs: exit 2, no table and no numpy import
     code = ("import sys; from escatter.cli import main; "
             "code = main(['vn-compare', '--n-grid', '5000']); "
@@ -155,9 +155,14 @@ def test_n_grid_above_the_cap_is_a_configuration_error():
     assert proc.stderr.splitlines() == [
         "error: n-grid 5000 exceeds the dense-diagonalization cap 4096",
         "False"]
-    assert _cfg_from(["vn-compare", "--n-grid", "64", "--grid-cap", "64"])
+    assert _cfg_from(["vn-compare", "--n-grid", "4096"]).n_grid == 4096
     # only vn-compare builds a matrix: the other tables ignore the cap
-    assert _cfg_from(["spinless-sweep", "--grid-cap", "100"]).n_grid == 512
+    assert _cfg_from(["spinless-sweep", "--n-grid", "5000"]).n_grid == 5000
+    # the cap is no setting
+    with pytest.raises(SystemExit) as exc:
+        main(["vn-compare", "--grid-cap", "8192"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-cap 8192" in capsys.readouterr().err
 
 
 #: Two values per option key, each valid for spin-sweep and neither the
@@ -167,7 +172,6 @@ _SAMPLES = {
     "energy_list": ("1,2", "3.5"),
     "packet_nm": ("25", "50.5"),
     "k_scale": (SQRT2, "2"),
-    "grid_cap": ("1024", "2048"),
     "n_grid": ("64", "128"),
     "n_cells": ("100,1000", "628"),
     "channel": ("parallel", "antiparallel"),
@@ -209,17 +213,19 @@ def test_every_option_through_every_source(opt, tmp_path, monkeypatch):
     (["postselect-range", "--energy-ev", "5", "--theta-r", "0.1,0.5,1.2"],
      "662dcb557768"),
     (["spinless-sweep", "--energy-list", "5,20"], "d05edb778353"),
-    (["vn-compare", "--grid-cap", "1024", "--n-grid", "256"], "72be19580ecf"),
+    (["vn-compare", "--n-grid", "256"], "b50240988497"),
     (["spinless-sweep", "--channel", "parallel"], "3d34853d1fb6"),
     (["sphere-sweep", "--channel", "antiparallel", "--packet-nm", "50000"],
      "177cb51ef893"),
-    (["spin-sweep", "--channel", "distinguishable"], "b8289a230ed4"),
+    (["spin-sweep"], "4e06c39cf52e"),
     (["equator"], "c0530805ce85"),
 ], ids=["n-cells", "ring-n-cells", "theta-r", "energy-list", "grid-cap",
         "parallel", "antiparallel", "distinguishable", "defaults"])
 def test_config_hash_is_pinned(argv, digest):
     # hashes the golden tables never vary; the benchmark recomputes the
-    # hash on its own, so a change here fails every benchmark row
+    # hash on its own, so a change here fails every benchmark row.  The
+    # grid-cap and distinguishable cases ran with the retired --grid-cap
+    # and --channel distinguishable; they pin what is left of their argv
     assert _cfg_from(argv).config_hash() == digest
     # a float setting given as an int hashes as the float would
     assert RunConfig(command="equator", l_nm=25, k_scale=2, e_list=[5, 7.5],
@@ -421,7 +427,8 @@ def test_bad_config_exit_2(capsys):
     (["spinless-sweep", "--energy-list", ","], None, "energy list is empty"),
     (["spinless-sweep", "--k-scale", "-1"], None,
      "k-scale must be positive, got -1.0"),
-    (["vn-compare", "--grid-cap", "1"], None, "grid cap must be >= 2, got 1"),
+    # a retired setting's key
+    (["vn-compare"], "grid_cap = 4096", "{path}:1: unknown key 'grid_cap'"),
     (["vn-compare", "--n-grid", "5000"], None,
      "n-grid 5000 exceeds the dense-diagonalization cap 4096"),
     (["spinless-sweep", "--threads", "-1"], None,
@@ -439,7 +446,8 @@ def test_refused_config_exits_2_with_its_message(argv, config, message,
         argv = [*argv, "--config", str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert (captured.out, captured.err) == (
+        "", f"error: {message.format(path=tmp_path / 'run.cfg')}\n")
 
 
 def test_unknown_command_is_refused():
@@ -467,17 +475,22 @@ def test_geometry_is_no_setting(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["spinless-sweep", "sphere-sweep"])
-def test_distinguishable_alias_matches_spinless(command, capsys):
-    # a spin-filtered pair is the spinless channel: only the config hash
-    # in the first line, which covers the channel name, may differ
-    argv = [command, "--energy-list", "1,5", "--packet-nm", "50",
-            "--k-scale", SQRT2, "--channel"]
-    tables = []
-    for channel in ("spinless", "distinguishable"):
-        assert main(argv + [channel]) == 0
-        tables.append(capsys.readouterr().out.splitlines())
-    assert tables[1][1:] == tables[0][1:]
-    assert tables[1][0] != tables[0][0]
+def test_distinguishable_is_no_channel(command, tmp_path, capsys):
+    # a spin-filtered pair is the spinless channel, which has one name:
+    # "distinguishable" only reprinted its rows under another config hash
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--channel", "distinguishable"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --channel: invalid choice: 'distinguishable'"
+            in captured.err)
+    path = tmp_path / "run.cfg"
+    path.write_text("channel = distinguishable\n")
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: unknown channel 'distinguishable'\n")
 
 
 def test_row_failure_exit_3_partial_table(tmp_path, capsys):
@@ -831,6 +844,23 @@ def test_huge_packet_rows_that_compute_keep_computing(capsys):
         [row] = json.loads(capsys.readouterr().out)
         assert row["S_bits"] == pytest.approx(2.4324, abs=1e-4), l_nm
 
+    # these parallel-channel rows compute because the cell weights carry
+    # the factor pi / (4 K^4): with pi / 4 in its place their weights or
+    # sums overflow.  Each equals the same energy's row at 5e4 nm
+    def s_bits(energies, l_nm):
+        assert main(["spinless-sweep", "--channel", "parallel", "--energy-list",
+                     energies, "--packet-nm", l_nm, "--k-scale", SQRT2,
+                     "--threads", "1", "--format", "json"]) == 0
+        return {row["E_ev"]: row["S_bits"]
+                for row in json.loads(capsys.readouterr().out)}
+
+    narrow = s_bits("1e2,1e3,1e4,1e5,1e6", "5e4")
+    for l_nm, energies in (("1e147", "1e6"), ("1e148", "1e5,1e6"),
+                           ("1e149", "1e4,1e5"), ("1e150", "1e3,1e4"),
+                           ("1e151", "1e2,1e3")):
+        for e_ev, s in s_bits(energies, l_nm).items():
+            assert s == pytest.approx(narrow[e_ev], abs=1e-9), (e_ev, l_nm)
+
 
 def test_vn_compare_packet_too_wide_fails_without_warning():
     # 5 eV / 1e170 nm: sigma_k^2 underflows to 0.  numpy printed three
@@ -1087,4 +1117,3 @@ def test_help_lists_every_table():
     assert ("postselect-range->E_ev,theta_r,n_cells,S_spinless,S_par,S_ap,"
             "delta_S,zero_weight,status") in text
     assert "nan(JSONnull)ineverycomputedcolumn" in text
-    assert "distinguishableisanaliasofspinless" in text

@@ -165,10 +165,8 @@ def test_coherence_width_tracks_packet_size():
 # ---------------------------------------------------------------------------
 
 def test_build_validation(ctx):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least a 2-point grid, got 1"):
         build_meridian_matrix(ctx, 1)
-    with pytest.raises(ValueError, match="subsample"):
-        build_meridian_matrix(ctx, 300, grid_cap=256)
 
 
 def test_matrix_invariants(ctx, dm256):
