@@ -2,6 +2,7 @@ import math
 import mmap
 import os
 import random
+import sys
 import time
 
 import mpmath
@@ -19,6 +20,7 @@ from escatter import (
     shannon_discrete,
 )
 from escatter import density_matrix
+from escatter.cli import main
 
 from oracles import (
     CALIBRATED_KSCALE,
@@ -497,6 +499,66 @@ def test_only_the_band_pages_are_resident():
     # merged with rho's, and numpy's huge-page advice splits its own
     assert kb["Size:"] * 1024 >= dm.rho.nbytes
     assert kb["Rss:"] <= 0.6 * kb["Size:"], kb
+
+
+# ---------------------------------------------------------------------------
+# the eigensolve's subnormal flush
+# ---------------------------------------------------------------------------
+
+_FLUSHES = sys.platform == "linux" and os.uname().machine == "x86_64"
+
+
+def _mxcsr_controls():
+    """The calling thread's MXCSR without its six sticky status flags,
+    which any float operation may raise and numpy's ufuncs clear."""
+    env = density_matrix._FENV()
+    assert density_matrix._LIBC.fegetenv(env) == 0
+    return env[7] & ~0x3F
+
+
+@pytest.mark.skipif(not _FLUSHES, reason="the flush applies on Linux x86-64 only")
+def test_eigen_spectrum_restores_the_fp_environment(dm256, monkeypatch):
+    # eigvalsh sees FTZ and DAZ set, and the thread gets its own MXCSR
+    # back whether eigvalsh returns or raises; vn-compare's worker threads
+    # flush their own MXCSR, never the main thread's
+    assert density_matrix._LIBC is not None
+    saved = _mxcsr_controls()
+    assert saved == 0x1F80
+    inside = []
+    plain = np.linalg.eigvalsh
+
+    def recording(a):
+        inside.append(_mxcsr_controls())
+        return plain(a)
+
+    def failing(a):
+        inside.append(_mxcsr_controls())
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    eigen_spectrum(dm256)
+    assert inside == [saved | 0x8040] and _mxcsr_controls() == saved
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigen_spectrum(dm256)
+    assert inside[1:] == [saved | 0x8040] and _mxcsr_controls() == saved
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert main(["vn-compare", "--n-grid", "48", "--energy-list", "5,20",
+                 "--threads", "2"]) == 0
+    assert inside[2:] == [saved | 0x8040] * 2 and _mxcsr_controls() == saved
+
+
+@pytest.mark.parametrize("e_ev, n_grid", [(5.1, 1024), (19.6, 1024), (5.0, 512)])
+def test_flushed_spectrum_equals_the_plain_one(e_ev, n_grid, monkeypatch):
+    # pins an observation, not a guarantee: at these points LAPACK's
+    # fill-in outside rho's band is subnormal, and the flush changed no bit
+    # of the spectrum.  With no C library handle eigen_spectrum takes the
+    # fallback path, plain eigvalsh as off Linux x86-64, so that path runs
+    # on every platform.
+    dm = build_meridian_matrix(make_context(e_ev, 100.0, CALIBRATED_KSCALE), n_grid)
+    flushed = eigen_spectrum(dm)
+    monkeypatch.setattr(density_matrix, "_LIBC", None)
+    assert np.array_equal(flushed, eigen_spectrum(dm))
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,25 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert _probe(f"import sys, escatter.cli; print({_SCIPY_LOADED})").strip() == "[]"
 
 
+#: probe code that runs a small two-row vn-compare, its exit code in ``code``
+_VN_COMPARE_RUN = (
+    "import contextlib, io, sys, escatter.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = escatter.cli.main(['vn-compare', '--n-grid', '48', "
+    "'--energy-list', '5,20', '--threads', '2'])\n")
+
+
 def test_vn_compare_runs_without_scipy():
     # the meridian kernel's Bessel factor is the package's own, so not even
     # a vn-compare run loads scipy (a test-only dependency)
-    out = _probe(
-        "import contextlib, io, sys, escatter.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = escatter.cli.main(['vn-compare', '--n-grid', '48', "
-        "'--energy-list', '5,20', '--threads', '2'])\n"
-        f"print(code, {_SCIPY_LOADED})")
+    out = _probe(_VN_COMPARE_RUN + f"print(code, {_SCIPY_LOADED})")
+    assert out.strip() == "0 []"
+
+
+def test_vn_compare_loads_neither_subprocess_nor_ctypes_util():
+    # the eigensolve's subnormal flush finds fegetenv and fesetenv among
+    # the process's own symbols: ctypes.util.find_library would import
+    # subprocess, ~5 ms of every cold vn-compare start
+    out = _probe(_VN_COMPARE_RUN + "print(code, [m for m in ('subprocess', "
+                 "'ctypes.util') if m in sys.modules])")
     assert out.strip() == "0 []"
