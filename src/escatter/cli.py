@@ -12,12 +12,12 @@ Only vn-compare has a matrix, so only vn-compare imports numpy: with
 Every other table runs on the standard library alone.
 
 Only vn-compare's rows run in worker threads (``--threads``), because
-only they spend their time in numpy, which releases the GIL for the
-dense eigensolve (one LAPACK call) and the matrix build's larger array
-operations; each row builds and diagonalises on its own worker.  Every
-other table's rows are pure Python, which holds it, so they run one
-after another on the calling thread, and a cold start loads no thread
-pool.
+only they spend their time in numpy and LAPACK, which release the GIL
+for the eigensolve and the matrix build's larger array operations; each
+row builds and diagonalises on its own worker, on one BLAS thread unless
+the environment sets a count before numpy's import.  Every other table's
+rows are pure Python, which holds the GIL, so they run one after another
+on the calling thread, and a cold start loads no thread pool.
 
 A CLI process (``python -m escatter.cli`` or the ``escatter-entropy``
 script) enters through :func:`process_main`: it runs ``main()`` with
@@ -59,9 +59,13 @@ _CHANNELS = {
     "antiparallel": SpinChannel.ANTIPARALLEL,
 }
 
-#: vn-compare's largest n-grid: its dense eigensolve takes O(n^2) memory
-#: and O(n^3) time
+#: vn-compare's largest n-grid: rho is stored dense, O(n^2) memory, and a
+#: wide band falls back to the dense eigensolve's O(n^3) time
 _GRID_CAP = 4096
+
+#: the thread counts of the BLAS libraries numpy may link
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 # default acceptance half-angles for postselect-range (radians)
 _DEFAULT_THETA_R = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.2, 1.4, 1.5)
@@ -294,7 +298,13 @@ def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
 
 def _vn_inputs(cfg: RunConfig) -> list[tuple]:
     # runs in the main thread, before the row pool: numpy is imported here,
-    # not concurrently by the first rows
+    # not concurrently by the first rows.  Before that first import its BLAS
+    # takes a thread count from the environment; where none is set, each
+    # row worker gets one BLAS thread: the band eigensolve's small kernels
+    # ran up to 2.5x slower on two
+    if "numpy" not in sys.modules and not any(
+            var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     from . import density_matrix  # noqa: F401
     return [(e, cfg.n_grid) for e in cfg.e_list]
 

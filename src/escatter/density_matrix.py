@@ -43,14 +43,26 @@ at once.  :func:`kernel_element` evaluates one element from direct J.
 I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, in
 three preallocated buffers, so the package needs no scipy.
 
-:func:`eigen_spectrum` runs its one ``eigvalsh`` with the calling
-thread's SSE flush-to-zero and denormals-are-zero bits set, and restores
-the thread's saved floating-point environment after, also on an error.
-LAPACK's tridiagonal reduction fills rho in outside its band with
-subnormals (below 2.2e-308), each a slow path on x86: a third of the
-eigensolve at n = 1024.  The flush moves only values that small, some 295
-orders below LAPACK's own error O(n eps ||rho||), ||rho|| <= trace = 1;
-the spectra checked were bit-identical.  It applies on Linux x86-64
+:func:`eigen_spectrum` reads rho's lower half-bandwidth kd, its farthest
+nonzero entry below the diagonal.  Where n >= 4.5 kd, so that the band
+reduction's ~6 n^2 kd flops are at most the dense one's 4/3 n^3, it calls
+LAPACK's ``dsbevd_2stage`` (JOBZ 'N', UPLO 'L') on the lower band: bulge
+chasing to tridiagonal form, then ``dsterf``; at the benchmark's n = 1024
+rows (kd = 91, 127) that is 30-65 ms against the dense solve's 110 ms.
+It is ``scipy_dsbevd_2stage_64_`` (64-bit integers) of the ILP64
+OpenBLAS in numpy's wheels, found among the symbols of numpy's linalg
+module; wider bands, and another LAPACK (Accelerate on macOS arm64),
+take ``np.linalg.eigvalsh``.  Both are backward stable to
+O(n eps ||rho||), ||rho|| <= trace = 1, and not bit-identical to each
+other: their spectra differed by up to 1.1e-16.
+
+Either solver runs with the calling thread's SSE flush-to-zero and
+denormals-are-zero bits set, and the thread's saved floating-point
+environment is restored after, also on an error.  Both reductions fill
+rho in outside its band with subnormals (below 2.2e-308), each a slow
+path on x86: a third of the dense n = 1024 eigensolve.  The flush moves
+only values that small; the dense spectra checked were bit-identical,
+the band ones moved by at most 1.1e-19.  It applies on Linux x86-64
 (fenv_t's layout) with MXCSR at its default 0x1F80, and only in the
 calling thread: MXCSR is per thread, so other BLAS threads keep theirs.
 
@@ -147,6 +159,21 @@ if sys.platform == "linux" and os.uname().machine == "x86_64":
         _LIBC.fegetenv.restype = _LIBC.fesetenv.restype = ctypes.c_int
     except (OSError, AttributeError):  # no fenv calls to be had
         _LIBC = None
+
+# the band eigensolver of numpy's ILP64 OpenBLAS, which another LAPACK lacks
+try:
+    _DSBEVD = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dsbevd_2stage_64_
+    _I64, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK,
+    # INFO, then the lengths of the strings JOBZ and UPLO
+    _DSBEVD.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _I64, _I64, _PTR, _I64,
+                        _PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64, _I64,
+                        ctypes.c_size_t, ctypes.c_size_t]
+    _DSBEVD.restype = None
+except (OSError, AttributeError):  # the dense solve only
+    _DSBEVD = None
+# band path where n >= 4.5 kd: ~6 n^2 kd flops against the dense 4/3 n^3
+_BAND_N_PER_KD = 4.5
 
 
 class DensityMatrix:
@@ -484,20 +511,56 @@ def _flush_subnormals():
         _LIBC.fesetenv(saved)
 
 
+def _lower_bandwidth(rho: np.ndarray) -> int:
+    """kd: the largest i - j over rho's nonzero entries with j <= i."""
+    nonzero = rho != 0.0
+    rows = np.arange(rho.shape[0])
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+    return max(0, int((rows - first).max()))
+
+
+def _band_eigvalsh(rho: np.ndarray, kd: int) -> np.ndarray:
+    """Ascending eigenvalues of rho from its lower band of half-width
+    ``kd``, by ``dsbevd_2stage``."""
+    n, i64 = rho.shape[0], ctypes.c_int64
+    ab = np.zeros((kd + 1, n), order="F")  # LAPACK's band storage, UPLO 'L'
+    for k in range(kd + 1):
+        ab[k, :n - k] = rho.diagonal(-k)
+    lam, z, info = np.empty(n), np.empty(1), i64()
+    work, iwork = np.empty(1), np.empty(1, np.int64)
+    for query in (True, False):  # the workspace sizes, then the solve
+        if not query:
+            work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
+        _DSBEVD(b"N", b"L", i64(n), i64(kd), ab.ctypes.data, i64(kd + 1),
+                lam.ctypes.data, z.ctypes.data, i64(1), work.ctypes.data,
+                i64(-1 if query else work.size), iwork.ctypes.data,
+                i64(-1 if query else iwork.size), info, 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"Eigenvalues did not converge (dsbevd_2stage INFO = {info.value})")
+    return lam
+
+
 def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:
     """Eigenvalues of the density matrix, descending, clamped at zero.
 
     Values in [-1e-10, 0) are rounded up to 0; anything more negative
     means the matrix is not positive semidefinite and raises.
 
-    On Linux x86-64 ``eigvalsh`` runs with SSE flush-to-zero and
-    denormals-are-zero set, for the subnormal fill-in LAPACK makes outside
-    rho's band: only values below 2.2e-308 move, against LAPACK's own
-    error of O(n eps ||rho||).  With more than one BLAS thread, only the
-    calling thread is flushed (see the module docstring).
+    The band solver ``dsbevd_2stage`` runs where numpy's LAPACK has it
+    and n >= 4.5 kd, kd being rho's lower half-bandwidth, else the dense
+    ``np.linalg.eigvalsh``; they agree to ~1e-16, not bit for bit.  On
+    Linux x86-64 either runs with subnormals flushed to zero in the
+    calling thread (see the module docstring).
     """
+    rho, n = dm.rho, dm.rho.shape[0]
+    kd = _lower_bandwidth(rho) if _DSBEVD is not None else n
     with _flush_subnormals():
-        lam = np.linalg.eigvalsh(dm.rho)[::-1].copy()
+        if _BAND_N_PER_KD * kd <= n:
+            lam = _band_eigvalsh(rho, kd)
+        else:
+            lam = np.linalg.eigvalsh(rho)
+    lam = lam[::-1].copy()
     lam_min = float(lam.min())
     if lam_min < -1e-10:
         raise NumericalError(

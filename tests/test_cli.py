@@ -630,6 +630,68 @@ def test_auto_threads_follow_cpu_affinity(monkeypatch):
     assert cli._usable_cpus() == 1
 
 
+#: probe code: ``main(argv)`` writing its table to ``out``, then a line
+#: with the BLAS thread variables the run left
+_VN_BLAS_PROBE = (
+    "import json, os, escatter.cli\n"
+    "assert escatter.cli.main({argv!r} + ['--out', {out!r}]) == 0\n"
+    "print(json.dumps({{v: os.environ.get(v) "
+    "for v in escatter.cli._BLAS_THREAD_VARS}}))")
+
+
+def _vn_blas_run(argv: list[str], out: pathlib.Path, **blas: str) -> dict:
+    """The BLAS variables after ``argv`` runs in a process whose
+    environment sets only the BLAS variables ``blas``."""
+    env = {k: v for k, v in _src_env().items() if k not in cli._BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", _VN_BLAS_PROBE.format(argv=argv, out=str(out))],
+        env={**env, **blas}, capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_VN_SMALL = ["vn-compare", "--n-grid", "48", "--k-scale", SQRT2]
+
+
+@pytest.mark.parametrize("threads, energies", [("0", "5,20"), ("0", "5")])
+def test_vn_compare_runs_one_blas_thread_per_row_worker(tmp_path, threads, energies):
+    # one BLAS thread even where one row leaves CPUs spare: the band
+    # eigensolve runs fastest on one
+    blas = _vn_blas_run(_VN_SMALL + ["--energy-list", energies,
+                                      "--threads", threads], tmp_path / "t.csv")
+    assert blas == dict.fromkeys(cli._BLAS_THREAD_VARS, "1")
+
+
+def test_a_users_blas_thread_count_wins(tmp_path):
+    blas = _vn_blas_run(_VN_SMALL + ["--energy-list", "5,20"], tmp_path / "t.csv",
+                        OMP_NUM_THREADS="3")
+    assert blas == {**dict.fromkeys(cli._BLAS_THREAD_VARS), "OMP_NUM_THREADS": "3"}
+
+
+def test_in_process_vn_compare_leaves_the_environment(tmp_path, monkeypatch):
+    # with numpy imported its BLAS has its threads already: the variables
+    # would change nothing, so main() leaves the caller's environment alone
+    pytest.importorskip("numpy")
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    assert main(_VN_SMALL + ["--energy-list", "5,20", "--out",
+                             str(tmp_path / "t.csv")]) == 0
+    assert dict(os.environ) == before
+
+
+def test_blas_thread_settings_keep_the_vn_compare_bytes(tmp_path):
+    # LAPACK's reduction order may follow its thread count: unset (the CLI
+    # picks it), one thread and two, each run prints the golden table
+    argv = ["vn-compare", "--packet-nm", "100", "--k-scale", SQRT2,
+            "--energy-list", "19.6,5.1", "--n-grid", "1024", "--threads", "2"]
+    golden = pathlib.Path(__file__).parent / "golden" / "vn-compare-1024.csv"
+    for i, blas in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"},
+                              {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"t{i}.csv"
+        _vn_blas_run(argv, out, **blas)
+        assert out.read_bytes() == golden.read_bytes(), blas
+
+
 def _src_env() -> dict:
     """The environment with src/ importable."""
     root = pathlib.Path(__file__).resolve().parents[1]

@@ -516,49 +516,176 @@ def _mxcsr_controls():
     return env[7] & ~0x3F
 
 
+def _record_solvers(monkeypatch, fail=False) -> list:
+    """(solver, MXCSR controls) for each call eigen_spectrum makes to the
+    band or the dense solver, which raises LinAlgError if ``fail``; the
+    controls are None where the flush does not apply."""
+    calls = []
+    for owner, name in ((density_matrix, "_band_eigvalsh"), (np.linalg, "eigvalsh")):
+        def recording(*args, _solve=getattr(owner, name), _name=name):
+            calls.append((_name, _mxcsr_controls() if _FLUSHES else None))
+            if fail:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return _solve(*args)
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 @pytest.mark.skipif(not _FLUSHES, reason="the flush applies on Linux x86-64 only")
 def test_eigen_spectrum_restores_the_fp_environment(dm256, monkeypatch):
-    # eigvalsh sees FTZ and DAZ set, and the thread gets its own MXCSR
-    # back whether eigvalsh returns or raises; vn-compare's worker threads
+    # whichever solver runs, band (kd = 31 at n = 256) or dense (no band
+    # handle), sees FTZ and DAZ set, and the thread gets its own MXCSR back
+    # whether the solver returns or raises; vn-compare's worker threads
     # flush their own MXCSR, never the main thread's
     assert density_matrix._LIBC is not None
     saved = _mxcsr_controls()
     assert saved == 0x1F80
-    inside = []
-    plain = np.linalg.eigvalsh
-
-    def recording(a):
-        inside.append(_mxcsr_controls())
-        return plain(a)
-
-    def failing(a):
-        inside.append(_mxcsr_controls())
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    eigen_spectrum(dm256)
-    assert inside == [saved | 0x8040] and _mxcsr_controls() == saved
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    with pytest.raises(np.linalg.LinAlgError):
-        eigen_spectrum(dm256)
-    assert inside[1:] == [saved | 0x8040] and _mxcsr_controls() == saved
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    assert main(["vn-compare", "--n-grid", "48", "--energy-list", "5,20",
-                 "--threads", "2"]) == 0
-    assert inside[2:] == [saved | 0x8040] * 2 and _mxcsr_controls() == saved
+    for handle in (density_matrix._DSBEVD, None):
+        monkeypatch.setattr(density_matrix, "_DSBEVD", handle)
+        solver = "_band_eigvalsh" if handle else "eigvalsh"
+        with monkeypatch.context() as patch:
+            calls = _record_solvers(patch)
+            eigen_spectrum(dm256)
+            assert calls == [(solver, saved | 0x8040)] and _mxcsr_controls() == saved
+        with monkeypatch.context() as patch:
+            calls = _record_solvers(patch, fail=True)
+            with pytest.raises(np.linalg.LinAlgError):
+                eigen_spectrum(dm256)
+            assert calls == [(solver, saved | 0x8040)] and _mxcsr_controls() == saved
+        with monkeypatch.context() as patch:
+            calls = _record_solvers(patch)
+            assert main(["vn-compare", "--n-grid", "48", "--energy-list", "5,20",
+                         "--threads", "2"]) == 0
+            assert [c[1] for c in calls] == [saved | 0x8040] * 2
+            assert _mxcsr_controls() == saved
 
 
 @pytest.mark.parametrize("e_ev, n_grid", [(5.1, 1024), (19.6, 1024), (5.0, 512)])
 def test_flushed_spectrum_equals_the_plain_one(e_ev, n_grid, monkeypatch):
-    # pins an observation, not a guarantee: at these points LAPACK's
-    # fill-in outside rho's band is subnormal, and the flush changed no bit
-    # of the spectrum.  With no C library handle eigen_spectrum takes the
-    # fallback path, plain eigvalsh as off Linux x86-64, so that path runs
-    # on every platform.
+    # pins an observation, not a guarantee: at these points the dense
+    # path's fill-in outside rho's band is subnormal, and the flush changed
+    # no bit of the spectrum.  With no C library handle eigen_spectrum
+    # takes the fallback path, plain eigvalsh as off Linux x86-64, and with
+    # no band handle the dense one, so these paths run on every platform.
     dm = build_meridian_matrix(make_context(e_ev, 100.0, CALIBRATED_KSCALE), n_grid)
+    monkeypatch.setattr(density_matrix, "_DSBEVD", None)
     flushed = eigen_spectrum(dm)
     monkeypatch.setattr(density_matrix, "_LIBC", None)
     assert np.array_equal(flushed, eigen_spectrum(dm))
+
+
+@pytest.mark.parametrize("e_ev, n_grid", [(5.1, 1024), (19.6, 1024), (5.0, 512)])
+def test_flush_moves_the_band_spectrum_below_1e_18(e_ev, n_grid, monkeypatch):
+    # the band path is not bit-identical with and without the flush: its
+    # largest difference here was 1.1e-19, and the printed S_vn is equal
+    if density_matrix._DSBEVD is None:
+        pytest.skip("numpy's LAPACK has no dsbevd_2stage_64_")
+    dm = build_meridian_matrix(make_context(e_ev, 100.0, CALIBRATED_KSCALE), n_grid)
+    flushed = eigen_spectrum(dm)
+    monkeypatch.setattr(density_matrix, "_LIBC", None)
+    plain = eigen_spectrum(dm)
+    assert float(np.abs(flushed - plain).max()) <= 1e-18
+    assert format(shannon_discrete(flushed), ".12g") == \
+        format(shannon_discrete(plain), ".12g")
+
+
+# ---------------------------------------------------------------------------
+# the band eigensolver
+# ---------------------------------------------------------------------------
+
+#: (E eV, L nm, k-scale, n, rho's lower half-bandwidth kd): the band path
+#: runs where 9 kd <= 2 n
+_BAND_POINTS = [
+    (5.1, 100.0, CALIBRATED_KSCALE, 1024, 127),
+    (19.6, 100.0, CALIBRATED_KSCALE, 1024, 91),
+    (5.0, 100.0, CALIBRATED_KSCALE, 512, 63),
+    (100.0, 100.0, CALIBRATED_KSCALE, 1024, 60),
+    (1e3, 5e4, CALIBRATED_KSCALE, 1024, 1),
+    (1e4, 100.0, CALIBRATED_KSCALE, 2048, 38),
+    (5.1, 100.0, 1.0, 1024, 151),
+    (0.2, 100.0, CALIBRATED_KSCALE, 1024, 277),
+    (1.0, 20.0, CALIBRATED_KSCALE, 1024, 436),
+    (1.0, 20.0, CALIBRATED_KSCALE, 2048, 873),
+    (0.5, 20.0, CALIBRATED_KSCALE, 256, 133),
+]
+
+_HAS_BAND = pytest.mark.skipif(density_matrix._DSBEVD is None,
+                               reason="numpy's LAPACK has no dsbevd_2stage_64_")
+
+
+@_HAS_BAND
+@pytest.mark.parametrize("e_ev, l_nm, k_scale, n, kd", _BAND_POINTS)
+def test_band_spectrum_equals_the_dense_one(e_ev, l_nm, k_scale, n, kd, monkeypatch):
+    dm = build_meridian_matrix(make_context(e_ev, l_nm, k_scale), n)
+    assert density_matrix._lower_bandwidth(dm.rho) == kd
+    band = 9 * kd <= 2 * n
+    with monkeypatch.context() as patch:
+        calls = _record_solvers(patch)
+        lam = eigen_spectrum(dm)
+        assert [c[0] for c in calls] == ["_band_eigvalsh" if band else "eigvalsh"]
+    dense = np.maximum(np.linalg.eigvalsh(dm.rho), 0.0)
+    assert float(np.abs(lam[::-1] - dense).max()) <= 1e-15
+    if not band and n <= 1024:  # the band solver is right past the crossover too
+        solved = density_matrix._band_eigvalsh(dm.rho, kd)
+        assert float(np.abs(np.maximum(solved, 0.0) - dense).max()) <= 1e-15
+    monkeypatch.setattr(density_matrix, "_DSBEVD", None)
+    s_dense = shannon_discrete(eigen_spectrum(dm))
+    assert abs(shannon_discrete(lam) - s_dense) <= 1e-12 * s_dense
+
+
+def test_lower_bandwidth():
+    assert density_matrix._lower_bandwidth(0.5 * np.eye(2)) == 0
+    rho = np.diag([0.25] * 4)
+    rho[3, 0] = rho[0, 3] = 0.1
+    assert density_matrix._lower_bandwidth(rho) == 3
+    rho[3, 0] = 0.0  # the lower triangle alone counts
+    assert density_matrix._lower_bandwidth(rho) == 0
+    rho = np.zeros((5, 5))
+    rho[4, 2] = rho[2, 4] = 1e-320  # subnormal is nonzero
+    assert density_matrix._lower_bandwidth(rho) == 2
+
+
+@_HAS_BAND
+@pytest.mark.parametrize("n, kd", [(2, 0), (2, 1), (3, 1), (3, 2), (5, 1)])
+def test_band_solver_on_small_matrices(n, kd):
+    rng = np.random.default_rng(10 * n + kd)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a = np.tril(np.triu(a + a.T, -kd), kd)
+    lam = density_matrix._band_eigvalsh(a, kd)
+    assert lam == pytest.approx(np.linalg.eigvalsh(a), abs=1e-14)
+
+
+def test_eigen_spectrum_of_a_band_matrix_with_known_spectrum(monkeypatch):
+    # Q D Q^T with Q two layers of disjoint 2 x 2 rotations, on pairs
+    # (0, 1), (2, 3), ... then (1, 2), (3, 4), ...: a band of half-width
+    # at most 4 with the spectrum D, on the band path wherever it exists
+    rng = np.random.default_rng(2026)
+    for n in (23, 64, 257):
+        raw = rng.uniform(0.1, 1.0, size=n)
+        lam_true = np.sort(raw / raw.sum())[::-1]
+        q_mat = np.eye(n)
+        for start in (0, 1):
+            for i in range(start, n - 1, 2):
+                c, s = math.cos(t := rng.uniform(0.0, math.pi)), math.sin(t)
+                q_mat[:, [i, i + 1]] = q_mat[:, [i, i + 1]] @ [[c, -s], [s, c]]
+        rho = (q_mat * rng.permutation(lam_true)) @ q_mat.T
+        rho = 0.5 * (rho + rho.T)
+        kd = density_matrix._lower_bandwidth(rho)
+        assert 1 <= kd <= 4 and 9 * kd <= 2 * n
+        with monkeypatch.context() as patch:
+            calls = _record_solvers(patch)
+            lam = eigen_spectrum(_dm_from(rho))
+        assert [c[0] for c in calls] == [
+            "_band_eigvalsh" if density_matrix._DSBEVD else "eigvalsh"]
+        assert float(np.max(np.abs(lam - lam_true))) <= 1e-15
+
+
+def test_the_band_solver_is_there_with_scipy_openblas():
+    # numpy's own wheels link the ILP64 scipy-openblas, whose dsbevd_2stage
+    # the band path calls: its lookup must not fail there unnoticed
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") == "scipy-openblas":
+        assert density_matrix._DSBEVD is not None
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,20 @@ def test_cli_json_matches_golden_to_12_digits(stem, argv):
         _json_at_12_digits(expected)
 
 
+_VN_CASES = [case for case in CASES if case[1][0] == "vn-compare"]
+
+
+@pytest.mark.parametrize("stem,argv", _VN_CASES, ids=[c[0] for c in _VN_CASES])
+def test_vn_compare_dense_fallback_matches_golden_bytes(stem, argv, monkeypatch):
+    # where numpy's LAPACK has no band solver, the dense eigvalsh prints
+    # the same table
+    from escatter import density_matrix
+
+    monkeypatch.setattr(density_matrix, "_DSBEVD", None)
+    expected = (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
+    assert render(argv, "csv") == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stem, argv in CASES:

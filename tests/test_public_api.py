@@ -230,8 +230,20 @@ def test_vn_compare_runs_without_scipy():
 
 def test_vn_compare_loads_neither_subprocess_nor_ctypes_util():
     # the eigensolve's subnormal flush finds fegetenv and fesetenv among
-    # the process's own symbols: ctypes.util.find_library would import
-    # subprocess, ~5 ms of every cold vn-compare start
-    out = _probe(_VN_COMPARE_RUN + "print(code, [m for m in ('subprocess', "
-                 "'ctypes.util') if m in sys.modules])")
+    # the process's own symbols, and the band solver dsbevd_2stage among
+    # those of numpy's linalg module: ctypes.util.find_library would import
+    # subprocess, ~5 ms of every cold vn-compare start, and a search for
+    # numpy's OpenBLAS file glob and fnmatch.  site may load fnmatch
+    # first, so only the modules the run adds count
+    out = _probe("import sys\nbefore = set(sys.modules)\n" + _VN_COMPARE_RUN
+                 + "print(code, [m for m in ('subprocess', 'ctypes.util', "
+                 "'glob', 'fnmatch') if m in set(sys.modules) - before])")
     assert out.strip() == "0 []"
+
+
+def test_cli_import_leaves_the_density_matrix_unloaded():
+    # the band solver's lookup runs with escatter.density_matrix, which
+    # only vn-compare's rows import
+    out = _probe("import sys, escatter.cli\nprint([m for m in "
+                 "('escatter.density_matrix', 'numpy') if m in sys.modules])")
+    assert out.strip() == "[]"
