@@ -59,8 +59,8 @@ _CHANNELS = {
     "antiparallel": SpinChannel.ANTIPARALLEL,
 }
 
-#: vn-compare's largest n-grid: rho is stored dense, O(n^2) memory, and a
-#: wide band falls back to the dense eigensolve's O(n^3) time
+#: vn-compare's largest n-grid: it bounds the n x n expansion and O(n^3)
+#: solve a band too wide for the band solver falls back to
 _GRID_CAP = 4096
 
 #: the thread counts of the BLAS libraries numpy may link

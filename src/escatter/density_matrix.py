@@ -36,35 +36,40 @@ really sit, by one batched solve of their Chebyshev-Vandermonde systems
 and band mu take the same map.  Clenshaw passes, numpy's ``chebval``
 step for step, check a round and evaluate every band mu.  The band is
 then normalised by its own diagonal's sum and written once, by
-broadcasting, into kernel-zeroed pages.  Builds share no state but
-``_gl_nodes``' cached arrays, which they only read, so threads may build
-at once.  :func:`kernel_element` evaluates one element from direct J.
+broadcasting, into LAPACK's lower band storage: a (kd + 1) x n array,
+kd the farthest diagonal that holds a nonzero element (~1 MB at
+n = 1024, kd = 127).  The band is rho's one form; a dense rho is made
+only on request (``DensityMatrix.rho``) and for the dense solve.
+Builds share no state but ``_gl_nodes``' cached arrays, which they only
+read, so threads may build at once.  :func:`kernel_element` evaluates
+one element from direct J.
 
 I0e is Cephes' (Moshier's) Chebyshev expansion evaluated with numpy, in
 three preallocated buffers, so the package needs no scipy.
 
-:func:`eigen_spectrum` reads rho's lower half-bandwidth kd, its farthest
-nonzero entry below the diagonal.  Where n >= 4.5 kd, so that the band
-reduction's ~6 n^2 kd flops are at most the dense one's 4/3 n^3, it calls
-LAPACK's ``dsbevd_2stage`` (JOBZ 'N', UPLO 'L') on the lower band: bulge
-chasing to tridiagonal form, then ``dsterf``; at the benchmark's n = 1024
-rows (kd = 91, 127) that is 30-65 ms against the dense solve's 110 ms.
-It is ``scipy_dsbevd_2stage_64_`` (64-bit integers) of the ILP64
-OpenBLAS in numpy's wheels, found among the symbols of numpy's linalg
-module; wider bands, and another LAPACK (Accelerate on macOS arm64),
-take ``np.linalg.eigvalsh``.  Both are backward stable to
-O(n eps ||rho||), ||rho|| <= trace = 1, and not bit-identical to each
-other: their spectra differed by up to 1.1e-16.
+:func:`eigen_spectrum` takes kd from the band's shape.  Where
+n >= 4.5 kd, so that the band reduction's ~6 n^2 kd flops are at most
+the dense one's 4/3 n^3, it calls LAPACK's ``dsbevd_2stage`` (JOBZ 'N',
+UPLO 'L') on a copy of the band: bulge chasing to tridiagonal form, then
+``dsterf``; at the benchmark's n = 1024 rows (kd = 91, 127) that is
+30-65 ms against the dense solve's 110 ms.  It is
+``scipy_dsbevd_2stage_64_`` (64-bit integers) of the ILP64 OpenBLAS in
+numpy's wheels, found among the symbols of numpy's linalg module; wider
+bands, and another LAPACK (Accelerate on macOS arm64), take
+``np.linalg.eigvalsh`` on the band's dense symmetric expansion.  Both
+are backward stable to O(n eps ||rho||), ||rho|| <= trace = 1, and not
+bit-identical to each other: their spectra differed by up to 1.1e-16.
 
 Either solver runs with the calling thread's SSE flush-to-zero and
 denormals-are-zero bits set, and the thread's saved floating-point
 environment is restored after, also on an error.  Both reductions fill
-rho in outside its band with subnormals (below 2.2e-308), each a slow
-path on x86: a third of the dense n = 1024 eigensolve.  The flush moves
-only values that small; the dense spectra checked were bit-identical,
-the band ones moved by at most 1.1e-19.  It applies on Linux x86-64
-(fenv_t's layout) with MXCSR at its default 0x1F80, and only in the
-calling thread: MXCSR is per thread, so other BLAS threads keep theirs.
+their copy of rho in outside its band with subnormals (below 2.2e-308),
+each a slow path on x86: a third of the dense n = 1024 eigensolve.  The
+flush moves only values that small; the dense spectra checked were
+bit-identical, the band ones moved by at most 1.1e-19.  It applies on
+Linux x86-64 (fenv_t's layout) with MXCSR at its default 0x1F80, and
+only in the calling thread: MXCSR is per thread, so other BLAS threads
+keep theirs.
 
 Discretization uses midpoint cells in theta with the spherical measure
 folded in symmetrically (rho_ij = sqrt(mu_i mu_j) K(q_i, q_j) with
@@ -79,7 +84,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-import mmap
 import os
 import sys
 from functools import lru_cache
@@ -94,8 +98,6 @@ from .kinematics import ScatterContext
 
 # exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
 _BAND_SIGMAS = 45.0
-# rows per tile of DensityMatrix's symmetry check
-_SYM_TILE = 32
 # Gaussian window half-width W for the q'' quadrature: the Gaussian factor
 # at the window edge is exp(-12^2/2) ~ 5e-32, 15 orders below double
 # rounding; _kernel_j's docstring bounds the dropped tail.
@@ -177,35 +179,41 @@ _BAND_N_PER_KD = 4.5
 
 
 class DensityMatrix:
-    """Discretized reduced density matrix on a meridian grid: ``rho`` at
-    the momentum transfers ``q_grid``.
+    """Discretized reduced density matrix on a meridian grid at the
+    momentum transfers ``q_grid``, held as its lower band: ``band[k, j]``
+    is rho[j + k, j], LAPACK's band storage (UPLO 'L'), so rho is
+    symmetric by construction and ``band.shape[0] - 1`` is its lower
+    half-bandwidth kd.
 
-    Immutable.  The constructor checks that ``rho`` is square, finite,
-    symmetric to 1e-12 of its largest absolute entry and of unit trace."""
+    Immutable.  The constructor checks that ``band`` is 2-D with one
+    column per grid point and at most that many rows, finite, and of unit
+    trace."""
 
-    __slots__ = ("q_grid", "rho")
+    __slots__ = ("q_grid", "band")
 
-    def __init__(self, q_grid: np.ndarray, rho: np.ndarray) -> None:
-        r = np.asarray(rho, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {r.shape}")
-        # the largest |entry|: max and min propagate NaN and +-inf, so the
-        # scale is finite exactly when every entry is
-        scale = max(float(r.max()), -float(r.min())) if r.size else 0.0
-        if not math.isfinite(scale):
+    def __init__(self, q_grid: np.ndarray, band: np.ndarray) -> None:
+        b = np.asarray(band, dtype=float)
+        n = len(q_grid)
+        if b.ndim != 2 or b.shape[1] != n or not 1 <= b.shape[0] <= n:
+            raise ValueError(f"density matrix band must be (kd + 1) x n with kd < n = "
+                             f"{n} grid points, got shape {b.shape}")
+        if not np.isfinite(b).all():
             raise ValueError("density matrix has non-finite entries")
-        if scale > 0.0:
-            # rows [s, s+b) from column s on against their mirror image:
-            # each pair i <= j once, in tiles that stay in cache
-            for s in range(0, r.shape[0], _SYM_TILE):
-                asym = r[s:s + _SYM_TILE, s:] - r[s:, s:s + _SYM_TILE].T
-                if float(np.abs(asym, out=asym).max()) > 1e-12 * scale:
-                    raise ValueError("density matrix is not symmetric")
-        if abs(float(np.trace(r)) - 1.0) > 1e-9:
+        if abs(float(b[0].sum()) - 1.0) > 1e-9:
             raise ValueError(
-                f"trace = {float(np.trace(r))!r}, expected 1 after normalization")
+                f"trace = {float(b[0].sum())!r}, expected 1 after normalization")
         object.__setattr__(self, "q_grid", q_grid)
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "band", b)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """rho as a dense symmetric n x n array, a new one each call."""
+        n = self.band.shape[1]
+        r = np.zeros((n, n))
+        flat = r.reshape(-1)  # rho[j + k, j] and rho[j, j + k], j < n - k
+        for k, diagonal in enumerate(self.band):
+            flat[k * n::n + 1] = flat[k:n * (n - k):n + 1] = diagonal[:n - k]
+        return r
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"DensityMatrix is immutable: cannot set {name!r}")
@@ -413,36 +421,25 @@ def _kernel_j_table(mu: np.ndarray, ctx: ScatterContext) -> np.ndarray:
     return _chebval_rows(x, lambda k: coef_t[k][which])
 
 
-def _zero_pages(n: int) -> np.ndarray:
-    """n x n float64 zeros on pages that stay the kernel's zero page until
-    written.  numpy advises huge pages from 4 MB: at n = 1024 the band made
-    all 8 MB of an ``np.zeros`` rho resident, but touches ~4.2 MB of 4 kB
-    pages.  A shared mapping (mmap's default) makes pages it reads resident."""
-    if not hasattr(mmap, "MAP_PRIVATE"):  # Windows
-        return np.zeros((n, n))
-    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
-        pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(pages, dtype=float).reshape(n, n)
-
-
 def build_meridian_matrix(ctx: ScatterContext, n_grid: int) -> DensityMatrix:
     """Assemble and trace-normalize the meridian density matrix.
 
     The theta grid is the cell centres of vn-compare's ring grid,
     ``ring_grid`` with ``n_grid`` cells over [epsilon, pi - epsilon].
-    ``n_grid`` is the caller's choice: rho takes O(n^2) memory and its
-    eigensolve O(n^3) time (the CLI caps it).
+    ``n_grid`` is the caller's choice (the CLI caps it): the band takes
+    O(n kd) memory, and a band too wide for the band solver an n x n
+    dense copy and an O(n^3) eigensolve.
     Elements farther than 45 sigma_k from the diagonal in q are set to
     exactly zero (they are < 1e-100 of the peak), which keeps assembly
     O(n * bandwidth); the band is divided by the trace, then written once
-    into :func:`_zero_pages`.  ``ring_grid`` refuses a context with no
-    accessible angle first; then NumericalError refuses a packet so wide
-    that sigma_k^2 is not a normal float, or 2K / sigma_k^2 or
-    (2K)^2 / sigma_k^2 (the largest Bessel scale and argument) overflows,
-    and a grid whose first point q = 2K sin(theta_0/2) lies below the
-    kernel's cutoff K epsilon raises ValueError, all before any kernel
-    work.
+    into band storage, ``band[j - i, i]`` for each pair j >= i, with
+    kd + 1 rows for the farthest pair whose element is nonzero.
+    ``ring_grid`` refuses a context with no accessible angle first; then
+    NumericalError refuses a packet so wide that sigma_k^2 is not a
+    normal float, or 2K / sigma_k^2 or (2K)^2 / sigma_k^2 (the largest
+    Bessel scale and argument) overflows, and a grid whose first point
+    q = 2K sin(theta_0/2) lies below the kernel's cutoff K epsilon raises
+    ValueError, all before any kernel work.
     """
     if n_grid < 2:
         raise ValueError(f"need at least a 2-point grid, got {n_grid}")
@@ -490,10 +487,11 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int) -> DensityMatrix:
             f"J(mu) on the band is at most {float(j_band.max())!r} (sigma_k = "
             f"{ctx.sigma_k!r}): matrix trace is {trace!r}, cannot normalize")
     vals /= trace
-    rho = _zero_pages(n_grid)
-    rho[i, j] = vals
-    rho[j, i] = vals
-    return DensityMatrix(q_grid=q, rho=rho)
+    nonzero = vals != 0.0
+    d, i, vals = (j - i)[nonzero], i[nonzero], vals[nonzero]
+    band = np.zeros((int(d.max()) + 1, n_grid))
+    band[d, i] = vals
+    return DensityMatrix(q_grid=q, band=band)
 
 
 @contextlib.contextmanager
@@ -511,21 +509,12 @@ def _flush_subnormals():
         _LIBC.fesetenv(saved)
 
 
-def _lower_bandwidth(rho: np.ndarray) -> int:
-    """kd: the largest i - j over rho's nonzero entries with j <= i."""
-    nonzero = rho != 0.0
-    rows = np.arange(rho.shape[0])
-    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
-    return max(0, int((rows - first).max()))
-
-
-def _band_eigvalsh(rho: np.ndarray, kd: int) -> np.ndarray:
-    """Ascending eigenvalues of rho from its lower band of half-width
-    ``kd``, by ``dsbevd_2stage``."""
-    n, i64 = rho.shape[0], ctypes.c_int64
-    ab = np.zeros((kd + 1, n), order="F")  # LAPACK's band storage, UPLO 'L'
-    for k in range(kd + 1):
-        ab[k, :n - k] = rho.diagonal(-k)
+def _band_eigvalsh(band: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose lower band is
+    ``band`` (LAPACK's storage, UPLO 'L'), by ``dsbevd_2stage``."""
+    ab = np.array(band, dtype=float, order="F")  # a copy: LAPACK overwrites AB
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    i64 = ctypes.c_int64
     lam, z, info = np.empty(n), np.empty(1), i64()
     work, iwork = np.empty(1), np.empty(1, np.int64)
     for query in (True, False):  # the workspace sizes, then the solve
@@ -547,19 +536,23 @@ def eigen_spectrum(dm: DensityMatrix) -> np.ndarray:
     Values in [-1e-10, 0) are rounded up to 0; anything more negative
     means the matrix is not positive semidefinite and raises.
 
-    The band solver ``dsbevd_2stage`` runs where numpy's LAPACK has it
-    and n >= 4.5 kd, kd being rho's lower half-bandwidth, else the dense
-    ``np.linalg.eigvalsh``; they agree to ~1e-16, not bit for bit.  On
-    Linux x86-64 either runs with subnormals flushed to zero in the
-    calling thread (see the module docstring).
+    The band solver ``dsbevd_2stage`` runs on a copy of ``dm.band`` where
+    numpy's LAPACK has it and n >= 4.5 kd, else the dense
+    ``np.linalg.eigvalsh`` on ``dm.rho``; they agree to ~1e-16, not bit for
+    bit.  On Linux x86-64 either runs with subnormals flushed to zero in
+    the calling thread (see the module docstring).
+
+    The band solve's small kernels ran up to 2.5x slower on two OpenBLAS
+    threads than on one (5.1 eV / 100 nm, n = 1024).  vn-compare runs one
+    BLAS thread per row; a library caller gets the same by setting
+    ``OPENBLAS_NUM_THREADS=1`` before numpy is first imported.
     """
-    rho, n = dm.rho, dm.rho.shape[0]
-    kd = _lower_bandwidth(rho) if _DSBEVD is not None else n
+    kd, n = dm.band.shape[0] - 1, dm.band.shape[1]
     with _flush_subnormals():
-        if _BAND_N_PER_KD * kd <= n:
-            lam = _band_eigvalsh(rho, kd)
+        if _DSBEVD is not None and _BAND_N_PER_KD * kd <= n:
+            lam = _band_eigvalsh(dm.band)
         else:
-            lam = np.linalg.eigvalsh(rho)
+            lam = np.linalg.eigvalsh(dm.rho)
     lam = lam[::-1].copy()
     lam_min = float(lam.min())
     if lam_min < -1e-10:

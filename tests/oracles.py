@@ -44,6 +44,10 @@ Each oracle recomputes a quantity through a route that shares no code
   the package did before its J(mu) table); it referees the table and the
   broadcast band assembly, while ``kernel_element_oracle`` referees the
   element itself.
+* ``band_of`` is a dense symmetric matrix's lower band in LAPACK's
+  storage, as tight as its nonzero entries allow: the form
+  ``DensityMatrix`` holds, for tests that build a matrix by hand (the
+  package found kd this way before its builds wrote the band directly).
 * ``charpoly_spectrum`` finds eigenvalues from characteristic-polynomial
   coefficients (Faddeev-LeVerrier recursion) and mpmath's
   Durand-Kerner polynomial root finder, which shares nothing with the
@@ -565,6 +569,20 @@ def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
             rho[i, j] = val
             rho[j, i] = val
     return rho / float(np.trace(rho))
+
+
+def band_of(rho) -> np.ndarray:
+    """The lower band of the square matrix ``rho``: ``band[k, j] =
+    rho[j + k, j]`` for k = 0 .. kd, kd the largest i - j over rho's
+    nonzero entries with j <= i (a subnormal one counts)."""
+    rho = np.asarray(rho, dtype=float)
+    n = rho.shape[0]
+    i, j = np.nonzero(np.tril(rho))
+    kd = int((i - j).max()) if i.size else 0
+    band = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        band[k, :n - k] = rho.diagonal(-k)
+    return band
 
 
 def charpoly_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from escatter.density_matrix import DensityMatrix
 
 from oracles import (
     CALIBRATED_KSCALE,
+    band_of,
     charpoly_spectrum,
     diagonal_convolution_oracle,
     postselect_gap_oracle,
@@ -182,7 +183,7 @@ def test_a08_density_matrix_suite():
     rng = np.random.default_rng(2026)
     q_mat, _ = np.linalg.qr(rng.normal(size=dm.rho.shape))
     rotated = q_mat @ dm.rho @ q_mat.T
-    dm_rot = DensityMatrix(q_grid=dm.q_grid, rho=0.5 * (rotated + rotated.T))
+    dm_rot = DensityMatrix(q_grid=dm.q_grid, band=band_of(0.5 * (rotated + rotated.T)))
     assert float(np.max(np.abs(eigen_spectrum(dm_rot) - lam))) <= 1e-9
 
     # diagonal kernel against the independent smoothing quadrature
@@ -212,7 +213,7 @@ def test_a09_spectra_match_characteristic_polynomial():
         q_mat, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         rho = (q_mat * lam_true) @ q_mat.T
         rho = 0.5 * (rho + rho.T)
-        dm = DensityMatrix(q_grid=np.arange(dim, dtype=float) + 1.0, rho=rho)
+        dm = DensityMatrix(q_grid=np.arange(dim, dtype=float) + 1.0, band=band_of(rho))
         lam = eigen_spectrum(dm)
         ref = charpoly_spectrum(rho)
         assert float(np.max(np.abs(lam - ref))) <= 1e-8

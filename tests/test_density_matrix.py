@@ -1,5 +1,4 @@
 import math
-import mmap
 import os
 import random
 import sys
@@ -24,6 +23,7 @@ from escatter.cli import main
 
 from oracles import (
     CALIBRATED_KSCALE,
+    band_of,
     charpoly_spectrum,
     diagonal_convolution_oracle,
     i0e_phi_quadrature,
@@ -200,7 +200,7 @@ def test_spectrum_orthogonal_invariance(dm256):
     q_mat, _ = np.linalg.qr(rng.normal(size=dm256.rho.shape))
     rotated = q_mat @ dm256.rho @ q_mat.T
     rotated = 0.5 * (rotated + rotated.T)  # scrub rounding asymmetry
-    dm_rot = DensityMatrix(q_grid=dm256.q_grid, rho=rotated)
+    dm_rot = DensityMatrix(q_grid=dm256.q_grid, band=band_of(rotated))
     lam0 = eigen_spectrum(dm256)
     lam1 = eigen_spectrum(dm_rot)
     assert float(np.max(np.abs(lam0 - lam1))) <= 1e-9
@@ -346,7 +346,7 @@ def test_table_equals_per_panel_oracle(e_ev, l_nm, grown_from_min_rounds,
         band_mu.clear()
         direct_calls.clear()
         monkeypatch.setattr(density_matrix, "_kernel_j_table", recording_table)
-        rho = build_meridian_matrix(ctx, n).rho
+        band = build_meridian_matrix(ctx, n).band
         rounds = len(direct_calls)
         assert rounds <= 2, n
         mu_per_build[n] = sum(direct_calls)
@@ -354,7 +354,7 @@ def test_table_equals_per_panel_oracle(e_ev, l_nm, grown_from_min_rounds,
                               kernel_j_table_oracle(band_mu[0], ctx)), n
         monkeypatch.setattr(density_matrix, "_kernel_j_table",
                             kernel_j_table_oracle)
-        assert np.array_equal(build_meridian_matrix(ctx, n).rho, rho), n
+        assert np.array_equal(build_meridian_matrix(ctx, n).band, band), n
     assert mu_per_build[1024] == mu_1024
     assert mu_per_build[2] < grown_from_min_mu_2
     assert rounds <= grown_from_min_rounds  # n = 1024
@@ -373,7 +373,7 @@ def test_assembly_matches_per_element_oracle(e_ev, l_nm):
         rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
         assert float(rel.max()) <= 1e-9, n
         s_ref = shannon_discrete(eigen_spectrum(DensityMatrix(
-            q_grid=dm.q_grid, rho=ref)))
+            q_grid=dm.q_grid, band=band_of(ref))))
         assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
 
 
@@ -472,33 +472,6 @@ def test_packet_too_wide_fails_before_j(monkeypatch, e_ev, l_nm, narrower_nm):
     with pytest.raises(NumericalError, match=r"sigma_k = 5\.29\d*e-\d+ is too "
                        r"small for the kernel: sigma_k\^2 = "):
         build_meridian_matrix(ctx, 4)
-
-
-@pytest.mark.skipif(not (os.path.exists("/proc/self/smaps")
-                         and hasattr(mmap, "MAP_PRIVATE")),
-                    reason="needs /proc/self/smaps and private mappings")
-def test_only_the_band_pages_are_resident():
-    # rho lives on a private mapping that declines huge pages, so the
-    # pages outside the 45 sigma_k band stay on the kernel's zero page
-    # however often the checks and eigvalsh read them.  np.zeros put it on
-    # huge pages, all 8,192 kB resident; the band's pages are ~4,200 kB
-    dm = build_meridian_matrix(make_context(5.1, 100.0, CALIBRATED_KSCALE), 1024)
-    eigen_spectrum(dm)
-    start = dm.rho.ctypes.data
-    end = start + dm.rho.nbytes
-    kb, inside = {"Size:": 0, "Rss:": 0}, False
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            key, value = line.split()[:2]
-            if not key.endswith(":"):  # a mapping's first line: lo-hi perms ...
-                lo, hi = (int(a, 16) for a in key.split("-"))
-                inside = lo < end and hi > start
-            elif inside and key in kb:
-                kb[key] += int(value)
-    # the mappings that hold rho; a neighbour of the same kind may have
-    # merged with rho's, and numpy's huge-page advice splits its own
-    assert kb["Size:"] * 1024 >= dm.rho.nbytes
-    assert kb["Rss:"] <= 0.6 * kb["Size:"], kb
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +590,7 @@ _HAS_BAND = pytest.mark.skipif(density_matrix._DSBEVD is None,
 @pytest.mark.parametrize("e_ev, l_nm, k_scale, n, kd", _BAND_POINTS)
 def test_band_spectrum_equals_the_dense_one(e_ev, l_nm, k_scale, n, kd, monkeypatch):
     dm = build_meridian_matrix(make_context(e_ev, l_nm, k_scale), n)
-    assert density_matrix._lower_bandwidth(dm.rho) == kd
+    assert dm.band.shape[0] - 1 == kd
     band = 9 * kd <= 2 * n
     with monkeypatch.context() as patch:
         calls = _record_solvers(patch)
@@ -626,7 +599,7 @@ def test_band_spectrum_equals_the_dense_one(e_ev, l_nm, k_scale, n, kd, monkeypa
     dense = np.maximum(np.linalg.eigvalsh(dm.rho), 0.0)
     assert float(np.abs(lam[::-1] - dense).max()) <= 1e-15
     if not band and n <= 1024:  # the band solver is right past the crossover too
-        solved = density_matrix._band_eigvalsh(dm.rho, kd)
+        solved = density_matrix._band_eigvalsh(dm.band)
         assert float(np.abs(np.maximum(solved, 0.0) - dense).max()) <= 1e-15
     monkeypatch.setattr(density_matrix, "_DSBEVD", None)
     s_dense = shannon_discrete(eigen_spectrum(dm))
@@ -634,15 +607,17 @@ def test_band_spectrum_equals_the_dense_one(e_ev, l_nm, k_scale, n, kd, monkeypa
 
 
 def test_lower_bandwidth():
-    assert density_matrix._lower_bandwidth(0.5 * np.eye(2)) == 0
+    # the oracle helper that turns hand-built matrices into bands
+    assert band_of(0.5 * np.eye(2)).shape == (1, 2)
     rho = np.diag([0.25] * 4)
     rho[3, 0] = rho[0, 3] = 0.1
-    assert density_matrix._lower_bandwidth(rho) == 3
+    assert np.array_equal(band_of(rho), [[0.25] * 4, [0.0] * 4, [0.0] * 4,
+                                         [0.1, 0.0, 0.0, 0.0]])
     rho[3, 0] = 0.0  # the lower triangle alone counts
-    assert density_matrix._lower_bandwidth(rho) == 0
+    assert band_of(rho).shape == (1, 4)
     rho = np.zeros((5, 5))
     rho[4, 2] = rho[2, 4] = 1e-320  # subnormal is nonzero
-    assert density_matrix._lower_bandwidth(rho) == 2
+    assert band_of(rho).shape == (3, 5)
 
 
 @_HAS_BAND
@@ -651,7 +626,9 @@ def test_band_solver_on_small_matrices(n, kd):
     rng = np.random.default_rng(10 * n + kd)
     a = rng.uniform(-1.0, 1.0, (n, n))
     a = np.tril(np.triu(a + a.T, -kd), kd)
-    lam = density_matrix._band_eigvalsh(a, kd)
+    band = band_of(a)
+    assert band.shape == (kd + 1, n)
+    lam = density_matrix._band_eigvalsh(band)
     assert lam == pytest.approx(np.linalg.eigvalsh(a), abs=1e-14)
 
 
@@ -670,7 +647,7 @@ def test_eigen_spectrum_of_a_band_matrix_with_known_spectrum(monkeypatch):
                 q_mat[:, [i, i + 1]] = q_mat[:, [i, i + 1]] @ [[c, -s], [s, c]]
         rho = (q_mat * rng.permutation(lam_true)) @ q_mat.T
         rho = 0.5 * (rho + rho.T)
-        kd = density_matrix._lower_bandwidth(rho)
+        kd = band_of(rho).shape[0] - 1
         assert 1 <= kd <= 4 and 9 * kd <= 2 * n
         with monkeypatch.context() as patch:
             calls = _record_solvers(patch)
@@ -692,9 +669,13 @@ def test_the_band_solver_is_there_with_scipy_openblas():
 # spectra and entropy of hand-built states
 # ---------------------------------------------------------------------------
 
+def _dm_of_band(band):
+    band = np.asarray(band, dtype=float)
+    return DensityMatrix(q_grid=np.arange(band.shape[1], dtype=float) + 1.0, band=band)
+
+
 def _dm_from(rho):
-    n = rho.shape[0]
-    return DensityMatrix(q_grid=np.arange(n, dtype=float) + 1.0, rho=rho)
+    return _dm_of_band(band_of(rho))
 
 
 def test_eigen_spectrum_simple_cases():
@@ -706,73 +687,94 @@ def test_eigen_spectrum_simple_cases():
     assert lam == pytest.approx([1.0, 0.0], abs=1e-12)
 
     # the checked float64 array is what is kept, whatever came in
-    for rho in (np.diag([0.25] * 4).astype(np.float32), [[0.5, 0.0], [0.0, 0.5]]):
-        dm = DensityMatrix(q_grid=np.arange(len(rho)) + 1.0, rho=rho)
-        assert isinstance(dm.rho, np.ndarray) and dm.rho.dtype == np.float64
+    for band in (np.full((1, 4), 0.25, np.float32), [[0.5, 0.5], [0.0, 0.0]]):
+        dm = DensityMatrix(q_grid=np.arange(len(band[0])) + 1.0, band=band)
+        assert isinstance(dm.band, np.ndarray) and dm.band.dtype == np.float64
         lam = eigen_spectrum(dm)
         assert lam.dtype == np.float64
         assert lam == pytest.approx([1.0 / len(lam)] * len(lam), abs=1e-15)
 
 
 def test_density_matrix_rejects_non_finite():
-    # NaN fails the symmetry and trace comparisons, so such a matrix was
-    # accepted and its spectrum came out [nan, nan]
-    for i, j, bad in ((0, 1, math.nan), (0, 0, math.nan), (1, 0, math.inf)):
-        rho = 0.5 * np.eye(2)
-        rho[i, j] = bad
+    # NaN fails the trace comparison, so such a matrix was accepted and
+    # its spectrum came out [nan, nan]; the padding past rho's end, which
+    # no solver reads, is checked too
+    for k, j, bad in ((1, 0, math.nan), (0, 0, math.nan), (0, 1, math.inf),
+                      (1, 1, math.nan)):
+        band = [[0.5, 0.5], [0.25, 0.0]]
+        band[k][j] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            _dm_from(rho)
+            _dm_of_band(band)
 
 
-def test_density_matrix_checks_symmetry_and_trace():
-    # symmetric to 1e-12 of the largest |entry|, here a negative one
-    for gap, ok in ((1.5e-12, True), (3e-12, False)):
-        rho = np.array([[0.5, -2.0], [-2.0 + gap, 0.5]])
+def test_density_matrix_checks_trace():
+    for excess, ok in ((5e-10, True), (2e-9, False), (-2e-9, False)):
+        band = np.array([[0.5, 0.5 + excess], [0.25, 0.0]])
         if ok:
-            assert _dm_from(rho).rho is rho
-        else:
-            with pytest.raises(ValueError, match="not symmetric"):
-                _dm_from(rho)
-    for excess, ok in ((5e-10, True), (2e-9, False)):
-        rho = np.diag([0.5, 0.5 + excess])
-        if ok:
-            _dm_from(rho)
+            assert _dm_of_band(band).band is band
         else:
             with pytest.raises(ValueError, match="expected 1"):
-                _dm_from(rho)
+                _dm_of_band(band)
 
 
-def test_symmetry_check_covers_every_tile():
-    # the check compares row tiles with their mirror image; an asymmetry
-    # of 1e-9 of the scale is caught wherever it sits, in the first or
-    # last tile, on a tile's edge or far off the diagonal, and nowhere
-    # else does the check fire
-    n, b = 1024, density_matrix._SYM_TILE
-    rng = np.random.default_rng(3)
-    base = rng.uniform(0.0, 1.0, (n, n))
-    base = 0.5 * (base + base.T)
-    base /= np.trace(base)
-    scale = float(base.max())
-    _dm_from(base)
-    for i, j in ((0, 1), (1, 0), (0, n - 1), (n - 1, 0), (b - 1, b),
-                 (b, b - 1), (n - 2, n - 1), (n - 1, n - 2), (500, 37)):
-        rho = base.copy()
-        rho[i, j] += 1e-9 * scale
-        with pytest.raises(ValueError, match="not symmetric"):
-            _dm_from(rho)
-    for shape in ((2, 3), (4,)):
-        with pytest.raises(ValueError, match="square"):
-            _dm_from(np.zeros(shape))
+def test_density_matrix_checks_the_band_shape():
+    # one column per grid point, kd + 1 <= n rows, and 2-D
+    q = np.arange(3, dtype=float) + 1.0
+    for band in (np.full((1, 4), 0.25), np.full((1, 2), 0.5), np.zeros((4, 3)),
+                 np.zeros((0, 3)), np.full(3, 1.0 / 3.0), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=r"band must be \(kd \+ 1\) x n with "
+                           r"kd < n = 3 grid points, got shape"):
+            DensityMatrix(q_grid=q, band=band)
+    assert DensityMatrix(q_grid=q, band=np.full((3, 3), 1.0 / 3.0)).band.shape == (3, 3)
+
+
+def test_a_build_holds_rho_as_its_tight_lower_band(dm256):
+    # kd + 1 rows, the top one holding the farthest nonzero element: the
+    # band is what the dense scan of rho finds, and rho, expanded from it,
+    # is exactly symmetric with the band on its lower diagonals
+    band, rho = dm256.band, dm256.rho
+    kd = band.shape[0] - 1
+    assert band.shape == (kd + 1, 256) and 1 <= kd < 256
+    assert band[kd].any()
+    assert np.array_equal(band_of(rho), band)
+    assert np.array_equal(rho, rho.T)
+    for k in range(kd + 1):
+        assert np.array_equal(rho.diagonal(-k), band[k, :256 - k]), k
+        assert not band[k, 256 - k:].any(), k
+    assert not np.tril(rho, -kd - 1).any()
+
+
+@pytest.mark.parametrize("band_handle", [True, False])
+def test_eigen_spectrum_leaves_the_band_alone(dm256, band_handle, monkeypatch):
+    # LAPACK's band solver may overwrite its AB argument, so it gets a
+    # copy, also of a band that is already in Fortran order
+    if not band_handle:
+        monkeypatch.setattr(density_matrix, "_DSBEVD", None)
+    for dm in (dm256, _dm_of_band(np.asfortranarray(dm256.band)),
+               _dm_from(np.diag([0.25] * 4))):
+        before = dm.band.copy()
+        eigen_spectrum(dm)
+        assert np.array_equal(dm.band, before)
+    if band_handle and density_matrix._DSBEVD is not None:
+        # dsbevd_2stage scales AB in place where its norm is below
+        # sqrt(safe minimum / eps) ~ 1e-146, which no unit-trace band is
+        tiny = np.asfortranarray(dm256.band * 1e-150)
+        before = tiny.copy()
+        lam = density_matrix._band_eigvalsh(tiny)
+        assert np.array_equal(tiny, before)
+        assert lam[::-1] == pytest.approx(1e-150 * eigen_spectrum(dm256),
+                                          rel=1e-9, abs=1e-165)
 
 
 def test_density_matrix_is_immutable():
     dm = _dm_from(0.5 * np.eye(2))
     assert dm != _dm_from(0.5 * np.eye(2))  # identity, not array, equality
-    for name in ("rho", "q_grid", "extra"):
+    for name in ("rho", "band", "q_grid", "extra"):
         with pytest.raises(AttributeError):
             setattr(dm, name, np.eye(2))
-    with pytest.raises(AttributeError):
-        del dm.rho
+    for name in ("rho", "band"):
+        with pytest.raises(AttributeError):
+            delattr(dm, name)
 
 
 def test_eigen_spectrum_rejects_nonpsd():
