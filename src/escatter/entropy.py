@@ -123,19 +123,17 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
+def _cell_terms(grid: AngularGrid, c: float, channel: SpinChannel,
                 xs) -> tuple[list[float], list[float]]:
     """(w, w ln w) for the cells at (possibly fractional) indices ``xs``,
     each summed over the branches :func:`channel_cell_integrals` gives
-    the channel (two for ANTIPARALLEL, one otherwise).  On a SPHERE_PIXELS
-    grid the second term is w ln(w / m), m = ring_weight(centre).  Both
-    are smooth in x, which is what lets the middle of a grid be summed by
-    Euler-Maclaurin."""
+    the channel (two for ANTIPARALLEL, one otherwise) at the scale ``c``.
+    On a SPHERE_PIXELS grid the second term is w ln(w / m), m =
+    ring_weight(centre).  Both are smooth in x, which is what lets the
+    middle of a grid be summed by Euler-Maclaurin."""
     mids = grid.centres(xs)
     hw = 0.5 * grid.delta_theta
-    branches = channel_cell_integrals(mids, hw, K, channel)
-    m = ([ring_weight(mid, grid.delta_theta) for mid in mids]
-         if grid.kind is GridKind.SPHERE_PIXELS else [1.0] * len(mids))
+    branches = channel_cell_integrals(mids, hw, c, channel)
     log = math.log
     z = [0.0] * len(mids)
     t = [0.0] * len(mids)
@@ -144,12 +142,20 @@ def _cell_terms(grid: AngularGrid, K: float, channel: SpinChannel,
         for i, w in enumerate(branch):
             if 0.0 < w < inf:
                 z[i] += w
-                t[i] += w * log(w / m[i])
-            # the range test also drops NaN and +-inf: look at what it dropped
+                t[i] += w * log(w)
+            # the range test also drops NaN and +-inf, which fail the row; the
+            # rest it drops underflowed to 0, under 2.2e-308 of the reducer's
+            # first cell (which weighs 1), or is negligible with its centre
+            # rounded past pi: as 0 it is exact far below rounding
             elif not math.isfinite(w):
                 raise NumericalError(
                     f"non-finite cell weight in the {channel.value} channel "
                     f"at theta = {mids[i]!r}")
+    if grid.kind is GridKind.SPHERE_PIXELS:
+        # w ln w - w ln m, as w / m may underflow; a cell whose weights were
+        # all dropped may lie past pi, where m < 0
+        t = [ti - zi * log(ring_weight(mid, grid.delta_theta)) if zi else ti
+             for ti, zi, mid in zip(t, z, mids)]
     return z, t
 
 
@@ -207,52 +213,53 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     ring cell splits into m = ring_weight(center) equally probable pixels,
     so a ring of weight w contributes w ln(w / m) instead of w ln w.
 
-    Uses H(w/Z) = ln(Z)/ln2 - T / (Z ln2), Z = sum w and T = sum w ln w.
-    A grid of up to _EXACT_MAX_CELLS cells is summed cell by cell.  On a
-    larger one the _EXACT_END_CELLS cells at an edge within as many
-    cells of one of the channel's ``SINGULAR_ANGLES`` are, and the cells
-    between go to :func:`_euler_maclaurin_sum`, so the cost does not
-    grow with the number of cells.
+    The weights' scale makes the first cell, the largest in every channel
+    and band reduced here, weigh w_0 ~ 1; K, their unit, is not used
+    (``perfbench/tracing.py`` reads the channel third).  With R = Z - w_0
+    summed without w_0 and T' = sum w ln(w / w_0) <= 0 (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 4), H = [log1p(R / w_0)
+    - T' / Z] / ln 2 is >= 0, and exactly 0 for one cell.  A grid of up to
+    _EXACT_MAX_CELLS cells is summed cell by cell.  On a larger one the
+    first cell is, and so are the _EXACT_END_CELLS cells at an edge within
+    as many cells of one of the channel's ``SINGULAR_ANGLES``; the cells
+    between go to :func:`_euler_maclaurin_sum`, so the cost does not grow
+    with the number of cells.
     """
-    terms = partial(_cell_terms, grid, K, channel)
     n = grid.n_cells
-    # a lower edge too close to 0 (5 eV packets of 1e81 nm, 1e160 nm for
-    # PARALLEL) underflows the sin^2 products that cell integrals divide
-    # by, or sums finite weights past the largest float in math.fsum
+    # a lower edge too close to 0 (5 eV packets of 1e81 nm) underflows the
+    # sin^2 products the cell integrals divide by, or math.fsum overflows
     try:
+        first, = _cell_terms(grid, 1.0, channel, (0,))[0]
+        terms = partial(_cell_terms, grid, 1.0 / first, channel)
         if n <= _EXACT_MAX_CELLS:
             w, wlnw = terms(range(n))
-            z, t = math.fsum(w), math.fsum(wlnw)
         else:
             # cells from each grid edge to the channel's nearest singular angle
             d_lo, d_hi = (min(abs(edge - s) for s in SINGULAR_ANGLES[channel])
                           / grid.delta_theta
                           for edge in grid.centres((-0.5, n - 0.5)))
-            lo, hi = (_EXACT_END_CELLS if d < _EXACT_END_CELLS else 0
-                      for d in (d_lo, d_hi))
+            lo = _EXACT_END_CELLS if d_lo < _EXACT_END_CELLS else 1
+            hi = _EXACT_END_CELLS if d_hi < _EXACT_END_CELLS else 0
             w, wlnw = terms([*range(lo), *range(n - hi, n)])
             z_mid, t_mid = _euler_maclaurin_sum(
                 terms, lo - 0.5, n - hi - 0.5, d_lo + lo, d_hi + hi)
-            z, t = math.fsum([*w, z_mid]), math.fsum([*wlnw, t_mid])
+            w, wlnw = [*w, z_mid], [*wlnw, t_mid]
+        w0, r, t = w[0], math.fsum(w[1:]), math.fsum(wlnw)
     except (ZeroDivisionError, OverflowError) as exc:
         what, where = _RANGE_ERRORS[type(exc)]
         raise NumericalError(
             f"{channel.value}-channel cell weights {what}: the grid's "
             f"lower edge theta = {grid.theta_lo!r} rad is too close to 0 "
             f"({where})") from None
-    except ValueError:  # log(w / m) of a sphere ring's w / m rounded to 0
-        raise NumericalError(f"{channel.value}-channel pixel weights w / m underflow "
-                             f"at delta_theta = {grid.delta_theta!r} rad") from None
+    z = w0 + r
     # finite weights whose w ln(w / m) overflows, or whose Euler-Maclaurin
     # terms do, leave T (or Z) non-finite
     if not (math.isfinite(z) and math.isfinite(t)):
         raise NumericalError(
             f"{channel.value}-channel sums leave the float range: "
             f"Z = sum w = {z!r}, T = sum w ln(w / m) = {t!r}")
-    if z <= 0.0:
-        return 0.0, 0.0
-    # the sum is >= 0 mathematically; rounding can leave -1e-16
-    return max(0.0, (math.log(z) - t / z) / _LN2), z
+    # T' = T - Z ln w_0, which is exactly 0 for one ring cell
+    return (math.log1p(r / w0) - (t - z * math.log(w0)) / z) / _LN2, z
 
 
 def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,

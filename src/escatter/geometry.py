@@ -26,11 +26,12 @@ numpy-vectorised copies, Gauss-Legendre quadrature and mpmath in
 ``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
-d(s)/d(theta) = sin(theta)/2 and the densities become rational in s:
+d(s)/d(theta) = sin(theta)/2 and the densities become rational in s; the
+integrals take their only K-dependence, c = pi / (4 K^4), as an argument:
 
-    integral f^2 sin dtheta            = (1/(8 K^4)) * [-1/s]
-    integral g^2 sin dtheta            = (1/(8 K^4)) * [ 1/(1-s)]
-    integral (f-g)^2 sin dtheta        = (1/(8 K^4)) * [A(u)],  u = cos(theta)
+    2 pi integral f^2 sin dtheta       = c * [-1/s]
+    2 pi integral g^2 sin dtheta       = c * [ 1/(1-s)]
+    2 pi integral (f-g)^2 sin dtheta   = c * [A(u)],  u = cos(theta)
         with A(u) = 4*(atanh(u) - u/(1-u^2))
 
 No difference of two antiderivative values is ever formed.  For a cell
@@ -187,23 +188,23 @@ def panel_edges(a: float, b: float, floor: float,
 # closed-form cell integrals
 # ---------------------------------------------------------------------------
 
-def direct_exchange_cell_integrals(mids, hw: float, K: float
+def direct_exchange_cell_integrals(mids, hw: float, c: float
                                    ) -> tuple[list[float], list[float]]:
     """Per-cell (2 pi * integral f^2 sin, 2 pi * integral g^2 sin) over the
-    cells [mid - hw, mid + hw], one pair of lists over ``mids``.
+    cells [mid - hw, mid + hw] at the multiplier c, one pair of lists.
 
     sin^2 and cos^2 of each half-angle are formed directly, so both stay
     relatively accurate near their zeros."""
     sin, cos = math.sin, math.cos
-    c = math.pi / (4.0 * K ** 4)
     sin_hw = sin(hw)
     direct, exchange = [], []
     for mid in mids:
         half_a, half_b = 0.5 * (mid - hw), 0.5 * (mid + hw)
         sa, ca, sb, cb = sin(half_a), cos(half_a), sin(half_b), cos(half_b)
-        cds = c * (sin(mid) * sin_hw)  # c (s_b - s_a), without cancellation
-        direct.append(cds / ((sa * sa) * (sb * sb)))
-        exchange.append(cds / ((ca * ca) * (cb * cb)))
+        ds = sin(mid) * sin_hw  # s_b - s_a, without cancellation
+        # c last: c ds can be subnormal where the weight is not
+        direct.append(c * (ds / ((sa * sa) * (sb * sb))))
+        exchange.append(c * (ds / ((ca * ca) * (cb * cb))))
     return direct, exchange
 
 
@@ -227,9 +228,9 @@ def _atanh_minus_identity(y: float) -> float:
     return math.atanh(y) - y
 
 
-def parallel_cell_integrals(mids, hw: float, K: float) -> list[float]:
+def parallel_cell_integrals(mids, hw: float, c: float) -> list[float]:
     """Per-cell 2 pi * integral (f-g)^2 sin dtheta over the cells
-    [mid - hw, mid + hw], to rounding everywhere, the equator included.
+    [mid - hw, mid + hw] at c, to rounding everywhere, the equator included.
 
     Once a cell's lower edge is within about 1e-8 of its width from 0
     (from about 1e18 eV at 1 um), 1 + y cancels and y rounds to -1, where
@@ -237,7 +238,7 @@ def parallel_cell_integrals(mids, hw: float, K: float) -> list[float]:
     reducer reports as non-finite."""
     sin, cos = math.sin, math.cos
     sh, ch = sin(hw), cos(hw)
-    c4 = 4.0 * (math.pi / (4.0 * K ** 4))
+    c4 = 4.0 * c
     out = []
     for mid in mids:
         sm, cm = sin(mid), cos(mid)
@@ -262,19 +263,19 @@ SINGULAR_ANGLES = {SpinChannel.SPINLESS: (0.0, math.pi),
                    SpinChannel.ANTIPARALLEL: (0.0, math.pi)}
 
 
-def channel_cell_integrals(mids, hw: float, K: float,
+def channel_cell_integrals(mids, hw: float, c: float,
                            channel: SpinChannel) -> tuple[list[float], ...]:
     """A channel's branches over the cells [mid - hw, mid + hw]: per
-    branch, one list over ``mids`` of 2 pi * integral p sin dtheta.
+    branch, one list over ``mids`` of 2 pi * integral p sin dtheta at c.
 
     A branch is a distinguishable outcome within a cell.  SPINLESS has
     one, |f|^2; PARALLEL one, |f - g|^2; ANTIPARALLEL two, |f|^2 and
     |g|^2, the direct and the exchange spin pattern.  This is the one
     place that decides which densities a channel's cells carry."""
     if channel is SpinChannel.SPINLESS:
-        return (direct_exchange_cell_integrals(mids, hw, K)[0],)
+        return (direct_exchange_cell_integrals(mids, hw, c)[0],)
     if channel is SpinChannel.PARALLEL:
-        return (parallel_cell_integrals(mids, hw, K),)
+        return (parallel_cell_integrals(mids, hw, c),)
     if channel is SpinChannel.ANTIPARALLEL:
-        return direct_exchange_cell_integrals(mids, hw, K)
+        return direct_exchange_cell_integrals(mids, hw, c)
     raise ValueError(f"unknown spin channel: {channel!r}")

@@ -49,14 +49,12 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     Raises ValueError unless E in Hartree is positive, L in bohr positive
     and finite and k_scale positive, when 2 E b_bar rounds to 0, or when
     K or K L is below the normal float range.
-    Raises NumericalError if ``e_ev`` is beyond what the cell integrals
-    can represent: K^4, their scale, overflows, or the cutoff angle
-    epsilon is lost in rounding against the pixel width delta_theta
-    (epsilon/delta_theta = k_scale / sqrt(2 E), E in Hartree: from about
-    1e33 eV).  Neither is checked once epsilon is not below pi/2
-    (2 E b_bar < 1): no angle is accessible, so no cell integral is
-    formed, and ``geometry.ring_grid`` refuses the context with that
-    reason.
+    Raises NumericalError if the cutoff angle epsilon is lost in rounding
+    against the pixel width delta_theta (epsilon/delta_theta = k_scale /
+    sqrt(2 E), E in Hartree: from about 1e33 eV), where no grid starts at
+    epsilon.  That is not checked once epsilon >= pi/2 (2 E b_bar < 1):
+    no angle is accessible, so no cell integral is formed, and
+    ``geometry.ring_grid`` refuses the context with that reason.
     """
     e_ha = e_ev / HARTREE_EV
     if not e_ha > 0.0:
@@ -86,9 +84,6 @@ def make_context(e_ev: float, l_nm: float, k_scale: float = 1.0) -> ScatterConte
     )
     if not ctx.epsilon < 0.5 * math.pi:  # ring_grid refuses it, saying why
         return ctx
-    if not math.isfinite(k * k * k * k):
-        raise NumericalError(
-            f"e_ev = {e_ev!r} is out of range: K^4 overflows (K = {k!r})")
     if ctx.epsilon + ctx.delta_theta == ctx.delta_theta:
         raise NumericalError(
             f"e_ev = {e_ev!r} is out of range: the cutoff angle "

@@ -83,11 +83,8 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     equator; a trailing sliver narrower than one cell is dropped.  All
     channels are renormalized over the same retained cells.  Reported
     values are detection entropies (no exchange bit; it cancels in
-    ``delta_S = S_ap - S_par`` anyway).  A channel whose total weight
-    underflows to zero is reported as 0 with ``zero_weight`` set instead
-    of NaN.  That 0 is a placeholder, not an entropy: the weights' unit
-    factor pi / (4 K^4) underflows at huge E L (1e21 eV, 1e280 nm,
-    k_scale sqrt(2), theta_r = 0.01 gives 0 for about 960 bits).  A
+    ``delta_S = S_ap - S_par`` anyway).  ``zero_weight`` is always false
+    (no band's total weight is 0) and keeps the table's layout.  A
     theta_r beyond the half shell of ``ring_grid`` raises ValueError.
 
     The gap is not flat in ``theta_r``.  With x = pi/2 - theta the
@@ -105,9 +102,8 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
         raise ValueError(
             f"acceptance half-angle {theta_r!r} outside (0, pi/2 - cutoff]")
     grid = range_grid_below(math.pi / 2.0, theta_r, ctx.delta_theta)
-    h_sp, z_sp = _stream_weight_entropy(grid, ctx.K, SpinChannel.SPINLESS)
-    h_par, z_par = _stream_weight_entropy(grid, ctx.K, SpinChannel.PARALLEL)
-    h_ap, z_ap = _stream_weight_entropy(grid, ctx.K, SpinChannel.ANTIPARALLEL)
+    h_sp, h_par, h_ap = (_stream_weight_entropy(grid, ctx.K, channel)[0]
+                         for channel in SpinChannel)
     return {
         "theta_r": float(theta_r),
         "n_cells": grid.n_cells,
@@ -115,6 +111,6 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
         "S_par": h_par,
         "S_ap": h_ap,
         "delta_S": h_ap - h_par,
-        "zero_weight": (z_sp <= 0.0) or (z_par <= 0.0) or (z_ap <= 0.0),
+        "zero_weight": False,
     }
 

@@ -12,6 +12,10 @@ Each oracle recomputes a quantity through a route that shares no code
   ``escatter.geometry`` vectorised with numpy, as the package computed
   them before it ran on the ``math`` module alone; the streamed oracle
   below sums them, and they referee the package's loops to rounding.
+  Like the package's, they take the weights' multiplier c, which is
+  ``physical_scale(K)`` for the cell probabilities in physical units and
+  ``reducer_scale(grid, channel)`` for the weights the entropy reducer
+  sums.
 * ``cell_probability`` integrates a channel density over one detector
   cell with Gauss-Legendre quadrature of doubling order
   (``integrate_cell_gl``); it referees the closed-form cell integrals of
@@ -68,6 +72,12 @@ Each oracle recomputes a quantity through a route that shares no code
   ``telescoped_weight_mp`` is a grid's total weight the same way, from
   its first and last edge: the cells tile that span, so their sum
   telescopes.
+* ``spinless_entropy_mp`` is a grid's spinless detection entropy from
+  the sum ``escatter.entropy``'s reducer forms -- its exact end cells,
+  the package's float cell centres among them, plus the midpoint
+  Euler-Maclaurin formula for the middle -- at 30 digits, with mpmath's
+  own quadrature and derivatives.  It referees the reducer's rounding
+  where one cell outweighs all the others.
 * ``continuous_limit_oracle`` is the continuous-limit (n -> infinity)
   ring or sphere entropy of a channel, from adaptive quadrature in
   u = ln(theta) with a breakpoint at every octave of theta and the
@@ -160,15 +170,28 @@ def _half_angle_s_np(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sh * sh, ch * ch
 
 
-def direct_exchange_cell_integrals_np(mid, hw: float, K: float
+def physical_scale(K: float) -> float:
+    """pi / (4 K^4), the multiplier c under which the cell integrals are
+    the cell probabilities 2 pi int p sin dtheta of wave number K."""
+    return math.pi / (4.0 * K ** 4)
+
+
+def reducer_scale(grid, channel) -> float:
+    """The multiplier c under which ``escatter.entropy``'s reducer weighs
+    a grid's cells: the one that makes the first cell weigh 1."""
+    first = channel_cell_integrals_np(grid.centres((0,)), 0.5 * grid.delta_theta,
+                                      1.0, channel)
+    return 1.0 / float(first[0])
+
+
+def direct_exchange_cell_integrals_np(mid, hw: float, c: float
                                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (2 pi int f^2 sin, 2 pi int g^2 sin) over the cells
-    [mid - hw, mid + hw], as numpy arrays."""
+    [mid - hw, mid + hw] at the multiplier c, as numpy arrays."""
     mid = np.asarray(mid, dtype=float)
     s_a, c_a = _half_angle_s_np(mid - hw)
     s_b, c_b = _half_angle_s_np(mid + hw)
     ds = np.sin(mid) * np.sin(hw)  # s_b - s_a, without cancellation
-    c = math.pi / (4.0 * K ** 4)
     return c * ds / (s_a * s_b), c * ds / (c_a * c_b)
 
 
@@ -182,9 +205,10 @@ def _atanh_minus_identity_np(y: np.ndarray) -> np.ndarray:
         return np.where(np.abs(y) < 0.25, y * series, np.arctanh(y) - y)
 
 
-def parallel_cell_integrals_np(mid, hw, K: float) -> np.ndarray:
+def parallel_cell_integrals_np(mid, hw, c: float) -> np.ndarray:
     """Per-cell 2 pi int (f-g)^2 sin dtheta over the cells
-    [mid - hw, mid + hw], as a numpy array (mid or hw may be arrays)."""
+    [mid - hw, mid + hw] at the multiplier c, as a numpy array (mid or hw
+    may be arrays)."""
     mid = np.asarray(mid, dtype=float)
     sm, cm = np.sin(mid), np.cos(mid)
     sh, ch = np.sin(hw), np.cos(hw)
@@ -192,19 +216,18 @@ def parallel_cell_integrals_np(mid, hw, K: float) -> np.ndarray:
     sin_a, sin_b = sm * ch - cm * sh, sm * ch + cm * sh
     y = -2.0 * sm * sh / (sh * sh + sm * sm)
     cot2 = (u_a / sin_a) ** 2 + (u_b / sin_b) ** 2
-    c = math.pi / (4.0 * K ** 4)
     return 4.0 * c * (_atanh_minus_identity_np(y) - y * cot2)
 
 
-def channel_cell_integrals_np(mid, hw: float, K: float,
+def channel_cell_integrals_np(mid, hw: float, c: float,
                               channel: SpinChannel) -> np.ndarray:
-    """Per-cell 2 pi int p(theta) sin(theta) dtheta of one channel, as a
-    numpy array."""
+    """Per-cell 2 pi int p(theta) sin(theta) dtheta of one channel at the
+    multiplier c, as a numpy array."""
     if channel is SpinChannel.SPINLESS:
-        return direct_exchange_cell_integrals_np(mid, hw, K)[0]
+        return direct_exchange_cell_integrals_np(mid, hw, c)[0]
     if channel is SpinChannel.PARALLEL:
-        return parallel_cell_integrals_np(mid, hw, K)
-    F, G = direct_exchange_cell_integrals_np(mid, hw, K)
+        return parallel_cell_integrals_np(mid, hw, c)
+    F, G = direct_exchange_cell_integrals_np(mid, hw, c)
     return F + G
 
 
@@ -278,21 +301,22 @@ def iter_cell_chunks(grid, chunk_cells: int = CHUNK_CELLS):
         yield np.arange(i0, min(i0 + chunk_cells, grid.n_cells), dtype=float)
 
 
-def streamed_weight_entropy(grid, K: float, channel,
+def streamed_weight_entropy(grid, c: float, channel,
                             chunk_cells: int = CHUNK_CELLS) -> tuple[float, float]:
     """(H_bits, Z) of a grid's detection distribution from every cell's
-    weight, chunk by chunk: Z = sum w, T = sum w ln w (w ln(w / m) on a
-    SPHERE_PIXELS grid, m the pixels of the ring) and H = (ln Z - T / Z) /
-    ln 2.  Two outcomes per cell (direct, exchange) for ANTIPARALLEL."""
+    weight at the multiplier c, chunk by chunk: Z = sum w, T = sum w ln w
+    (w ln(w / m) on a SPHERE_PIXELS grid, m the pixels of the ring) and
+    H = (ln Z - T / Z) / ln 2.  Two outcomes per cell (direct, exchange)
+    for ANTIPARALLEL."""
     hw = 0.5 * grid.delta_theta
     z = 0.0
     t = 0.0
     for x in iter_cell_chunks(grid, chunk_cells):
         mid = grid.theta_lo + (x + 0.5) * grid.delta_theta
         if channel is SpinChannel.ANTIPARALLEL:
-            branches = direct_exchange_cell_integrals_np(mid, hw, K)
+            branches = direct_exchange_cell_integrals_np(mid, hw, c)
         else:
-            branches = (channel_cell_integrals_np(mid, hw, K, channel),)
+            branches = (channel_cell_integrals_np(mid, hw, c, channel),)
         m = (2.0 * math.pi * np.sin(mid) / grid.delta_theta
              if grid.kind is GridKind.SPHERE_PIXELS else np.ones_like(mid))
         for w in branches:
@@ -302,11 +326,11 @@ def streamed_weight_entropy(grid, K: float, channel,
     return (math.log(z) - t / z) / math.log(2.0), z
 
 
-def _antiderivatives_mp(a, b, K):
-    """pi / (4 K^4) times the differences over [a, b] of -1/s, 1/(1-s) and
+def _antiderivatives_mp(a, b, c):
+    """c times the differences over [a, b] of -1/s, 1/(1-s) and
     A(u) = 4 (atanh u - u / (1 - u^2)), s = sin^2(theta/2), u = cos theta:
     the direct, exchange and parallel weights of that span."""
-    c = mpmath.pi / (4 * mpmath.mpf(K) ** 4)
+    c = mpmath.mpf(c)
     s_a, s_b = mpmath.sin(a / 2) ** 2, mpmath.sin(b / 2) ** 2
 
     def A(u):
@@ -316,48 +340,95 @@ def _antiderivatives_mp(a, b, K):
             c * (A(mpmath.cos(b)) - A(mpmath.cos(a))))
 
 
-def parallel_cell_integral_mp(mid: float, hw: float, K: float) -> float:
-    """2 pi int (f-g)^2 sin dtheta over [mid - hw, mid + hw], at 50 digits."""
+def parallel_cell_integral_mp(mid: float, hw: float, c: float) -> float:
+    """2 pi int (f-g)^2 sin dtheta over [mid - hw, mid + hw] at the
+    multiplier c, at 50 digits."""
     with mpmath.workdps(50):
         a = mpmath.mpf(mid) - mpmath.mpf(hw)
         b = mpmath.mpf(mid) + mpmath.mpf(hw)
-        return float(_antiderivatives_mp(a, b, K)[2])
+        return float(_antiderivatives_mp(a, b, c)[2])
 
 
 def direct_exchange_cell_integrals_mp(mid: float, hw: float,
-                                      K: float) -> tuple[float, float]:
-    """2 pi int f^2 sin and 2 pi int g^2 sin over [mid - hw, mid + hw], at
-    50 digits."""
+                                      c: float) -> tuple[float, float]:
+    """2 pi int f^2 sin and 2 pi int g^2 sin over [mid - hw, mid + hw] at
+    the multiplier c, at 50 digits."""
     with mpmath.workdps(50):
         a = mpmath.mpf(mid) - mpmath.mpf(hw)
         b = mpmath.mpf(mid) + mpmath.mpf(hw)
-        direct, exchange, _ = _antiderivatives_mp(a, b, K)
+        direct, exchange, _ = _antiderivatives_mp(a, b, c)
         return float(direct), float(exchange)
 
 
-def telescoped_weight_mp(grid, K: float, channel) -> float:
+def telescoped_weight_mp(grid, c: float, channel) -> float:
     """Total weight of a grid's cells, theta_lo to theta_lo + n delta_theta,
-    at 50 digits (both branches for ANTIPARALLEL)."""
+    at the multiplier c and 50 digits (both branches for ANTIPARALLEL)."""
     with mpmath.workdps(50):
         a = mpmath.mpf(grid.theta_lo)
         b = a + grid.n_cells * mpmath.mpf(grid.delta_theta)
-        direct, exchange, parallel = _antiderivatives_mp(a, b, K)
+        direct, exchange, parallel = _antiderivatives_mp(a, b, c)
         return float({SpinChannel.SPINLESS: direct,
                       SpinChannel.PARALLEL: parallel,
                       SpinChannel.ANTIPARALLEL: direct + exchange}[channel])
 
 
-def interference_cell_integrals(edges: np.ndarray, K: float) -> np.ndarray:
-    """Per-cell 2 pi * integral f g sin dtheta (the exchange cross term).
+def spinless_entropy_mp(grid, end_cells: int) -> float:
+    """Spinless detection entropy (bits) of a grid of more than 2
+    ``end_cells`` cells at 30 digits: cells 0 to end_cells - 1 and the
+    last end_cells summed exactly, each on the package's float centre
+    and half-width, and the cells between by the midpoint Euler-Maclaurin
+    formula to its f^(5) term, int f dx - [f^(1)]/24 + 7 [f^(3)]/5760 -
+    31 [f^(5)]/967680, for f = w and f = w ln w, w relative to cell 0."""
+    with mpmath.workdps(30):
+        lo, delta = mpmath.mpf(grid.theta_lo), mpmath.mpf(grid.delta_theta)
+        hw = mpmath.mpf(0.5 * grid.delta_theta)
 
-    The antiderivative is ln(s / (1 - s)) / (8 K^4) with s = sin^2(theta/2);
-    s and 1 - s = cos^2(theta/2) are each formed directly so both stay
-    relatively accurate near their zeros.
+        def weight(x):
+            mid = (mpmath.mpf(grid.centres((x,))[0]) if isinstance(x, int)
+                   else lo + (x + mpmath.mpf(0.5)) * delta)
+            return (1 / mpmath.sin((mid - hw) / 2) ** 2
+                    - 1 / mpmath.sin((mid + hw) / 2) ** 2)
+
+        w0 = weight(0)
+
+        def z(x):
+            return weight(x) / w0
+
+        def t(x):
+            return z(x) * mpmath.log(z(x))
+
+        n = grid.n_cells
+        ends = [*range(end_cells), *range(n - end_cells, n)]
+        a, b = end_cells - mpmath.mpf(0.5), n - end_cells - mpmath.mpf(0.5)
+        # breakpoints doubling from each end, as the cell weights fall
+        # like a power of x
+        half, offsets = (b - a) / 2, [mpmath.mpf(0)]
+        while offsets[-1] < half:
+            offsets.append(offsets[-1] * 2 + end_cells)
+        offsets[-1] = half
+        points = [a + o for o in offsets] + [b - o for o in offsets[-2::-1]]
+        sums = []
+        for f in (z, t):
+            total = mpmath.fsum(f(x) for x in ends) + mpmath.quad(f, points)
+            for k, coeff in ((1, -mpmath.mpf(1) / 24), (3, mpmath.mpf(7) / 5760),
+                             (5, -mpmath.mpf(31) / 967680)):
+                total += coeff * (mpmath.diff(f, b, k) - mpmath.diff(f, a, k))
+            sums.append(total)
+        z_sum, t_sum = sums
+        return float((mpmath.log(z_sum) - t_sum / z_sum) / mpmath.log(2))
+
+
+def interference_cell_integrals(edges: np.ndarray, c: float) -> np.ndarray:
+    """Per-cell 2 pi * integral f g sin dtheta (the exchange cross term) at
+    the multiplier c.
+
+    2 pi f g sin dtheta has the antiderivative c ln(s / (1 - s)), with
+    s = sin^2(theta/2); s and 1 - s = cos^2(theta/2) are each formed
+    directly so both stay relatively accurate near their zeros.
     """
     s = np.sin(0.5 * edges) ** 2
     cs = np.cos(0.5 * edges) ** 2
     at = 0.5 * np.log(cs / s)          # atanh(cos theta), stable via s, 1-s
-    c = math.pi / (4.0 * K ** 4)
     return 2.0 * c * (at[:-1] - at[1:])
 
 

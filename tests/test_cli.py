@@ -906,9 +906,9 @@ def test_huge_packet_rows_that_compute_keep_computing(capsys):
         [row] = json.loads(capsys.readouterr().out)
         assert row["S_bits"] == pytest.approx(2.4324, abs=1e-4), l_nm
 
-    # these parallel-channel rows compute because the cell weights carry
-    # the factor pi / (4 K^4): with pi / 4 in its place their weights or
-    # sums overflow.  Each equals the same energy's row at 5e4 nm
+    # these parallel-channel rows' first cells weigh up to 9.6e307 at the
+    # multiplier c = 1, so a fixed c in place of the reducer's overflows
+    # their weights or sums.  Each equals the same energy's row at 5e4 nm
     def s_bits(energies, l_nm):
         assert main(["spinless-sweep", "--channel", "parallel", "--energy-list",
                      energies, "--packet-nm", l_nm, "--k-scale", SQRT2,
@@ -922,6 +922,28 @@ def test_huge_packet_rows_that_compute_keep_computing(capsys):
                            ("1e151", "1e2,1e3")):
         for e_ev, s in s_bits(energies, l_nm).items():
             assert s == pytest.approx(narrow[e_ev], abs=1e-9), (e_ev, l_nm)
+
+
+@pytest.mark.parametrize("command, e_ev, l_nm, narrow_nm", [
+    ("spinless-sweep", "100", "1e152", "5e4"),
+    ("sphere-sweep", "1", "1e150", "1e100"),
+], ids=["parallel-wlnw", "parallel-pixel-weights"])
+def test_rows_past_the_old_weight_range_compute(command, e_ev, l_nm, narrow_nm,
+                                                capsys):
+    # in units of pi / (4 K^4) these parallel-channel rows failed: at
+    # 100 eV / 1e152 nm the first cell's w ln w overflowed ("sums leave the
+    # float range"), at 1 eV / 1e150 nm a pixel weight w / m underflowed
+    # into log.  Weighed relative to the first cell, with w ln(w / m) taken
+    # as w ln w - w ln m, each computes and equals its row at a narrower
+    # packet
+    rows = {}
+    for packet in (narrow_nm, l_nm):
+        assert main([command, "--channel", "parallel", "--energy-ev", e_ev,
+                     "--packet-nm", packet, "--k-scale", SQRT2, "--threads", "1",
+                     "--format", "json"]) == 0
+        [rows[packet]] = json.loads(capsys.readouterr().out)
+    assert rows[l_nm]["status"] == "ok"
+    assert rows[l_nm]["S_bits"] == pytest.approx(rows[narrow_nm]["S_bits"], abs=1e-9)
 
 
 def test_vn_compare_packet_too_wide_fails_without_warning():
@@ -1058,9 +1080,6 @@ _NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
       "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
     (["sphere-sweep", "--energy-ev", "1e10", "--packet-nm", "1e150",
       "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
-    (["sphere-sweep", "--channel", "parallel", "--energy-ev", "1",
-      "--packet-nm", "1e150", "--k-scale", SQRT2],
-     "parallel-channel pixel weights w / m underflow"),
     (["spinless-sweep", "--energy-ev", "5", "--packet-nm", "1e308",
       "--k-scale", SQRT2], "l_nm = 1e+308 nm must be positive and finite"),
     (["vn-compare", "--energy-ev", "1e10", "--packet-nm", "1e150", "--n-grid",
@@ -1075,9 +1094,6 @@ _NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
     (["spinless-sweep", "--channel", "parallel", "--energy-ev", "1e5",
       "--packet-nm", "1e150", "--k-scale", SQRT2],
      "non-finite cell weight in the parallel channel at theta = "),
-    (["spinless-sweep", "--channel", "parallel", "--energy-ev", "100",
-      "--packet-nm", "1e152", "--k-scale", SQRT2],
-     "parallel-channel sums leave the float range: Z = sum w = "),
     (["vn-compare", "--energy-ev", "1e10", "--packet-nm", "1e148", "--n-grid",
       "16", "--k-scale", SQRT2], "], where J(a) = "),
     (["vn-compare", "--energy-ev", "1e33", "--packet-nm", "1e131", "--n-grid",
@@ -1089,33 +1105,31 @@ _NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
       "--k-scale", "1e-300"], "k_scale = 1e-300 is too small"),
 ], ids=["spinless-overflow", "sphere-overflow", "spin-overflow",
         "postselect-overflow", "sphere-zero-division", "sphere-pixel-underflow",
-        "sphere-pixel-overflow", "sphere-pixel-weights", "packet-overflow",
+        "sphere-pixel-overflow", "packet-overflow",
         "vn-bessel-overflow", "vn-table-overflow", "spinless-tiny-el",
         "sphere-tiny-el", "spin-tiny-el", "postselect-tiny-el", "vn-tiny-el",
-        "parallel-inf-weight", "parallel-wlnw-overflow", "vn-j-subnormal",
+        "parallel-inf-weight", "vn-j-subnormal",
         "vn-j-zero", "tiny-k-scale", "tiny-k-scale-kl"])
 def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # rows whose numbers leave the float range fail naming the quantity
     # that left it, never with Python's or numpy's own text: at 1e160 eV
-    # K^4 overflows and epsilon is lost against delta_theta, which the
-    # context refuses naming the energy; a 1e300 nm packet's pixel side
-    # squares to zero in the pixel count, which printed "float division
-    # by zero", and at 1e10 eV / 1e150 nm the count overflowed ("cannot
-    # convert float infinity to integer"); the parallel channel's pixel
-    # weights w / m underflowed into log ("math domain error"); a 1e308 nm
-    # packet is infinite in bohr, which blamed the energy; and vn-compare's
+    # epsilon is lost against delta_theta, which the context refuses
+    # naming the energy; a 1e300 nm packet's pixel side squares to zero
+    # in the pixel count, which printed "float division by zero", and at
+    # 1e10 eV / 1e150 nm the count overflowed ("cannot convert float
+    # infinity to integer"); a 1e308 nm packet is infinite in bohr, which
+    # blamed the energy; and vn-compare's
     # Bessel argument overflowed with a numpy RuntimeWarning ("matrix trace
     # is 0.0", or the J table ran out of panel fits).  At 1e-200 eV and
     # 1e-200 nm, 2 E b_bar underflowed to 0 in the cutoff angle ("float
     # division by zero"); the parallel channel's first cells at 1e5 eV /
-    # 1e150 nm weighed inf ("detection entropy is nan"), and at 100 eV /
-    # 1e152 nm a finite weight's w ln w overflowed ("... is -inf").
-    # vn-compare's J at 1e10 eV / 1e148 nm is subnormal and at 1e33 eV /
-    # 1e131 nm exactly 0, which failed as the J table's panel budget and
-    # as "matrix trace is 0.0"; both now give J and sigma_k.  A k-scale
-    # that rounds K or K L below the normal range divided by zero in
-    # delta_theta, or blamed the energy.  The row's one line is all that
-    # reaches stderr: no numpy warning
+    # 1e150 nm weighed inf ("detection entropy is nan").  vn-compare's J
+    # at 1e10 eV / 1e148 nm is subnormal and at 1e33 eV / 1e131 nm exactly
+    # 0, which failed as the J table's panel budget and as "matrix trace
+    # is 0.0"; both now give J and sigma_k.  A k-scale that rounds K or
+    # K L below the normal range divided by zero in delta_theta, or blamed
+    # the energy.  The row's one line is all that reaches stderr: no numpy
+    # warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + ["--threads", "1", "--format", "json"]) == 3

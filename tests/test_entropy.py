@@ -32,6 +32,9 @@ from oracles import (
     continuous_limit_oracle,
     gauss_legendre_mp,
     grid_cells,
+    physical_scale,
+    reducer_scale,
+    spinless_entropy_mp,
     streamed_weight_entropy,
     telescoped_weight_mp,
 )
@@ -106,7 +109,8 @@ def test_streamed_matches_materialized():
     # vector and feeding it to the plain Shannon sum
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
-        w, = channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)), ctx.K, ch)
+        w, = channel_cell_integrals(*grid_cells(ring_grid(ctx, ch)),
+                                    physical_scale(ctx.K), ch)
         w = np.asarray(w)
         assert shannon_ring_discrete(ctx, ch) == \
             pytest.approx(shannon_discrete(w / w.sum()), abs=1e-10)
@@ -117,7 +121,7 @@ def test_streamed_antiparallel_two_branches():
     # branch weight vectors explicitly and compare
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.ANTIPARALLEL)
-    F, G = direct_exchange_cell_integrals(*grid_cells(grid), ctx.K)
+    F, G = direct_exchange_cell_integrals(*grid_cells(grid), physical_scale(ctx.K))
     w = np.concatenate([F, G])
     h = shannon_discrete(w / w.sum())
     assert shannon_ring_discrete(ctx, SpinChannel.ANTIPARALLEL) == \
@@ -135,9 +139,9 @@ def test_streaming_chunk_size_irrelevant():
                           (GridKind.SPHERE_PIXELS, SpinChannel.SPINLESS),
                           (GridKind.SPHERE_PIXELS, SpinChannel.ANTIPARALLEL)):
         grid = ring_grid(ctx, channel, kind=kind)
-        h_one, z_one = streamed_weight_entropy(grid, ctx.K, channel)
-        h_many, z_many = streamed_weight_entropy(grid, ctx.K, channel,
-                                                 chunk_cells=97)
+        c = reducer_scale(grid, channel)
+        h_one, z_one = streamed_weight_entropy(grid, c, channel)
+        h_many, z_many = streamed_weight_entropy(grid, c, channel, chunk_cells=97)
         h, z = _stream_weight_entropy(grid, ctx.K, channel)
         assert h_many == pytest.approx(h_one, abs=1e-12), (kind, channel)
         assert z_many == pytest.approx(z_one, rel=1e-13), (kind, channel)
@@ -225,7 +229,8 @@ _REDUCER_GRIDS = list(_reducer_grids())
 def test_reducer_matches_streamed_oracle(grid, K, channel):
     # exact ends plus Euler-Maclaurin middle against every cell summed
     h, z = entropy._stream_weight_entropy(grid, K, channel)
-    h_exact, z_exact = streamed_weight_entropy(grid, K, channel)
+    h_exact, z_exact = streamed_weight_entropy(grid, reducer_scale(grid, channel),
+                                               channel)
     assert abs(h - h_exact) <= 1e-13
     assert z == pytest.approx(z_exact, rel=1e-14, abs=0.0)
 
@@ -243,8 +248,25 @@ def test_reducer_z_matches_telescoped_total(e_ev):
             if grid.theta_hi > 0.5 * math.pi and ch is not SpinChannel.SPINLESS:
                 continue
             z = entropy._stream_weight_entropy(grid, ctx.K, ch)[1]
-            assert z == pytest.approx(telescoped_weight_mp(grid, ctx.K, ch),
-                                      rel=1e-14, abs=0.0), (grid.n_cells, ch)
+            z_mp = telescoped_weight_mp(grid, reducer_scale(grid, ch), ch)
+            assert z == pytest.approx(z_mp, rel=1e-14, abs=0.0), (grid.n_cells, ch)
+
+
+@pytest.mark.parametrize("e_ev", ["1e12", "1e18"])
+def test_reducer_keeps_cells_below_an_ulp_of_the_first(e_ev, capsys):
+    # 1 um spinless rows, where the first cell outweighs the rest: ln Z -
+    # T / Z cancelled, 6.5e-6 of S off at 1e12 eV, and at 1e18 eV the
+    # other cells weigh 1.4e-17 of the first together, below ulp(1), so Z
+    # was the first cell's weight in floating point and the row printed
+    # exactly 0.  Relative to the first cell the sums keep every cell; the
+    # same exact ends and Euler-Maclaurin middle at 30 digits give the
+    # rows' 5.29e-10 and 8.0e-16 bits
+    rows = _json_rows(capsys, ["spinless-sweep", "--energy-ev", e_ev,
+                               "--packet-nm", "1000", "--threads", "1"])
+    grid = ring_grid(make_context(float(e_ev), 1000.0), SpinChannel.SPINLESS)
+    assert (rows[0]["status"], rows[0]["n_cells"]) == ("ok", grid.n_cells)
+    assert rows[0]["S_bits"] == pytest.approx(spinless_entropy_mp(grid, _H),
+                                              rel=1e-12, abs=0.0)
 
 
 def _record_cell_terms(mp) -> list[list]:
@@ -252,9 +274,9 @@ def _record_cell_terms(mp) -> list[list]:
     calls = []
     cell_terms = entropy._cell_terms
 
-    def recording(grid, K, channel, xs):
+    def recording(grid, c, channel, xs):
         calls.append(list(xs))
-        return cell_terms(grid, K, channel, calls[-1])
+        return cell_terms(grid, c, channel, calls[-1])
 
     mp.setattr(entropy, "_cell_terms", recording)
     return calls
@@ -281,7 +303,8 @@ def test_postselect_bands_far_from_singular_angles_are_cheap():
 def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
     # native spinless and parallel grids end within H cells of 0 and of pi
     # (pi/2): both ends keep H exact cells and the middle keeps panels H
-    # wide at both ends, bit for bit
+    # wide at both ends, bit for bit.  The first call is the first cell
+    # alone, which sets the weights' scale
     ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
         for kind in GridKind:
@@ -298,22 +321,23 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
                 calls = _record_cell_terms(mp)
                 mp.setattr(entropy, "panel_edges", recording)
                 entropy._stream_weight_entropy(grid, ctx.K, ch)
-            assert len(calls) == 2
-            assert calls[0] == [*range(_H), *range(n - _H, n)]
+            assert len(calls) == 3
+            assert calls[:2] == [[0], [*range(_H), *range(n - _H, n)]]
             [(a, b, edges)] = layouts
             assert (a, b) == (_H - 0.5, n - _H - 0.5)
             assert edges == panel_edges(a, b, 64, 0.0, 0.0)
 
 
 def test_reducer_cost_does_not_grow_with_cells():
-    # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 cells, each summed from two
-    # calls of the cell integrals (the ends, then the Euler-Maclaurin
-    # nodes) of under a thousand points, where the cell walk took minutes
+    # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 cells, each summed from three
+    # calls of the cell integrals (the first cell, which sets the scale,
+    # the ends, then the Euler-Maclaurin nodes) of under a thousand
+    # points, where the cell walk took minutes
     calls = []
 
-    def counting(mid, hw, K, channel):
+    def counting(mid, hw, c, channel):
         calls.append(len(mid))
-        return channel_cell_integrals(mid, hw, K, channel)
+        return channel_cell_integrals(mid, hw, c, channel)
 
     for e_ev in (1e4, 1e12):
         ctx = make_context(e_ev, 1000.0, CALIBRATED_KSCALE)
@@ -324,7 +348,7 @@ def test_reducer_cost_does_not_grow_with_cells():
             h, _ = entropy._stream_weight_entropy(grid, ctx.K,
                                                   SpinChannel.PARALLEL)
         assert 0.0 <= h <= math.log2(grid.n_cells)
-    assert len(calls) == 4 and max(calls) < 1000
+    assert len(calls) == 6 and max(calls) < 1000
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +379,8 @@ def test_sphere_ring_multiplicity_identity():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
     centers, hw = grid_cells(grid)
-    w, = channel_cell_integrals(centers, hw, ctx.K, SpinChannel.SPINLESS)
+    w, = channel_cell_integrals(centers, hw, physical_scale(ctx.K),
+                                SpinChannel.SPINLESS)
     w = np.asarray(w)
     p = w / w.sum()
     m = np.array([ring_weight(t, grid.delta_theta) for t in centers])
@@ -468,8 +493,8 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
     # to be kept and to fail only as a NaN entropy.  Every channel's cells
     # come from channel_cell_integrals, so spoiling its last branch
     # (antiparallel: the exchange one) reaches each channel
-    def spoiled(mid, hw, K, channel):
-        branches = channel_cell_integrals(mid, hw, K, channel)
+    def spoiled(mid, hw, c, channel):
+        branches = channel_cell_integrals(mid, hw, c, channel)
         w = branches[-1]
         w[len(w) // 2] = bad
         return branches
@@ -489,9 +514,9 @@ def test_non_finite_entropy_fails(monkeypatch):
     # every weight finite, but w ln w overflows: T is inf and the entropy
     # -inf, which the clamp at 0 used to hide; on every channel, one huge
     # weight in its first branch.  The row names the sum that overflowed
-    def huge(mid, hw, K, channel):
+    def huge(mid, hw, c, channel):
         branches = tuple([1.0] * len(mid)
-                         for _ in channel_cell_integrals(mid, hw, K, channel))
+                         for _ in channel_cell_integrals(mid, hw, c, channel))
         branches[0][0] = 1e308
         return branches
 

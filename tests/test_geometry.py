@@ -34,6 +34,7 @@ from oracles import (
     iter_cell_chunks,
     parallel_cell_integral_mp,
     parallel_cell_integrals_np,
+    physical_scale,
 )
 
 
@@ -243,7 +244,8 @@ def _branch_sum(branches) -> np.ndarray:
 
 
 def _dual_route_check(ctx, channel, grid, indices, rel=1e-9):
-    fast = _branch_sum(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
+    fast = _branch_sum(channel_cell_integrals(*grid_cells(grid),
+                                              physical_scale(ctx.K), channel))
     for i in indices:
         gl = cell_probability(grid, i, ctx, channel)
         assert gl == pytest.approx(fast[i], rel=rel), (
@@ -274,7 +276,7 @@ def test_first_cell_dominates_spinless():
     p1 = cell_probability(grid, 1, ctx, SpinChannel.SPINLESS)
     assert p0 > p1
     # ratio agrees with the closed-form antiderivative route
-    fast, = channel_cell_integrals(*grid_cells(grid, 0, 2), ctx.K,
+    fast, = channel_cell_integrals(*grid_cells(grid, 0, 2), physical_scale(ctx.K),
                                    SpinChannel.SPINLESS)
     assert p0 / p1 == pytest.approx(float(fast[0] / fast[1]), rel=1e-8)
 
@@ -308,7 +310,8 @@ def test_normalized_probabilities_sum_to_one():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
-        w = _branch_sum(channel_cell_integrals(*grid_cells(grid), ctx.K, channel))
+        w = _branch_sum(channel_cell_integrals(*grid_cells(grid),
+                                               physical_scale(ctx.K), channel))
         p = w / w.sum()
         assert abs(float(p.sum()) - 1.0) <= 1e-12
 
@@ -323,14 +326,14 @@ def test_interference_consistency():
     # cancels severely (it is the very reason the dedicated parallel
     # antiderivative exists), so agreement is asserted in absolute terms
     # against the unsubtracted magnitudes.
-    ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    c = physical_scale(make_context(5.0, 100.0, CALIBRATED_KSCALE).K)
     edges = np.linspace(0.3, math.pi / 2, 200)
     mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     # one cell a call: the cells' rounded widths differ
-    F, G = np.array([[direct_exchange_cell_integrals([m], h, ctx.K)[i][0]
+    F, G = np.array([[direct_exchange_cell_integrals([m], h, c)[i][0]
                       for m, h in zip(mid, hw)] for i in (0, 1)])
-    X = interference_cell_integrals(edges, ctx.K)
-    W = np.array([parallel_cell_integrals([m], h, ctx.K)[0]
+    X = interference_cell_integrals(edges, c)
+    W = np.array([parallel_cell_integrals([m], h, c)[0]
                   for m, h in zip(mid, hw)])
     assert np.all(np.abs(W - (F + G - 2.0 * X)) <= 1e-12 * (F + G))
 
@@ -342,8 +345,8 @@ def test_cell_integrals_positive(lo, width):
     if lo + width >= math.pi:
         return
     mid, hw = np.array([lo + 0.5 * width]), 0.5 * width
-    F, G = direct_exchange_cell_integrals(mid, hw, 1.0)
-    W = parallel_cell_integrals(mid, hw, 1.0)
+    F, G = direct_exchange_cell_integrals(mid, hw, physical_scale(1.0))
+    W = parallel_cell_integrals(mid, hw, physical_scale(1.0))
     assert F[0] > 0.0
     assert G[0] > 0.0
     # non-negative up to rounding relative to the channel magnitudes
@@ -358,7 +361,7 @@ def test_series_closed_form_crossover():
     theta_cut = math.acos(u_cut)
     edges = np.linspace(theta_cut - 0.05, theta_cut + 0.05, 101)
     # one cell a call: the cells' rounded widths differ
-    W = [parallel_cell_integrals([m], h, K)[0]
+    W = [parallel_cell_integrals([m], h, physical_scale(K))[0]
          for m, h in zip(0.5 * (edges[1:] + edges[:-1]),
                          0.5 * (edges[1:] - edges[:-1]))]
     # compare against high-order quadrature per cell
@@ -385,14 +388,15 @@ def test_cell_integrals_match_mpmath_at_native_width(theta):
     # 1 keV / 50 um cells (2.47e-7 rad): A(b) - A(a) formed as a
     # difference was off by up to 1.1e-8 of such a cell at theta = 1.4
     ctx = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
+    c = physical_scale(ctx.K)
     hw = 0.5 * ctx.delta_theta
     mid = theta + ctx.delta_theta * (np.arange(-4, 4) + 0.5)
-    W = parallel_cell_integrals(mid, hw, ctx.K)
-    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    W = parallel_cell_integrals(mid, hw, c)
+    F, G = direct_exchange_cell_integrals(mid, hw, c)
     for i, m in enumerate(mid):
-        assert W[i] == pytest.approx(parallel_cell_integral_mp(m, hw, ctx.K),
+        assert W[i] == pytest.approx(parallel_cell_integral_mp(m, hw, c),
                                      rel=1e-12, abs=0.0), (theta, i)
-        f_mp, g_mp = direct_exchange_cell_integrals_mp(m, hw, ctx.K)
+        f_mp, g_mp = direct_exchange_cell_integrals_mp(m, hw, c)
         assert F[i] == pytest.approx(f_mp, rel=1e-12, abs=0.0), (theta, i)
         assert G[i] == pytest.approx(g_mp, rel=1e-12, abs=0.0), (theta, i)
 
@@ -401,9 +405,10 @@ def test_parallel_cell_integral_across_series_cut():
     # atanh(y) - y switches from its series to arctanh at |y| = 0.25;
     # these cells at theta = 1 have |y| from about 0.19 to 0.31
     hws = np.linspace(0.08, 0.13, 11)
-    W = [parallel_cell_integrals([1.0], hw, 1.0)[0] for hw in hws]
+    c = physical_scale(1.0)
+    W = [parallel_cell_integrals([1.0], hw, c)[0] for hw in hws]
     for hw, w in zip(hws, W):
-        assert w == pytest.approx(parallel_cell_integral_mp(1.0, hw, 1.0),
+        assert w == pytest.approx(parallel_cell_integral_mp(1.0, hw, c),
                                   rel=1e-13, abs=0.0), hw
 
 
@@ -418,22 +423,24 @@ def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
     # channel's double zero sit, and cells across the domain, in the
     # series branch of atanh(y) - y and out of it
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    c = physical_scale(ctx.K)
     hw = 0.5 * ctx.delta_theta
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
         n = grid.n_cells
         mid = grid.centres([*range(20), *np.linspace(20, n - 20, 500),
                             *range(n - 20, n)])
-        ours = _branch_sum(channel_cell_integrals(mid, hw, ctx.K, channel))
-        assert np.allclose(ours, channel_cell_integrals_np(mid, hw, ctx.K, channel),
+        ours = _branch_sum(channel_cell_integrals(mid, hw, c, channel))
+        assert np.allclose(ours, channel_cell_integrals_np(mid, hw, c, channel),
                            rtol=1e-14, atol=0.0), channel
-    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
-    F_np, G_np = direct_exchange_cell_integrals_np(mid, hw, ctx.K)
+    F, G = direct_exchange_cell_integrals(mid, hw, c)
+    F_np, G_np = direct_exchange_cell_integrals_np(mid, hw, c)
     assert np.allclose(F, F_np, rtol=1e-14, atol=0.0)
     assert np.allclose(G, G_np, rtol=1e-14, atol=0.0)
     hws = np.linspace(0.08, 0.13, 11)  # |y| across the series cut at 1 rad
-    assert np.allclose([parallel_cell_integrals([1.0], h, 1.0)[0] for h in hws],
-                       parallel_cell_integrals_np(1.0, hws, 1.0),
+    c = physical_scale(1.0)
+    assert np.allclose([parallel_cell_integrals([1.0], h, c)[0] for h in hws],
+                       parallel_cell_integrals_np(1.0, hws, c),
                        rtol=1e-14, atol=0.0)
 
 
@@ -442,19 +449,20 @@ def test_channel_branches():
     # spinless, |f - g|^2 for parallel, |f|^2 and |g|^2 (the two spin
     # patterns) for antiparallel
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    c = physical_scale(ctx.K)
     mid, hw = grid_cells(ring_grid(ctx, SpinChannel.PARALLEL), 0, 50)
-    F, G = direct_exchange_cell_integrals(mid, hw, ctx.K)
+    F, G = direct_exchange_cell_integrals(mid, hw, c)
     expected = {SpinChannel.SPINLESS: (F,),
-                SpinChannel.PARALLEL: (parallel_cell_integrals(mid, hw, ctx.K),),
+                SpinChannel.PARALLEL: (parallel_cell_integrals(mid, hw, c),),
                 SpinChannel.ANTIPARALLEL: (F, G)}
     for channel, branches in expected.items():
-        assert channel_cell_integrals(mid, hw, ctx.K, channel) == branches
-    assert {channel: len(channel_cell_integrals(mid, hw, ctx.K, channel))
+        assert channel_cell_integrals(mid, hw, c, channel) == branches
+    assert {channel: len(channel_cell_integrals(mid, hw, c, channel))
             for channel in SpinChannel} == {SpinChannel.SPINLESS: 1,
                                             SpinChannel.PARALLEL: 1,
                                             SpinChannel.ANTIPARALLEL: 2}
     with pytest.raises(ValueError, match="unknown spin channel"):
-        channel_cell_integrals(mid, hw, ctx.K, "spinless")
+        channel_cell_integrals(mid, hw, c, "spinless")
 
 
 def test_parallel_weight_where_y_rounds_to_minus_one():
@@ -464,6 +472,6 @@ def test_parallel_weight_where_y_rounds_to_minus_one():
     ctx = make_context(1e18, 1000.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.PARALLEL)
     mid, hw = grid_cells(grid, 0, 2)
-    w = parallel_cell_integrals(mid, hw, ctx.K)
+    w = parallel_cell_integrals(mid, hw, physical_scale(ctx.K))
     assert w[0] == -math.inf
-    assert parallel_cell_integrals_np(mid, hw, ctx.K)[0] == -math.inf
+    assert parallel_cell_integrals_np(mid, hw, physical_scale(ctx.K))[0] == -math.inf

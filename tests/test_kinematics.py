@@ -66,10 +66,11 @@ def test_energy_domain_errors():
 
 
 def test_context_refuses_unrepresentable_energy():
-    # the cell integrals scale as 1/K^4 and start epsilon past theta = 0
-    # in cells of width delta_theta: the context refuses an energy that
-    # overflows the one or loses the other, naming the energy
-    with pytest.raises(NumericalError, match=r"e_ev = 1e\+160 .*K\^4 overflows"):
+    # the grids start epsilon past theta = 0 in cells of width
+    # delta_theta: the context refuses an energy that loses the one
+    # against the other, naming the energy.  K itself has no limit: at
+    # 1e160 eV K^4 overflows, which the cell integrals no longer see
+    with pytest.raises(NumericalError, match=r"e_ev = 1e\+160 .*epsilon .* lost"):
         make_context(1e160, 100.0)
     with pytest.raises(NumericalError, match=r"e_ev = 1e\+40 .*epsilon .* lost"):
         make_context(1e40, 100.0)

@@ -9,10 +9,8 @@ from escatter import (
     equator_entropies,
     make_context,
     postselect_entropies,
-    range_grid_below,
     shannon_ring_discrete,
 )
-from escatter import entropy
 from escatter.cli import main
 
 from oracles import CALIBRATED_KSCALE
@@ -121,7 +119,11 @@ def test_postselect_two_cell_regression():
     assert row["S_ap"] - row["S_spinless"] == pytest.approx(1.0, abs=1e-4)
 
 
-def test_postselect_single_cell():
+def test_postselect_single_cell(capsys):
+    # a one-cell band is exactly 0 bits in each channel with one branch,
+    # whatever the units: 512 eV / 0.01953125 nm / k-scale 32 sqrt 2 is
+    # 0.5 eV / 20 nm / sqrt 2 under the scale law, and printed 5e-15 bits
+    # where ln Z and T / Z rounded apart
     ctx = _ctx()
     row = postselect_entropies(ctx, 1.5 * ctx.delta_theta)
     assert row["n_cells"] == 1
@@ -129,25 +131,34 @@ def test_postselect_single_cell():
     assert row["S_par"] == 0.0
     assert row["S_ap"] == pytest.approx(1.0, abs=1e-4)
     assert row["delta_S"] == pytest.approx(1.0, abs=1e-4)
+    assert main(["postselect-range", "--energy-ev", "512", "--packet-nm",
+                 "0.01953125", "--k-scale", "45.254833995939045", "--theta-r",
+                 "0.05", "--threads", "1", "--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert (row["n_cells"], row["status"]) == (1, "ok")
+    assert row["S_spinless"] == 0.0
+    assert row["S_par"] == 0.0
 
 
-def test_postselect_zero_weight_reports_zero_entropies(capsys):
-    # at 1e21 eV and a 1e280 nm packet every channel's weight in a band at
-    # the equator underflows to 0: the row prints placeholder zeros with
-    # zero_weight set, not NaN and not a failed row.  The zeros are not
-    # the band's entropies (unit-free weights give 959.7 / 959.1 /
-    # 960.7 bits); this pins today's output, not a correct value
-    ctx = _ctx(1e21, 1e280)
-    grid = range_grid_below(math.pi / 2.0, 0.01, ctx.delta_theta)
-    for ch in SpinChannel:
-        assert entropy._stream_weight_entropy(grid, ctx.K, ch)[1] == 0.0, ch
+def test_postselect_row_at_huge_e_l_computes(capsys):
+    # at 1e21 eV and a 1e280 nm packet every channel's weight in
+    # pi / (4 K^4) units underflowed to 0, and the row printed placeholder
+    # zeros with zero_weight set.  Weighed relative to its first cell the
+    # band's 8.1e288 cells give their entropies: a 0.01 rad band at the
+    # equator is nearly uniform in the spinless channel, so S_spinless is
+    # within 1e-3 bits of log2 n_cells, and delta_S follows the thin-band
+    # expansion in postselect_entropies' docstring
     row, = _json_rows(capsys, ["postselect-range", "--energy-ev", "1e21",
                                "--packet-nm", "1e280", "--theta-r", "0.01"])
-    assert {k: row[k] for k in ("S_spinless", "S_par", "S_ap", "delta_S",
-                                "zero_weight", "status")} == {
-        "S_spinless": 0.0, "S_par": 0.0, "S_ap": 0.0, "delta_S": 0.0,
-        "zero_weight": True, "status": "ok"}
-    assert row["n_cells"] == grid.n_cells
+    assert (row["zero_weight"], row["status"]) == (False, "ok")
+    for column, value in (("S_spinless", 959.733267194), ("S_par", 959.110098621),
+                          ("S_ap", 960.733195179), ("delta_S", 1.62309655759)):
+        assert row[column] == pytest.approx(value, rel=1e-9), column
+    assert abs(row["S_spinless"] - math.log2(row["n_cells"])) < 1e-3
+    band = row["n_cells"] * _ctx(1e21, 1e280).delta_theta
+    thin = 1.0 + (math.log(3.0) - 2.0 / 3.0) / math.log(2.0) \
+        - 12.0 / 25.0 * band ** 2 / math.log(2.0)
+    assert row["delta_S"] == pytest.approx(thin, abs=1e-8)
 
 
 def test_postselect_gap_curve_regression():
