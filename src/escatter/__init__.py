@@ -22,7 +22,6 @@ from .entropy import (
 from .errors import NumericalError
 from .geometry import (
     AngularGrid,
-    GridKind,
     range_grid_below,
     ring_grid,
     ring_weight,
@@ -57,7 +56,6 @@ __all__ = [
     "BOHR_RADIUS_NM",
     "DensityMatrix",
     "EquatorEntropies",
-    "GridKind",
     "HARTREE_EV",
     "NumericalError",
     "ScatterContext",

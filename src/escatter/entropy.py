@@ -39,7 +39,6 @@ from .errors import NumericalError
 from .geometry import (
     SINGULAR_ANGLES,
     AngularGrid,
-    GridKind,
     channel_cell_integrals,
     panel_edges,
     ring_grid,
@@ -124,11 +123,11 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _cell_terms(grid: AngularGrid, c: float, channel: SpinChannel,
-                xs) -> tuple[list[float], list[float]]:
+                pixels: bool, xs) -> tuple[list[float], list[float]]:
     """(w, w ln w) for the cells at (possibly fractional) indices ``xs``,
     each summed over the branches :func:`channel_cell_integrals` gives
     the channel (two for ANTIPARALLEL, one otherwise) at the scale ``c``.
-    On a SPHERE_PIXELS grid the second term is w ln(w / m), m =
+    With ``pixels`` the second term is w ln(w / m), m =
     ring_weight(centre).  Both are smooth in x, which is what lets the
     middle of a grid be summed by Euler-Maclaurin."""
     mids = grid.centres(xs)
@@ -151,7 +150,7 @@ def _cell_terms(grid: AngularGrid, c: float, channel: SpinChannel,
                 raise NumericalError(
                     f"non-finite cell weight in the {channel.value} channel "
                     f"at theta = {mids[i]!r}")
-    if grid.kind is GridKind.SPHERE_PIXELS:
+    if pixels:
         # w ln w - w ln m, as w / m may underflow; a cell whose weights were
         # all dropped may lie past pi, where m < 0
         t = [ti - zi * log(ring_weight(mid, grid.delta_theta)) if zi else ti
@@ -203,15 +202,16 @@ def _euler_maclaurin_sum(f, a: float, b: float,
     return tuple(sums)
 
 
-def _stream_weight_entropy(grid: AngularGrid, K: float,
-                           channel: SpinChannel) -> tuple[float, float]:
-    """(H_bits, Z) of the normalized detection distribution on a grid.
+def _stream_weight_entropy(grid: AngularGrid, K: float, channel: SpinChannel,
+                           pixels: bool = False) -> tuple[float, float]:
+    """(H_bits, Z) of the normalized detection distribution on a grid's
+    cells, counted per polar ring, or with ``pixels`` per sphere pixel.
 
     For ANTIPARALLEL the detection outcomes split per cell into a direct
     and an exchange branch (the two distinguishable spin patterns), so the
-    distribution has two entries per cell.  On a SPHERE_PIXELS grid each
-    ring cell splits into m = ring_weight(center) equally probable pixels,
-    so a ring of weight w contributes w ln(w / m) instead of w ln w.
+    distribution has two entries per cell.  Counted per pixel, each ring
+    cell splits into m = ring_weight(center) equally probable pixels, so
+    a ring of weight w contributes w ln(w / m) instead of w ln w.
 
     The weights' scale makes the first cell, the largest in every channel
     and band reduced here, weigh w_0 ~ 1; K, their unit, is not used
@@ -229,8 +229,8 @@ def _stream_weight_entropy(grid: AngularGrid, K: float,
     # a lower edge too close to 0 (5 eV packets of 1e81 nm) underflows the
     # sin^2 products the cell integrals divide by, or math.fsum overflows
     try:
-        first, = _cell_terms(grid, 1.0, channel, (0,))[0]
-        terms = partial(_cell_terms, grid, 1.0 / first, channel)
+        first, = _cell_terms(grid, 1.0, channel, pixels, (0,))[0]
+        terms = partial(_cell_terms, grid, 1.0 / first, channel, pixels)
         if n <= _EXACT_MAX_CELLS:
             w, wlnw = terms(range(n))
         else:
@@ -285,8 +285,8 @@ def shannon_sphere_discrete(ctx: ScatterContext,
     S = -sum_rings P_ring log2(P_ring / m) without ever enumerating
     pixels.  The entropy of the discretized sphere at any energy.
     """
-    grid = ring_grid(ctx, channel, GridKind.SPHERE_PIXELS, n_cells=n_cells)
-    return _stream_weight_entropy(grid, ctx.K, channel)[0]
+    grid = ring_grid(ctx, channel, n_cells=n_cells)
+    return _stream_weight_entropy(grid, ctx.K, channel, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +302,13 @@ _LIMIT_MAX_CELL_RATIO = 1e-5
 
 
 def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
-                   kind: GridKind) -> tuple[float, AngularGrid]:
-    """(H, grid): the discrete entropy of the grid of _LIMIT_CELLS equal
-    cells of width delta over the channel domain.  Raises NumericalError
+                   pixels: bool) -> tuple[float, AngularGrid]:
+    """(H, grid): the discrete entropy, per ring or with ``pixels`` per
+    pixel, of the grid of _LIMIT_CELLS equal cells of width delta over
+    the channel domain.  Raises NumericalError
     when delta is not small against the cutoff angle epsilon, where only
     the detector's own grid gives the entropy."""
-    grid = ring_grid(ctx, channel, kind, n_cells=_LIMIT_CELLS)
+    grid = ring_grid(ctx, channel, n_cells=_LIMIT_CELLS)
     if grid.delta_theta > _LIMIT_MAX_CELL_RATIO * ctx.epsilon:
         raise NumericalError(
             f"cutoff angle epsilon = {ctx.epsilon:.3g} rad is less than "
@@ -316,7 +317,7 @@ def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
             "than 1e-10 bits; the discrete sums "
             "shannon_ring_discrete(n_cells=...) and "
             "shannon_sphere_discrete(n_cells=...) are exact there")
-    return _stream_weight_entropy(grid, ctx.K, channel)[0], grid
+    return _stream_weight_entropy(grid, ctx.K, channel, pixels)[0], grid
 
 
 def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
@@ -329,7 +330,7 @@ def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,
     The integral is the discrete entropy of 2^50 equal cells minus 50.
     """
     n = ring_grid(ctx, channel, n_cells=n_cells).n_cells
-    h, _ = _limit_entropy(ctx, channel, GridKind.RINGS)
+    h, _ = _limit_entropy(ctx, channel, False)
     return h - math.log2(_LIMIT_CELLS) + math.log2(n)
 
 
@@ -344,7 +345,7 @@ def shannon_sphere_jaynes(ctx: ScatterContext,
     well below the cutoff angle.  The integral is the per-pixel entropy
     of 2^50 rings of width delta minus log2(Omega_0 / delta^2).
     """
-    h, grid = _limit_entropy(ctx, channel, GridKind.SPHERE_PIXELS)
+    h, grid = _limit_entropy(ctx, channel, True)
     omega0 = 2.0 * math.pi * (math.cos(grid.theta_lo) - math.cos(grid.theta_hi))
     return h - math.log2(omega0 / grid.delta_theta ** 2) \
         + math.log2(sphere_pixel_count(ctx, channel))

@@ -1,8 +1,11 @@
 """Detector discretizations and per-cell probability integrals, on the
-``math`` module alone.  A channel's grid has one resolver,
-:func:`ring_grid`, which also decides the channel's domain: the full
-shell [epsilon, pi - epsilon] for SPINLESS, the half shell [epsilon,
-pi/2] up to the equator for the indistinguishable spin channels.
+``math`` module alone.  A grid is its polar cells; whether a cell counts
+as one ring or as the sphere pixels it holds is the entropy reducer's
+choice.  A channel's grid has one resolver, :func:`ring_grid`, which
+also decides the channel's domain: the full shell [epsilon, pi - epsilon]
+for SPINLESS, the half shell [epsilon, pi/2] up to the equator for the
+indistinguishable spin channels.  :func:`range_grid_below` lays a
+post-selection band down from pi/2 inside that half shell.
 ``SINGULAR_ANGLES`` lists where each channel's densities have poles and
 zeros.
 
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from itertools import count, takewhile
 
 from .amplitudes import SpinChannel
@@ -62,31 +64,26 @@ from .kinematics import ScatterContext
 _DIVISION_SLACK = 1e-9
 
 
-class GridKind(Enum):
-    RINGS = "rings"
-    SPHERE_PIXELS = "sphere"
-
-
-class AngularGrid(namedtuple("AngularGrid", ("kind", "theta_lo", "theta_hi",
+class AngularGrid(namedtuple("AngularGrid", ("theta_lo", "theta_hi",
                                              "n_cells", "delta_theta"))):
-    """A detector discretization over a polar angular domain.
+    """A detector discretization over a polar angular domain: its cells.
 
     ``theta_lo``/``theta_hi`` bound the domain and cells are congruent
     intervals of width ``delta_theta`` anchored at ``theta_lo``; a
     trailing partial cell is dropped, so the covered span may end below
-    ``theta_hi``.  SPHERE_PIXELS grids split each ring cell into pixels.
+    ``theta_hi``.  Whether a cell counts as one polar ring or as the
+    sphere pixels it holds is the entropy reducer's choice, not the grid's.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: GridKind, theta_lo: float, theta_hi: float,
-                n_cells: int, delta_theta: float) -> AngularGrid:
+    def __new__(cls, theta_lo: float, theta_hi: float, n_cells: int,
+                delta_theta: float) -> AngularGrid:
         if n_cells < 1:
             raise ValueError(f"grid needs at least one cell, got {n_cells}")
         if not theta_lo < theta_hi:
             raise ValueError("grid domain is empty (theta_lo >= theta_hi)")
-        return super().__new__(cls, kind, theta_lo, theta_hi, n_cells,
-                               delta_theta)
+        return super().__new__(cls, theta_lo, theta_hi, n_cells, delta_theta)
 
     @classmethod
     def _make(cls, iterable) -> AngularGrid:
@@ -106,13 +103,13 @@ def _cell_count(length: float, delta: float) -> int:
 
 
 def ring_grid(ctx: ScatterContext, channel: SpinChannel,
-              kind: GridKind = GridKind.RINGS,
               n_cells: int | None = None) -> AngularGrid:
     """A channel's grid over its domain: the full shell [epsilon,
     pi - epsilon] for SPINLESS, the half shell [epsilon, pi/2] for the
     indistinguishable spin channels, both empty once 2 E b_bar < 1 puts
     the cutoff angle epsilon at or above pi/2.  With ``n_cells`` that many
-    equal cells, else the native grid, cells of ``ctx.delta_theta``."""
+    equal cells, else the native grid, cells of ``ctx.delta_theta``; the
+    ring and the sphere-pixel sums take the same grid."""
     if not ctx.epsilon < 0.5 * math.pi:
         raise ValueError(
             f"cutoff angle epsilon = {ctx.epsilon:.6g} rad is not below "
@@ -122,33 +119,35 @@ def ring_grid(ctx: ScatterContext, channel: SpinChannel,
     hi = math.pi - lo if channel is SpinChannel.SPINLESS else 0.5 * math.pi
     if n_cells is not None:
         # AngularGrid rejects n_cells < 1; max() lets it do so for 0 as well
-        return AngularGrid(kind, lo, hi, n_cells, (hi - lo) / max(n_cells, 1))
+        return AngularGrid(lo, hi, n_cells, (hi - lo) / max(n_cells, 1))
     n = _cell_count(hi - lo, ctx.delta_theta)
     if n < 1:
         raise ValueError(
             "fewer than one detector: cell width "
             f"{ctx.delta_theta:.3e} rad exceeds the domain [{lo:.3e}, {hi:.3e}]")
-    return AngularGrid(kind=kind, theta_lo=lo, theta_hi=hi,
-                       n_cells=n, delta_theta=ctx.delta_theta)
+    return AngularGrid(lo, hi, n, ctx.delta_theta)
 
 
-def range_grid_below(theta_top: float, theta_r: float,
-                     delta_theta: float) -> AngularGrid:
-    """Cells for a post-selected range [theta_top - theta_r, theta_top].
+def range_grid_below(ctx: ScatterContext, theta_r: float) -> AngularGrid:
+    """Cells of ``ctx.delta_theta`` for the post-selected band
+    [pi/2 - theta_r, pi/2], which must lie in the half shell of
+    :func:`ring_grid`: theta_r in (0, pi/2 - epsilon].
 
-    Cells are counted downward from ``theta_top`` so the first cell always
-    abuts the top of the range (for equator post-selection, the first cell
-    touches pi/2 where the exchange and direct amplitudes interfere
-    maximally).  Cells not fully inside the range are dropped.
+    Cells are counted downward from pi/2 so the first cell always abuts
+    the equator, where the exchange and direct amplitudes interfere
+    maximally.  Cells not fully inside the band are dropped.
     """
-    n = _cell_count(theta_r, delta_theta)
+    half_shell = ring_grid(ctx, SpinChannel.PARALLEL, n_cells=1)
+    top = half_shell.theta_hi
+    if not 0.0 < theta_r <= top - half_shell.theta_lo:
+        raise ValueError(
+            f"acceptance half-angle {theta_r!r} outside (0, pi/2 - cutoff]")
+    n = _cell_count(theta_r, ctx.delta_theta)
     if n < 1:
         raise ValueError(
             f"post-selected range {theta_r:.3e} rad holds no complete cell "
-            f"of width {delta_theta:.3e} rad")
-    lo = theta_top - n * delta_theta
-    return AngularGrid(kind=GridKind.RINGS, theta_lo=lo, theta_hi=theta_top,
-                       n_cells=n, delta_theta=delta_theta)
+            f"of width {ctx.delta_theta:.3e} rad")
+    return AngularGrid(top - n * ctx.delta_theta, top, n, ctx.delta_theta)
 
 
 def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:

@@ -35,7 +35,7 @@ from collections import namedtuple
 
 from .amplitudes import SpinChannel
 from .entropy import _stream_weight_entropy
-from .geometry import range_grid_below, ring_grid
+from .geometry import range_grid_below
 from .kinematics import ScatterContext
 
 
@@ -85,7 +85,7 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     values are detection entropies (no exchange bit; it cancels in
     ``delta_S = S_ap - S_par`` anyway).  ``zero_weight`` is always false
     (no band's total weight is 0) and keeps the table's layout.  A
-    theta_r beyond the half shell of ``ring_grid`` raises ValueError.
+    theta_r beyond the half shell raises ValueError (``range_grid_below``).
 
     The gap is not flat in ``theta_r``.  With x = pi/2 - theta the
     parallel density is proportional to x^2 (1 + 7 x^2 / 6) and the
@@ -97,11 +97,7 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     bits: 1.6232 for a thin band, then falling as 0.6925 T^2 (1.45 at
     0.5 rad, 0.94 at 1.0 rad).  The cell width cancels in the gap.
     """
-    half_shell = ring_grid(ctx, SpinChannel.PARALLEL, n_cells=1)
-    if not 0.0 < theta_r <= half_shell.theta_hi - half_shell.theta_lo:
-        raise ValueError(
-            f"acceptance half-angle {theta_r!r} outside (0, pi/2 - cutoff]")
-    grid = range_grid_below(math.pi / 2.0, theta_r, ctx.delta_theta)
+    grid = range_grid_below(ctx, theta_r)
     h_sp, h_par, h_ap = (_stream_weight_entropy(grid, ctx.K, channel)[0]
                          for channel in SpinChannel)
     return {

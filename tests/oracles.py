@@ -102,7 +102,7 @@ from scipy.special import i0e
 from escatter import density_matrix
 from escatter.amplitudes import SpinChannel
 from escatter.errors import NumericalError
-from escatter.geometry import GridKind, panel_edges
+from escatter.geometry import panel_edges
 
 #: wave-number calibration that reproduces the benchmark entropy tables
 CALIBRATED_KSCALE = math.sqrt(2.0)
@@ -301,11 +301,11 @@ def iter_cell_chunks(grid, chunk_cells: int = CHUNK_CELLS):
         yield np.arange(i0, min(i0 + chunk_cells, grid.n_cells), dtype=float)
 
 
-def streamed_weight_entropy(grid, c: float, channel,
+def streamed_weight_entropy(grid, c: float, channel, pixels: bool = False,
                             chunk_cells: int = CHUNK_CELLS) -> tuple[float, float]:
     """(H_bits, Z) of a grid's detection distribution from every cell's
     weight at the multiplier c, chunk by chunk: Z = sum w, T = sum w ln w
-    (w ln(w / m) on a SPHERE_PIXELS grid, m the pixels of the ring) and
+    (w ln(w / m) with ``pixels``, m the pixels of the ring) and
     H = (ln Z - T / Z) / ln 2.  Two outcomes per cell (direct, exchange)
     for ANTIPARALLEL."""
     hw = 0.5 * grid.delta_theta
@@ -318,7 +318,7 @@ def streamed_weight_entropy(grid, c: float, channel,
         else:
             branches = (channel_cell_integrals_np(mid, hw, c, channel),)
         m = (2.0 * math.pi * np.sin(mid) / grid.delta_theta
-             if grid.kind is GridKind.SPHERE_PIXELS else np.ones_like(mid))
+             if pixels else np.ones_like(mid))
         for w in branches:
             keep = w > 0.0
             z += float(w[keep].sum())

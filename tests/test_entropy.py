@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from escatter import (
-    GridKind,
     SpinChannel,
     make_context,
     range_grid_below,
@@ -135,18 +134,19 @@ def test_streaming_chunk_size_irrelevant():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     from escatter.entropy import _stream_weight_entropy
 
-    for kind, channel in ((GridKind.RINGS, SpinChannel.SPINLESS),
-                          (GridKind.SPHERE_PIXELS, SpinChannel.SPINLESS),
-                          (GridKind.SPHERE_PIXELS, SpinChannel.ANTIPARALLEL)):
-        grid = ring_grid(ctx, channel, kind=kind)
+    for pixels, channel in ((False, SpinChannel.SPINLESS),
+                            (True, SpinChannel.SPINLESS),
+                            (True, SpinChannel.ANTIPARALLEL)):
+        grid = ring_grid(ctx, channel)
         c = reducer_scale(grid, channel)
-        h_one, z_one = streamed_weight_entropy(grid, c, channel)
-        h_many, z_many = streamed_weight_entropy(grid, c, channel, chunk_cells=97)
-        h, z = _stream_weight_entropy(grid, ctx.K, channel)
-        assert h_many == pytest.approx(h_one, abs=1e-12), (kind, channel)
-        assert z_many == pytest.approx(z_one, rel=1e-13), (kind, channel)
-        assert h == pytest.approx(h_one, abs=1e-12), (kind, channel)
-        assert z == pytest.approx(z_one, rel=1e-13), (kind, channel)
+        h_one, z_one = streamed_weight_entropy(grid, c, channel, pixels)
+        h_many, z_many = streamed_weight_entropy(grid, c, channel, pixels,
+                                                 chunk_cells=97)
+        h, z = _stream_weight_entropy(grid, ctx.K, channel, pixels)
+        assert h_many == pytest.approx(h_one, abs=1e-12), (pixels, channel)
+        assert z_many == pytest.approx(z_one, rel=1e-13), (pixels, channel)
+        assert h == pytest.approx(h_one, abs=1e-12), (pixels, channel)
+        assert z == pytest.approx(z_one, rel=1e-13), (pixels, channel)
 
 
 def test_entropy_bounds():
@@ -185,8 +185,12 @@ _H = entropy._EXACT_END_CELLS
 _EXACT = entropy._EXACT_MAX_CELLS
 
 
+#: how the reducer counts a grid's cells, by the name the grids' ids give it
+_COUNTS = (("rings", False), ("sphere", True))
+
+
 def _reducer_grids():
-    """(id, grid, K, channel): native ring and sphere grids at 100 eV and
+    """(id, grid, K, channel, pixels): native ring and sphere grids at 100 eV and
     at 1 eV (where the cells' singularity sits about 5 cells before the
     first cell), post-selection bands below pi/2 (the parallel channel's
     double zero at their top; the others far from every singular angle,
@@ -201,36 +205,35 @@ def _reducer_grids():
     ap = SpinChannel.ANTIPARALLEL
     for name, ctx in (("1keV", band),
                       ("10keV", make_context(1e4, 5000.0, CALIBRATED_KSCALE))):
-        for kind in GridKind:
-            yield (f"half-shell-{name}-{ap.value}-{kind.value}",
-                   ring_grid(ctx, ap, kind=kind), ctx.K, ap)
+        for count, pixels in _COUNTS:
+            yield (f"half-shell-{name}-{ap.value}-{count}",
+                   ring_grid(ctx, ap), ctx.K, ap, pixels)
     for ch in SpinChannel:
-        for kind in GridKind:
-            yield (f"ring-{ch.value}-{kind.value}",
-                   ring_grid(ring, ch, kind=kind), ring.K, ch)
-            yield (f"ring-1eV-{ch.value}-{kind.value}",
-                   ring_grid(near, ch, kind=kind), near.K, ch)
+        for count, pixels in _COUNTS:
+            yield (f"ring-{ch.value}-{count}",
+                   ring_grid(ring, ch), ring.K, ch, pixels)
+            yield (f"ring-1eV-{ch.value}-{count}",
+                   ring_grid(near, ch), near.K, ch, pixels)
         for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 1.5):
             yield (f"band-{theta_r}-{ch.value}",
-                   range_grid_below(0.5 * math.pi, theta_r, band.delta_theta),
-                   band.K, ch)
+                   range_grid_below(band, theta_r), band.K, ch, False)
         for n in (2 * _H, 2 * _H + 1, _EXACT, _EXACT + 1, _EXACT + 2,
                   _EXACT + 7, 3 * _EXACT // 2):
-            for kind in GridKind:
-                yield (f"uniform-{n}-{ch.value}-{kind.value}",
-                       ring_grid(coarse, ch, kind, n_cells=n), coarse.K, ch)
+            for count, pixels in _COUNTS:
+                yield (f"uniform-{n}-{ch.value}-{count}",
+                       ring_grid(coarse, ch, n_cells=n), coarse.K, ch, pixels)
 
 
 _REDUCER_GRIDS = list(_reducer_grids())
 
 
-@pytest.mark.parametrize("grid,K,channel", [g[1:] for g in _REDUCER_GRIDS],
+@pytest.mark.parametrize("grid,K,channel,pixels", [g[1:] for g in _REDUCER_GRIDS],
                          ids=[g[0] for g in _REDUCER_GRIDS])
-def test_reducer_matches_streamed_oracle(grid, K, channel):
+def test_reducer_matches_streamed_oracle(grid, K, channel, pixels):
     # exact ends plus Euler-Maclaurin middle against every cell summed
-    h, z = entropy._stream_weight_entropy(grid, K, channel)
+    h, z = entropy._stream_weight_entropy(grid, K, channel, pixels)
     h_exact, z_exact = streamed_weight_entropy(grid, reducer_scale(grid, channel),
-                                               channel)
+                                               channel, pixels)
     assert abs(h - h_exact) <= 1e-13
     assert z == pytest.approx(z_exact, rel=1e-14, abs=0.0)
 
@@ -241,8 +244,7 @@ def test_reducer_z_matches_telescoped_total(e_ev):
     # sum to the closed form over that span
     ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)
     grids = [ring_grid(ctx, ch) for ch in SpinChannel]
-    grids += [range_grid_below(0.5 * math.pi, t, ctx.delta_theta)
-              for t in (0.1, 1.5)]
+    grids += [range_grid_below(ctx, t) for t in (0.1, 1.5)]
     for grid in grids:
         for ch in SpinChannel:
             if grid.theta_hi > 0.5 * math.pi and ch is not SpinChannel.SPINLESS:
@@ -274,9 +276,9 @@ def _record_cell_terms(mp) -> list[list]:
     calls = []
     cell_terms = entropy._cell_terms
 
-    def recording(grid, c, channel, xs):
+    def recording(grid, c, channel, pixels, xs):
         calls.append(list(xs))
-        return cell_terms(grid, c, channel, calls[-1])
+        return cell_terms(grid, c, channel, pixels, calls[-1])
 
     mp.setattr(entropy, "_cell_terms", recording)
     return calls
@@ -292,7 +294,7 @@ def test_postselect_bands_far_from_singular_angles_are_cheap():
         calls = _record_cell_terms(mp)
         for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.2,
                         1.4, 1.5):
-            grid = range_grid_below(0.5 * math.pi, theta_r, ctx.delta_theta)
+            grid = range_grid_below(ctx, theta_r)
             assert grid.n_cells > _EXACT
             for ch in SpinChannel:
                 entropy._stream_weight_entropy(grid, ctx.K, ch)
@@ -307,10 +309,10 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
     # alone, which sets the weights' scale
     ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
-        for kind in GridKind:
-            grid = ring_grid(ctx, ch, kind=kind)
-            n = grid.n_cells
-            assert n > _EXACT
+        grid = ring_grid(ctx, ch)
+        n = grid.n_cells
+        assert n > _EXACT
+        for pixels in (False, True):
             layouts = []
 
             def recording(a, b, floor, d_a, d_b):
@@ -320,7 +322,7 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
             with pytest.MonkeyPatch.context() as mp:
                 calls = _record_cell_terms(mp)
                 mp.setattr(entropy, "panel_edges", recording)
-                entropy._stream_weight_entropy(grid, ctx.K, ch)
+                entropy._stream_weight_entropy(grid, ctx.K, ch, pixels)
             assert len(calls) == 3
             assert calls[:2] == [[0], [*range(_H), *range(n - _H, n)]]
             [(a, b, edges)] = layouts
@@ -377,7 +379,7 @@ def test_sphere_ring_multiplicity_identity():
     # per-pixel entropy = per-ring entropy + mean log2(pixels per ring),
     # computed here through an independent materialized path
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
-    grid = ring_grid(ctx, SpinChannel.SPINLESS, kind=GridKind.SPHERE_PIXELS)
+    grid = ring_grid(ctx, SpinChannel.SPINLESS)
     centers, hw = grid_cells(grid)
     w, = channel_cell_integrals(centers, hw, physical_scale(ctx.K),
                                 SpinChannel.SPINLESS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from escatter import (
     AngularGrid,
-    GridKind,
+    ScatterContext,
     SpinChannel,
     make_context,
     range_grid_below,
@@ -43,9 +43,9 @@ from oracles import (
 # ---------------------------------------------------------------------------
 
 def test_angular_grid_is_an_immutable_checked_value():
-    fields = dict(kind=GridKind.RINGS, theta_lo=0.1, theta_hi=1.0, n_cells=3,
-                  delta_theta=0.3)
+    fields = dict(theta_lo=0.1, theta_hi=1.0, n_cells=3, delta_theta=0.3)
     g = AngularGrid(**fields)
+    assert AngularGrid._fields == tuple(fields)
     assert {name: getattr(g, name) for name in fields} == fields
     assert g == AngularGrid(**fields) and hash(g) == hash(AngularGrid(**fields))
     with pytest.raises(AttributeError):
@@ -91,10 +91,9 @@ def test_ring_grid_with_n_cells_is_the_uniform_grid_over_the_domain():
     for ch in SpinChannel:
         lo = ctx.epsilon
         hi = math.pi - lo if ch is SpinChannel.SPINLESS else 0.5 * math.pi
-        for kind in GridKind:
-            for n in (1, 1024, 2 ** 50):
-                assert ring_grid(ctx, ch, kind, n_cells=n) == \
-                    AngularGrid(kind, lo, hi, n, (hi - lo) / n)
+        for n in (1, 1024, 2 ** 50):
+            assert ring_grid(ctx, ch, n_cells=n) == \
+                AngularGrid(lo, hi, n, (hi - lo) / n)
     with pytest.raises(ValueError, match="at least one cell"):
         ring_grid(ctx, SpinChannel.SPINLESS, n_cells=0)
 
@@ -123,18 +122,32 @@ def test_empty_domain_names_cutoff():
 
 
 def test_range_grid_below_abuts_top():
-    g = range_grid_below(math.pi / 2, 0.25, 0.1)
-    assert g.n_cells == 2
-    assert g.theta_hi == pytest.approx(math.pi / 2)
-    assert g.theta_lo == pytest.approx(math.pi / 2 - 0.2)
+    ctx = ScatterContext(K=1.0, sigma_k=1.0, epsilon=0.01, delta_theta=0.1)
+    g = range_grid_below(ctx, 0.25)
+    assert g == AngularGrid(0.5 * math.pi - 2 * 0.1, 0.5 * math.pi, 2, 0.1)
     # 0.3 / 0.1 is 2.999... in binary; the count must still be 3
-    assert range_grid_below(1.0, 0.3, 0.1).n_cells == 3
-    with pytest.raises(ValueError):
-        range_grid_below(math.pi / 2, 0.05, 0.1)
+    assert range_grid_below(ctx, 0.3).n_cells == 3
+    with pytest.raises(ValueError, match="holds no complete cell"):
+        range_grid_below(ctx, 0.05)
+
+
+def test_range_grid_below_checks_the_band_in_the_half_shell():
+    # the band must lie in the parallel channel's half shell [eps, pi/2];
+    # a context with no accessible angle is refused first, for that reason
+    ctx = make_context(1000.0, 50.0, CALIBRATED_KSCALE)
+    span = 0.5 * math.pi - ctx.epsilon
+    assert range_grid_below(ctx, span).n_cells == \
+        ring_grid(ctx, SpinChannel.PARALLEL).n_cells
+    for theta_r in (0.0, -0.1, math.nextafter(span, math.inf), math.nan):
+        with pytest.raises(ValueError, match=r"acceptance half-angle .* outside "
+                           r"\(0, pi/2 - cutoff\]"):
+            range_grid_below(ctx, theta_r)
+    with pytest.raises(ValueError, match="not below pi/2"):
+        range_grid_below(make_context(0.001, 0.06), 0.0)
 
 
 def test_grid_edges_and_chunks():
-    g = AngularGrid(GridKind.RINGS, 0.0, 1.0, 1000, 1.0 / 1000)
+    g = AngularGrid(0.0, 1.0, 1000, 1.0 / 1000)
     edges = grid_edges(g)
     assert len(edges) == 1001
     assert edges[0] == 0.0
@@ -184,7 +197,7 @@ def test_rings_times_weight_matches_sphere_pixels():
     # the indistinguishable spin channels
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     for ch in SpinChannel:
-        grid = ring_grid(ctx, ch, kind=GridKind.SPHERE_PIXELS)
+        grid = ring_grid(ctx, ch)
         centers = grid.centres(np.arange(grid.n_cells))
         total = sum(ring_weight(t, grid.delta_theta) for t in centers)
         assert total == pytest.approx(sphere_pixel_count(ctx, ch),
@@ -264,7 +277,7 @@ def test_dual_route_near_equator_parallel():
     # the closed form is cancellation-free at the equator; the quadrature
     # route must agree on the cells next to it
     ctx = make_context(1.0, 50.0, CALIBRATED_KSCALE)
-    grid = range_grid_below(math.pi / 2, 0.3, ctx.delta_theta)
+    grid = range_grid_below(ctx, 0.3)
     _dual_route_check(ctx, SpinChannel.PARALLEL, grid,
                       [0, 1, grid.n_cells // 2, grid.n_cells - 1])
 
@@ -285,7 +298,7 @@ def test_parallel_cell_straddling_equator_suppressed():
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     w = 1e-3
     lo, hi = math.pi / 2 - w / 2, math.pi / 2 + w / 2
-    grid = AngularGrid(GridKind.RINGS, lo, hi, 1, hi - lo)
+    grid = AngularGrid(lo, hi, 1, hi - lo)
     p_par = cell_probability(grid, 0, ctx, SpinChannel.PARALLEL)
     p_sp = cell_probability(grid, 0, ctx, SpinChannel.SPINLESS)
     assert p_par < 1e-5 * p_sp

@@ -42,7 +42,7 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
-    assert len(escatter.__all__) == 25
+    assert len(escatter.__all__) == 24
 
 
 def _escatter_names_read_by(path: pathlib.Path) -> set[tuple[str, str]]:
@@ -94,8 +94,8 @@ def test_names_the_benchmark_tracer_rebinds_exist():
 
 def test_only_geometry_resolves_a_channel_grid():
     # one grid resolver: ring_grid decides a channel's domain and lays its
-    # cells out, and the grids it does not resolve (range_grid_below's)
-    # are built beside it, so no other module constructs an AngularGrid
+    # cells out, and range_grid_below checks a band against the half shell
+    # ring_grid gives, so no other module constructs an AngularGrid
     src = pathlib.Path(escatter.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
