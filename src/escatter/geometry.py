@@ -1,13 +1,12 @@
 """Detector discretizations and per-cell probability integrals, on the
-``math`` module alone.  A grid is its polar cells; whether a cell counts
-as one ring or as the sphere pixels it holds is the entropy reducer's
-choice.  A channel's grid has one resolver, :func:`ring_grid`, which
-also decides the channel's domain: the full shell [epsilon, pi - epsilon]
-for SPINLESS, the half shell [epsilon, pi/2] up to the equator for the
-indistinguishable spin channels.  :func:`range_grid_below` lays a
-post-selection band down from pi/2 inside that half shell.
-``SINGULAR_ANGLES`` lists where each channel's densities have poles and
-zeros.
+``math`` module alone.  A grid is its polar cells (whether a cell counts
+as a ring or as its sphere pixels is the entropy reducer's choice), and
+a channel's grid has one resolver, :func:`ring_grid`, which also decides
+the channel's domain: the full shell [epsilon, pi - epsilon] for
+SPINLESS, the half shell [epsilon, pi/2] for the indistinguishable spin
+channels, inside which :func:`range_grid_below` lays post-selection
+bands down from pi/2.  ``SINGULAR_ANGLES`` lists where each channel's
+densities have poles and zeros.
 
 The per-cell probabilities have one route here: closed-form
 antiderivatives of the Coulomb densities
@@ -137,9 +136,8 @@ def range_grid_below(ctx: ScatterContext, theta_r: float) -> AngularGrid:
     the equator, where the exchange and direct amplitudes interfere
     maximally.  Cells not fully inside the band are dropped.
     """
-    half_shell = ring_grid(ctx, SpinChannel.PARALLEL, n_cells=1)
-    top = half_shell.theta_hi
-    if not 0.0 < theta_r <= top - half_shell.theta_lo:
+    lo, top = ring_grid(ctx, SpinChannel.PARALLEL, n_cells=1)[:2]  # half shell
+    if not 0.0 < theta_r <= top - lo:
         raise ValueError(
             f"acceptance half-angle {theta_r!r} outside (0, pi/2 - cutoff]")
     n = _cell_count(theta_r, ctx.delta_theta)
@@ -192,18 +190,22 @@ def direct_exchange_cell_integrals(mids, hw: float, c: float
     """Per-cell (2 pi * integral f^2 sin, 2 pi * integral g^2 sin) over the
     cells [mid - hw, mid + hw] at the multiplier c, one pair of lists.
 
-    sin^2 and cos^2 of each half-angle are formed directly, so both stay
-    relatively accurate near their zeros."""
+    The half-angle sines and cosines are formed directly, so they stay
+    relatively accurate near their zeros, and 1/s_a - 1/s_b is taken as
+    (sin hw / (sa sb)) (sin mid / (sa sb)), sa = sin(a/2), sb = sin(b/2),
+    alike with cosines: no factor is below the weight, where sa^2 sb^2 is
+    subnormal from a lower edge of about 2e-77 rad."""
     sin, cos = math.sin, math.cos
     sin_hw = sin(hw)
     direct, exchange = [], []
     for mid in mids:
         half_a, half_b = 0.5 * (mid - hw), 0.5 * (mid + hw)
-        sa, ca, sb, cb = sin(half_a), cos(half_a), sin(half_b), cos(half_b)
-        ds = sin(mid) * sin_hw  # s_b - s_a, without cancellation
-        # c last: c ds can be subnormal where the weight is not
-        direct.append(c * (ds / ((sa * sa) * (sb * sb))))
-        exchange.append(c * (ds / ((ca * ca) * (cb * cb))))
+        sab = sin(half_a) * sin(half_b)
+        cab = cos(half_a) * cos(half_b)
+        sin_mid = sin(mid)
+        # c last: c sin(hw) can be subnormal where the weight is not
+        direct.append(c * ((sin_hw / sab) * (sin_mid / sab)))
+        exchange.append(c * ((sin_hw / cab) * (sin_mid / cab)))
     return direct, exchange
 
 
@@ -232,9 +234,9 @@ def parallel_cell_integrals(mids, hw: float, c: float) -> list[float]:
     [mid - hw, mid + hw] at c, to rounding everywhere, the equator included.
 
     Once a cell's lower edge is within about 1e-8 of its width from 0
-    (from about 1e18 eV at 1 um), 1 + y cancels and y rounds to -1, where
-    atanh is -inf: the cell gets the weight -inf, which the entropy
-    reducer reports as non-finite."""
+    (from about 1e18 eV at 1 um), or its upper edge from pi, 1 + y cancels
+    and y rounds to -1, where atanh is -inf: the cell gets the weight
+    -inf, which the entropy reducer reports as non-finite."""
     sin, cos = math.sin, math.cos
     sh, ch = sin(hw), cos(hw)
     c4 = 4.0 * c

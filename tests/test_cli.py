@@ -852,24 +852,30 @@ def test_parallel_channel_at_extreme_energy_fails_cleanly(e_ev):
 
 @pytest.mark.parametrize("command, channel", [
     ("spinless-sweep", "spinless"), ("sphere-sweep", "spinless"),
-    ("spin-sweep", "antiparallel")])
+    ("spin-sweep", "parallel")])
 def test_huge_packet_underflow_fails_cleanly(command, channel):
-    # 5 eV / 1e81 nm: the sin^2 products of the first cell's half-angles
-    # underflow and the cell integral divides by zero; the row fails
+    # 5 eV / 1e170 nm: the product of the first cell's half-angle sines
+    # underflows and the cell integral divides by zero; the row fails
     # naming the channel and the grid's lower edge, where it printed a
-    # bare "float division by zero" (spin-sweep: its parallel channel
-    # computes, the antiparallel one fails)
+    # bare "float division by zero" (spin-sweep: its parallel channel is
+    # reduced first).  sphere-sweep fails first on its pixel count, as
+    # Omega_0 / delta_theta^2 overflows from about 1e153 nm
     proc = subprocess.run(
         [sys.executable, "-m", "escatter.cli", command, "--energy-ev", "5",
-         "--packet-nm", "1e81", "--k-scale", SQRT2, "--threads", "1"],
+         "--packet-nm", "1e170", "--k-scale", SQRT2, "--threads", "1"],
         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert "RuntimeWarning" not in proc.stderr
     [line] = proc.stderr.splitlines()
-    assert re.fullmatch(rf"\[{command}\] row 0 failed: error: {channel}-channel "
-                        r"cell weights underflow: the grid's lower edge theta "
-                        r"= 4\.07\d*e-82 rad is too close to 0 \(division by "
-                        r"zero in the cell integrals\)", line), line
+    if command == "sphere-sweep":
+        failure = (r"sphere pixel count Omega_0 / delta_theta\^2 leaves the "
+                   r"float range \(pixel side delta_theta = 1\.74\d*e-171 rad\)")
+    else:
+        failure = (rf"{channel}-channel cell weights underflow: the grid's "
+                   r"lower edge theta = 4\.07\d*e-171 rad is too close to 0 "
+                   r"\(division by zero in the cell integrals\)")
+    assert re.fullmatch(rf"\[{command}\] row 0 failed: error: {failure}",
+                        line), line
 
 
 def test_huge_packet_overflow_fails_cleanly():
@@ -891,11 +897,24 @@ def test_huge_packet_overflow_fails_cleanly():
 
 
 def test_huge_packet_rows_that_compute_keep_computing(capsys):
-    # one decade narrower every channel computes; the parallel channel
-    # computes at 1e100 and 1e150 nm (1e160 nm overflows), and
+    # every channel computes up to about 1e153 nm at 5 eV, and each row
+    # equals its row at 1e70 nm: the entropies depend on E alone.  Beyond
+    # about 1e78 nm the first cell's sin^4 product was subnormal and these
+    # rows printed wrong digits, from 1e81 nm they failed.  The parallel
+    # channel computes at 1e100 and 1e150 nm (1e160 nm overflows), and
     # post-selection bands at 1e300 nm
-    assert main(["spin-sweep", "--energy-ev", "5", "--packet-nm", "1e80",
-                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    def row(command, l_nm):
+        assert main([command, "--energy-ev", "5", "--packet-nm", l_nm,
+                     "--k-scale", SQRT2, "--threads", "1", "--format",
+                     "json"]) == 0
+        [out] = json.loads(capsys.readouterr().out)
+        return {k: v for k, v in out.items() if k.startswith("S_")}
+
+    for command in ("spinless-sweep", "sphere-sweep", "spin-sweep"):
+        narrow = row(command, "1e70")
+        for l_nm in ("1e80", "1e81", "1e100", "1e150"):
+            assert row(command, l_nm) == pytest.approx(narrow, abs=1e-12), \
+                (command, l_nm)
     assert main(["postselect-range", "--energy-ev", "5", "--packet-nm", "1e300",
                  "--k-scale", SQRT2, "--threads", "1"]) == 0
     capsys.readouterr()

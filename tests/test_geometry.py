@@ -355,9 +355,12 @@ def test_interference_consistency():
 @given(st.floats(min_value=0.02, max_value=math.pi - 0.02),
        st.floats(min_value=1e-5, max_value=0.02))
 def test_cell_integrals_positive(lo, width):
-    if lo + width >= math.pi:
-        return
     mid, hw = np.array([lo + 0.5 * width]), 0.5 * width
+    # only cells inside the integrals' domain, judged on their own top edge
+    # mid + hw: one within about 1e-8 of its width of pi has the documented
+    # parallel weight -inf, and lo + width can miss such a cell by an ulp
+    if math.pi - (mid[0] + hw) < 1e-6 * width:
+        return
     F, G = direct_exchange_cell_integrals(mid, hw, physical_scale(1.0))
     W = parallel_cell_integrals(mid, hw, physical_scale(1.0))
     assert F[0] > 0.0

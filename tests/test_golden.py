@@ -82,13 +82,26 @@ def test_cli_json_matches_golden_to_12_digits(stem, argv):
 _VN_CASES = [case for case in CASES if case[1][0] == "vn-compare"]
 
 
-@pytest.mark.parametrize("stem,argv", _VN_CASES, ids=[c[0] for c in _VN_CASES])
-def test_vn_compare_dense_fallback_matches_golden_bytes(stem, argv, monkeypatch):
-    # where numpy's LAPACK has no band solver, the dense eigvalsh prints
-    # the same table
+#: (handles cleared, id suffix): the dense eigvalsh in place of the band
+#: solver, then without the subnormal flush, then the band solver without it
+_FALLBACKS = [(("_DSBEVD",), ""), (("_DSBEVD", "_LIBC"), "-no-flush"),
+              (("_LIBC",), "-band-no-flush")]
+
+
+@pytest.mark.parametrize("stem,argv,cleared",
+                         [(*case, cleared) for cleared, _ in _FALLBACKS
+                          for case in _VN_CASES],
+                         ids=[case[0] + suffix for _, suffix in _FALLBACKS
+                              for case in _VN_CASES])
+def test_vn_compare_dense_fallback_matches_golden_bytes(stem, argv, cleared,
+                                                        monkeypatch):
+    # where numpy's LAPACK has no band solver (_DSBEVD cleared), where the
+    # eigensolve flushes no subnormals (_LIBC cleared: off x86-64 Linux),
+    # and where both hold, the table is the same
     from escatter import density_matrix
 
-    monkeypatch.setattr(density_matrix, "_DSBEVD", None)
+    for handle in cleared:
+        monkeypatch.setattr(density_matrix, handle, None)
     expected = (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
     assert render(argv, "csv") == expected
 
