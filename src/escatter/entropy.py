@@ -70,10 +70,10 @@ def shannon_discrete(p) -> float:
 # discrete sums in O(1): exact ends, Euler-Maclaurin middle
 # ---------------------------------------------------------------------------
 
-#: a grid of at most this many cells is summed exactly throughout: its
-#: float centres' ulp(pi/2) rounding, 2e-16 / x of the parallel weight
-#: ~ x^2 (x = pi/2 - theta), is not smooth in the index, and Euler-Maclaurin
-#: moved bands of 66-1000 cells by up to 1.7e-12 bits (1 keV, 50 um)
+#: a grid of at most this many cells is summed exactly throughout: each
+#: float centre's rounding by ulp(pi/2), 2e-16 / x of a parallel weight
+#: ~ x^2 (x = pi/2 - theta), is not smooth in the index: Euler-Maclaurin
+#: moved bands of 66-1000 cells below pi/2 by up to 1.7e-12 bits (1 keV)
 _EXACT_MAX_CELLS = 8192
 #: cells summed exactly at an edge of a larger grid within this many
 #: cells of a singular angle, and the narrowest Euler-Maclaurin panel:

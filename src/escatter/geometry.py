@@ -193,8 +193,8 @@ def direct_exchange_cell_integrals(mids, hw: float, c: float
     The half-angle sines and cosines are formed directly, so they stay
     relatively accurate near their zeros, and 1/s_a - 1/s_b is taken as
     (sin hw / (sa sb)) (sin mid / (sa sb)), sa = sin(a/2), sb = sin(b/2),
-    alike with cosines: no factor is below the weight, where sa^2 sb^2 is
-    subnormal from a lower edge of about 2e-77 rad."""
+    alike with cosines: no factor is smaller than the weight, while
+    sa^2 sb^2 is subnormal below a lower edge of about 2e-77 rad."""
     sin, cos = math.sin, math.cos
     sin_hw = sin(hw)
     direct, exchange = [], []

@@ -190,14 +190,15 @@ _COUNTS = (("rings", False), ("sphere", True))
 
 
 def _reducer_grids():
-    """(id, grid, K, channel, pixels): native ring and sphere grids at 100 eV and
-    at 1 eV (where the cells' singularity sits about 5 cells before the
-    first cell), post-selection bands below pi/2 (the parallel channel's
-    double zero at their top; the others far from every singular angle,
-    so summed from a few coarse panels), among them the benchmark's at
-    1 keV / 50 um, half-shell antiparallel grids at 1 keV and 10 keV
-    (whose top, pi/2, is far from 0 and pi), and uniform grids of 2H
-    cells, of the most cells summed exactly, and just above each."""
+    """(id, grid, K, channel, pixels): native grids, counted per ring and
+    per pixel, at 100 eV and at 1 eV (where the cells' singularity sits
+    about 5 cells before the first cell), post-selection bands below pi/2
+    (the parallel channel's double zero at their top; the others far from
+    every singular angle, so summed from a few coarse panels), among them
+    the benchmark's at 1 keV / 50 um, half-shell antiparallel grids at
+    1 keV and 10 keV (whose top, pi/2, is far from 0 and pi), and uniform
+    grids of 2H cells, of the most cells summed exactly, and just above
+    each."""
     ring = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
     near = make_context(1.0, 50_000.0, CALIBRATED_KSCALE)
     band = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
@@ -227,7 +228,8 @@ def _reducer_grids():
 _REDUCER_GRIDS = list(_reducer_grids())
 
 
-@pytest.mark.parametrize("grid,K,channel,pixels", [g[1:] for g in _REDUCER_GRIDS],
+@pytest.mark.parametrize("grid,K,channel,pixels",
+                         [g[1:] for g in _REDUCER_GRIDS],
                          ids=[g[0] for g in _REDUCER_GRIDS])
 def test_reducer_matches_streamed_oracle(grid, K, channel, pixels):
     # exact ends plus Euler-Maclaurin middle against every cell summed
