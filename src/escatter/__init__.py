@@ -35,6 +35,7 @@ from .kinematics import (
 )
 from .spin import (
     EquatorEntropies,
+    PostselectEntropies,
     equator_entropies,
     postselect_entropies,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "EquatorEntropies",
     "HARTREE_EV",
     "NumericalError",
+    "PostselectEntropies",
     "ScatterContext",
     "SpinChannel",
     "__version__",

@@ -53,12 +53,6 @@ from .geometry import ring_grid, sphere_pixel_count
 from .kinematics import make_context
 from .spin import equator_entropies, postselect_entropies
 
-_CHANNELS = {
-    "spinless": SpinChannel.SPINLESS,
-    "parallel": SpinChannel.PARALLEL,
-    "antiparallel": SpinChannel.ANTIPARALLEL,
-}
-
 #: vn-compare's largest n-grid: it bounds the n x n expansion and O(n^3)
 #: solve a band too wide for the band solver falls back to
 _GRID_CAP = 4096
@@ -104,7 +98,7 @@ _OPTIONS = (
     _Option("n_cells", "n_cells", [int], (3140,), True,
             "equator cell count(s), comma-separated (default {[0]})"),
     _Option("channel", "channel", str, "spinless", True, "default {}",
-            sorted(_CHANNELS)),
+            sorted(c.value for c in SpinChannel)),
     _Option("theta_r", "theta_r", [float], _DEFAULT_THETA_R, True,
             "comma-separated acceptance half-angles in radians"),
     _Option("out", "out", str, None, False, "output file path (atomic "
@@ -162,7 +156,7 @@ class RunConfig(namedtuple("RunConfig", ("command", *_DEFAULTS),
                               f"dense-diagonalization cap {_GRID_CAP}")
         if not self.n_cells or any(n < 1 for n in self.n_cells):
             raise ConfigError(f"n-cells must be positive, got {self.n_cells!r}")
-        if self.channel not in _CHANNELS:
+        if self.channel not in {c.value for c in SpinChannel}:
             raise ConfigError(f"unknown channel {self.channel!r}")
         if not self.theta_r or any(
                 not (0.0 < t <= math.pi / 2.0) for t in self.theta_r):
@@ -284,13 +278,13 @@ def _map_ordered(fn, items, threads: int) -> list:
 
 
 def _ring_row(cfg: RunConfig, e_ev: float) -> tuple:
-    channel = _CHANNELS[cfg.channel]
+    channel = SpinChannel(cfg.channel)
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     return ring_grid(ctx, channel).n_cells, shannon_ring_discrete(ctx, channel)
 
 
 def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
-    channel = _CHANNELS[cfg.channel]
+    channel = SpinChannel(cfg.channel)
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     return (ring_grid(ctx, channel).n_cells, sphere_pixel_count(ctx, channel),
             shannon_sphere_discrete(ctx, channel))
@@ -345,14 +339,14 @@ def _spin_row(cfg: RunConfig, e_ev: float) -> tuple:
 def _postselect_row(cfg: RunConfig, e_ev: float, theta_r: float) -> tuple:
     res = postselect_entropies(make_context(e_ev, cfg.l_nm, cfg.k_scale),
                                theta_r)
-    return (res["n_cells"], res["S_spinless"], res["S_par"], res["S_ap"],
-            res["delta_S"], res["zero_weight"])
+    # zero_weight is always false: no band's total weight is 0, as its
+    # cells are weighed relative to the first
+    return (*res, res.delta_S, False)
 
 
 def _equator_row(cfg: RunConfig, n_cells: int) -> tuple:
     res = equator_entropies(n_cells)
-    return (res.S_parallel, res.S_antiparallel, res.S_parallel_modified,
-            res.S_antiparallel_modified, res.delta_S)
+    return (*res, res.delta_S)
 
 
 def _per_energy(cfg: RunConfig) -> list[tuple]:

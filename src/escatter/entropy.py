@@ -205,8 +205,8 @@ def _euler_maclaurin_sum(f, a: float, b: float,
     return tuple(sums)
 
 
-def _stream_weight_entropy(grid: AngularGrid, K: float, channel: SpinChannel,
-                           pixels: bool = False) -> tuple[float, float]:
+def _stream_weight_entropy(grid: AngularGrid, pixels: bool,
+                           channel: SpinChannel) -> tuple[float, float]:
     """(H_bits, Z) of the normalized detection distribution on a grid's
     cells, counted per polar ring, or with ``pixels`` per sphere pixel.
 
@@ -217,16 +217,16 @@ def _stream_weight_entropy(grid: AngularGrid, K: float, channel: SpinChannel,
     a ring of weight w contributes w ln(w / m) instead of w ln w.
 
     The weights' scale makes the first cell, the largest in every channel
-    and band reduced here, weigh w_0 ~ 1; K, their unit, is not used
-    (``perfbench/tracing.py`` reads the channel third).  With R = Z - w_0
-    summed without w_0 and T' = sum w ln(w / w_0) <= 0 (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 4), H = [log1p(R / w_0)
-    - T' / Z] / ln 2 is >= 0, and exactly 0 for one cell.  A grid of up to
+    and band reduced here, weigh w_0 ~ 1.  With R = Z - w_0 summed without
+    w_0 and T' = sum w ln(w / w_0) <= 0 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, section 4), H = [log1p(R / w_0) - T' / Z] /
+    ln 2 is >= 0, and exactly 0 for one cell.  A grid of up to
     _EXACT_MAX_CELLS cells is summed cell by cell.  On a larger one the
     first cell is, and so are the _EXACT_END_CELLS cells at an edge within
     as many cells of one of the channel's ``SINGULAR_ANGLES``; the cells
     between go to :func:`_euler_maclaurin_sum`, so the cost does not grow
-    with the number of cells.
+    with the number of cells.  The channel is the third argument, where
+    the benchmark's tracer reads it.
     """
     n = grid.n_cells
     # a lower edge too close to 0 (5 eV packets of 1e170 nm) underflows the
@@ -275,12 +275,11 @@ def shannon_ring_discrete(ctx: ScatterContext, channel: SpinChannel,
     full spin-state entropy (conventions in ``escatter.spin``).
     """
     grid = ring_grid(ctx, channel, n_cells=n_cells)
-    return _stream_weight_entropy(grid, ctx.K, channel)[0]
+    return _stream_weight_entropy(grid, False, channel)[0]
 
 
 def shannon_sphere_discrete(ctx: ScatterContext,
-                            channel: SpinChannel = SpinChannel.SPINLESS,
-                            n_cells: int | None = None) -> float:
+                            channel: SpinChannel = SpinChannel.SPINLESS) -> float:
     """Per-pixel entropy on the accessible sphere via ring multiplicities.
 
     A polar ring of width dtheta at angle theta splits into
@@ -288,8 +287,8 @@ def shannon_sphere_discrete(ctx: ScatterContext,
     S = -sum_rings P_ring log2(P_ring / m) without ever enumerating
     pixels.  The entropy of the discretized sphere at any energy.
     """
-    grid = ring_grid(ctx, channel, n_cells=n_cells)
-    return _stream_weight_entropy(grid, ctx.K, channel, True)[0]
+    grid = ring_grid(ctx, channel)
+    return _stream_weight_entropy(grid, True, channel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +318,8 @@ def _limit_entropy(ctx: ScatterContext, channel: SpinChannel,
             f"{grid.delta_theta:.3g} rad, so the limit would be off by more "
             "than 1e-10 bits; the discrete sums "
             "shannon_ring_discrete(n_cells=...) and "
-            "shannon_sphere_discrete(n_cells=...) are exact there")
-    return _stream_weight_entropy(grid, ctx.K, channel, pixels)[0], grid
+            "shannon_sphere_discrete on the native pixels are exact there")
+    return _stream_weight_entropy(grid, pixels, channel)[0], grid
 
 
 def shannon_ring_jaynes(ctx: ScatterContext, channel: SpinChannel,

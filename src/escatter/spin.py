@@ -25,7 +25,7 @@ spin-sweep's rows (``cli._spin_row``): the normalized per-cell
 amplitudes c_i satisfy sum 2|c_i|^2 = 1, so
 -sum 2|c_i|^2 log2 |c_i|^2 = 1 + H(w), w the normalized cell weights.
 This module keeps the equator's closed forms and the post-selected
-detection entropies.
+detection entropies, each a named tuple with the gap ``delta_S``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .kinematics import ScatterContext
 
 
 class EquatorEntropies(namedtuple("EquatorEntropies", (
-        "n_cells", "S_parallel", "S_antiparallel", "S_parallel_modified",
+        "S_parallel", "S_antiparallel", "S_parallel_modified",
         "S_antiparallel_modified"))):
     """Closed-form entropies for N equal azimuthal cells at theta = pi/2.
 
@@ -50,7 +50,8 @@ class EquatorEntropies(namedtuple("EquatorEntropies", (
     * parallel:      S = 1 + log2 N,  S_modified = log2 N
     * antiparallel:  S = 2 + log2 N,  S_modified = 1 + log2 N
 
-    hence the antiparallel-parallel gap is exactly 1 bit at any N.
+    hence the antiparallel-parallel gap is exactly 1 bit at any N (the
+    argument of :func:`equator_entropies`, not repeated here).
     """
 
     __slots__ = ()
@@ -66,7 +67,6 @@ def equator_entropies(n_cells: int) -> EquatorEntropies:
         raise ValueError(f"need at least one cell, got {n_cells}")
     log2n = math.log2(n_cells)
     return EquatorEntropies(
-        n_cells=n_cells,
         S_parallel=1.0 + log2n,
         S_antiparallel=2.0 + log2n,
         S_parallel_modified=log2n,
@@ -74,7 +74,20 @@ def equator_entropies(n_cells: int) -> EquatorEntropies:
     )
 
 
-def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
+class PostselectEntropies(namedtuple("PostselectEntropies", (
+        "n_cells", "S_spinless", "S_par", "S_ap"))):
+    """Detection entropies (bits, no exchange bit) of the ``n_cells``
+    cells of a post-selection band, one per channel."""
+
+    __slots__ = ()
+
+    @property
+    def delta_S(self) -> float:
+        return self.S_ap - self.S_par
+
+
+def postselect_entropies(ctx: ScatterContext,
+                         theta_r: float) -> PostselectEntropies:
     """Detection entropies when only pairs within ``theta_r`` of the
     equator are kept.
 
@@ -83,9 +96,8 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     equator; a trailing sliver narrower than one cell is dropped.  All
     channels are renormalized over the same retained cells.  Reported
     values are detection entropies (no exchange bit; it cancels in
-    ``delta_S = S_ap - S_par`` anyway).  ``zero_weight`` is always false
-    (no band's total weight is 0) and keeps the table's layout.  A
-    theta_r beyond the half shell raises ValueError (``range_grid_below``).
+    ``delta_S = S_ap - S_par`` anyway).  A theta_r beyond the half shell
+    raises ValueError (``range_grid_below``).
 
     The gap is not flat in ``theta_r``.  With x = pi/2 - theta the
     parallel density is proportional to x^2 (1 + 7 x^2 / 6) and the
@@ -98,15 +110,7 @@ def postselect_entropies(ctx: ScatterContext, theta_r: float) -> dict:
     0.5 rad, 0.94 at 1.0 rad).  The cell width cancels in the gap.
     """
     grid = range_grid_below(ctx, theta_r)
-    h_sp, h_par, h_ap = (_stream_weight_entropy(grid, ctx.K, channel)[0]
-                         for channel in SpinChannel)
-    return {
-        "theta_r": float(theta_r),
-        "n_cells": grid.n_cells,
-        "S_spinless": h_sp,
-        "S_par": h_par,
-        "S_ap": h_ap,
-        "delta_S": h_ap - h_par,
-        "zero_weight": False,
-    }
+    return PostselectEntropies(grid.n_cells, *(
+        _stream_weight_entropy(grid, False, channel)[0]
+        for channel in SpinChannel))
 

@@ -63,10 +63,10 @@ def test_a02_first_two_cells_triple():
     t0 = time.perf_counter()
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     row = postselect_entropies(ctx, 2.5 * ctx.delta_theta)
-    assert row["n_cells"] == 2
-    assert row["S_spinless"] == pytest.approx(1.0, abs=0.03)
-    assert row["S_par"] == pytest.approx(0.54, abs=0.03)
-    assert row["S_ap"] == pytest.approx(2.0, abs=0.03)
+    assert row.n_cells == 2
+    assert row.S_spinless == pytest.approx(1.0, abs=0.03)
+    assert row.S_par == pytest.approx(0.54, abs=0.03)
+    assert row.S_ap == pytest.approx(2.0, abs=0.03)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -78,7 +78,7 @@ def test_a03_postselect_gap_plateau():
     # channels approach a common value
     wide = postselect_entropies(ctx, math.pi / 2.0 - ctx.epsilon)
     for key in ("S_spinless", "S_par", "S_ap"):
-        assert wide[key] == pytest.approx(2.4, abs=0.3), key
+        assert getattr(wide, key) == pytest.approx(2.4, abs=0.3), key
 
     # sub-check 2: the antiparallel-parallel gap on the band is the
     # fine-grid gap of the channel densities.  A thin band gives
@@ -88,22 +88,22 @@ def test_a03_postselect_gap_plateau():
     rows = {theta_r: postselect_entropies(ctx, theta_r)
             for theta_r in (0.1, 0.2, 0.3, 0.5, 0.7, 1.0)}
     assert time.perf_counter() - t0 < 60.0
-    curve = ", ".join(f"{k:g}: {r['delta_S']:.5f}" for k, r in rows.items())
+    curve = ", ".join(f"{k:g}: {r.delta_S:.5f}" for k, r in rows.items())
     gap0 = 1.0 + (math.log(3.0) - 2.0 / 3.0) / math.log(2.0)
     fall = (12.0 / 25.0) / math.log(2.0)
     for theta_r, row in rows.items():
         # the trailing sliver narrower than one cell is dropped, so the
         # grid covers T = n_cells * delta_theta, not theta_r
-        T = row["n_cells"] * ctx.delta_theta
+        T = row.n_cells * ctx.delta_theta
         oracle = postselect_gap_oracle(T)
-        assert abs(row["delta_S"] - oracle) <= 1e-3, (
-            f"theta_r={theta_r:g}: gap {row['delta_S']:.6f} vs oracle "
+        assert abs(row.delta_S - oracle) <= 1e-3, (
+            f"theta_r={theta_r:g}: gap {row.delta_S:.6f} vs oracle "
             f"{oracle:.6f}; measured {curve}")
         if theta_r <= 0.2:
             assert abs(oracle - (gap0 - fall * T * T)) <= 1e-4, (
                 f"T={T:g}: oracle {oracle:.6f} vs small-band series "
                 f"{gap0 - fall * T * T:.6f}")
-    gaps = [row["delta_S"] for row in rows.values()]
+    gaps = [row.delta_S for row in rows.values()]
     assert all(a > b for a, b in zip(gaps, gaps[1:])), (
         f"gap must fall strictly with theta_r; measured {curve}")
 
@@ -113,8 +113,8 @@ def test_a04_channel_convergence_large_packet():
     for e_ev in (1.0, 100.0, 10_000.0):
         ctx = make_context(e_ev, 50_000.0, CALIBRATED_KSCALE)  # 50 um packet
         row = postselect_entropies(ctx, math.pi / 2.0 - ctx.epsilon)
-        assert abs(row["S_par"] - row["S_spinless"]) < 1e-5, e_ev
-        assert abs(row["S_ap"] - row["S_par"]) < 1e-6, e_ev
+        assert abs(row.S_par - row.S_spinless) < 1e-5, e_ev
+        assert abs(row.S_ap - row.S_par) < 1e-6, e_ev
     assert time.perf_counter() - t0 < 60.0
 
 

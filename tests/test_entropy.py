@@ -142,7 +142,7 @@ def test_streaming_chunk_size_irrelevant():
         h_one, z_one = streamed_weight_entropy(grid, c, channel, pixels)
         h_many, z_many = streamed_weight_entropy(grid, c, channel, pixels,
                                                  chunk_cells=97)
-        h, z = _stream_weight_entropy(grid, ctx.K, channel, pixels)
+        h, z = _stream_weight_entropy(grid, pixels, channel)
         assert h_many == pytest.approx(h_one, abs=1e-12), (pixels, channel)
         assert z_many == pytest.approx(z_one, rel=1e-13), (pixels, channel)
         assert h == pytest.approx(h_one, abs=1e-12), (pixels, channel)
@@ -190,7 +190,7 @@ _COUNTS = (("rings", False), ("sphere", True))
 
 
 def _reducer_grids():
-    """(id, grid, K, channel, pixels): native grids, counted per ring and
+    """(id, grid, channel, pixels): native grids, counted per ring and
     per pixel, at 100 eV and at 1 eV (where the cells' singularity sits
     about 5 cells before the first cell), post-selection bands below pi/2
     (the parallel channel's double zero at their top; the others far from
@@ -208,32 +208,32 @@ def _reducer_grids():
                       ("10keV", make_context(1e4, 5000.0, CALIBRATED_KSCALE))):
         for count, pixels in _COUNTS:
             yield (f"half-shell-{name}-{ap.value}-{count}",
-                   ring_grid(ctx, ap), ctx.K, ap, pixels)
+                   ring_grid(ctx, ap), ap, pixels)
     for ch in SpinChannel:
         for count, pixels in _COUNTS:
             yield (f"ring-{ch.value}-{count}",
-                   ring_grid(ring, ch), ring.K, ch, pixels)
+                   ring_grid(ring, ch), ch, pixels)
             yield (f"ring-1eV-{ch.value}-{count}",
-                   ring_grid(near, ch), near.K, ch, pixels)
+                   ring_grid(near, ch), ch, pixels)
         for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 1.5):
             yield (f"band-{theta_r}-{ch.value}",
-                   range_grid_below(band, theta_r), band.K, ch, False)
+                   range_grid_below(band, theta_r), ch, False)
         for n in (2 * _H, 2 * _H + 1, _EXACT, _EXACT + 1, _EXACT + 2,
                   _EXACT + 7, 3 * _EXACT // 2):
             for count, pixels in _COUNTS:
                 yield (f"uniform-{n}-{ch.value}-{count}",
-                       ring_grid(coarse, ch, n_cells=n), coarse.K, ch, pixels)
+                       ring_grid(coarse, ch, n_cells=n), ch, pixels)
 
 
 _REDUCER_GRIDS = list(_reducer_grids())
 
 
-@pytest.mark.parametrize("grid,K,channel,pixels",
+@pytest.mark.parametrize("grid,channel,pixels",
                          [g[1:] for g in _REDUCER_GRIDS],
                          ids=[g[0] for g in _REDUCER_GRIDS])
-def test_reducer_matches_streamed_oracle(grid, K, channel, pixels):
+def test_reducer_matches_streamed_oracle(grid, channel, pixels):
     # exact ends plus Euler-Maclaurin middle against every cell summed
-    h, z = entropy._stream_weight_entropy(grid, K, channel, pixels)
+    h, z = entropy._stream_weight_entropy(grid, pixels, channel)
     h_exact, z_exact = streamed_weight_entropy(grid, reducer_scale(grid, channel),
                                                channel, pixels)
     assert abs(h - h_exact) <= 1e-13
@@ -251,7 +251,7 @@ def test_reducer_z_matches_telescoped_total(e_ev):
         for ch in SpinChannel:
             if grid.theta_hi > 0.5 * math.pi and ch is not SpinChannel.SPINLESS:
                 continue
-            z = entropy._stream_weight_entropy(grid, ctx.K, ch)[1]
+            z = entropy._stream_weight_entropy(grid, False, ch)[1]
             z_mp = telescoped_weight_mp(grid, reducer_scale(grid, ch), ch)
             assert z == pytest.approx(z_mp, rel=1e-14, abs=0.0), (grid.n_cells, ch)
 
@@ -299,7 +299,7 @@ def test_postselect_bands_far_from_singular_angles_are_cheap():
             grid = range_grid_below(ctx, theta_r)
             assert grid.n_cells > _EXACT
             for ch in SpinChannel:
-                entropy._stream_weight_entropy(grid, ctx.K, ch)
+                entropy._stream_weight_entropy(grid, False, ch)
     assert sum(map(len, calls)) <= 6000
 
 
@@ -324,7 +324,7 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
             with pytest.MonkeyPatch.context() as mp:
                 calls = _record_cell_terms(mp)
                 mp.setattr(entropy, "panel_edges", recording)
-                entropy._stream_weight_entropy(grid, ctx.K, ch, pixels)
+                entropy._stream_weight_entropy(grid, pixels, ch)
             assert len(calls) == 3
             assert calls[:2] == [[0], [*range(_H), *range(n - _H, n)]]
             [(a, b, edges)] = layouts
@@ -349,7 +349,7 @@ def test_reducer_cost_does_not_grow_with_cells():
         assert grid.n_cells > _EXACT
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy, "channel_cell_integrals", counting)
-            h, _ = entropy._stream_weight_entropy(grid, ctx.K,
+            h, _ = entropy._stream_weight_entropy(grid, False,
                                                   SpinChannel.PARALLEL)
         assert 0.0 <= h <= math.log2(grid.n_cells)
     assert len(calls) == 6 and max(calls) < 1000

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -42,7 +43,7 @@ def test_all_matches_the_bound_names():
     # a name pruned from a module cannot linger as an export, and a name
     # imported into the package cannot be left out of __all__
     assert set(escatter.__all__) == _bound_public_names()
-    assert len(escatter.__all__) == 24
+    assert len(escatter.__all__) == 25
 
 
 def _escatter_names_read_by(path: pathlib.Path) -> set[tuple[str, str]]:
@@ -90,6 +91,18 @@ def test_names_the_benchmark_tracer_rebinds_exist():
             ("escatter.cli", "build_meridian_matrix")} <= pairs
     for module, name in sorted(pairs):
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    # and the positions its span attributes read: tracing._channel takes
+    # the reducer's channel from args[2], tracing._cells counts the cell
+    # centres in len(args[0])
+    from escatter import entropy, geometry
+
+    def params(fn) -> list[str]:
+        return list(inspect.signature(fn).parameters)
+
+    assert params(entropy._stream_weight_entropy)[2] == "channel"
+    for fn in (geometry.channel_cell_integrals,
+               geometry.direct_exchange_cell_integrals):
+        assert params(fn)[0] == "mids", fn.__name__
 
 
 def test_only_geometry_resolves_a_channel_grid():

@@ -5,15 +5,18 @@ import pytest
 
 from escatter import (
     EquatorEntropies,
+    PostselectEntropies,
     SpinChannel,
     equator_entropies,
     make_context,
     postselect_entropies,
     shannon_ring_discrete,
 )
-from escatter.cli import main
+from escatter.cli import _DEFAULT_THETA_R, main
 
-from oracles import CALIBRATED_KSCALE
+#: the wave-number calibration of the benchmark tables, defined here so
+#: that this file needs neither numpy nor the oracles' scipy and mpmath
+CALIBRATED_KSCALE = math.sqrt(2.0)
 
 
 def _ctx(e_ev=5.0, l_nm=100.0):
@@ -33,13 +36,37 @@ def _json_rows(capsys, argv: list[str]) -> list[dict]:
 
 def test_result_types_are_immutable_values():
     eq = equator_entropies(4)
-    assert eq == EquatorEntropies(n_cells=4, S_parallel=3.0, S_antiparallel=4.0,
+    assert eq == EquatorEntropies(S_parallel=3.0, S_antiparallel=4.0,
                                   S_parallel_modified=2.0,
                                   S_antiparallel_modified=3.0)
     assert eq.delta_S == 1.0
-    for attr in ("n_cells", "delta_S"):
-        with pytest.raises(AttributeError):
-            setattr(eq, attr, 0.0)
+    ctx = _ctx()
+    band = postselect_entropies(ctx, 2.5 * ctx.delta_theta)
+    assert PostselectEntropies._fields == ("n_cells", "S_spinless", "S_par",
+                                           "S_ap")
+    assert band.delta_S == band.S_ap - band.S_par
+    for result in (eq, band):
+        for attr in (*result._fields, "delta_S", "theta_r"):
+            with pytest.raises(AttributeError):
+                setattr(result, attr, 0.0)
+
+
+def test_spin_rows_are_their_results(capsys):
+    # a postselect-range or equator row's computed columns are its result's
+    # fields and gap, and postselect-range's constant zero_weight
+    rows = _json_rows(capsys, ["postselect-range", "--energy-ev", "5",
+                               "--packet-nm", "100"])
+    assert [row["theta_r"] for row in rows] == list(_DEFAULT_THETA_R)
+    columns = ("n_cells", "S_spinless", "S_par", "S_ap", "delta_S",
+               "zero_weight")
+    for row in rows:
+        res = postselect_entropies(_ctx(), row["theta_r"])
+        assert tuple(row[c] for c in columns) == (*res, res.delta_S, False)
+    [row] = _json_rows(capsys, ["equator"])
+    res = equator_entropies(row["n_cells"])
+    assert tuple(row[c] for c in ("S_par", "S_ap", "S_par_modified",
+                                  "S_ap_modified", "delta_S")) == \
+        (*res, res.delta_S)
 
 
 def test_modified_strips_exactly_one_bit(capsys):
@@ -109,14 +136,13 @@ def test_equator_closed_forms():
 def test_postselect_two_cell_regression():
     ctx = _ctx()
     row = postselect_entropies(ctx, 2.5 * ctx.delta_theta)
-    assert row["n_cells"] == 2
-    assert not row["zero_weight"]
-    assert row["S_spinless"] == pytest.approx(0.999998, abs=1e-4)
-    assert row["S_par"] == pytest.approx(0.543562, abs=1e-4)
-    assert row["S_ap"] == pytest.approx(1.999989, abs=1e-4)
+    assert row.n_cells == 2
+    assert row.S_spinless == pytest.approx(0.999998, abs=1e-4)
+    assert row.S_par == pytest.approx(0.543562, abs=1e-4)
+    assert row.S_ap == pytest.approx(1.999989, abs=1e-4)
     # near the equator each positional cell splits into two nearly equal
     # spin branches, so antiparallel sits one bit above spinless
-    assert row["S_ap"] - row["S_spinless"] == pytest.approx(1.0, abs=1e-4)
+    assert row.S_ap - row.S_spinless == pytest.approx(1.0, abs=1e-4)
 
 
 def test_postselect_single_cell(capsys):
@@ -126,11 +152,11 @@ def test_postselect_single_cell(capsys):
     # where ln Z and T / Z rounded apart
     ctx = _ctx()
     row = postselect_entropies(ctx, 1.5 * ctx.delta_theta)
-    assert row["n_cells"] == 1
-    assert row["S_spinless"] == 0.0
-    assert row["S_par"] == 0.0
-    assert row["S_ap"] == pytest.approx(1.0, abs=1e-4)
-    assert row["delta_S"] == pytest.approx(1.0, abs=1e-4)
+    assert row.n_cells == 1
+    assert row.S_spinless == 0.0
+    assert row.S_par == 0.0
+    assert row.S_ap == pytest.approx(1.0, abs=1e-4)
+    assert row.delta_S == pytest.approx(1.0, abs=1e-4)
     assert main(["postselect-range", "--energy-ev", "512", "--packet-nm",
                  "0.01953125", "--k-scale", "45.254833995939045", "--theta-r",
                  "0.05", "--threads", "1", "--format", "json"]) == 0
@@ -165,7 +191,7 @@ def test_postselect_gap_curve_regression():
     ctx = _ctx()
     for theta_r, expected in ((0.1, 1.61609), (0.5, 1.45135), (1.0, 0.94071)):
         row = postselect_entropies(ctx, theta_r)
-        assert row["delta_S"] == pytest.approx(expected, abs=1e-3), theta_r
+        assert row.delta_S == pytest.approx(expected, abs=1e-3), theta_r
 
 
 def test_postselect_widest_range_channels_converge():
@@ -173,10 +199,10 @@ def test_postselect_widest_range_channels_converge():
     # asymmetry washes out and all three channels agree closely
     ctx = _ctx()
     row = postselect_entropies(ctx, math.pi / 2.0 - ctx.epsilon)
-    assert row["S_spinless"] == pytest.approx(2.648363, abs=1e-3)
-    assert row["S_par"] == pytest.approx(2.646991, abs=1e-3)
-    assert row["S_ap"] == pytest.approx(2.648508, abs=1e-3)
-    assert row["delta_S"] < 0.01
+    assert row.S_spinless == pytest.approx(2.648363, abs=1e-3)
+    assert row.S_par == pytest.approx(2.646991, abs=1e-3)
+    assert row.S_ap == pytest.approx(2.648508, abs=1e-3)
+    assert row.delta_S < 0.01
 
 
 def test_postselect_validation():
