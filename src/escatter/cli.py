@@ -319,9 +319,8 @@ def _vn_row(cfg: RunConfig, e_ev: float, n_grid: int) -> tuple:
     ctx = make_context(e_ev, cfg.l_nm, cfg.k_scale)
     dm = build_meridian_matrix(ctx, n_grid)
     s_vn = shannon_discrete(eigen_spectrum(dm))
-    # exact discrete sum: the continuous-limit form is not valid when the
-    # cell width is comparable to the cutoff angle, which is the case on
-    # coarse matrix-sized grids
+    # the discrete sum: the continuous-limit form is not valid on coarse
+    # matrix-sized grids, whose cells are not small against the cutoff angle
     s_ring = shannon_ring_discrete(ctx, SpinChannel.SPINLESS, n_cells=n_grid)
     return s_ring, s_vn, abs(s_vn - s_ring)
 

@@ -2,16 +2,15 @@
 continuous limit for astronomically many pixels, on the ``math`` module
 alone.
 
-Every entropy here is a discrete sum over a detector layout.  A grid of
-at most 8192 cells is summed cell by cell.  A larger one is summed
-exactly over the 64 cells at an edge within 64 cells of an angle where
-the summand is singular, and elsewhere by the midpoint Euler-Maclaurin
-formula to its f^(5) term, which agrees with the sum over every cell
-to 1e-13 bits; the cost is 280-750 cell evaluations for a native ring
-grid of 10^5-10^8 cells.  A post-selection band below pi/2 costs 44-140
-in the spinless and antiparallel channels and 252-428 in the parallel
-one, whose singular angle pi/2 is every band's top (1 keV, 50 um, the
-twelve default bands of 4e4-6e6 cells).
+Every entropy here is a discrete sum over a detector layout: exact over
+its first cell and the 64 cells at an edge within 128 cells of an angle
+where the summand is singular, elsewhere the midpoint Euler-Maclaurin
+formula to its f^(5) term, within 1e-13 bits of the sum over every cell.
+That costs 280-750 cell evaluations for a native ring grid of 10^5-10^8
+cells; a post-selection band below pi/2 44-140 in the spinless and
+antiparallel channels and 252-428 in the parallel one, whose singular
+angle pi/2 is every band's top (1 keV, 50 um, the twelve default bands
+of 4e4-6e6 cells).
 
 The *continuous-limit* forms split the entropy into an integral plus
 ``log2(n_detectors)``: the n -> infinity limit of the sums (Jaynes'
@@ -70,15 +69,10 @@ def shannon_discrete(p) -> float:
 # discrete sums in O(1): exact ends, Euler-Maclaurin middle
 # ---------------------------------------------------------------------------
 
-#: a grid of at most this many cells is summed exactly throughout: each
-#: float centre's rounding by ulp(pi/2), 2e-16 / x of a parallel weight
-#: ~ x^2 (x = pi/2 - theta), is not smooth in the index: Euler-Maclaurin
-#: moved bands of 66-1000 cells below pi/2 by up to 1.7e-12 bits (1 keV)
-_EXACT_MAX_CELLS = 8192
-#: cells summed exactly at an edge of a larger grid within this many
-#: cells of a singular angle, and the narrowest Euler-Maclaurin panel:
-#: with the f^(5) term the middle is within rounding from 64 cells off a
-#: singular angle on, without it from about 128
+#: cells summed exactly at an edge within twice as many of a singular
+#: angle, and the narrowest Euler-Maclaurin panel: the middle is within
+#: rounding from 64 cells off one on, but not if it starts at the heaviest
+#: cell (4e-13 bits on 200 cells at 0.05 eV, with an edge 64-128 off)
 _EXACT_END_CELLS = 64
 #: how a grid's cell weights leave the float range, and where it shows
 _RANGE_ERRORS = {ZeroDivisionError: ("underflow", "division by zero in the cell integrals"),
@@ -134,8 +128,8 @@ def _cell_terms(grid: AngularGrid, c: float, channel: SpinChannel,
     Both are smooth in x, which is what lets the middle of a grid be
     summed by Euler-Maclaurin."""
     mids = grid.centres(xs)
-    hw = 0.5 * grid.delta_theta
-    branches = channel_cell_integrals(mids, hw, c, channel)
+    branches = channel_cell_integrals(mids, grid.below_equator(xs),
+                                      0.5 * grid.delta_theta, c, channel)
     log = math.log
     z = [0.0] * len(mids)
     t = [0.0] * len(mids)
@@ -220,13 +214,12 @@ def _stream_weight_entropy(grid: AngularGrid, pixels: bool,
     and band reduced here, weigh w_0 ~ 1.  With R = Z - w_0 summed without
     w_0 and T' = sum w ln(w / w_0) <= 0 (Higham, *Accuracy and Stability
     of Numerical Algorithms*, section 4), H = [log1p(R / w_0) - T' / Z] /
-    ln 2 is >= 0, and exactly 0 for one cell.  A grid of up to
-    _EXACT_MAX_CELLS cells is summed cell by cell.  On a larger one the
-    first cell is, and so are the _EXACT_END_CELLS cells at an edge within
-    as many cells of one of the channel's ``SINGULAR_ANGLES``; the cells
-    between go to :func:`_euler_maclaurin_sum`, so the cost does not grow
-    with the number of cells.  The channel is the third argument, where
-    the benchmark's tracer reads it.
+    ln 2 is >= 0, and exactly 0 for one cell.  The first cell is summed
+    exactly, and so are the _EXACT_END_CELLS cells at an edge within
+    twice as many of one of the channel's ``SINGULAR_ANGLES``; the cells
+    between, if any, go to :func:`_euler_maclaurin_sum`, so the cost does
+    not grow with the number of cells.  The channel is the third
+    argument, where the benchmark's tracer reads it.
     """
     n = grid.n_cells
     # a lower edge too close to 0 (5 eV packets of 1e170 nm) underflows the
@@ -234,16 +227,14 @@ def _stream_weight_entropy(grid: AngularGrid, pixels: bool,
     try:
         first, = _cell_terms(grid, 1.0, channel, pixels, (0,))[0]
         terms = partial(_cell_terms, grid, 1.0 / first, channel, pixels)
-        if n <= _EXACT_MAX_CELLS:
-            w, wlnw = terms(range(n))
-        else:
-            # cells from each grid edge to the channel's nearest singular angle
-            d_lo, d_hi = (min(abs(edge - s) for s in SINGULAR_ANGLES[channel])
-                          / grid.delta_theta
-                          for edge in grid.centres((-0.5, n - 0.5)))
-            lo = _EXACT_END_CELLS if d_lo < _EXACT_END_CELLS else 1
-            hi = _EXACT_END_CELLS if d_hi < _EXACT_END_CELLS else 0
-            w, wlnw = terms([*range(lo), *range(n - hi, n)])
+        # cells from each grid edge to the channel's nearest singular angle
+        d_lo, d_hi = (min(abs(edge - s) for s in SINGULAR_ANGLES[channel])
+                      / grid.delta_theta
+                      for edge in grid.centres((-0.5, n - 0.5)))
+        lo = min(n, _EXACT_END_CELLS if d_lo < 2 * _EXACT_END_CELLS else 1)
+        hi = min(n - lo, _EXACT_END_CELLS if d_hi < 2 * _EXACT_END_CELLS else 0)
+        w, wlnw = terms([*range(lo), *range(n - hi, n)])
+        if lo + hi < n:
             z_mid, t_mid = _euler_maclaurin_sum(
                 terms, lo - 0.5, n - hi - 0.5, d_lo + lo, d_hi + hi)
             w, wlnw = [*w, z_mid], [*wlnw, t_mid]

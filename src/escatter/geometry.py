@@ -20,12 +20,13 @@ patterns.
 Each cell is given by its centre and half-width, never by two rounded
 edges: b - a formed from edges near theta carries an error of
 ulp(theta), which is 1e-9 of a 2.5e-7 rad cell, and it would make a
-cell's weight a noisy function of its index.  The integrals take a
-sequence of centres and one half-width and return lists: the entropy
-reducer evaluates a few hundred cells a call, too few for array code to
-pay for importing numpy.  The test suite referees them against
-numpy-vectorised copies, Gauss-Legendre quadrature and mpmath in
-``tests/oracles.py``.
+cell's weight a noisy function of its index; so would the parallel
+weight ~ x^2 given x = pi/2 - theta rounded by ulp(pi/2) in a centre.
+The integrals take centres, their x (:meth:`AngularGrid.below_equator`)
+and one half-width and return lists: the entropy reducer evaluates a
+few hundred cells a call, too few for array code to pay for importing
+numpy.  The test suite referees them against numpy-vectorised copies,
+Gauss-Legendre quadrature and mpmath in ``tests/oracles.py``.
 
 The closed forms follow from s = sin^2(theta/2), for which
 d(s)/d(theta) = sin(theta)/2 and the densities become rational in s; the
@@ -43,8 +44,9 @@ d = u_b - u_a = -2 sin(mid) sin(hw) and y = d / (1 - u_a u_b), where
 
     (A(u_b) - A(u_a)) / 4 = [atanh(y) - y] - y (cot^2 a + cot^2 b),
 
-whose bracket is taken from its series for small |y|.  Every piece keeps
-its relative accuracy at the equator, where A itself cancels.
+whose bracket is taken from its series for small |y|, and cos(mid -+ hw)
+in cot a, cot b as sin(x +- hw).  Every piece keeps its relative
+accuracy at the equator, where A itself cancels.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ class AngularGrid(namedtuple("AngularGrid", ("theta_lo", "theta_hi",
         where the cell integrals are smooth functions of x."""
         lo, delta = self.theta_lo, self.delta_theta
         return [lo + (x + 0.5) * delta for x in xs]
+
+    def below_equator(self, xs) -> list[float]:
+        """Distances pi/2 - theta of the same points: gap + (n - x - 1/2)
+        delta_theta, gap from the top cell to pi/2, 0 for a band that
+        :func:`range_grid_below` lays down from the true pi/2."""
+        n, delta = self.n_cells, self.delta_theta
+        gap = 0.5 * math.pi - (self.theta_lo + n * delta)
+        return [gap + (n - x - 0.5) * delta for x in xs]
 
 
 def _cell_count(length: float, delta: float) -> int:
@@ -229,28 +239,27 @@ def _atanh_minus_identity(y: float) -> float:
     return math.atanh(y) - y
 
 
-def parallel_cell_integrals(mids, hw: float, c: float) -> list[float]:
+def parallel_cell_integrals(mids, below, hw: float, c: float) -> list[float]:
     """Per-cell 2 pi * integral (f-g)^2 sin dtheta over the cells
-    [mid - hw, mid + hw] at c, to rounding everywhere, the equator included.
+    [mid - hw, mid + hw] at c, to rounding everywhere, the equator included,
+    from the centres' distances x = pi/2 - mid in ``below``.
 
     Once a cell's lower edge is within about 1e-8 of its width from 0
     (from about 1e18 eV at 1 um), or its upper edge from pi, 1 + y cancels
     and y rounds to -1, where atanh is -inf: the cell gets the weight
     -inf, which the entropy reducer reports as non-finite."""
-    sin, cos = math.sin, math.cos
-    sh, ch = sin(hw), cos(hw)
+    sin = math.sin
+    sh = sin(hw)
     c4 = 4.0 * c
     out = []
-    for mid in mids:
-        sm, cm = sin(mid), cos(mid)
+    for mid, x in zip(mids, below):
+        sm = sin(mid)
         y = -2.0 * sm * sh / (sh * sh + sm * sm)
         if y <= -1.0:
             out.append(-math.inf)
             continue
-        # cos and sin of a = mid - hw and b = mid + hw by the addition
-        # theorems, so cos stays relatively accurate at pi/2
-        cot_a = (cm * ch + sm * sh) / (sm * ch - cm * sh)
-        cot_b = (cm * ch - sm * sh) / (sm * ch + cm * sh)
+        cot_a = sin(x + hw) / sin(mid - hw)
+        cot_b = sin(x - hw) / sin(mid + hw)
         out.append(c4 * (_atanh_minus_identity(y)
                          - y * (cot_a * cot_a + cot_b * cot_b)))
     return out
@@ -264,10 +273,10 @@ SINGULAR_ANGLES = {SpinChannel.SPINLESS: (0.0, math.pi),
                    SpinChannel.ANTIPARALLEL: (0.0, math.pi)}
 
 
-def channel_cell_integrals(mids, hw: float, c: float,
+def channel_cell_integrals(mids, below, hw: float, c: float,
                            channel: SpinChannel) -> tuple[list[float], ...]:
-    """A channel's branches over the cells [mid - hw, mid + hw]: per
-    branch, one list over ``mids`` of 2 pi * integral p sin dtheta at c.
+    """A channel's branches over the cells [mid - hw, mid + hw] (``below``:
+    pi/2 - mid): per branch, a list of 2 pi * integral p sin dtheta at c.
 
     A branch is a distinguishable outcome within a cell.  SPINLESS has
     one, |f|^2; PARALLEL one, |f - g|^2; ANTIPARALLEL two, |f|^2 and
@@ -276,7 +285,7 @@ def channel_cell_integrals(mids, hw: float, c: float,
     if channel is SpinChannel.SPINLESS:
         return (direct_exchange_cell_integrals(mids, hw, c)[0],)
     if channel is SpinChannel.PARALLEL:
-        return (parallel_cell_integrals(mids, hw, c),)
+        return (parallel_cell_integrals(mids, below, hw, c),)
     if channel is SpinChannel.ANTIPARALLEL:
         return direct_exchange_cell_integrals(mids, hw, c)
     raise ValueError(f"unknown spin channel: {channel!r}")

@@ -15,7 +15,9 @@ Each oracle recomputes a quantity through a route that shares no code
   Like the package's, they take the weights' multiplier c, which is
   ``physical_scale(K)`` for the cell probabilities in physical units and
   ``reducer_scale(grid, channel)`` for the weights the entropy reducer
-  sums.
+  sums.  The parallel form takes each cell's distance below pi/2 as the
+  package's does: from ``AngularGrid.below_equator`` on a grid, from
+  ``below_equator`` for cells of no grid.
 * ``cell_probability`` integrates a channel density over one detector
   cell with Gauss-Legendre quadrature of doubling order
   (``integrate_cell_gl``); it referees the closed-form cell integrals of
@@ -71,7 +73,10 @@ Each oracle recomputes a quantity through a route that shares no code
   mid + hw]; they referee the cancellation-free float forms.
   ``telescoped_weight_mp`` is a grid's total weight the same way, from
   its first and last edge: the cells tile that span, so their sum
-  telescopes.
+  telescopes.  ``parallel_band_entropy_mp`` is a post-selection band's
+  parallel-channel entropy from every cell's exact integral at 40
+  digits, the band laid down from the true pi/2; it referees the cells'
+  distances below the equator, which no float centre carries.
 * ``spinless_entropy_mp`` is a grid's spinless detection entropy from
   the sum ``escatter.entropy``'s reducer forms -- its exact end cells,
   the package's float cell centres among them, plus the midpoint
@@ -179,9 +184,20 @@ def physical_scale(K: float) -> float:
 def reducer_scale(grid, channel) -> float:
     """The multiplier c under which ``escatter.entropy``'s reducer weighs
     a grid's cells: the one that makes the first cell weigh 1."""
-    first = channel_cell_integrals_np(grid.centres((0,)), 0.5 * grid.delta_theta,
-                                      1.0, channel)
+    first = channel_cell_integrals_np(grid.centres((0,)), grid.below_equator((0,)),
+                                      0.5 * grid.delta_theta, 1.0, channel)
     return 1.0 / float(first[0])
+
+
+#: pi/2 less its float 0.5 * math.pi, which is that float's cosine
+_HALF_PI_TAIL = math.cos(0.5 * math.pi)
+
+
+def below_equator(mid):
+    """Distances pi/2 - mid of cell centres that belong to no grid, as
+    the cell integrals take them: to rounding from the true pi/2, the
+    difference from 0.5 * math.pi exact for mid in [pi/4, pi]."""
+    return (0.5 * math.pi - np.asarray(mid, dtype=float)) + _HALF_PI_TAIL
 
 
 def direct_exchange_cell_integrals_np(mid, hw: float, c: float
@@ -205,28 +221,28 @@ def _atanh_minus_identity_np(y: np.ndarray) -> np.ndarray:
         return np.where(np.abs(y) < 0.25, y * series, np.arctanh(y) - y)
 
 
-def parallel_cell_integrals_np(mid, hw, c: float) -> np.ndarray:
+def parallel_cell_integrals_np(mid, below, hw, c: float) -> np.ndarray:
     """Per-cell 2 pi int (f-g)^2 sin dtheta over the cells
-    [mid - hw, mid + hw] at the multiplier c, as a numpy array (mid or hw
-    may be arrays)."""
-    mid = np.asarray(mid, dtype=float)
-    sm, cm = np.sin(mid), np.cos(mid)
-    sh, ch = np.sin(hw), np.cos(hw)
-    u_a, u_b = cm * ch + sm * sh, cm * ch - sm * sh
-    sin_a, sin_b = sm * ch - cm * sh, sm * ch + cm * sh
+    [mid - hw, mid + hw] at the multiplier c, ``below`` their centres'
+    distances pi/2 - mid, as a numpy array (mid, below or hw may be
+    arrays)."""
+    mid, x = np.asarray(mid, dtype=float), np.asarray(below, dtype=float)
+    sm, sh = np.sin(mid), np.sin(hw)
     y = -2.0 * sm * sh / (sh * sh + sm * sm)
-    cot2 = (u_a / sin_a) ** 2 + (u_b / sin_b) ** 2
+    # cos(mid -+ hw) = sin(x +- hw)
+    cot2 = (np.sin(x + hw) / np.sin(mid - hw)) ** 2 \
+        + (np.sin(x - hw) / np.sin(mid + hw)) ** 2
     return 4.0 * c * (_atanh_minus_identity_np(y) - y * cot2)
 
 
-def channel_cell_integrals_np(mid, hw: float, c: float,
+def channel_cell_integrals_np(mid, below, hw: float, c: float,
                               channel: SpinChannel) -> np.ndarray:
     """Per-cell 2 pi int p(theta) sin(theta) dtheta of one channel at the
     multiplier c, as a numpy array."""
     if channel is SpinChannel.SPINLESS:
         return direct_exchange_cell_integrals_np(mid, hw, c)[0]
     if channel is SpinChannel.PARALLEL:
-        return parallel_cell_integrals_np(mid, hw, c)
+        return parallel_cell_integrals_np(mid, below, hw, c)
     F, G = direct_exchange_cell_integrals_np(mid, hw, c)
     return F + G
 
@@ -283,11 +299,13 @@ def grid_edges(grid, i0: int = 0, i1: int | None = None) -> np.ndarray:
 
 
 def grid_cells(grid, i0: int = 0, i1: int | None = None):
-    """(centres, half-width) of a grid's cells ``i0`` to ``i1`` (exclusive),
-    the arguments of the ``escatter.geometry`` cell integrals."""
+    """(centres, their distances below pi/2, half-width) of a grid's cells
+    ``i0`` to ``i1`` (exclusive), the arguments of the
+    ``escatter.geometry`` cell integrals."""
     if i1 is None:
         i1 = grid.n_cells
-    return grid.centres(range(i0, i1)), 0.5 * grid.delta_theta
+    xs = range(i0, i1)
+    return grid.centres(xs), grid.below_equator(xs), 0.5 * grid.delta_theta
 
 
 #: cells per chunk of the streamed exact sum
@@ -308,15 +326,18 @@ def streamed_weight_entropy(grid, c: float, channel, pixels: bool = False,
     (w ln(w / m) with ``pixels``, m the pixels of the ring) and
     H = (ln Z - T / Z) / ln 2.  Two outcomes per cell (direct, exchange)
     for ANTIPARALLEL."""
-    hw = 0.5 * grid.delta_theta
+    n, delta = grid.n_cells, grid.delta_theta
+    hw = 0.5 * delta
+    gap = 0.5 * math.pi - (grid.theta_lo + n * delta)  # top cell to pi/2
     z = 0.0
     t = 0.0
     for x in iter_cell_chunks(grid, chunk_cells):
-        mid = grid.theta_lo + (x + 0.5) * grid.delta_theta
+        mid = grid.theta_lo + (x + 0.5) * delta
         if channel is SpinChannel.ANTIPARALLEL:
             branches = direct_exchange_cell_integrals_np(mid, hw, c)
         else:
-            branches = (channel_cell_integrals_np(mid, hw, c, channel),)
+            below = gap + (n - x - 0.5) * delta
+            branches = (channel_cell_integrals_np(mid, below, hw, c, channel),)
         m = (2.0 * math.pi * np.sin(mid) / grid.delta_theta
              if pixels else np.ones_like(mid))
         for w in branches:
@@ -358,6 +379,21 @@ def direct_exchange_cell_integrals_mp(mid: float, hw: float,
         b = mpmath.mpf(mid) + mpmath.mpf(hw)
         direct, exchange, _ = _antiderivatives_mp(a, b, c)
         return float(direct), float(exchange)
+
+
+def parallel_band_entropy_mp(n: int, delta_theta: float) -> float:
+    """Parallel-channel detection entropy (bits) of the band of n cells of
+    width ``delta_theta`` laid down from the true pi/2, every cell's exact
+    integral summed at 40 digits: cell i spans pi/2 - x -+ delta_theta / 2,
+    x = (n - i - 1/2) delta_theta."""
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(delta_theta)
+        w = [_antiderivatives_mp(mpmath.pi / 2 - x - delta / 2,
+                                 mpmath.pi / 2 - x + delta / 2, 1)[2]
+             for x in ((n - i - mpmath.mpf(0.5)) * delta for i in range(n))]
+        z = mpmath.fsum(w)
+        t = mpmath.fsum(v * mpmath.log(v) for v in w)
+        return float((mpmath.log(z) - t / z) / mpmath.log(2))
 
 
 def telescoped_weight_mp(grid, c: float, channel) -> float:

@@ -22,7 +22,6 @@ from escatter.cli import main
 from escatter.errors import NumericalError
 from escatter.geometry import (
     channel_cell_integrals,
-    direct_exchange_cell_integrals,
     panel_edges,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     continuous_limit_oracle,
     gauss_legendre_mp,
     grid_cells,
+    parallel_band_entropy_mp,
     physical_scale,
     reducer_scale,
     spinless_entropy_mp,
@@ -120,7 +120,8 @@ def test_streamed_antiparallel_two_branches():
     # branch weight vectors explicitly and compare
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.ANTIPARALLEL)
-    F, G = direct_exchange_cell_integrals(*grid_cells(grid), physical_scale(ctx.K))
+    F, G = channel_cell_integrals(*grid_cells(grid), physical_scale(ctx.K),
+                                  SpinChannel.ANTIPARALLEL)
     w = np.concatenate([F, G])
     h = shannon_discrete(w / w.sum())
     assert shannon_ring_discrete(ctx, SpinChannel.ANTIPARALLEL) == \
@@ -182,7 +183,6 @@ def test_single_cell_entropy_zero():
 # ---------------------------------------------------------------------------
 
 _H = entropy._EXACT_END_CELLS
-_EXACT = entropy._EXACT_MAX_CELLS
 
 
 #: how the reducer counts a grid's cells, by the name the grids' ids give it
@@ -196,13 +196,19 @@ def _reducer_grids():
     (the parallel channel's double zero at their top; the others far from
     every singular angle, so summed from a few coarse panels), among them
     the benchmark's at 1 keV / 50 um, half-shell antiparallel grids at
-    1 keV and 10 keV (whose top, pi/2, is far from 0 and pi), and uniform
-    grids of 2H cells, of the most cells summed exactly, and just above
-    each."""
+    1 keV and 10 keV (whose top, pi/2, is far from 0 and pi), uniform
+    grids around H and 2H cells, whose end windows meet or leave a middle
+    of a few cells, and of 8192-12288 cells, on both sides of the size up
+    to which every cell used to be summed; and at 0.05 eV / 100 nm,
+    200-cell grids and bands of 2, 3 and 10 cells whose lower edge lies
+    64-128 cells above 0, which an end window only within H cells of a
+    singular angle left to the Euler-Maclaurin middle from the heaviest
+    cell on."""
     ring = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
     near = make_context(1.0, 50_000.0, CALIBRATED_KSCALE)
     band = make_context(1000.0, 50_000.0, CALIBRATED_KSCALE)
     coarse = make_context(5.0, 100.0, CALIBRATED_KSCALE)
+    cold = make_context(0.05, 100.0, CALIBRATED_KSCALE)
     ap = SpinChannel.ANTIPARALLEL
     for name, ctx in (("1keV", band),
                       ("10keV", make_context(1e4, 5000.0, CALIBRATED_KSCALE))):
@@ -215,11 +221,16 @@ def _reducer_grids():
                    ring_grid(ring, ch), ch, pixels)
             yield (f"ring-1eV-{ch.value}-{count}",
                    ring_grid(near, ch), ch, pixels)
+            yield (f"uniform-0.05eV-200-{ch.value}-{count}",
+                   ring_grid(cold, ch, n_cells=200), ch, pixels)
         for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 1.5):
             yield (f"band-{theta_r}-{ch.value}",
                    range_grid_below(band, theta_r), ch, False)
-        for n in (2 * _H, 2 * _H + 1, _EXACT, _EXACT + 1, _EXACT + 2,
-                  _EXACT + 7, 3 * _EXACT // 2):
+        for n in (2, 3, 10):
+            yield (f"band-0.05eV-{n}-{ch.value}",
+                   range_grid_below(cold, (n + 0.5) * cold.delta_theta), ch, False)
+        for n in (1, 2, _H - 1, _H, _H + 1, 2 * _H - 1, 2 * _H, 2 * _H + 1,
+                  2 * _H + 7, 200, 8192, 8193, 8194, 8199, 12288):
             for count, pixels in _COUNTS:
                 yield (f"uniform-{n}-{ch.value}-{count}",
                        ring_grid(coarse, ch, n_cells=n), ch, pixels)
@@ -238,6 +249,22 @@ def test_reducer_matches_streamed_oracle(grid, channel, pixels):
                                                channel, pixels)
     assert abs(h - h_exact) <= 1e-13
     assert z == pytest.approx(z_exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("e_ev,l_nm,sizes", [
+    (1000.0, 50_000.0, (66, 100, 154, 300, 1000, 3000)),
+    (5.0, 100.0, (66, 100, 154, 300))])
+def test_narrow_parallel_bands_match_40_digit_sum(e_ev, l_nm, sizes):
+    # bands hanging from pi/2, where the parallel weights ~ x^2 vanish:
+    # a float centre rounds x = pi/2 - theta by ulp(pi/2), which moved
+    # 66-154-cell bands at 1 keV by 3.5e-12 to 7.7e-12 bits; the cells'
+    # distances below the equator carry no such rounding
+    ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+    for n in sizes:
+        grid = range_grid_below(ctx, (n + 0.5) * ctx.delta_theta)
+        assert grid.n_cells == n
+        h, _ = entropy._stream_weight_entropy(grid, False, SpinChannel.PARALLEL)
+        assert abs(h - parallel_band_entropy_mp(n, ctx.delta_theta)) <= 1e-14, n
 
 
 @pytest.mark.parametrize("e_ev", [100.0, 10_000.0])
@@ -297,7 +324,7 @@ def test_postselect_bands_far_from_singular_angles_are_cheap():
         for theta_r in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.2,
                         1.4, 1.5):
             grid = range_grid_below(ctx, theta_r)
-            assert grid.n_cells > _EXACT
+            assert grid.n_cells > 2 * _H
             for ch in SpinChannel:
                 entropy._stream_weight_entropy(grid, False, ch)
     assert sum(map(len, calls)) <= 6000
@@ -313,7 +340,7 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
     for ch in (SpinChannel.SPINLESS, SpinChannel.PARALLEL):
         grid = ring_grid(ctx, ch)
         n = grid.n_cells
-        assert n > _EXACT
+        assert n > 2 * _H
         for pixels in (False, True):
             layouts = []
 
@@ -333,26 +360,30 @@ def test_grids_ending_next_to_singular_angles_keep_their_layout(e_ev):
 
 
 def test_reducer_cost_does_not_grow_with_cells():
-    # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 cells, each summed from three
-    # calls of the cell integrals (the first cell, which sets the scale,
-    # the ends, then the Euler-Maclaurin nodes) of under a thousand
-    # points, where the cell walk took minutes
-    calls = []
-
-    def counting(mid, hw, c, channel):
+    # 1e4 eV and 1e12 eV at 1 um: 4e5 and 4e9 parallel cells, each summed
+    # from three calls of the cell integrals (the first cell, which sets
+    # the scale, the ends, then the Euler-Maclaurin nodes) of under a
+    # thousand points together, where the cell walk took minutes; and
+    # vn-compare's 1,024-cell spinless grid at 5.1 eV / 100 nm and the
+    # 897-cell native parallel grid at 5 eV / 100 nm from at most 300,
+    # where every cell was summed
+    def counting(mid, below, hw, c, channel):
         calls.append(len(mid))
-        return channel_cell_integrals(mid, hw, c, channel)
+        return channel_cell_integrals(mid, below, hw, c, channel)
 
-    for e_ev in (1e4, 1e12):
-        ctx = make_context(e_ev, 1000.0, CALIBRATED_KSCALE)
-        grid = ring_grid(ctx, SpinChannel.PARALLEL)
-        assert grid.n_cells > _EXACT
+    par, spinless = SpinChannel.PARALLEL, SpinChannel.SPINLESS
+    cases = [(ring_grid(make_context(e_ev, 1000.0, CALIBRATED_KSCALE), par),
+              par, 1000) for e_ev in (1e4, 1e12)]
+    cases += [(ring_grid(make_context(5.1, 100.0, CALIBRATED_KSCALE), spinless,
+                         n_cells=1024), spinless, 300),
+              (ring_grid(make_context(5.0, 100.0, CALIBRATED_KSCALE), par), par, 300)]
+    for grid, channel, cap in cases:
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entropy, "channel_cell_integrals", counting)
-            h, _ = entropy._stream_weight_entropy(grid, False,
-                                                  SpinChannel.PARALLEL)
+            h, _ = entropy._stream_weight_entropy(grid, False, channel)
         assert 0.0 <= h <= math.log2(grid.n_cells)
-    assert len(calls) == 6 and max(calls) < 1000
+        assert len(calls) == 3 and sum(calls) <= cap, (grid.n_cells, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +413,8 @@ def test_sphere_ring_multiplicity_identity():
     # computed here through an independent materialized path
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.SPINLESS)
-    centers, hw = grid_cells(grid)
-    w, = channel_cell_integrals(centers, hw, physical_scale(ctx.K),
+    centers, below, hw = grid_cells(grid)
+    w, = channel_cell_integrals(centers, below, hw, physical_scale(ctx.K),
                                 SpinChannel.SPINLESS)
     w = np.asarray(w)
     p = w / w.sum()
@@ -497,8 +528,8 @@ def test_non_finite_weight_fails_the_row(monkeypatch, capsys, bad):
     # to be kept and to fail only as a NaN entropy.  Every channel's cells
     # come from channel_cell_integrals, so spoiling its last branch
     # (antiparallel: the exchange one) reaches each channel
-    def spoiled(mid, hw, c, channel):
-        branches = channel_cell_integrals(mid, hw, c, channel)
+    def spoiled(mid, below, hw, c, channel):
+        branches = channel_cell_integrals(mid, below, hw, c, channel)
         w = branches[-1]
         w[len(w) // 2] = bad
         return branches
@@ -518,9 +549,9 @@ def test_non_finite_entropy_fails(monkeypatch):
     # every weight finite, but w ln w overflows: T is inf and the entropy
     # -inf, which the clamp at 0 used to hide; on every channel, one huge
     # weight in its first branch.  The row names the sum that overflowed
-    def huge(mid, hw, c, channel):
+    def huge(mid, below, hw, c, channel):
         branches = tuple([1.0] * len(mid)
-                         for _ in channel_cell_integrals(mid, hw, c, channel))
+                         for _ in channel_cell_integrals(mid, below, hw, c, channel))
         branches[0][0] = 1e308
         return branches
 

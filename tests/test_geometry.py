@@ -23,6 +23,7 @@ from escatter.geometry import (
 
 from oracles import (
     CALIBRATED_KSCALE,
+    below_equator,
     cell_probability,
     channel_cell_integrals_np,
     direct_exchange_cell_integrals_mp,
@@ -159,6 +160,23 @@ def test_grid_edges_and_chunks():
     # chunks of cell indices tile the full grid without gaps or overlaps
     seen = np.concatenate(list(iter_cell_chunks(g, chunk_cells=137)))
     assert np.array_equal(seen, np.arange(1000))
+
+
+def test_bands_are_measured_from_the_equator():
+    # a band hangs from pi/2, so its top cell's centre lies exactly half a
+    # cell below it, whatever its float lower edge; a native half-shell
+    # grid's top cell ends less than a cell below pi/2
+    for e_ev, l_nm in ((0.05, 100.0), (5.0, 100.0), (1e3, 5e4), (1e12, 1000.0)):
+        ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
+        for theta_r in (0.001, 0.01, 0.3, 1.0):
+            if theta_r < ctx.delta_theta or theta_r > 0.5 * math.pi - ctx.epsilon:
+                continue
+            grid = range_grid_below(ctx, theta_r)
+            n = grid.n_cells
+            assert grid.below_equator((n - 1, n - 0.5)) == [0.5 * ctx.delta_theta, 0.0]
+        grid = ring_grid(ctx, SpinChannel.PARALLEL)
+        gap, = grid.below_equator((grid.n_cells - 0.5,))
+        assert 0.0 <= gap < ctx.delta_theta
 
 
 def test_sphere_pixel_count_examples():
@@ -346,7 +364,7 @@ def test_interference_consistency():
     F, G = np.array([[direct_exchange_cell_integrals([m], h, c)[i][0]
                       for m, h in zip(mid, hw)] for i in (0, 1)])
     X = interference_cell_integrals(edges, c)
-    W = np.array([parallel_cell_integrals([m], h, c)[0]
+    W = np.array([parallel_cell_integrals([m], below_equator([m]), h, c)[0]
                   for m, h in zip(mid, hw)])
     assert np.all(np.abs(W - (F + G - 2.0 * X)) <= 1e-12 * (F + G))
 
@@ -362,7 +380,7 @@ def test_cell_integrals_positive(lo, width):
     if math.pi - (mid[0] + hw) < 1e-6 * width:
         return
     F, G = direct_exchange_cell_integrals(mid, hw, physical_scale(1.0))
-    W = parallel_cell_integrals(mid, hw, physical_scale(1.0))
+    W = parallel_cell_integrals(mid, below_equator(mid), hw, physical_scale(1.0))
     assert F[0] > 0.0
     assert G[0] > 0.0
     # non-negative up to rounding relative to the channel magnitudes
@@ -377,7 +395,7 @@ def test_series_closed_form_crossover():
     theta_cut = math.acos(u_cut)
     edges = np.linspace(theta_cut - 0.05, theta_cut + 0.05, 101)
     # one cell a call: the cells' rounded widths differ
-    W = [parallel_cell_integrals([m], h, physical_scale(K))[0]
+    W = [parallel_cell_integrals([m], below_equator([m]), h, physical_scale(K))[0]
          for m, h in zip(0.5 * (edges[1:] + edges[:-1]),
                          0.5 * (edges[1:] - edges[:-1]))]
     # compare against high-order quadrature per cell
@@ -407,7 +425,7 @@ def test_cell_integrals_match_mpmath_at_native_width(theta):
     c = physical_scale(ctx.K)
     hw = 0.5 * ctx.delta_theta
     mid = theta + ctx.delta_theta * (np.arange(-4, 4) + 0.5)
-    W = parallel_cell_integrals(mid, hw, c)
+    W = parallel_cell_integrals(mid, below_equator(mid), hw, c)
     F, G = direct_exchange_cell_integrals(mid, hw, c)
     for i, m in enumerate(mid):
         assert W[i] == pytest.approx(parallel_cell_integral_mp(m, hw, c),
@@ -422,7 +440,8 @@ def test_parallel_cell_integral_across_series_cut():
     # these cells at theta = 1 have |y| from about 0.19 to 0.31
     hws = np.linspace(0.08, 0.13, 11)
     c = physical_scale(1.0)
-    W = [parallel_cell_integrals([1.0], hw, c)[0] for hw in hws]
+    W = [parallel_cell_integrals([1.0], below_equator([1.0]), hw, c)[0]
+         for hw in hws]
     for hw, w in zip(hws, W):
         assert w == pytest.approx(parallel_cell_integral_mp(1.0, hw, c),
                                   rel=1e-13, abs=0.0), hw
@@ -444,10 +463,11 @@ def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
     for channel in SpinChannel:
         grid = ring_grid(ctx, channel)
         n = grid.n_cells
-        mid = grid.centres([*range(20), *np.linspace(20, n - 20, 500),
-                            *range(n - 20, n)])
-        ours = _branch_sum(channel_cell_integrals(mid, hw, c, channel))
-        assert np.allclose(ours, channel_cell_integrals_np(mid, hw, c, channel),
+        xs = [*range(20), *np.linspace(20, n - 20, 500), *range(n - 20, n)]
+        mid, below = grid.centres(xs), grid.below_equator(xs)
+        ours = _branch_sum(channel_cell_integrals(mid, below, hw, c, channel))
+        assert np.allclose(ours, channel_cell_integrals_np(mid, below, hw, c,
+                                                           channel),
                            rtol=1e-14, atol=0.0), channel
     F, G = direct_exchange_cell_integrals(mid, hw, c)
     F_np, G_np = direct_exchange_cell_integrals_np(mid, hw, c)
@@ -455,8 +475,9 @@ def test_cell_integrals_match_numpy_forms(e_ev, l_nm):
     assert np.allclose(G, G_np, rtol=1e-14, atol=0.0)
     hws = np.linspace(0.08, 0.13, 11)  # |y| across the series cut at 1 rad
     c = physical_scale(1.0)
-    assert np.allclose([parallel_cell_integrals([1.0], h, c)[0] for h in hws],
-                       parallel_cell_integrals_np(1.0, hws, c),
+    x = below_equator(1.0)
+    assert np.allclose([parallel_cell_integrals([1.0], [x], h, c)[0] for h in hws],
+                       parallel_cell_integrals_np(1.0, x, hws, c),
                        rtol=1e-14, atol=0.0)
 
 
@@ -466,19 +487,19 @@ def test_channel_branches():
     # patterns) for antiparallel
     ctx = make_context(5.0, 100.0, CALIBRATED_KSCALE)
     c = physical_scale(ctx.K)
-    mid, hw = grid_cells(ring_grid(ctx, SpinChannel.PARALLEL), 0, 50)
+    mid, below, hw = grid_cells(ring_grid(ctx, SpinChannel.PARALLEL), 0, 50)
     F, G = direct_exchange_cell_integrals(mid, hw, c)
     expected = {SpinChannel.SPINLESS: (F,),
-                SpinChannel.PARALLEL: (parallel_cell_integrals(mid, hw, c),),
+                SpinChannel.PARALLEL: (parallel_cell_integrals(mid, below, hw, c),),
                 SpinChannel.ANTIPARALLEL: (F, G)}
     for channel, branches in expected.items():
-        assert channel_cell_integrals(mid, hw, c, channel) == branches
-    assert {channel: len(channel_cell_integrals(mid, hw, c, channel))
+        assert channel_cell_integrals(mid, below, hw, c, channel) == branches
+    assert {channel: len(channel_cell_integrals(mid, below, hw, c, channel))
             for channel in SpinChannel} == {SpinChannel.SPINLESS: 1,
                                             SpinChannel.PARALLEL: 1,
                                             SpinChannel.ANTIPARALLEL: 2}
     with pytest.raises(ValueError, match="unknown spin channel"):
-        channel_cell_integrals(mid, hw, c, "spinless")
+        channel_cell_integrals(mid, below, hw, c, "spinless")
 
 
 def test_parallel_weight_where_y_rounds_to_minus_one():
@@ -487,7 +508,8 @@ def test_parallel_weight_where_y_rounds_to_minus_one():
     # its weight is -inf (numpy's arctanh(-1)), without a math domain error
     ctx = make_context(1e18, 1000.0, CALIBRATED_KSCALE)
     grid = ring_grid(ctx, SpinChannel.PARALLEL)
-    mid, hw = grid_cells(grid, 0, 2)
-    w = parallel_cell_integrals(mid, hw, physical_scale(ctx.K))
+    mid, below, hw = grid_cells(grid, 0, 2)
+    w = parallel_cell_integrals(mid, below, hw, physical_scale(ctx.K))
     assert w[0] == -math.inf
-    assert parallel_cell_integrals_np(mid, hw, physical_scale(ctx.K))[0] == -math.inf
+    assert parallel_cell_integrals_np(mid, below, hw,
+                                      physical_scale(ctx.K))[0] == -math.inf
