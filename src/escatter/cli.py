@@ -17,7 +17,7 @@ for the eigensolve and the matrix build's larger array operations; each
 row builds and diagonalises on its own worker, on one BLAS thread unless
 the environment sets a count before numpy's import.  Every other table's
 rows are pure Python, which holds the GIL, so they run one after another
-on the calling thread, and a cold start loads no thread pool.
+on the calling thread; vn-compare's are plain threads, not a pool.
 
 A CLI process (``python -m escatter.cli`` or the ``escatter-entropy``
 script) enters through :func:`process_main`: it runs ``main()`` with
@@ -266,15 +266,34 @@ def _usable_cpus() -> int:
 def _map_ordered(fn, items, threads: int) -> list:
     """Apply fn to items, on ``threads`` worker threads (0 = one per usable
     CPU) but with output in input order; 1 runs them on the calling
-    thread."""
+    thread.  Every item runs; then the first failed item's exception, in
+    input order, is raised here."""
     if threads == 0:
         threads = _usable_cpus()
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # GIL-free rows only
+    import threading  # GIL-free rows only, whose numpy has loaded it
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    results, errors = [None] * len(items), {}
+    # one iterator for every worker: under the GIL each next() is one call,
+    # so each index goes to exactly one worker
+    indices = iter(range(len(items)))
+
+    def work() -> None:
+        for i in indices:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, in input order
+                errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(items)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _ring_row(cfg: RunConfig, e_ev: float) -> tuple:
@@ -291,7 +310,7 @@ def _sphere_row(cfg: RunConfig, e_ev: float) -> tuple:
 
 
 def _vn_inputs(cfg: RunConfig) -> list[tuple]:
-    # runs in the main thread, before the row pool: numpy is imported here,
+    # runs in the main thread, before the row workers: numpy is imported here,
     # not concurrently by the first rows.  Before that first import its BLAS
     # takes a thread count from the environment; where none is set, each
     # row worker gets one BLAS thread: the band eigensolve's small kernels

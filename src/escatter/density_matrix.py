@@ -37,8 +37,8 @@ and band mu take the same map.  Clenshaw passes, numpy's ``chebval``
 step for step, check a round and evaluate every band mu.  The band is
 then normalised by its own diagonal's sum and written once, by
 broadcasting, into LAPACK's lower band storage: a (kd + 1) x n array,
-kd the farthest diagonal that holds a nonzero element (~1 MB at
-n = 1024, kd = 127).  The band is rho's one form; a dense rho is made
+kd the farthest diagonal that holds a nonzero element (0.6 MB at
+n = 1024, kd = 77).  The band is rho's one form; a dense rho is made
 only on request (``DensityMatrix.rho``) and for the dense solve.
 Builds share no state but ``_gl_nodes``' cached arrays, which they only
 read, so threads may build at once.  :func:`kernel_element` evaluates
@@ -51,8 +51,8 @@ three preallocated buffers, so the package needs no scipy.
 n >= 4.5 kd, so that the band reduction's ~6 n^2 kd flops are at most
 the dense one's 4/3 n^3, it calls LAPACK's ``dsbevd_2stage`` (JOBZ 'N',
 UPLO 'L') on a copy of the band: bulge chasing to tridiagonal form, then
-``dsterf``; at the benchmark's n = 1024 rows (kd = 91, 127) that is
-30-65 ms against the dense solve's 110 ms.  It is
+``dsterf``; at the benchmark's n = 1024 rows (kd = 55, 77) that is
+20-40 ms against the dense solve's 110 ms.  It is
 ``scipy_dsbevd_2stage_64_`` (64-bit integers) of the ILP64 OpenBLAS in
 numpy's wheels, found among the symbols of numpy's linalg module; wider
 bands, and another LAPACK (Accelerate on macOS arm64), take
@@ -96,8 +96,8 @@ from .errors import NumericalError
 from .geometry import panel_edges, ring_grid
 from .kinematics import ScatterContext
 
-# exp(-(q-q')^2/8 sigma^2) at 45 sigma is ~1e-110: treat as exactly zero.
-_BAND_SIGMAS = 45.0
+# pairs farther apart in q are dropped (see build_meridian_matrix)
+_BAND_SIGMAS = math.sqrt(8.0 * 53.0 * math.log(2.0))
 # Gaussian window half-width W for the q'' quadrature: the Gaussian factor
 # at the window edge is exp(-12^2/2) ~ 5e-32, 15 orders below double
 # rounding; _kernel_j's docstring bounds the dropped tail.
@@ -121,8 +121,8 @@ _GL_START = 64
 _GL_MAX = 4096
 _GL_RTOL = 1e-9
 # direct J evaluates its integrand on at most this many (mu, node) pairs
-# at a time, which bounds its temporaries to a few MB
-_J_BATCH = 1 << 15
+# at a time, so its ~15 temporaries hold ~1 MB; J is the same at any batch
+_J_BATCH = 1 << 13
 
 # Cephes' i0e tables: Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2
 # on [0, 8], and of exp(-x) I0(x) sqrt(x) in 32/x - 2 on (8, inf)
@@ -429,11 +429,21 @@ def build_meridian_matrix(ctx: ScatterContext, n_grid: int) -> DensityMatrix:
     ``n_grid`` is the caller's choice (the CLI caps it): the band takes
     O(n kd) memory, and a band too wide for the band solver an n x n
     dense copy and an O(n^3) eigensolve.
-    Elements farther than 45 sigma_k from the diagonal in q are set to
-    exactly zero (they are < 1e-100 of the peak), which keeps assembly
-    O(n * bandwidth); the band is divided by the trace, then written once
-    into band storage, ``band[j - i, i]`` for each pair j >= i, with
-    kd + 1 rows for the farthest pair whose element is nonzero.
+
+    Pairs with q_j - q_i > B sigma_k are dropped, which keeps assembly
+    O(n kd).  An element is rho_ij = g(q_j - q_i) R_ij sqrt(rho_ii rho_jj),
+    g(d) = exp(-d^2 / 8 sigma_k^2), R_ij = J(mu) / sqrt(J(q_i) J(q_j)) at
+    mu = (q_i + q_j) / 2, so the dropped part E has ||E||_2 <= ||E||_F <=
+    g(B) max R trace(rho) = g(B) max R, and by Weyl's inequality moves no
+    eigenvalue by more.  B = sqrt(8 * 53 ln 2) = 17.14 (``_BAND_SIGMAS``)
+    puts g(B) at u = 2^-53.  R <= 1 where J falls like a power of mu,
+    which is log-convex; near q = 2K, where direct J's window is clipped,
+    J is about halved and R approaches sqrt(2) (1.17-1.41 at the tests'
+    points).  So ||E||_2 <= sqrt(2) u <= n u for every n >= 2: within the
+    O(n u ||rho||) backward error, ||rho|| <= 1, of either eigensolver.
+    The kept band is divided by the trace, then written once into band
+    storage, ``band[j - i, i]`` for each pair j >= i, with kd + 1 rows
+    for the farthest pair whose element is nonzero.
     ``ring_grid`` refuses a context with no accessible angle first; then
     NumericalError refuses a packet so wide that sigma_k^2 is not a
     normal float, or 2K / sigma_k^2 or (2K)^2 / sigma_k^2 (the largest

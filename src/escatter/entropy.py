@@ -128,8 +128,8 @@ def _cell_terms(grid: AngularGrid, c: float, channel: SpinChannel,
     Both are smooth in x, which is what lets the middle of a grid be
     summed by Euler-Maclaurin."""
     mids = grid.centres(xs)
-    branches = channel_cell_integrals(mids, grid.below_equator(xs),
-                                      0.5 * grid.delta_theta, c, channel)
+    below = grid.below_equator(xs) if channel is SpinChannel.PARALLEL else None
+    branches = channel_cell_integrals(mids, below, 0.5 * grid.delta_theta, c, channel)
     log = math.log
     z = [0.0] * len(mids)
     t = [0.0] * len(mids)

@@ -162,15 +162,20 @@ def sphere_pixel_count(ctx: ScatterContext, channel: SpinChannel) -> int:
     """Number of square pixels of side delta_theta covering the channel's
     part of the sphere: M = floor(Omega_0 / delta_theta^2), with
     Omega_0 = 2 pi (cos lo - cos hi) over the channel's domain [lo, hi],
-    the span of its :func:`ring_grid`."""
+    the span of its :func:`ring_grid`.  Where the float quotient
+    overflows, M is the exact integer quotient of Omega_0 and delta_theta^2
+    as the floats they are; a delta_theta^2 that underflows to 0 raises."""
     span = ring_grid(ctx, channel, n_cells=1)
     omega0 = 2.0 * math.pi * (math.cos(span.theta_lo) - math.cos(span.theta_hi))
     area = ctx.delta_theta ** 2
-    if not (area > 0.0 and omega0 / area < math.inf):
+    if not area > 0.0:
         raise NumericalError(
             "sphere pixel count Omega_0 / delta_theta^2 leaves the float range "
             f"(pixel side delta_theta = {ctx.delta_theta!r} rad)")
-    return _cell_count(omega0, area)
+    if omega0 / area < math.inf:
+        return _cell_count(omega0, area)
+    (a, b), (c, d) = omega0.as_integer_ratio(), ctx.delta_theta.as_integer_ratio()
+    return (a * d * d) // (b * c * c)
 
 
 def ring_weight(theta_i: float, delta_theta: float) -> float:
@@ -276,7 +281,8 @@ SINGULAR_ANGLES = {SpinChannel.SPINLESS: (0.0, math.pi),
 def channel_cell_integrals(mids, below, hw: float, c: float,
                            channel: SpinChannel) -> tuple[list[float], ...]:
     """A channel's branches over the cells [mid - hw, mid + hw] (``below``:
-    pi/2 - mid): per branch, a list of 2 pi * integral p sin dtheta at c.
+    pi/2 - mid, read by PARALLEL alone): per branch, a list of
+    2 pi * integral p sin dtheta at c.
 
     A branch is a distinguishable outcome within a cell.  SPINLESS has
     one, |f|^2; PARALLEL one, |f - g|^2; ANTIPARALLEL two, |f|^2 and

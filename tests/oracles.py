@@ -649,13 +649,14 @@ def _kernel_element(q: float, q_prime: float, ctx) -> float:
     return 2.0 * math.pi * math.exp(band_expo) * kernel_j_oracle(0.5 * (q + q_prime), ctx)
 
 
-def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
+def meridian_matrix_oracle(ctx, n_grid: int, band_sigmas: float) -> np.ndarray:
     """Trace-normalized meridian density matrix, element by element.
 
-    Same theta grid, measure and 45 sigma_k band as
-    ``escatter.density_matrix.build_meridian_matrix``, but every band
-    element is its own ``kernel_j_oracle`` call in a per-pair scan that
-    stops at the first element past the band.
+    Same theta grid and measure as
+    ``escatter.density_matrix.build_meridian_matrix``, with pairs kept to
+    ``band_sigmas`` sigma_k apart in q, but every band element is its own
+    ``kernel_j_oracle`` call in a per-pair scan that stops at the first
+    element past the band.
     """
     lo, hi = ctx.epsilon, math.pi - ctx.epsilon
     h = (hi - lo) / n_grid
@@ -664,7 +665,7 @@ def meridian_matrix_oracle(ctx, n_grid: int) -> np.ndarray:
     measure = ctx.K ** 2 * np.sin(theta) * h
     sqrt_mu = np.sqrt(measure)
 
-    band = 45.0 * ctx.sigma_k
+    band = band_sigmas * ctx.sigma_k
     rho = np.zeros((n_grid, n_grid))
     for i in range(n_grid):
         rho[i, i] = measure[i] * _kernel_element(float(q[i]), float(q[i]), ctx)

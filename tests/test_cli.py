@@ -14,10 +14,11 @@ import textwrap
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from escatter import cli, make_context
+from escatter import SpinChannel, cli, make_context, ring_grid
 from escatter.cli import (
     ConfigError,
     RunConfig,
@@ -615,6 +616,43 @@ def test_vn_compare_rows_fan_out_with_the_same_bytes(tmp_path, monkeypatch):
     assert tables[0] == tables[1]
 
 
+def test_row_workers_keep_input_order_and_raise_the_first_failure():
+    # two workers share the rows: the slow first row does not hold up the
+    # others, each row runs once on a worker, the table keeps input order,
+    # and a failure is raised after every row ran, the first in input order
+    ran, caller = [], threading.get_ident()
+
+    def square(i):
+        ran.append((i, threading.get_ident()))
+        time.sleep(0.05 if i == 0 else 0.0)
+        return i * i
+
+    assert cli._map_ordered(square, list(range(6)), 2) == [0, 1, 4, 9, 16, 25]
+    assert sorted(i for i, _ in ran) == list(range(6))
+    assert caller not in {ident for _, ident in ran}
+
+    def fail(i):
+        ran.append(i)
+        if i in (1, 3):
+            raise KeyError(i)
+        return i
+
+    ran.clear()
+    with pytest.raises(KeyError) as failure:
+        cli._map_ordered(fail, list(range(5)), 2)
+    assert failure.value.args == (1,) and sorted(ran) == list(range(5))
+    # more workers than CPUs, switching as often as the interpreter can:
+    # still every row once, none lost or taken twice from the shared indices
+    ran.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli._map_ordered(fail, list(range(5, 2005)), 8) == list(range(5, 2005))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(5, 2005))
+
+
 def test_auto_threads_follow_cpu_affinity(monkeypatch):
     # under `taskset -c 0` on a 2-CPU host: one usable CPU, not two
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -859,7 +897,7 @@ def test_huge_packet_underflow_fails_cleanly(command, channel):
     # naming the channel and the grid's lower edge, where it printed a
     # bare "float division by zero" (spin-sweep: its parallel channel is
     # reduced first).  sphere-sweep fails first on its pixel count, as
-    # Omega_0 / delta_theta^2 overflows from about 1e153 nm
+    # delta_theta^2 underflows to 0 from about 1e161 nm
     proc = subprocess.run(
         [sys.executable, "-m", "escatter.cli", command, "--energy-ev", "5",
          "--packet-nm", "1e170", "--k-scale", SQRT2, "--threads", "1"],
@@ -912,9 +950,20 @@ def test_huge_packet_rows_that_compute_keep_computing(capsys):
 
     for command in ("spinless-sweep", "sphere-sweep", "spin-sweep"):
         narrow = row(command, "1e70")
-        for l_nm in ("1e80", "1e81", "1e100", "1e150"):
+        for l_nm in ("1e80", "1e81", "1e100", "1e150", "1e153"):
             assert row(command, l_nm) == pytest.approx(narrow, abs=1e-12), \
                 (command, l_nm)
+    # sphere-sweep's pixel count Omega_0 / delta_theta^2 leaves the float
+    # range from about 7e152 nm, and is the exact integer quotient there
+    assert main(["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e153",
+                 "--k-scale", SQRT2, "--threads", "1"]) == 0
+    [line] = capsys.readouterr().out.splitlines()[2:]
+    ctx = make_context(5.0, 1e153, math.sqrt(2.0))
+    domain = ring_grid(ctx, SpinChannel.SPINLESS, n_cells=1)
+    omega0 = 2.0 * math.pi * (math.cos(domain.theta_lo) - math.cos(domain.theta_hi))
+    pixels = math.floor(Fraction(omega0) / Fraction(ctx.delta_theta) ** 2)
+    assert pixels > 1e308
+    assert line.split(",")[2] == str(pixels)
     assert main(["postselect-range", "--energy-ev", "5", "--packet-nm", "1e300",
                  "--k-scale", SQRT2, "--threads", "1"]) == 0
     capsys.readouterr()
@@ -1098,7 +1147,7 @@ _NO_ANGLE = ("2 E b_bar rounds to 0 at e_ev = 1e-200, l_nm = 1e-200: no "
     (["sphere-sweep", "--energy-ev", "5", "--packet-nm", "1e200",
       "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
     (["sphere-sweep", "--energy-ev", "1e10", "--packet-nm", "1e150",
-      "--k-scale", SQRT2], _PIXELS_OUT_OF_RANGE),
+      "--k-scale", SQRT2], "non-finite cell weight in the spinless channel at theta = "),
     (["spinless-sweep", "--energy-ev", "5", "--packet-nm", "1e308",
       "--k-scale", SQRT2], "l_nm = 1e+308 nm must be positive and finite"),
     (["vn-compare", "--energy-ev", "1e10", "--packet-nm", "1e150", "--n-grid",
@@ -1136,7 +1185,8 @@ def test_arithmetic_error_fails_the_row(argv, quantity, capsys):
     # naming the energy; a 1e300 nm packet's pixel side squares to zero
     # in the pixel count, which printed "float division by zero", and at
     # 1e10 eV / 1e150 nm the count overflowed ("cannot convert float
-    # infinity to integer"); a 1e308 nm packet is infinite in bohr, which
+    # infinity to integer"), where it is now exact and the row fails on its
+    # first cell's weight; a 1e308 nm packet is infinite in bohr, which
     # blamed the energy; and vn-compare's
     # Bessel argument overflowed with a numpy RuntimeWarning ("matrix trace
     # is 0.0", or the J table ran out of panel fits).  At 1e-200 eV and

@@ -362,19 +362,36 @@ def test_table_equals_per_panel_oracle(e_ev, l_nm, grown_from_min_rounds,
 
 @pytest.mark.parametrize("e_ev,l_nm", [(5.0, 100.0), (20.0, 100.0),
                                        (1.0, 20.0)])
-def test_assembly_matches_per_element_oracle(e_ev, l_nm):
-    # 1 eV / 20 nm has sigma_k / q_min ~ 0.1: J varies fastest there
+def test_assembly_matches_per_element_oracle(e_ev, l_nm, monkeypatch):
+    # 1 eV / 20 nm has sigma_k / q_min ~ 0.1: J varies fastest there.  The
+    # builds keep pairs to the derived cut, and to 45 sigma_k as before it
     ctx = make_context(e_ev, l_nm, CALIBRATED_KSCALE)
-    for n in (48, 256, 512):
-        dm = build_meridian_matrix(ctx, n)
-        ref = meridian_matrix_oracle(ctx, n)
-        nonzero = ref != 0.0
-        assert np.array_equal(dm.rho != 0.0, nonzero), n
-        rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
-        assert float(rel.max()) <= 1e-9, n
-        s_ref = shannon_discrete(eigen_spectrum(DensityMatrix(
-            q_grid=dm.q_grid, band=band_of(ref))))
-        assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, n
+    for band_sigmas in (density_matrix._BAND_SIGMAS, 45.0):
+        monkeypatch.setattr(density_matrix, "_BAND_SIGMAS", band_sigmas)
+        for n in (48, 256, 512):
+            dm = build_meridian_matrix(ctx, n)
+            ref = meridian_matrix_oracle(ctx, n, band_sigmas)
+            nonzero = ref != 0.0
+            assert np.array_equal(dm.rho != 0.0, nonzero), (band_sigmas, n)
+            rel = np.abs(dm.rho[nonzero] - ref[nonzero]) / ref[nonzero]
+            assert float(rel.max()) <= 1e-9, (band_sigmas, n)
+            s_ref = shannon_discrete(eigen_spectrum(DensityMatrix(
+                q_grid=dm.q_grid, band=band_of(ref))))
+            assert abs(shannon_discrete(eigen_spectrum(dm)) - s_ref) <= 1e-9, \
+                (band_sigmas, n)
+
+
+def test_direct_j_batch_changes_no_bit_of_a_build(monkeypatch):
+    # each mu's vecdot row is the same sum whatever the batch, so the batch
+    # bounds direct J's temporaries and nothing else: a benchmark row's band
+    # at 1 << 10, at the package's 1 << 13 and at 1 << 15, the old batch
+    assert density_matrix._J_BATCH == 1 << 13
+    ctx = make_context(5.1, 100.0, CALIBRATED_KSCALE)
+    bands = []
+    for batch in (1 << 10, 1 << 13, 1 << 15):
+        monkeypatch.setattr(density_matrix, "_J_BATCH", batch)
+        bands.append(build_meridian_matrix(ctx, 1024).band)
+    assert all(np.array_equal(band, bands[1]) for band in bands)
 
 
 @pytest.mark.parametrize("e_ev,l_nm,start_sigmas,j_at_start", [
@@ -506,7 +523,7 @@ def _record_solvers(monkeypatch, fail=False) -> list:
 
 @pytest.mark.skipif(not _FLUSHES, reason="the flush applies on Linux x86-64 only")
 def test_eigen_spectrum_restores_the_fp_environment(dm256, monkeypatch):
-    # whichever solver runs, band (kd = 31 at n = 256) or dense (no band
+    # whichever solver runs, band (kd = 19 at n = 256) or dense (no band
     # handle), sees FTZ and DAZ set, and the thread gets its own MXCSR back
     # whether the solver returns or raises; vn-compare's worker threads
     # flush their own MXCSR, never the main thread's
@@ -567,19 +584,20 @@ def test_flush_moves_the_band_spectrum_below_1e_18(e_ev, n_grid, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: (E eV, L nm, k-scale, n, rho's lower half-bandwidth kd): the band path
-#: runs where 9 kd <= 2 n
+#: runs where 9 kd <= 2 n.  With pairs kept to 45 sigma_k, kd was 127,
+#: 91, 63, 60, 1, 38, 151, 277 (dense), 436, 873 and 133
 _BAND_POINTS = [
-    (5.1, 100.0, CALIBRATED_KSCALE, 1024, 127),
-    (19.6, 100.0, CALIBRATED_KSCALE, 1024, 91),
-    (5.0, 100.0, CALIBRATED_KSCALE, 512, 63),
-    (100.0, 100.0, CALIBRATED_KSCALE, 1024, 60),
-    (1e3, 5e4, CALIBRATED_KSCALE, 1024, 1),
-    (1e4, 100.0, CALIBRATED_KSCALE, 2048, 38),
-    (5.1, 100.0, 1.0, 1024, 151),
-    (0.2, 100.0, CALIBRATED_KSCALE, 1024, 277),
-    (1.0, 20.0, CALIBRATED_KSCALE, 1024, 436),
-    (1.0, 20.0, CALIBRATED_KSCALE, 2048, 873),
-    (0.5, 20.0, CALIBRATED_KSCALE, 256, 133),
+    (5.1, 100.0, CALIBRATED_KSCALE, 1024, 77),
+    (19.6, 100.0, CALIBRATED_KSCALE, 1024, 55),
+    (5.0, 100.0, CALIBRATED_KSCALE, 512, 38),
+    (100.0, 100.0, CALIBRATED_KSCALE, 1024, 37),
+    (1e3, 5e4, CALIBRATED_KSCALE, 1024, 0),
+    (1e4, 100.0, CALIBRATED_KSCALE, 2048, 23),
+    (5.1, 100.0, 1.0, 1024, 92),
+    (0.2, 100.0, CALIBRATED_KSCALE, 1024, 158),
+    (1.0, 20.0, CALIBRATED_KSCALE, 1024, 253),
+    (1.0, 20.0, CALIBRATED_KSCALE, 2048, 507),
+    (0.5, 20.0, CALIBRATED_KSCALE, 256, 74),
 ]
 
 _HAS_BAND = pytest.mark.skipif(density_matrix._DSBEVD is None,
@@ -604,6 +622,56 @@ def test_band_spectrum_equals_the_dense_one(e_ev, l_nm, k_scale, n, kd, monkeypa
     monkeypatch.setattr(density_matrix, "_DSBEVD", None)
     s_dense = shannon_discrete(eigen_spectrum(dm))
     assert abs(shannon_discrete(lam) - s_dense) <= 1e-12 * s_dense
+
+
+_U = 2.0 ** -53
+
+
+def test_band_cut_is_where_the_gaussian_factor_reaches_rounding():
+    # exp(-B^2 / 8) = u, the cut build_meridian_matrix's docstring derives
+    b = density_matrix._BAND_SIGMAS
+    assert b == pytest.approx(math.sqrt(-8.0 * math.log(_U)), rel=1e-15)
+    assert math.exp(-b * b / 8.0) == pytest.approx(_U, rel=1e-13)
+
+
+def _binary_entropy(t: float) -> float:
+    return 0.0 if t <= 0.0 else -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
+
+
+@pytest.mark.parametrize("e_ev, l_nm, k_scale, n, kd", _BAND_POINTS)
+def test_band_cut_moves_the_spectrum_within_its_bound(e_ev, l_nm, k_scale, n, kd,
+                                                       monkeypatch):
+    # the referee of the cut: the build with pairs kept to 45 sigma_k, whose
+    # elements past the cut are 1e-110 of the diagonal at the least
+    ctx = make_context(e_ev, l_nm, k_scale)
+    cut = build_meridian_matrix(ctx, n)
+    monkeypatch.setattr(density_matrix, "_BAND_SIGMAS", 45.0)
+    wide = build_meridian_matrix(ctx, n)
+    monkeypatch.undo()
+    # the cut only drops pairs: the same J table, trace and kept elements
+    kept = cut.band != 0.0
+    assert np.array_equal(cut.band[kept], wide.band[:kd + 1][kept])
+    rho = wide.rho
+    e = rho - cut.rho
+    q, sig = cut.q_grid, ctx.sigma_k
+    dq = np.abs(q[:, None] - q[None, :])
+    dropped = e != 0.0
+    assert (dq[dropped] > density_matrix._BAND_SIGMAS * sig).all()
+    # each dropped element is g(dq) R sqrt(rho_ii rho_jj) with R <= sqrt(2),
+    # so ||E||_2 <= ||E||_F <= sqrt(2) u
+    diag = np.diagonal(rho)
+    g = np.exp(-dq[dropped] ** 2 / (8.0 * sig * sig))
+    r = e[dropped] / (g * np.sqrt(np.outer(diag, diag))[dropped])
+    assert r.size == 0 or float(r.max()) <= math.sqrt(2.0)
+    assert float(np.linalg.norm(e)) <= math.sqrt(2.0) * _U
+    # Weyl: the spectra differ by that and each solver's O(n u) backward
+    # error, stated as n u; S_vn by at most the Fannes-Audenaert bound of
+    # their distance t
+    lam_cut, lam_wide = eigen_spectrum(cut), eigen_spectrum(wide)
+    assert float(np.abs(lam_cut - lam_wide).max()) <= n * _U
+    t = 0.5 * float(np.abs(lam_cut - lam_wide).sum())
+    assert abs(shannon_discrete(lam_cut) - shannon_discrete(lam_wide)) <= \
+        t * math.log2(n - 1) + _binary_entropy(t)
 
 
 def test_lower_bandwidth():

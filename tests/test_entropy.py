@@ -21,6 +21,7 @@ from escatter import entropy
 from escatter.cli import main
 from escatter.errors import NumericalError
 from escatter.geometry import (
+    AngularGrid,
     channel_cell_integrals,
     panel_edges,
 )
@@ -311,6 +312,30 @@ def _record_cell_terms(mp) -> list[list]:
 
     mp.setattr(entropy, "_cell_terms", recording)
     return calls
+
+
+def test_only_the_parallel_channel_measures_cells_from_the_equator(monkeypatch):
+    # the other channels' cell integrals read no distance below pi/2, so
+    # their sums form none: each grid's reduction asks below_equator as
+    # often as it asks _cell_terms in the parallel channel, else never
+    asked = []
+    below_equator = AngularGrid.below_equator
+
+    def recording(grid, xs):
+        asked.append(len(xs))
+        return below_equator(grid, xs)
+
+    ctx = make_context(100.0, 50_000.0, CALIBRATED_KSCALE)
+    for ch in SpinChannel:
+        grid = ring_grid(ctx, ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AngularGrid, "below_equator", recording)
+            calls = _record_cell_terms(mp)
+            asked.clear()
+            for pixels in (False, True):
+                entropy._stream_weight_entropy(grid, pixels, ch)
+        assert asked == ([len(xs) for xs in calls]
+                         if ch is SpinChannel.PARALLEL else []), ch
 
 
 def test_postselect_bands_far_from_singular_angles_are_cheap():

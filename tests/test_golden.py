@@ -48,6 +48,12 @@ CASES = (
     ("vn-compare-1024", ["vn-compare", "--packet-nm", "100",
                          "--k-scale", repr(math.sqrt(2.0)),
                          "--energy-list", "19.6,5.1", "--n-grid", "1024"]),
+    # a row whose band was too wide for the band solver (kd = 277 with
+    # pairs kept to 45 sigma_k) and now takes it (kd = 158); the files
+    # were written by the dense solve at 45 sigma_k
+    ("vn-compare-0.2-ev", ["vn-compare", "--packet-nm", "100",
+                           "--k-scale", repr(math.sqrt(2.0)),
+                           "--energy-ev", "0.2", "--n-grid", "1024"]),
 )
 
 FORMATS = ("csv", "json")

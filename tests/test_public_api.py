@@ -247,10 +247,13 @@ def test_vn_compare_loads_neither_subprocess_nor_ctypes_util():
     # those of numpy's linalg module: ctypes.util.find_library would import
     # subprocess, ~5 ms of every cold vn-compare start, and a search for
     # numpy's OpenBLAS file glob and fnmatch.  site may load fnmatch
-    # first, so only the modules the run adds count
+    # first, so only the modules the run adds count.  Its two rows run on
+    # plain threads, so no thread pool either: concurrent.futures and its
+    # queue took ~8 ms of every cold vn-compare start
     out = _probe("import sys\nbefore = set(sys.modules)\n" + _VN_COMPARE_RUN
                  + "print(code, [m for m in ('subprocess', 'ctypes.util', "
-                 "'glob', 'fnmatch') if m in set(sys.modules) - before])")
+                 "'glob', 'fnmatch', 'concurrent.futures', 'queue') "
+                 "if m in set(sys.modules) - before])")
     assert out.strip() == "0 []"
 
 
